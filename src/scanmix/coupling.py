@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import (
+    BudgetExceededError,
     Coloring,
     Graph,
     VertexWeights,
@@ -334,6 +335,40 @@ def _try(sigma: Coloring, v: int, c: int, n: int) -> Coloring:
 # Exact drift: vectorized Hamming DP over class batches
 # ---------------------------------------------------------------------------
 
+_STEP_TABLES: dict[tuple[int, str], np.ndarray] = {}
+
+
+def _step_table(q: int, coupling: str) -> np.ndarray:
+    """Joint pair after one coupled vertex update, for every local situation.
+
+    Pairs (a, b) of the two copies' colors are indexed a * (q + 1) + b, with
+    color q standing for a missing neighbor.  Row (right * q^2 + old) * L +
+    left, column c holds the pair at the vertex after copy one proposes c,
+    where ``left`` is the updated left neighbor pair, ``right`` the old right
+    neighbor pair, ``old`` the vertex's own pair and L = (q + 1)^2.  Built on
+    first use and cached per (q, coupling).
+    """
+    key = (q, coupling)
+    if key not in _STEP_TABLES:
+        q1, L = q + 1, (q + 1) ** 2
+        pairs = [divmod(p, q1) for p in range(L)]
+        # the coupling's own rule, on the window (left, vertex, right)
+        partner = np.array(
+            [[[_partner_proposal_scan(coupling, 2, c, (la, 0, ra), (lb, 0, rb), 3)
+               for c in range(q)] for la, lb in pairs] for ra, rb in pairs]
+        )[:, None]                                  # (right, 1, left, c)
+        pa, pb = np.divmod(np.arange(L), q1)
+        oa, ob = np.divmod(np.arange(q * q), q)
+        ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
+        rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
+        a = np.where((c != la) & (c != ra), c, oa)
+        b = np.where((partner != lb) & (partner != rb), partner, ob)
+        table = (a * q1 + b).reshape(-1, q)
+        table.flags.writeable = False
+        _STEP_TABLES[key] = table
+    return _STEP_TABLES[key]
+
+
 def _ham_batch_drift(
     sig: np.ndarray, tau: np.ndarray, start: int, q: int, coupling: str = "q4_scan"
 ) -> tuple[np.ndarray, int]:
@@ -342,100 +377,59 @@ def _ham_batch_drift(
     ``sig``, ``tau``: (C, n) integer arrays of full copy colorings; returns
     (numerators, scale) with expectation numerators[i] / scale per row.
     The DP state is the joint color pair at the previously updated vertex;
-    counts are integers at scale q^(number of scanned vertices).
+    counts are integers at scale q^(number of scanned vertices).  Each
+    vertex is one gather from ``_step_table`` and one bincount.
     """
     if coupling not in ("q4_scan", "identity_scan", "switch_scan"):
         raise ValueError(f"no Hamming DP for coupling {coupling!r}")
-    sig = sig.astype(np.int64)
-    tau = tau.astype(np.int64)
+    sig = np.asarray(sig, dtype=np.int64)
+    tau = np.asarray(tau, dtype=np.int64)
     C, n = sig.shape
-    k = n - start
-    scale = q ** k
-    Q2 = q * q
-    arange_c = np.arange(C)
-    off_diag = np.array([s for s in range(Q2) if s // q != s % q])
+    scale = q ** (n - start)
+    if scale >= 2 ** 53:
+        raise ValueError("counts beyond 2^53 are not exact in the DP")
+    q1, L = q + 1, (q + 1) ** 2
+    table = _step_table(q, coupling)
+    pad = np.full((C, 1), q)
+    right = np.hstack([sig[:, 1:], pad]) * q1 + np.hstack([tau[:, 1:], pad])
+    rows_at = (right * q * q + sig * q + tau) * L
+    a, b = np.divmod(np.arange(L), q1)
+    off_diag = (a != b) & (a < q) & (b < q)
 
-    fixed = (sig[:, :start] != tau[:, :start]).sum(axis=1).astype(np.int64)
-    exp_terms = np.zeros(C, dtype=np.int64)
-    dist: Optional[np.ndarray] = None
-
-    for step, v in enumerate(range(start, n)):
-        old1, old2 = sig[:, v], tau[:, v]
-        has_right = v + 1 < n
-        r1 = sig[:, v + 1] if has_right else None
-        r2 = tau[:, v + 1] if has_right else None
-        rdiff = (r1 != r2) if has_right else np.zeros(C, dtype=bool)
-        ndist = np.zeros((C, Q2), dtype=np.int64)
-
-        def partner(c: int, l1, l2, ldiff) -> np.ndarray:
-            """Vector of copy-two proposals for scalar copy-one proposal c."""
-            c2 = np.full(C, c, dtype=np.int64)
-            if coupling == "identity_scan":
-                return c2
-            if coupling == "switch_scan":
-                if l1 is None:
-                    return c2
-                c2 = np.where(ldiff & (l1 == c), l2, np.where(ldiff & (l2 == c), l1, c2))
-                return c2
-            # q4_scan: left pair first, then old right pair
-            if l1 is not None:
-                c2 = np.where(ldiff & (l1 == c), l2, np.where(ldiff & (l2 == c), l1, c2))
-                untouched = ~ldiff
-            else:
-                untouched = np.ones(C, dtype=bool)
-            if has_right:
-                use = untouched & rdiff
-                c2 = np.where(use & (r1 == c), r2, np.where(use & (r2 == c), r1, c2))
-            return c2
-
-        if step == 0:
-            if v == 0:
-                l1 = l2 = None
-                ldiff = np.zeros(C, dtype=bool)
-            else:
-                l1, l2 = sig[:, v - 1], tau[:, v - 1]
-                ldiff = l1 != l2
-            for c in range(q):
-                c2 = partner(c, l1, l2, ldiff)
-                acc1 = np.ones(C, dtype=bool)
-                acc2 = np.ones(C, dtype=bool)
-                if l1 is not None:
-                    acc1 &= l1 != c
-                    acc2 &= l2 != c2
-                if has_right:
-                    acc1 &= r1 != c
-                    acc2 &= r2 != c2
-                na = np.where(acc1, c, old1)
-                nb = np.where(acc2, c2, old2)
-                np.add.at(ndist, (arange_c, na * q + nb), 1)
-        else:
-            for s in range(Q2):
-                col = dist[:, s]
-                if not col.any():
-                    continue
-                a, b = divmod(s, q)
-                la = np.full(C, a, dtype=np.int64)
-                lb = np.full(C, b, dtype=np.int64)
-                ldiff = np.full(C, a != b, dtype=bool)
-                for c in range(q):
-                    c2 = partner(c, la, lb, ldiff)
-                    acc1 = np.full(C, a != c, dtype=bool)
-                    acc2 = lb != c2
-                    if has_right:
-                        acc1 &= r1 != c
-                        acc2 &= r2 != c2
-                    na = np.where(acc1, c, old1)
-                    nb = np.where(acc2, c2, old2)
-                    np.add.at(ndist, (arange_c, na * q + nb), col)
-        dist = ndist
-        exp_terms += dist[:, off_diag].sum(axis=1) * q ** (k - step - 1)
-
-    return fixed * scale + exp_terms, scale
+    dist = np.zeros((C, L))        # counts, exact in float64 below 2^53
+    left = sig[:, start - 1] * q1 + tau[:, start - 1] if start else L - 1
+    dist[np.arange(C), left] = 1
+    expected = np.zeros(C, dtype=np.int64)
+    for v in range(start, n):
+        r, lp = np.nonzero(dist)
+        nxt = table[rows_at[r, v] + lp]
+        dist = np.bincount(
+            (nxt + (r * L)[:, None]).ravel(),
+            weights=np.repeat(dist[r, lp], q),
+            minlength=C * L,
+        ).reshape(C, L)
+        expected += dist[:, off_diag].sum(axis=1).astype(np.int64) * q ** (n - v - 1)
+    fixed = (sig[:, :start] != tau[:, :start]).sum(axis=1)
+    return fixed * scale + expected, scale
 
 
 # ---------------------------------------------------------------------------
 # Canonical color classes (orbits under global color permutation)
 # ---------------------------------------------------------------------------
+
+def _restricted_growth_array(length: int, q: int) -> np.ndarray:
+    """Restricted-growth strings of ``length`` over q colors, in lexicographic
+    order, as rows of an int64 array (see ``restricted_growth_tuples``)."""
+    out = np.zeros((1, 0), dtype=np.int64)
+    top = np.full(1, -1)
+    for _ in range(length):
+        kids = np.minimum(top + 1, q - 1) + 1
+        parent = np.repeat(np.arange(len(out)), kids)
+        c = np.arange(len(parent)) - np.repeat(np.cumsum(kids) - kids, kids)
+        out = np.column_stack([out[parent], c])
+        top = np.maximum(top[parent], c)
+    return out
+
 
 def restricted_growth_tuples(length: int, q: int) -> list[tuple[int, ...]]:
     """One representative per orbit of q-ary tuples under color permutation.
@@ -445,19 +439,28 @@ def restricted_growth_tuples(length: int, q: int) -> list[tuple[int, ...]]:
     capped at q - 1.  The coupled dynamics and the Hamming metric are
     equivariant under global color relabeling, so drifts are class functions.
     """
-    out: list[tuple[int, ...]] = []
-    cur = [0] * length
+    return [tuple(r) for r in _restricted_growth_array(length, q).tolist()]
 
-    def extend(pos: int, top: int) -> None:
-        if pos == length:
-            out.append(tuple(cur))
-            return
-        for c in range(min(top + 1, q - 1) + 1):
-            cur[pos] = c
-            extend(pos + 1, max(top, c))
 
-    extend(0, -1)
-    return out
+def _class_count(length: int, q: int) -> int:
+    """Number of restricted-growth strings of ``length`` over q colors."""
+    ways = [1] + [0] * q  # ways[k]: strings so far using k distinct colors
+    for _ in range(length):
+        ways = [k * ways[k] + (ways[k - 1] if k else 0) for k in range(q + 1)]
+    return sum(ways)
+
+
+def _disagreement_classes(
+    length: int, q: int, positions: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical pairs of length-``length`` tuples disagreeing exactly at
+    ``positions``, as (sig, tau) arrays in representative order."""
+    reps = _restricted_growth_array(length + len(positions), q)
+    sig = reps[:, :length]
+    tau = sig.copy()
+    tau[:, positions] = reps[:, length:]
+    keep = (tau[:, positions] != sig[:, positions]).all(axis=1)
+    return sig[keep], tau[keep]
 
 
 def _s_pair_classes(n: int, q: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -467,43 +470,152 @@ def _s_pair_classes(n: int, q: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
     shape (C, n); all single-disagreement pairs over all colorings arise from
     these by color permutation.
     """
-    reps = restricted_growth_tuples(n + 1, q)
-    batches = []
-    for i in range(n):
-        rows_s, rows_t = [], []
-        for t in reps:
-            sigma, tau_i = t[:n], t[n]
-            if tau_i == sigma[i]:
-                continue
-            tau = sigma[:i] + (tau_i,) + sigma[i + 1:]
-            rows_s.append(sigma)
-            rows_t.append(tau)
-        batches.append(
-            (np.array(rows_s, dtype=np.int64), np.array(rows_t, dtype=np.int64), i)
-        )
-    return batches
+    return [(*_disagreement_classes(n, q, [i]), i) for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# The contraction ledger
+# ---------------------------------------------------------------------------
+
+LEMMA_IDS = (
+    # Hamming family, in the order of a single-disagreement pair's slots
+    "from_site", "from_left", "full_any", "full_last", "full_fresh",
+    "from_left_fresh", "full_blocked", "from_left_blocked",
+    "suffix_fresh", "adjacent_pair",
+    # weighted-metric family (q = 3)
+    "site_break_even", "sweep_first", "sweep_second", "sweep_interior",
+    "sweep_last", "sweep_suffix",
+)
+_CODE = {lemma: k for k, lemma in enumerate(LEMMA_IDS)}
+
+# A priori work admitted by the ledger families: canonical classes times
+# vertices (Hamming), cells of one all-pairs table (weighted metric).  Admits
+# n <= 9 for q = 4, 5 and n <= 10 for q = 3, each within about 0.6 GB.
+DEFAULT_LEDGER_BUDGET = 2 ** 22
 
 
 @dataclass
-class LedgerRow:
-    """One checked contraction bound: an exact drift against its ceiling."""
+class Ledger:
+    """Checked contraction bounds as columns, one row per (pair, bound).
 
-    lemma_id: str
+    Row r compares the exact value num[r] / scale[r] with the ceiling
+    bound_num[r] / bound_den[r] in integers; ``lemma`` holds codes into
+    LEMMA_IDS and ``pair_index`` the pair's index within its batch.
+    site_break_even rows pass on equality, all others on <=.  Iterating
+    yields ``LedgerRow`` views.
+    """
+
     n: int
     q: int
-    pair_index: int
-    value: Fraction          # the quantity the bound constrains
-    bound: Fraction
-    passed: bool
-    equality_required: bool = False
+    lemma: np.ndarray
+    pair_index: np.ndarray
+    num: np.ndarray
+    scale: np.ndarray
+    bound_num: np.ndarray
+    bound_den: np.ndarray
+    passed: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, n: int, q: int, blocks) -> "Ledger":
+        cols = [np.concatenate(col) for col in zip(*blocks)]
+        lemma, _, num, scale, bound_num, bound_den = cols
+        lhs, rhs = num * bound_den, bound_num * scale
+        passed = np.where(lemma == _CODE["site_break_even"], lhs == rhs, lhs <= rhs)
+        return cls(n, q, *cols, passed)
+
+    def __len__(self) -> int:
+        return len(self.lemma)
+
+    def __iter__(self):
+        cols = zip(self.lemma.tolist(), self.pair_index.tolist(), self.passed.tolist())
+        for i, (code, pair, ok) in enumerate(cols):
+            yield LedgerRow(self, i, LEMMA_IDS[code], pair, ok)
+
+    def lowest_terms(self) -> tuple[np.ndarray, ...]:
+        """(value num, value den, bound num, bound den), each fraction reduced."""
+        g = np.gcd(self.num, self.scale)
+        h = np.gcd(self.bound_num, self.bound_den)
+        return self.num // g, self.scale // g, self.bound_num // h, self.bound_den // h
 
 
-def _frac_le(num: np.ndarray, scale: int, bound: Fraction) -> np.ndarray:
-    """Vector num/scale <= bound, exactly in integers."""
-    return num * bound.denominator <= bound.numerator * scale
+class LedgerRow:
+    """View of one ledger row: an exact drift against its ceiling."""
+
+    __slots__ = ("ledger", "row", "lemma_id", "pair_index", "passed")
+
+    def __init__(self, ledger: Ledger, row: int, lemma_id: str, pair_index: int, passed: bool):
+        self.ledger = ledger
+        self.row = row
+        self.lemma_id = lemma_id
+        self.pair_index = pair_index
+        self.passed = passed
+
+    @property
+    def value(self) -> Fraction:
+        """The quantity the bound constrains."""
+        return Fraction(int(self.ledger.num[self.row]), int(self.ledger.scale[self.row]))
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(int(self.ledger.bound_num[self.row]), int(self.ledger.bound_den[self.row]))
 
 
-def hamming_contraction_rows(n: int, q: int) -> list[LedgerRow]:
+def _slot_block(mask, lemma, num, scale, bound_num, bound_den) -> tuple[np.ndarray, ...]:
+    """Ledger columns for the true cells of ``mask`` (pairs x slots), in
+    pair-major order; the other arguments broadcast to its shape."""
+    pair, slot = np.nonzero(mask)
+    lemma, *values = (
+        np.asarray(c, dtype=np.int64)[pair, slot]
+        for c in np.broadcast_arrays(mask, lemma, num, scale, bound_num, bound_den)[1:]
+    )
+    return (lemma, pair, *values)
+
+
+def _single_site_block(sig: np.ndarray, tau: np.ndarray, i: int, q: int) -> tuple:
+    """Ledger columns of the single-disagreement batch at 0-based i."""
+    C, n = sig.shape
+    starts = {i, max(0, i - 1)} | ({0} if q == 4 else set())
+    drift = {s: _ham_batch_drift(sig, tau, s, q) for s in starts}
+    (num_i, sc_i), (num_l, sc_l) = drift[i], drift[max(0, i - 1)]
+    num0, sc0 = drift.get(0, (num_i, sc_i))  # read only where q == 4
+    # from_site's ceiling counts the distinct neighbor colors of i
+    if 0 < i < n - 1:
+        distinct = 2 - (sig[:, i - 1] == sig[:, i + 1])
+    else:  # one neighbor at an end of the path
+        distinct = np.full(C, min(n - 1, 1))
+    mask = np.zeros((C, 8), dtype=bool)
+    mask[:, :2] = True
+    if q == 4:
+        # aggregate ceiling over every single-disagreement pair: the worst
+        # of the full-sweep cases by the copy-relabeling symmetry
+        mask[:, 2] = True
+        mask[:, 3] = i == n - 1
+        if i < n - 1:
+            fresh = (sig[:, i + 1] != sig[:, i]) & (sig[:, i + 1] != tau[:, i])
+            blocked = sig[:, i + 1] == sig[:, i]
+            mask[:, 4] = fresh
+            mask[:, 6] = blocked
+            if i < 2:
+                mask[:, 5], mask[:, 7] = fresh, blocked
+            else:
+                far = sig[:, i - 2]
+                mask[:, 5] = fresh & (sig[:, i + 1] != far)
+                mask[:, 7] = blocked & (sig[:, i] != far) & (tau[:, i] != far)
+    bound_num = np.tile([0, 3, 191, 11, 47, 11, 191, 11], (C, 1))
+    bound_num[:, 0] = distinct
+    return _slot_block(
+        mask,
+        np.arange(8),
+        np.stack([num_i, num_l, num0, num0, num0, num_l, num0, num_l], axis=1),
+        np.array([sc_i, sc_l, sc0, sc0, sc0, sc_l, sc0, sc_l]),
+        bound_num,
+        np.array([q - 1, q - 1, 192, 16, 48, 12, 192, 12]),
+    )
+
+
+def hamming_contraction_rows(
+    n: int, q: int, budget: int = DEFAULT_LEDGER_BUDGET
+) -> Ledger:
     """Exact sweep-coupling contraction checks for the Hamming metric, q >= 4.
 
     Quantification is over canonical color classes of pairs, which covers
@@ -519,146 +631,54 @@ def hamming_contraction_rows(n: int, q: int) -> list[LedgerRow]:
     - from_left_fresh / from_left_blocked (q=4): the two 11/12 refinements.
     - full_last / full_fresh / full_blocked (q=4): sweeps from vertex 1 with
       ceilings 11/16, 47/48, 191/192.
+
+    q = 3 has its own family (``weighted_metric_contraction_rows``); q < 3
+    raises ValueError.  Raises BudgetExceededError when canonical classes
+    times vertices exceed ``budget``, before enumerating.
     """
-    rows: list[LedgerRow] = []
-    one = Fraction(1)
-    s_batches = _s_pair_classes(n, q)
-
-    for sig, tau, i in s_batches:
-        C = sig.shape[0]
-        # sweep from vertex 1 (only the q=4 ceilings look at it)
-        if q == 4:
-            num0, sc0 = _ham_batch_drift(sig, tau, 0, q)
-        else:
-            num0, sc0 = np.zeros(C, dtype=np.int64), 1
-        # sweep from max(1, i-1) and from i (0-based starts)
-        num_l, sc_l = _ham_batch_drift(sig, tau, max(0, i - 1), q)
-        num_i, sc_i = _ham_batch_drift(sig, tau, i, q)
-        sigs = [tuple(r) for r in sig]
-        taus = [tuple(r) for r in tau]
-        for c_idx in range(C):
-            s_row, t_row = sigs[c_idx], taus[c_idx]
-            # from_site: ceiling C/(q-1) with C = |{left, right neighbor colors}|
-            nb = {s_row[j] for j in (i - 1, i + 1) if 0 <= j < n}
-            val_i = Fraction(int(num_i[c_idx]), sc_i)
-            rows.append(
-                LedgerRow("from_site", n, q, c_idx, val_i, Fraction(len(nb), q - 1),
-                          val_i <= Fraction(len(nb), q - 1))
-            )
-            val_l = Fraction(int(num_l[c_idx]), sc_l)
-            rows.append(
-                LedgerRow("from_left", n, q, c_idx, val_l, Fraction(3, q - 1),
-                          val_l <= Fraction(3, q - 1))
-            )
-            val0 = Fraction(int(num0[c_idx]), sc0)
-            if q == 4:
-                # aggregate ceiling over every single-disagreement pair: the
-                # worst of the full-sweep cases by the copy-relabeling symmetry
-                rows.append(
-                    LedgerRow("full_any", n, q, c_idx, val0, Fraction(191, 192),
-                              val0 <= Fraction(191, 192))
-                )
-            if q == 4 and i == n - 1:
-                rows.append(
-                    LedgerRow("full_last", n, q, c_idx, val0, Fraction(11, 16),
-                              val0 <= Fraction(11, 16))
-                )
-            if q == 4 and i < n - 1:
-                fresh = s_row[i + 1] not in (s_row[i], t_row[i])
-                blocked = s_row[i + 1] == s_row[i]
-                if fresh:
-                    rows.append(
-                        LedgerRow("full_fresh", n, q, c_idx, val0, Fraction(47, 48),
-                                  val0 <= Fraction(47, 48))
-                    )
-                    if i < 2 or s_row[i + 1] != s_row[i - 2]:
-                        rows.append(
-                            LedgerRow("from_left_fresh", n, q, c_idx, val_l,
-                                      Fraction(11, 12), val_l <= Fraction(11, 12))
-                        )
-                if blocked:
-                    rows.append(
-                        LedgerRow("full_blocked", n, q, c_idx, val0,
-                                  Fraction(191, 192), val0 <= Fraction(191, 192))
-                    )
-                    if i < 2 or (s_row[i] != s_row[i - 2] and t_row[i] != s_row[i - 2]):
-                        rows.append(
-                            LedgerRow("from_left_blocked", n, q, c_idx, val_l,
-                                      Fraction(11, 12), val_l <= Fraction(11, 12))
-                        )
-
-    # suffix_fresh: disagreement at window position 0, sweep starts one right.
+    if q < 3:
+        raise ValueError("the Hamming ledger needs q >= 3")
+    work = _class_count(n + 2, q) * n
+    if work > budget:
+        raise BudgetExceededError(f"{work} class-vertex cells exceed budget {budget}")
+    blocks = [_single_site_block(sig, tau, i, q) for sig, tau, i in _s_pair_classes(n, q)]
+    # suffix_fresh: disagreement at window position 0, sweep starts one right;
+    # adjacent_pair: disagreements at window positions 0 and 1, sweep from 1.
     # The sweep never looks left of the disagreement, so quantify over
-    # canonical windows of every length m = n - i + 1.
-    for m in range(2, n + 1):
-        reps = restricted_growth_tuples(m + 1, q)
-        rows_s, rows_t = [], []
-        for t in reps:
-            window, tau_0 = t[:m], t[m]
-            if tau_0 == window[0]:
-                continue
-            rows_s.append(window)
-            rows_t.append((tau_0,) + window[1:])
-        sig = np.array(rows_s, dtype=np.int64)
-        tau = np.array(rows_t, dtype=np.int64)
-        num, sc = _ham_batch_drift(sig, tau, 1, q)
-        bound = Fraction(1, q - 1) + 1  # one persisting disagreement plus the ceiling
-        ok = _frac_le(num, sc, bound)
-        for c_idx in range(sig.shape[0]):
-            rows.append(
-                LedgerRow("suffix_fresh", n, q, c_idx,
-                          Fraction(int(num[c_idx]), sc), bound, bool(ok[c_idx]))
+    # canonical windows of every length m.  Ceilings: one persisting
+    # disagreement plus 1/(q-1), and total Hamming 1 + 3/(q-1).
+    for lemma, positions, m_min, bound in (
+        ("suffix_fresh", [0], 2, q),
+        ("adjacent_pair", [0, 1], 3, q + 2),
+    ):
+        for m in range(m_min, n + 1):
+            sig, tau = _disagreement_classes(m, q, positions)
+            num, sc = _ham_batch_drift(sig, tau, 1, q)
+            blocks.append(
+                _slot_block(np.ones((len(sig), 1), dtype=bool), _CODE[lemma],
+                            num[:, None], sc, bound, q - 1)
             )
-
-    # adjacent_pair: disagreements exactly at window positions 0 and 1,
-    # sweep from position 1.
-    for m in range(3, n + 1):
-        reps = restricted_growth_tuples(m + 2, q)
-        rows_s, rows_t = [], []
-        for t in reps:
-            window, t0, t1 = t[:m], t[m], t[m + 1]
-            if t0 == window[0] or t1 == window[1]:
-                continue
-            rows_s.append(window)
-            rows_t.append((t0, t1) + window[2:])
-        sig = np.array(rows_s, dtype=np.int64)
-        tau = np.array(rows_t, dtype=np.int64)
-        num, sc = _ham_batch_drift(sig, tau, 1, q)
-        bound = Fraction(3, q - 1) + 1  # total Hamming, persisting left disagreement included
-        ok = _frac_le(num, sc, bound)
-        for c_idx in range(sig.shape[0]):
-            rows.append(
-                LedgerRow("adjacent_pair", n, q, c_idx,
-                          Fraction(int(num[c_idx]), sc), bound, bool(ok[c_idx]))
-            )
-    return rows
+    return Ledger.from_blocks(n, q, blocks)
 
 
 # ---------------------------------------------------------------------------
 # Exact drift: weighted-metric family for 3-colorings (identity coupling)
 # ---------------------------------------------------------------------------
 
-_POW3 = np.array([3 ** k for k in range(16)], dtype=np.int64)
-
-
 class PathMetricTables:
     """Vectorized exact-drift machinery for proper 3-colorings of a path.
 
     Precomputes the state list, the weighted metric as integers in units of
     1/8 (both weight presets are dyadic with denominator 8 after halving),
-    single-move result indices, and identity-coupled sweep result tables.
+    and single-move result indices; sums of the metric after identity-coupled
+    moves and sweeps over all proposals follow from these, for all pairs.
     """
 
     def __init__(self, n: int, weights: VertexWeights):
         self.n = n
         self.weights = weights
         self.states = enumerate_colorings(Graph.path(n), 3)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        codes = np.array([self._code(s) for s in self.states], dtype=np.int64)
-        self.compact = np.full(3 ** n, -1, dtype=np.int32)
-        self.compact[codes] = np.arange(len(self.states), dtype=np.int32)
         self.d2_int = self._metric_table()
-        self._sweep_tables: dict[int, np.ndarray] = {}
         self._move_table: Optional[np.ndarray] = None
 
     def _metric_table(self) -> np.ndarray:
@@ -668,81 +688,65 @@ class PathMetricTables:
         scanning the multiples of 6 across the height-difference range hits
         the minimum.
         """
-        w8 = np.array([int(4 * w) for w in self.weights.weights], dtype=np.int64)
-        assert all(4 * w == int(4 * w) for w in self.weights.weights)
-        H = np.array([height_of(s) for s in self.states], dtype=np.int64)
-        S = len(self.states)
+        if any(4 * w != int(4 * w) for w in self.weights.weights):
+            raise ValueError("metric tables need weights in multiples of 1/4")
+        # the products run in BLAS; every sum is an integer far below 2^24,
+        # so float32 holds it exactly
+        w8 = np.array([int(4 * w) for w in self.weights.weights], dtype=np.float32)
+        H = np.array([height_of(s) for s in self.states], dtype=np.float32)
+        S, n = H.shape
         out = np.empty((S, S), dtype=np.int32)
         lo, hi = int(H.min() - H.max()) - 6, int(H.max() - H.min()) + 6
         shifts = range(6 * (lo // 6), hi + 1, 6)
-        for i in range(S):
-            delta = H[i][None, :] - H  # (S, n)
-            best = None
-            for s in shifts:
-                val = (np.abs(delta - s) * w8[None, :]).sum(axis=1)
-                best = val if best is None else np.minimum(best, val)
-            out[i] = best
+        rows = max(1, 2 ** 18 // (S * n))
+        for i in range(0, S, rows):
+            delta = H[i:i + rows, None, :] - H[None, :, :]  # (rows, S, n)
+            out[i:i + rows] = np.min([np.abs(delta - s) @ w8 for s in shifts], axis=0)
         return out
-
-    def _code(self, s: Coloring) -> int:
-        return int(sum(c * 3 ** k for k, c in enumerate(s)))
-
-    def metric(self, a: Coloring, b: Coloring) -> Fraction:
-        return Fraction(int(self.d2_int[self.index[a], self.index[b]]), 8)
 
     def move_table(self) -> np.ndarray:
         """M[s, v, c] = state index after trying color c at 0-based vertex v."""
         if self._move_table is None:
             n = self.n
-            M = np.empty((len(self.states), n, 3), dtype=np.int32)
-            for si, s in enumerate(self.states):
-                for v in range(n):
-                    for c in range(3):
-                        ok = (v == 0 or s[v - 1] != c) and (v == n - 1 or s[v + 1] != c)
-                        t = s[:v] + (c,) + s[v + 1:] if ok else s
-                        M[si, v, c] = self.index[t]
+            X = np.array(self.states, dtype=np.int64)
+            place = 3 ** np.arange(n - 1, -1, -1)
+            code = X @ place  # increasing: states are in lexicographic order
+            padded = np.pad(X, ((0, 0), (1, 1)), constant_values=-1)
+            M = np.empty((len(X), n, 3), dtype=np.int64)
+            for v in range(n):
+                for c in range(3):
+                    ok = (padded[:, v] != c) & (padded[:, v + 2] != c)
+                    M[:, v, c] = np.searchsorted(code, code + ok * (c - X[:, v]) * place[v])
             self._move_table = M
         return self._move_table
 
-    def sweep_table(self, start: int) -> np.ndarray:
-        """R[s, w] = result index of the sweep over 0-based vertices start..n-1
-        under proposal vector w (base-3 digits, least significant = vertex start)."""
-        if start not in self._sweep_tables:
-            n = self.n
-            k = n - start
-            W = 3 ** k
-            digits = [((np.arange(W, dtype=np.int64) // _POW3[v - start]) % 3).astype(np.int8)
-                      for v in range(start, n)]
-            R = np.empty((len(self.states), W), dtype=np.int32)
-            for si, s in enumerate(self.states):
-                cur = np.tile(np.array(s, dtype=np.int8), (W, 1))
-                for v in range(start, n):
-                    c = digits[v - start]
-                    acc = np.ones(W, dtype=bool)
-                    if v > 0:
-                        acc &= cur[:, v - 1] != c
-                    if v < n - 1:
-                        acc &= cur[:, v + 1] != c
-                    cur[acc, v] = c[acc]
-                code = cur.astype(np.int64) @ _POW3[:n]
-                R[si] = self.compact[code]
-            self._sweep_tables[start] = R
-        return self._sweep_tables[start]
-
-    def glauber_identity_drift_int(self, si: int, ti: int) -> tuple[int, int]:
-        """(sum over the 3n draws of metric-after in 1/8 units, 3n)."""
+    def site_sums(self, si: np.ndarray, ti: np.ndarray) -> np.ndarray:
+        """Sum over the 3n single-site draws of the metric after the
+        identity-coupled update of pairs (si, ti), in 1/8 units."""
         M = self.move_table()
-        after = self.d2_int[M[si].ravel(), M[ti].ravel()]
-        return int(after.sum(dtype=np.int64)), 3 * self.n
+        after = self.d2_int[M[si].reshape(len(si), -1), M[ti].reshape(len(ti), -1)]
+        return after.sum(axis=1, dtype=np.int64)
 
-    def sweep_identity_drift_int(self, si: int, ti: int, start: int) -> tuple[int, int]:
-        """(sum over 3^k proposal draws of metric-after in 1/8 units, 3^k)."""
-        R = self.sweep_table(start)
-        after = self.d2_int[R[si], R[ti]]
-        return int(after.sum(dtype=np.int64)), R.shape[1]
+    def sweep_sums(self):
+        """Yield (start, F) for start = n-1 down to 0, where F[s, t] sums,
+        over the 3^(n-start) proposal vectors, the metric (1/8 units) after
+        the identity-coupled sweep over 0-based vertices start..n-1 from (s, t).
+
+        The sweep from ``start`` first tries the shared proposal d at
+        ``start``, then sweeps from start+1, so
+        F_start[s, t] = sum_d F_{start+1}[M[s, start, d], M[t, start, d]]
+        with F_n the metric itself.
+        """
+        M = self.move_table()
+        F = self.d2_int.astype(np.int64)
+        for v in range(self.n - 1, -1, -1):
+            F = sum(F[np.ix_(M[:, v, d], M[:, v, d])] for d in range(3))
+            yield v, F
 
 
-def weighted_metric_contraction_rows(n: int) -> list[LedgerRow]:
+def weighted_metric_contraction_rows(
+    n: int, budget: int = DEFAULT_LEDGER_BUDGET
+) -> Ledger:
     """Exact identity-coupling checks for the weighted path metric, q = 3.
 
     - site_break_even: single random-site update from a single-disagreement
@@ -752,67 +756,58 @@ def weighted_metric_contraction_rows(n: int) -> list[LedgerRow]:
       sweep from i+1, expected increase <= 1/2 under (1/4, 1, ..., 1, 3/4).
     - sweep_first / sweep_second / sweep_interior / sweep_last:
       single-disagreement pairs swept from vertex 1 end below 1/4, 1, 1, 3/4.
+
+    Raises BudgetExceededError when the cells of one all-pairs table
+    (states squared) exceed ``budget``, before enumerating.
     """
-    rows: list[LedgerRow] = []
+    work = (3 * 2 ** (n - 1)) ** 2
+    if work > budget:
+        raise BudgetExceededError(f"{work} pair-table cells exceed budget {budget}")
     site = PathMetricTables(n, VertexWeights.glauber_q3(n))
     sweep = PathMetricTables(n, VertexWeights.scan_q3(n))
-    states = sweep.states
+    X = np.array(sweep.states)
+    S = len(X)
 
-    # single-disagreement (ordered) pairs
-    s_pairs: list[tuple[int, int, int]] = []
-    for si, s in enumerate(states):
-        for v in range(n):
-            for c in range(3):
-                if c == s[v]:
-                    continue
-                t = s[:v] + (c,) + s[v + 1:]
-                ti = sweep.index.get(t)
-                if ti is not None:
-                    s_pairs.append((si, ti, v))
+    # single-disagreement (ordered) pairs: the moves that change the state
+    M = sweep.move_table()
+    si, v, c = np.nonzero(M != np.arange(S)[:, None, None])
+    ti = M[si, v, c]
+    # sweep_suffix pairs, ordered (s, i, t): agree right of i, differ at i
+    eq = X[:, None, :] == X[None, :, :]
+    agree_from = np.logical_and.accumulate(eq[..., ::-1], axis=-1)[..., ::-1]
+    suffix = agree_from[..., 1:] & ~eq[..., :-1]         # (s, t, i)
+    s2, i2, t2 = np.nonzero(suffix.transpose(0, 2, 1))
 
-    for idx, (si, ti, v) in enumerate(s_pairs):
-        num, den = site.glauber_identity_drift_int(si, ti)
-        before = int(site.d2_int[si, ti])
-        rows.append(
-            LedgerRow("site_break_even", n, 3, idx,
-                      Fraction(num, den * 8), Fraction(before, 8),
-                      num == den * before, equality_required=True)
-        )
-        num, den = sweep.sweep_identity_drift_int(si, ti, 0)
-        val = Fraction(num, den * 8)
-        if v == 0:
-            lid, bound = "sweep_first", Fraction(1, 4)
-        elif v == 1:
-            lid, bound = "sweep_second", Fraction(1)
-        elif v == n - 1:
-            lid, bound = "sweep_last", Fraction(3, 4)
-        else:
-            lid, bound = "sweep_interior", Fraction(1)
-        rows.append(LedgerRow(lid, n, 3, idx, val, bound, val <= bound))
+    suffix_sum = np.empty(len(s2), dtype=np.int64)
+    for start, F in sweep.sweep_sums():
+        sel = i2 == start - 1
+        suffix_sum[sel] = F[s2[sel], t2[sel]]
+    sweep_sum = F[si, ti]  # the last F sweeps from vertex 0
 
-    # sweep_suffix: all ordered pairs grouped by rightmost disagreement
-    by_suffix: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for si, s in enumerate(states):
-        for i in range(n - 1):
-            by_suffix.setdefault((i, s[i + 1:]), []).append(si)
-    idx = 0
-    for si, s in enumerate(states):
-        for i in range(n - 1):
-            for ti in by_suffix[(i, s[i + 1:])]:
-                t = states[ti]
-                if t[i] == s[i]:
-                    continue
-                num, den = sweep.sweep_identity_drift_int(si, ti, i + 1)
-                before = int(sweep.d2_int[si, ti])
-                # drift <= 1/2, i.e. 4 units of 1/8
-                passed = num <= den * (before + 4)
-                rows.append(
-                    LedgerRow("sweep_suffix", n, 3, idx,
-                              Fraction(num, den * 8) - Fraction(before, 8),
-                              Fraction(1, 2), passed)
-                )
-                idx += 1
-    return rows
+    before_site = site.d2_int[si, ti].astype(np.int64)
+    where = [v == 0, v == 1, v == n - 1]
+    lemma = np.select(
+        where, [_CODE[k] for k in ("sweep_first", "sweep_second", "sweep_last")],
+        _CODE["sweep_interior"],
+    )
+    bound_num = np.select(where, [1, 1, 3], 1)
+    bound_den = np.select(where, [4, 1, 4], 1)
+    pairs = _slot_block(
+        np.ones((len(si), 2), dtype=bool),
+        np.stack([np.full(len(si), _CODE["site_break_even"]), lemma], axis=1),
+        np.stack([site.site_sums(si, ti), sweep_sum], axis=1),
+        np.array([3 * n * 8, 3 ** n * 8]),
+        np.stack([before_site, bound_num], axis=1),
+        np.stack([np.full(len(si), 8), bound_den], axis=1),
+    )
+    # sweep_suffix: the drift num/den - before <= 1/2, den = 3^(n-i-1)
+    den = 3 ** (n - 1 - i2)
+    before = sweep.d2_int[s2, t2].astype(np.int64)
+    suffix_rows = _slot_block(
+        np.ones((len(s2), 1), dtype=bool), _CODE["sweep_suffix"],
+        (suffix_sum - den * before)[:, None], (8 * den)[:, None], 1, 2,
+    )
+    return Ledger.from_blocks(n, 3, [pairs, suffix_rows])
 
 
 def supermartingale_rows(n: int, chain: str) -> tuple[Fraction, int]:
@@ -828,20 +823,15 @@ def supermartingale_rows(n: int, chain: str) -> tuple[Fraction, int]:
     )
     tables = PathMetricTables(n, weights)
     S = len(tables.states)
-    worst = Fraction(-10 ** 9)
-    count = 0
-    for si in range(S):
-        for ti in range(S):
-            if si == ti:
-                continue
-            if chain == "glauber":
-                num, den = tables.glauber_identity_drift_int(si, ti)
-            else:
-                num, den = tables.sweep_identity_drift_int(si, ti, 0)
-            drift = Fraction(num, den * 8) - Fraction(int(tables.d2_int[si, ti]), 8)
-            worst = max(worst, drift)
-            count += 1
-    return worst, count
+    si, ti = np.nonzero(~np.eye(S, dtype=bool))
+    if chain == "glauber":
+        after, den = tables.site_sums(si, ti), 3 * n
+    else:
+        for _, F in tables.sweep_sums():
+            pass  # the last F sweeps from vertex 0
+        after, den = F[si, ti], 3 ** n
+    drift = after - den * tables.d2_int[si, ti].astype(np.int64)
+    return Fraction(int(drift.max()), 8 * den), len(si)
 
 
 # ---------------------------------------------------------------------------

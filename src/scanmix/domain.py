@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 Coloring = tuple[int, ...]
 SignConfig = tuple[int, ...]
@@ -252,18 +252,6 @@ def is_proper(g: Graph, q: int, coloring: Coloring) -> bool:
     return all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges)
 
 
-def is_h_valid(g: Graph, target: TargetGraph, coloring: Coloring) -> bool:
-    """True iff the coloring maps every edge of g to an edge of H.
-
-    For directed H the path edges are read left to right: (v, v+1) must map
-    to an arc (coloring[v-1], coloring[v]); general graphs use the stored
-    (u, v) orientation with u < v.
-    """
-    if len(coloring) != g.n or any(not (0 <= c < target.h) for c in coloring):
-        return False
-    return all(target.allows(coloring[u - 1], coloring[v - 1]) for u, v in g.edges)
-
-
 def enumerate_colorings(
     g: Graph,
     q: int,
@@ -403,15 +391,6 @@ def height_of(coloring: Coloring) -> HeightFunction:
     for s in signs:
         out.append(out[-1] + s)
     return tuple(out)
-
-
-def all_height_anchors(coloring: Coloring) -> Iterator[HeightFunction]:
-    """The canonical height profile and its shifts by multiples of 6 (lazy)."""
-    base = height_of(coloring)
-    k = 0
-    while True:
-        yield tuple(x + 6 * k for x in base)
-        k += 1
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ def mid_color_prob(q: int, ell: int, r: int) -> Fraction:
         transfer_count(q, ell + r, 0, 0),
     )
     floor = Fraction(1, q) * (1 + Fraction(1, (q - 1) ** (r - 1)))
-    assert p >= floor, "anchored midpoint probability fell below its floor"
+    if p < floor:
+        raise ValueError(f"anchored midpoint probability {p} fell below its floor {floor}")
     return p
 
 

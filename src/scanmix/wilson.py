@@ -316,7 +316,8 @@ def wilson_bounds(
 ) -> WilsonReport:
     """Assemble the full report; rho defaults to the closed form / an estimate."""
     eigen = closed_form_eigen(kind, n)
-    assert 0 < eigen.lam < 1, "leading eigenvalue must sit in (0,1)"
+    if not 0 < eigen.lam < 1:
+        raise ValueError(f"leading eigenvalue {eigen.lam} must sit in (0, 1)")
     # the sweep variance budget is empirical no matter who supplies it
     empirical = kind == "scan"
     if rho is None:

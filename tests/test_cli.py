@@ -1,5 +1,6 @@
 """Driver subcommands: outputs, determinism, and config handling."""
 
+import hashlib
 import os
 
 from scanmix.cli import main
@@ -61,6 +62,41 @@ def test_drift_csv_schema(tmp_path):
     assert all(line.split(",")[-1] == "1" for line in lines[1:])
     ids = {line.split(",")[0] for line in lines[1:]}
     assert "site_break_even" in ids and "sweep_suffix" in ids
+
+
+# sha256 of the drift.csv body (header lines dropped); the ledger is exact
+# integer arithmetic, so these digests hold on any platform
+DRIFT_BODY_SHA256 = {
+    (4, 3): "3391f73dfca944cf8afd04d6772f4c6aa974444cdee91631e24c0a943e208a4d",
+    (5, 3): "23f65e4c40e94f29a366d926fda48a54b60b374ec3a713eddd664dccb49954e4",
+    (6, 3): "6bae50c2afee384e507566db6e1493781d04fda0d2d67be2bcb4b9ab1bcbb1b4",
+    (4, 4): "23b587efd44d4da52f0f4fb2b87b9b9dc485d9241805d2a77fbf47a73b1e1391",
+    (5, 4): "4fa3bfbbec21967ae83ab6b5245fd4325505b132d0c9e5ed0131ad8e6cbd097c",
+    (6, 4): "8c1f2b3450a6a47208cc586d75615552a4e11da6d4f88024284f41c009b341f8",
+    (4, 5): "7f389f1ac07e3a1869f1ac533d0fba3994fecdeab96ed6bce5006b772be390dc",
+    (5, 5): "744841d2923addc68270a9f934a4ac179c4f2f4bd4ee31d9eee0aa4afb2b5818",
+    (6, 5): "993ac6b27620ad777d841bddbd46ed5dbd5a8f4d29ac8d18151fe3c83e20f9fc",
+}
+
+
+def test_drift_csv_golden_digests(tmp_path):
+    for (n, q), digest in DRIFT_BODY_SHA256.items():
+        out = tmp_path / f"n{n}q{q}"
+        assert main(["drift", "--n", str(n), "--q", str(q), "--out", str(out)]) == 0
+        body = "".join(line + "\n" for line in body_lines(out / "drift.csv"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, (n, q)
+
+
+def test_refused_runs_exit_cleanly(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    for argv in (
+        ["spectrum", "--n", "20"],          # enumeration budget
+        ["drift", "--n", "12", "--q", "3"],  # weighted-ledger budget
+        ["drift", "--n", "12", "--q", "5"],  # Hamming-ledger budget
+        ["drift", "--n", "4", "--q", "2"],   # the lemmas need q >= 3
+    ):
+        assert main(argv + ["--out", out]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_mix_subcommand(tmp_path):

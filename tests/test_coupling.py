@@ -27,7 +27,7 @@ from scanmix.coupling import (
     variance_floor_witness,
     weighted_metric_contraction_rows,
 )
-from scanmix.domain import Graph, VertexWeights, d2, enumerate_colorings
+from scanmix.domain import BudgetExceededError, Graph, VertexWeights, d2, enumerate_colorings
 from scanmix.dynamics import ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 
@@ -51,24 +51,26 @@ def test_exact_drift_reference_values():
 
 
 def test_dp_matches_brute_force_enumeration():
-    """The Hamming pair DP equals plain enumeration over proposal draws."""
+    """The Hamming pair DP equals plain enumeration over proposal draws, for
+    every scan coupling it supports."""
     q, n = 4, 4
-    rng = np.random.default_rng(4)
-    for _ in range(40):
-        sigma = tuple(rng.integers(q, size=n).tolist())
-        i = int(rng.integers(n))
-        c = int((sigma[i] + 1 + rng.integers(q - 1)) % q)
-        tau = sigma[:i] + (c,) + sigma[i + 1:]
-        for start in (1, max(1, i), i + 1):
-            num, sc = _ham_batch_drift(
-                np.array([sigma]), np.array([tau]), start - 1, q
-            )
-            acc = 0
-            k = n - start + 1
-            for props in itertools.product(range(q), repeat=k):
-                a, b = _deterministic_coupled_scan(sigma, tau, "q4_scan", props, start, q, n)
-                acc += ham(a, b)
-            assert Fraction(int(num[0]), sc) == Fraction(acc, q ** k)
+    for kind in ("q4_scan", "identity_scan", "switch_scan"):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            sigma = tuple(rng.integers(q, size=n).tolist())
+            i = int(rng.integers(n))
+            c = int((sigma[i] + 1 + rng.integers(q - 1)) % q)
+            tau = sigma[:i] + (c,) + sigma[i + 1:]
+            for start in (1, max(1, i), i + 1):
+                num, sc = _ham_batch_drift(
+                    np.array([sigma]), np.array([tau]), start - 1, q, kind
+                )
+                acc = 0
+                k = n - start + 1
+                for props in itertools.product(range(q), repeat=k):
+                    a, b = _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n)
+                    acc += ham(a, b)
+                assert Fraction(int(num[0]), sc) == Fraction(acc, q ** k), kind
 
 
 @pytest.mark.parametrize("kind", ["identity_scan", "q4_scan", "switch_scan"])
@@ -205,6 +207,64 @@ def test_ledger_agrees_with_reference_oracle():
         pre_s, pre_t = (3, 0), (1, 2)
         r2 = exact_drift(pre_s + w_sig, pre_t + w_tau, "q4_scan", "hamming", q=q, start_vertex=4)
         assert r.drift == r2.drift
+
+
+def _simulated_sweep_table(tables, start):
+    """R[s, w]: state index after the sweep over 0-based vertices start..n-1
+    under proposal vector w (base-3 digits, least significant = vertex
+    start), simulating every state over all proposal vectors at once."""
+    n = tables.n
+    W = 3 ** (n - start)
+    digits = [(np.arange(W) // 3 ** (v - start)) % 3 for v in range(start, n)]
+    index = {s: i for i, s in enumerate(tables.states)}
+    R = np.empty((len(tables.states), W), dtype=np.int64)
+    for si, s in enumerate(tables.states):
+        cur = np.tile(np.array(s), (W, 1))
+        for v in range(start, n):
+            c = digits[v - start]
+            acc = np.ones(W, dtype=bool)
+            if v > 0:
+                acc &= cur[:, v - 1] != c
+            if v < n - 1:
+                acc &= cur[:, v + 1] != c
+            cur[acc, v] = c[acc]
+        R[si] = [index[tuple(row)] for row in cur.tolist()]
+    return R
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_sweep_sums_match_simulated_sweeps(n):
+    """The recursive all-pairs sweep sums equal sums over per-state
+    simulated sweeps, for every start vertex."""
+    tables = PathMetricTables(n, VertexWeights.scan_q3(n))
+    D = tables.d2_int.astype(np.int64)
+    starts = []
+    for start, F in tables.sweep_sums():
+        starts.append(start)
+        R = _simulated_sweep_table(tables, start)
+        for si in range(len(R)):
+            assert (F[si] == D[R[si][None, :], R].sum(axis=1)).all(), (start, si)
+    assert starts == list(range(n - 1, -1, -1))
+
+
+def test_metric_tables_need_quarter_weights():
+    with pytest.raises(ValueError):
+        PathMetricTables(4, VertexWeights((Fraction(1, 3),) * 4))
+
+
+def test_ledger_budgets_and_q_range():
+    with pytest.raises(BudgetExceededError):
+        hamming_contraction_rows(5, 4, budget=1000)
+    with pytest.raises(BudgetExceededError):
+        weighted_metric_contraction_rows(5, budget=1000)
+    # the defaults refuse sizes that would need gigabytes, before enumerating
+    with pytest.raises(BudgetExceededError):
+        hamming_contraction_rows(12, 5)
+    with pytest.raises(BudgetExceededError):
+        weighted_metric_contraction_rows(12)
+    # the Hamming lemmas are stated for q >= 4 (q = 3 has its own family)
+    with pytest.raises(ValueError):
+        hamming_contraction_rows(4, 2)
 
 
 @pytest.mark.parametrize("chain", ["glauber", "scan"])
