@@ -30,7 +30,7 @@ from .coupling import (
     hamming_contraction_rows,
     weighted_metric_contraction_rows,
 )
-from .domain import BudgetExceededError, Graph, TargetGraph, to_signs
+from .domain import Graph, TargetGraph, to_signs
 from .dynamics import DEFAULT_SEED, ChainSpec, RandomTape
 from .kernels import (
     NonErgodicError,
@@ -536,7 +536,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.subcommand](args, report)
-    except (ValueError, OSError, BudgetExceededError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

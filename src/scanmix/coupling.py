@@ -11,6 +11,7 @@ coalescence-time experiments with an exact small-space absorption oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -335,9 +336,7 @@ def _try(sigma: Coloring, v: int, c: int, n: int) -> Coloring:
 # Exact drift: vectorized Hamming DP over class batches
 # ---------------------------------------------------------------------------
 
-_STEP_TABLES: dict[tuple[int, str], np.ndarray] = {}
-
-
+@functools.cache
 def _step_table(q: int, coupling: str) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
@@ -348,25 +347,22 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     neighbor pair, ``old`` the vertex's own pair and L = (q + 1)^2.  Built on
     first use and cached per (q, coupling).
     """
-    key = (q, coupling)
-    if key not in _STEP_TABLES:
-        q1, L = q + 1, (q + 1) ** 2
-        pairs = [divmod(p, q1) for p in range(L)]
-        # the coupling's own rule, on the window (left, vertex, right)
-        partner = np.array(
-            [[[_partner_proposal_scan(coupling, 2, c, (la, 0, ra), (lb, 0, rb), 3)
-               for c in range(q)] for la, lb in pairs] for ra, rb in pairs]
-        )[:, None]                                  # (right, 1, left, c)
-        pa, pb = np.divmod(np.arange(L), q1)
-        oa, ob = np.divmod(np.arange(q * q), q)
-        ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
-        rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
-        a = np.where((c != la) & (c != ra), c, oa)
-        b = np.where((partner != lb) & (partner != rb), partner, ob)
-        table = (a * q1 + b).reshape(-1, q)
-        table.flags.writeable = False
-        _STEP_TABLES[key] = table
-    return _STEP_TABLES[key]
+    q1, L = q + 1, (q + 1) ** 2
+    pairs = [divmod(p, q1) for p in range(L)]
+    # the coupling's own rule, on the window (left, vertex, right)
+    partner = np.array(
+        [[[_partner_proposal_scan(coupling, 2, c, (la, 0, ra), (lb, 0, rb), 3)
+           for c in range(q)] for la, lb in pairs] for ra, rb in pairs]
+    )[:, None]                                  # (right, 1, left, c)
+    pa, pb = np.divmod(np.arange(L), q1)
+    oa, ob = np.divmod(np.arange(q * q), q)
+    ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
+    rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
+    a = np.where((c != la) & (c != ra), c, oa)
+    b = np.where((partner != lb) & (partner != rb), partner, ob)
+    table = (a * q1 + b).reshape(-1, q)
+    table.flags.writeable = False
+    return table
 
 
 def _ham_batch_drift(
@@ -491,7 +487,7 @@ _CODE = {lemma: k for k, lemma in enumerate(LEMMA_IDS)}
 # A priori work admitted by the ledger families: canonical classes times
 # vertices (Hamming), cells of one all-pairs table (weighted metric).  Admits
 # n <= 9 for q = 4, 5 and n <= 10 for q = 3, each within about 0.6 GB.
-DEFAULT_LEDGER_BUDGET = 2 ** 22
+LEDGER_BUDGET = 2 ** 22
 
 
 @dataclass
@@ -613,9 +609,7 @@ def _single_site_block(sig: np.ndarray, tau: np.ndarray, i: int, q: int) -> tupl
     )
 
 
-def hamming_contraction_rows(
-    n: int, q: int, budget: int = DEFAULT_LEDGER_BUDGET
-) -> Ledger:
+def hamming_contraction_rows(n: int, q: int) -> Ledger:
     """Exact sweep-coupling contraction checks for the Hamming metric, q >= 4.
 
     Quantification is over canonical color classes of pairs, which covers
@@ -634,13 +628,15 @@ def hamming_contraction_rows(
 
     q = 3 has its own family (``weighted_metric_contraction_rows``); q < 3
     raises ValueError.  Raises BudgetExceededError when canonical classes
-    times vertices exceed ``budget``, before enumerating.
+    times vertices exceed ``LEDGER_BUDGET``, before enumerating.
     """
     if q < 3:
         raise ValueError("the Hamming ledger needs q >= 3")
     work = _class_count(n + 2, q) * n
-    if work > budget:
-        raise BudgetExceededError(f"{work} class-vertex cells exceed budget {budget}")
+    if work > LEDGER_BUDGET:
+        raise BudgetExceededError(
+            f"{work} class-vertex cells exceed budget {LEDGER_BUDGET}"
+        )
     blocks = [_single_site_block(sig, tau, i, q) for sig, tau, i in _s_pair_classes(n, q)]
     # suffix_fresh: disagreement at window position 0, sweep starts one right;
     # adjacent_pair: disagreements at window positions 0 and 1, sweep from 1.
@@ -727,26 +723,23 @@ class PathMetricTables:
         after = self.d2_int[M[si].reshape(len(si), -1), M[ti].reshape(len(ti), -1)]
         return after.sum(axis=1, dtype=np.int64)
 
-    def sweep_sums(self):
-        """Yield (start, F) for start = n-1 down to 0, where F[s, t] sums,
-        over the 3^(n-start) proposal vectors, the metric (1/8 units) after
-        the identity-coupled sweep over 0-based vertices start..n-1 from (s, t).
+    def sweep_sums(self) -> list[np.ndarray]:
+        """F with F[start][s, t] the sum, over the 3^(n-start) proposal
+        vectors, of the metric (1/8 units) after the identity-coupled sweep
+        over 0-based vertices start..n-1 from (s, t); F[n] is the metric.
 
         The sweep from ``start`` first tries the shared proposal d at
         ``start``, then sweeps from start+1, so
-        F_start[s, t] = sum_d F_{start+1}[M[s, start, d], M[t, start, d]]
-        with F_n the metric itself.
+        F[start][s, t] = sum_d F[start+1][M[s, start, d], M[t, start, d]].
         """
         M = self.move_table()
-        F = self.d2_int.astype(np.int64)
+        F = [self.d2_int.astype(np.int64)]
         for v in range(self.n - 1, -1, -1):
-            F = sum(F[np.ix_(M[:, v, d], M[:, v, d])] for d in range(3))
-            yield v, F
+            F.append(sum(F[-1][np.ix_(M[:, v, d], M[:, v, d])] for d in range(3)))
+        return F[::-1]
 
 
-def weighted_metric_contraction_rows(
-    n: int, budget: int = DEFAULT_LEDGER_BUDGET
-) -> Ledger:
+def weighted_metric_contraction_rows(n: int) -> Ledger:
     """Exact identity-coupling checks for the weighted path metric, q = 3.
 
     - site_break_even: single random-site update from a single-disagreement
@@ -758,11 +751,13 @@ def weighted_metric_contraction_rows(
       single-disagreement pairs swept from vertex 1 end below 1/4, 1, 1, 3/4.
 
     Raises BudgetExceededError when the cells of one all-pairs table
-    (states squared) exceed ``budget``, before enumerating.
+    (states squared) exceed ``LEDGER_BUDGET``, before enumerating.
     """
     work = (3 * 2 ** (n - 1)) ** 2
-    if work > budget:
-        raise BudgetExceededError(f"{work} pair-table cells exceed budget {budget}")
+    if work > LEDGER_BUDGET:
+        raise BudgetExceededError(
+            f"{work} pair-table cells exceed budget {LEDGER_BUDGET}"
+        )
     site = PathMetricTables(n, VertexWeights.glauber_q3(n))
     sweep = PathMetricTables(n, VertexWeights.scan_q3(n))
     X = np.array(sweep.states)
@@ -778,11 +773,12 @@ def weighted_metric_contraction_rows(
     suffix = agree_from[..., 1:] & ~eq[..., :-1]         # (s, t, i)
     s2, i2, t2 = np.nonzero(suffix.transpose(0, 2, 1))
 
+    F = sweep.sweep_sums()
     suffix_sum = np.empty(len(s2), dtype=np.int64)
-    for start, F in sweep.sweep_sums():
-        sel = i2 == start - 1
-        suffix_sum[sel] = F[s2[sel], t2[sel]]
-    sweep_sum = F[si, ti]  # the last F sweeps from vertex 0
+    for i in range(n - 1):
+        sel = i2 == i
+        suffix_sum[sel] = F[i + 1][s2[sel], t2[sel]]
+    sweep_sum = F[0][si, ti]
 
     before_site = site.d2_int[si, ti].astype(np.int64)
     where = [v == 0, v == 1, v == n - 1]
@@ -827,9 +823,7 @@ def supermartingale_rows(n: int, chain: str) -> tuple[Fraction, int]:
     if chain == "glauber":
         after, den = tables.site_sums(si, ti), 3 * n
     else:
-        for _, F in tables.sweep_sums():
-            pass  # the last F sweeps from vertex 0
-        after, den = F[si, ti], 3 ** n
+        after, den = tables.sweep_sums()[0][si, ti], 3 ** n
     drift = after - den * tables.d2_int[si, ti].astype(np.int64)
     return Fraction(int(drift.max()), 8 * den), len(si)
 
