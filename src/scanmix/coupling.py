@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import (
+    PAD,
     BudgetExceededError,
     Coloring,
     Graph,
@@ -29,6 +30,8 @@ from .domain import (
     enumerate_colorings,
     height_of,
     optimal_height_pair,
+    pad,
+    path_accepts,
 )
 from .dynamics import (
     CH_GLAUBER,
@@ -38,7 +41,6 @@ from .dynamics import (
     RandomTape,
     color_from_uniform,
     metropolis_update,
-    proposal_accepted,
     scan_order,
     vertex_from_uniform,
 )
@@ -53,17 +55,52 @@ COUPLING_KINDS = (
 )
 
 
-def transpose_color(c: int, a: int, b: int) -> int:
-    """Image of c under the transposition (a b)."""
-    if c == a:
-        return b
-    if c == b:
-        return a
-    return c
+def transpose_color(c, a, b):
+    """Image of c under the transposition (a b); branch-free, so c, a and b
+    may be ints or arrays.  a == b is the identity."""
+    return c + (c == a) * (b - a) + (c == b) * (a - b)
 
 
-def _check_kind_fits_model(kind: str, spec: ChainSpec) -> None:
-    """Neighbor-indexed couplings assume the path; q4 rules need q >= 4."""
+def partner_proposal(kind: str, v, c, s, t, w=None):
+    """Proposal for the second copy at vertex v given c in the first copy.
+
+    ``s`` and ``t`` are the two copies, sentinel-padded and indexed like
+    ``path_accepts``: lists with int v, or batches.  identity: same color.
+    q4: transpose by the left pair if it disagrees, else by the right pair
+    (left is already updated in a sweep, right not yet).  switch_scan:
+    transpose by the left pair.  important-neighbor switch: transpose by the
+    pair at position ``w`` of s and t, a sentinel position for none.  A
+    missing neighbor is an agreeing sentinel pair, which transposes nothing.
+    """
+    if kind.startswith("identity"):
+        return c
+    if kind.startswith("q4"):
+        left = s[v - 1] != t[v - 1]
+        a = s[v + 1] + left * (s[v - 1] - s[v + 1])
+        b = t[v + 1] + left * (t[v - 1] - t[v + 1])
+    elif kind == "switch_scan":
+        a, b = s[v - 1], t[v - 1]
+    elif kind == "switch_glauber_important_neighbor":
+        a, b = s[w], t[w]
+    else:
+        raise ValueError(f"unknown coupling kind {kind!r}")
+    return transpose_color(c, a, b)
+
+
+def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
+    """The coupling must drive the spec's chain; neighbor-indexed couplings
+    assume the path; q4 rules need q >= 4."""
+    if kind not in COUPLING_KINDS:
+        raise ValueError(f"unknown coupling kind {kind!r}")
+    if kind == "switch_glauber_important_neighbor":
+        raise ValueError(f"coupling {kind!r} needs a segment layout; lb_experiment runs it")
+    if kind.endswith("_scan"):
+        fits = spec.base in ("scan", "reverse_scan")
+    else:
+        fits = spec.base == "glauber" and not spec.lazy
+    if not fits:
+        chain = ("lazy " if spec.lazy else "") + spec.base
+        raise ValueError(f"coupling {kind!r} does not drive the {chain} chain")
     if kind.startswith("identity"):
         return
     if spec.graph.kind != "path":
@@ -76,40 +113,19 @@ def _check_kind_fits_model(kind: str, spec: ChainSpec) -> None:
 # Coupled simulation drivers
 # ---------------------------------------------------------------------------
 
-def _partner_proposal_scan(
-    kind: str,
-    v: int,
-    c: int,
-    sigma: Sequence[int],
-    tau: Sequence[int],
-    n: int,
-    important: Optional[dict[int, int]] = None,
-) -> int:
-    """Proposal for the second copy at vertex v given c in the first copy.
+def _site_update(spec: ChainSpec):
+    """Metropolis(v) on a padded list, in place: the path rule for a clique
+    model on the path, ``metropolis_update`` for any other model."""
+    if spec.q is not None and spec.graph.kind == "path":
+        clamp = spec.clamp
 
-    identity: same color.  q4: transpose by the adjacent disagreeing pair,
-    updated left side first, then old right side.  switch: always transpose
-    by the left neighbor's current pair.  important-neighbor switch:
-    transpose by the designated neighbor's pair.
-    """
-    if kind == "identity_scan":
-        return c
-    if kind == "q4_scan":
-        if v > 1 and sigma[v - 2] != tau[v - 2]:
-            return transpose_color(c, sigma[v - 2], tau[v - 2])
-        if v < n and sigma[v] != tau[v]:
-            return transpose_color(c, sigma[v], tau[v])
-        return c
-    if kind == "switch_scan":
-        if v > 1:
-            return transpose_color(c, sigma[v - 2], tau[v - 2])
-        return c
-    if kind == "switch_glauber_important_neighbor":
-        w = important.get(v) if important else None
-        if w is None:
-            return c
-        return transpose_color(c, sigma[w - 1], tau[w - 1])
-    raise ValueError(f"unknown scan coupling {kind!r}")
+        def update(x: list[int], v: int, c: int) -> None:
+            if v not in clamp and path_accepts(x, v, c):
+                x[v] = c
+    else:
+        def update(x: list[int], v: int, c: int) -> None:
+            x[v] = metropolis_update(tuple(x[1:-1]), v, c, spec)[v - 1]
+    return update
 
 
 def coupled_scan_sweep(
@@ -123,19 +139,17 @@ def coupled_scan_sweep(
     sweep: int = 0,
 ) -> tuple[Coloring, Coloring]:
     """One coupled sweep; each copy marginally follows its own chain."""
-    _check_kind_fits_model(kind, spec_sigma)
-    n = spec_sigma.graph.n
+    _check_kind_fits(kind, spec_sigma)
     q = spec_sigma.n_colors
-    u = tape.uniforms(rep, sweep, CH_SCAN, n)
-    s, t = list(sigma), list(tau)
+    u = tape.uniforms(rep, sweep, CH_SCAN, spec_sigma.graph.n)
+    s, t = pad(sigma), pad(tau)
+    update_s, update_t = _site_update(spec_sigma), _site_update(spec_tau)
     for v in scan_order(spec_sigma):
         c = color_from_uniform(u[v - 1], q)
-        c2 = _partner_proposal_scan(kind, v, c, s, t, n)
-        s_new = metropolis_update(tuple(s), v, c, spec_sigma)
-        t_new = metropolis_update(tuple(t), v, c2, spec_tau)
-        s[v - 1] = s_new[v - 1]
-        t[v - 1] = t_new[v - 1]
-    return tuple(s), tuple(t)
+        c2 = partner_proposal(kind, v, c, s, t)
+        update_s(s, v, c)
+        update_t(t, v, c2)
+    return tuple(s[1:-1]), tuple(t[1:-1])
 
 
 def coupled_glauber_step(
@@ -147,41 +161,21 @@ def coupled_glauber_step(
     tape: RandomTape,
     rep: int = 0,
     step: int = 0,
-    important: Optional[dict[int, int]] = None,
-    beyond_last_anchor: Optional[int] = None,
 ) -> tuple[Coloring, Coloring]:
     """One coupled single-site update (same vertex in both copies).
 
     Consumes the same draw block as the uncoupled single-site step, so the
     first copy's trajectory coincides with the plain chain under one tape.
     """
-    _check_kind_fits_model(kind, spec_sigma)
-    n = spec_sigma.graph.n
-    q = spec_sigma.n_colors
+    _check_kind_fits(kind, spec_sigma)
     u = tape.uniforms(rep, step, CH_GLAUBER, 3)
-    v = vertex_from_uniform(u[1], n)
-    c = color_from_uniform(u[2], q)
-    if kind == "identity_glauber":
-        c2 = c
-    elif kind == "q4_glauber":
-        # transpose by a disagreeing neighbor's pair; left neighbor first
-        c2 = c
-        if v > 1 and sigma[v - 2] != tau[v - 2]:
-            c2 = transpose_color(c, sigma[v - 2], tau[v - 2])
-        elif v < n and sigma[v] != tau[v]:
-            c2 = transpose_color(c, sigma[v], tau[v])
-    elif kind == "switch_glauber_important_neighbor":
-        if beyond_last_anchor is not None and v > beyond_last_anchor:
-            c2 = c
-        else:
-            w = important.get(v) if important else None
-            c2 = transpose_color(c, sigma[w - 1], tau[w - 1]) if w else c
-    else:
-        raise ValueError(f"unknown glauber coupling {kind!r}")
-    return (
-        metropolis_update(sigma, v, c, spec_sigma),
-        metropolis_update(tau, v, c2, spec_tau),
-    )
+    v = vertex_from_uniform(u[1], spec_sigma.graph.n)
+    c = color_from_uniform(u[2], spec_sigma.n_colors)
+    s, t = pad(sigma), pad(tau)
+    c2 = partner_proposal(kind, v, c, s, t)
+    _site_update(spec_sigma)(s, v, c)
+    _site_update(spec_tau)(t, v, c2)
+    return tuple(s[1:-1]), tuple(t[1:-1])
 
 
 def coupled_sweep(
@@ -193,19 +187,12 @@ def coupled_sweep(
     rep: int = 0,
     t: int = 0,
     spec_tau: Optional[ChainSpec] = None,
-    important: Optional[dict[int, int]] = None,
 ) -> tuple[Coloring, Coloring]:
     """Dispatch one coupled sweep (scan kinds) or step (glauber kinds)."""
-    if kind not in COUPLING_KINDS:
-        raise ValueError(f"unknown coupling kind {kind!r}")
-    if kind == "switch_glauber_important_neighbor" and important is None:
-        raise ValueError("the important-neighbor coupling needs its neighbor map")
     spec_tau = spec_tau if spec_tau is not None else spec
     if kind.endswith("_scan"):
         return coupled_scan_sweep(sigma, tau, kind, spec, spec_tau, tape, rep, t)
-    return coupled_glauber_step(
-        sigma, tau, kind, spec, spec_tau, tape, rep, t, important=important
-    )
+    return coupled_glauber_step(sigma, tau, kind, spec, spec_tau, tape, rep, t)
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +237,14 @@ def _pair_metric(sigma, tau, metric, weights) -> Fraction:
 
 def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n):
     """Apply one coupled sweep with the given proposal colors (copy one)."""
-    s, t = list(sigma), list(tau)
+    s, t = pad(sigma), pad(tau)
     for v in range(start, n + 1):
         c = props[v - start]
-        c2 = _partner_proposal_scan(kind, v, c, s, t, n)
+        c2 = partner_proposal(kind, v, c, s, t)
         for x, cc in ((s, c), (t, c2)):
-            ok = (v == 1 or x[v - 2] != cc) and (v == n or x[v] != cc)
-            if ok:
-                x[v - 1] = cc
-    return tuple(s), tuple(t)
+            if path_accepts(x, v, cc):
+                x[v] = cc
+    return tuple(s[1:-1]), tuple(t[1:-1])
 
 
 def exact_drift(
@@ -284,20 +270,12 @@ def exact_drift(
     n = len(sigma)
     before = _pair_metric(sigma, tau, metric, weights)
     if coupling.endswith("glauber"):
+        s, t = pad(sigma), pad(tau)
         acc = Fraction(0)
         for v in range(1, n + 1):
             for c in range(q):
-                if coupling == "identity_glauber":
-                    c2 = c
-                else:
-                    c2 = c
-                    if v > 1 and sigma[v - 2] != tau[v - 2]:
-                        c2 = transpose_color(c, sigma[v - 2], tau[v - 2])
-                    elif v < n and sigma[v] != tau[v]:
-                        c2 = transpose_color(c, sigma[v], tau[v])
-                s2 = _try(sigma, v, c, n)
-                t2 = _try(tau, v, c2, n)
-                acc += _pair_metric(s2, t2, metric, weights)
+                c2 = partner_proposal(coupling, v, c, s, t)
+                acc += _pair_metric(_try(sigma, v, c), _try(tau, v, c2), metric, weights)
         expected = acc / (n * q)
     elif metric == "hamming":
         sig = np.array([sigma], dtype=np.int64)
@@ -325,9 +303,9 @@ def exact_drift(
     )
 
 
-def _try(sigma: Coloring, v: int, c: int, n: int) -> Coloring:
-    ok = (v == 1 or sigma[v - 2] != c) and (v == n or sigma[v] != c)
-    if ok:
+def _try(sigma: Coloring, v: int, c: int) -> Coloring:
+    """sigma after Metropolis(v) with proposal c on the path."""
+    if path_accepts(pad(sigma), v, c):
         return sigma[: v - 1] + (c,) + sigma[v:]
     return sigma
 
@@ -348,18 +326,15 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     first use and cached per (q, coupling).
     """
     q1, L = q + 1, (q + 1) ** 2
-    pairs = [divmod(p, q1) for p in range(L)]
-    # the coupling's own rule, on the window (left, vertex, right)
-    partner = np.array(
-        [[[_partner_proposal_scan(coupling, 2, c, (la, 0, ra), (lb, 0, rb), 3)
-           for c in range(q)] for la, lb in pairs] for ra, rb in pairs]
-    )[:, None]                                  # (right, 1, left, c)
     pa, pb = np.divmod(np.arange(L), q1)
     oa, ob = np.divmod(np.arange(q * q), q)
     ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
     rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
-    a = np.where((c != la) & (c != ra), c, oa)
-    b = np.where((partner != lb) & (partner != rb), partner, ob)
+    # the engine's rules on the padded window (left, vertex, right)
+    s, t = (la, oa, ra), (lb, ob, rb)
+    partner = partner_proposal(coupling, 1, c, s, t)
+    a = np.where(path_accepts(s, 1, c), c, oa)
+    b = np.where(path_accepts(t, 1, partner), partner, ob)
     table = (a * q1 + b).reshape(-1, q)
     table.flags.writeable = False
     return table
@@ -707,11 +682,11 @@ class PathMetricTables:
             X = np.array(self.states, dtype=np.int64)
             place = 3 ** np.arange(n - 1, -1, -1)
             code = X @ place  # increasing: states are in lexicographic order
-            padded = np.pad(X, ((0, 0), (1, 1)), constant_values=-1)
+            padded = np.pad(X, ((0, 0), (1, 1)), constant_values=PAD).T
             M = np.empty((len(X), n, 3), dtype=np.int64)
             for v in range(n):
                 for c in range(3):
-                    ok = (padded[:, v] != c) & (padded[:, v + 2] != c)
+                    ok = path_accepts(padded, v + 1, c)
                     M[:, v, c] = np.searchsorted(code, code + ok * (c - X[:, v]) * place[v])
             self._move_table = M
         return self._move_table
@@ -922,7 +897,7 @@ def site_variance_witness(
     before = d2(sigma, tau, weights)
 
     def drop_of(z: int, c: int) -> Fraction:
-        return before - d2(_try(sigma, z + 1, c, n), _try(tau, z + 1, c, n), weights)
+        return before - d2(_try(sigma, z + 1, c), _try(tau, z + 1, c), weights)
 
     z, c = _drop_choice(sigma, tau, weights)
     if c is not None and drop_of(z, c) >= w:
@@ -965,7 +940,7 @@ def _verify_sweep_witness(
             draw[z - 1] = c_left
         best_here: Optional[Fraction] = None
         for cz in range(3):
-            s, t = list(sigma), list(tau)
+            s, t = pad(sigma), pad(tau)
             for v in range(n):
                 if v == z:
                     cv = cz
@@ -974,10 +949,9 @@ def _verify_sweep_witness(
                 else:
                     cv = draw[v]
                 for x in (s, t):
-                    ok = (v == 0 or x[v - 1] != cv) and (v == n - 1 or x[v + 1] != cv)
-                    if ok:
-                        x[v] = cv
-            shift = abs(d2(tuple(s), tuple(t), weights) - before)
+                    if path_accepts(x, v + 1, cv):
+                        x[v + 1] = cv
+            shift = abs(d2(tuple(s[1:-1]), tuple(t[1:-1]), weights) - before)
             if shift >= Fraction(w, 2):
                 best_here = shift if best_here is None else min(best_here, shift)
                 break
@@ -1017,8 +991,8 @@ def sweep_variance_witness(
         if z < n - 1:
             per_c = []
             for c in range(3):
-                s_mid = _try(sigma, z + 1, c, n)[z]
-                t_mid = _try(tau, z + 1, c, n)[z]
+                s_mid = _try(sigma, z + 1, c)[z]
+                t_mid = _try(tau, z + 1, c)[z]
                 per_c.append(
                     _freeze_colors(sigma[z + 1], tau[z + 1], {s_mid}, {t_mid})
                 )
@@ -1119,6 +1093,7 @@ def coupling_time(
     not coalesce within the horizon are recorded at the horizon and counted
     as censored.
     """
+    _check_kind_fits(kind, spec)
     n, q = spec.graph.n, spec.n_colors
     if horizon is None:
         scale = n if kind.endswith("glauber") else 1

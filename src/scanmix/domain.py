@@ -246,6 +246,25 @@ def coloring_from_text(text: str) -> Coloring:
     return tuple(int(x) for x in text.strip().split(","))
 
 
+PAD = -1  # sentinel at positions 0 and n + 1 of a padded path configuration
+
+
+def pad(coloring: Coloring) -> list[int]:
+    """The coloring as a padded list: vertex v at position v, PAD at 0 and n + 1."""
+    return [PAD, *coloring, PAD]
+
+
+def path_accepts(x, v, c):
+    """Metropolis(v) acceptance on a path: no neighbor of v carries c.
+
+    ``x`` is sentinel-padded, so positions v - 1 and v + 1 always exist and a
+    missing neighbor never blocks.  The same expression serves a padded list
+    with int v and c, and a batch: an array whose first axis is the padded
+    position (one column per replicate), or a flat array with flat indices v.
+    """
+    return (x[v - 1] != c) & (x[v + 1] != c)
+
+
 def is_proper(g: Graph, q: int, coloring: Coloring) -> bool:
     if len(coloring) != g.n or any(not (0 <= c < q) for c in coloring):
         return False
@@ -525,16 +544,13 @@ def geodesic(
             break
         if d > dist[u]:
             continue
-        for v in range(n):
+        x = pad(u)
+        for v in range(1, n + 1):
             for c in range(3):
-                if c == u[v]:
+                if c == x[v] or not path_accepts(x, v, c):
                     continue
-                if v > 0 and u[v - 1] == c:
-                    continue
-                if v < n - 1 and u[v + 1] == c:
-                    continue
-                nxt = u[:v] + (c,) + u[v + 1:]
-                nd = d + weights[v]
+                nxt = u[:v - 1] + (c,) + u[v:]
+                nd = d + weights[v - 1]
                 if nxt not in dist or nd < dist[nxt]:
                     dist[nxt] = nd
                     prev[nxt] = u

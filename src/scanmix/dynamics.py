@@ -48,6 +48,19 @@ class RandomTape:
         counter = np.array([rep, t, channel, 0], dtype=np.uint64)
         return Generator(Philox(key=key, counter=counter)).random(size)
 
+    def block(self, rep0: int, reps: int, t: int, channel: int, size: int) -> np.ndarray:
+        """Row r is ``uniforms(rep0 + r, t, channel, size)``; shape (reps, size).
+
+        One draw serves every row: the replicate sits in the counter's low
+        word, which Philox increments every 4 outputs, so the block of
+        replicate rep + 1 is the block of rep shifted by 4 positions.  That
+        overlap makes replicates dependent; the counter layout that removes
+        it will change only ``uniforms`` and ``block``.  The rows are a
+        fresh array.
+        """
+        flat = self.uniforms(rep0, t, channel, 4 * max(reps - 1, 0) + size)
+        return np.lib.stride_tricks.sliding_window_view(flat, size)[: 4 * reps : 4].copy()
+
     def uniform(self, rep: int, t: int, channel: int, position: int = 0) -> float:
         return float(self.uniforms(rep, t, channel, position + 1)[position])
 
@@ -211,18 +224,20 @@ def run_chain(
 # Auxiliary sign chains (3-colorings of the path)
 # ---------------------------------------------------------------------------
 
-def _sign_move(x: list[int], v: int, n: int) -> None:
-    """Apply the vertex-v move to the sign vector in place.
+def sign_move(x: np.ndarray, v: int) -> None:
+    """Apply the vertex-v move in place to the sign vectors along x's last axis.
 
-    Vertex 1 flips coordinate 1, vertex n flips the last coordinate n-1,
-    and an interior vertex v exchanges coordinates v-1 and v.
+    The last axis holds the n - 1 coordinates.  Vertex 1 flips coordinate 1,
+    vertex n flips the last coordinate n - 1, and an interior vertex v
+    exchanges coordinates v - 1 and v.
     """
+    n = x.shape[-1] + 1
     if v == 1:
-        x[0] = -x[0]
+        x[..., 0] *= -1
     elif v == n:
-        x[n - 2] = -x[n - 2]
+        x[..., n - 2] *= -1
     else:
-        x[v - 2], x[v - 1] = x[v - 1], x[v - 2]
+        x[..., v - 2:v] = x[..., v - 2:v][..., ::-1]
 
 
 def sign_step(
@@ -242,30 +257,24 @@ def sign_step(
     n = n if n is not None else len(x) + 1
     if len(x) != n - 1 or any(s not in (-1, 1) for s in x):
         raise ValueError("sign vector must lie in {-1,+1}^(n-1)")
-    out = list(x)
     if base == "scan":
-        u = tape.uniforms(rep, t, CH_SIGN, n)
-        for v in range(1, n + 1):
-            if u[v - 1] < 1 / 3:
-                _sign_move(out, v, n)
-    elif base == "glauber":
-        u = tape.uniforms(rep, t, CH_SIGN, 2)
-        v = vertex_from_uniform(u[0], n)
-        if u[1] < 1 / 3:
-            _sign_move(out, v, n)
-    else:
+        return sign_sweep_from_decisions(x, tape.uniforms(rep, t, CH_SIGN, n) < 1 / 3)
+    if base != "glauber":
         raise ValueError(f"unknown base {base!r}")
-    return tuple(out)
+    u = tape.uniforms(rep, t, CH_SIGN, 2)
+    out = np.array(x)
+    if u[1] < 1 / 3:
+        sign_move(out, vertex_from_uniform(u[0], n))
+    return tuple(out.tolist())
 
 
 def sign_sweep_from_decisions(x: SignConfig, decisions: Sequence[bool]) -> SignConfig:
     """Apply one deterministic sweep of the sign chain given the n move bits."""
-    n = len(x) + 1
-    out = list(x)
-    for v in range(1, n + 1):
+    out = np.array(x)
+    for v in range(1, len(x) + 2):
         if decisions[v - 1]:
-            _sign_move(out, v, n)
-    return tuple(out)
+            sign_move(out, v)
+    return tuple(out.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .domain import (
     enumerate_h_colorings,
     to_signs,
 )
-from .dynamics import ChainSpec, proposal_accepted, scan_order
+from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move
 
 DEFAULT_STATE_BUDGET = 20_000
 
@@ -236,39 +236,34 @@ def sign_states(n: int) -> list[tuple[int, ...]]:
 def build_sign_kernel(base: str, n: int) -> ChainKernel:
     """Exact kernel of the auxiliary sign chain on {-1,+1}^(n-1)."""
     states = sign_states(n)
-    index = {s: i for i, s in enumerate(states)}
-
-    def move(s, v):
-        if v == 1:
-            return (-s[0],) + s[1:]
-        if v == n:
-            return s[:-1] + (-s[-1],)
-        t = list(s)
-        t[v - 2], t[v - 1] = t[v - 1], t[v - 2]
-        return tuple(t)
+    X = np.array(states)
+    place = 2 ** np.arange(n - 2, -1, -1)  # states are binary numbers, -1 -> 0
+    moves = []  # moves[v - 1][i]: index of state i after the vertex-v move
+    for v in range(1, n + 1):
+        Y = X.copy()
+        sign_move(Y, v)
+        moves.append((((Y + 1) // 2) @ place).tolist())
 
     rows: list[dict[int, int]] = []
     if base == "glauber":
         denom = 3 * n
-        for s in states:
+        for i in range(len(states)):
             row: dict[int, int] = {}
-            for v in range(1, n + 1):
-                t = move(s, v)
-                row[index[t]] = row.get(index[t], 0) + 1
-                row[index[s]] = row.get(index[s], 0) + 2
+            for move in moves:
+                row[move[i]] = row.get(move[i], 0) + 1
+                row[i] = row.get(i, 0) + 2
             rows.append(row)
     elif base == "scan":
         denom = 3 ** n
-        for s in states:
-            dist = {s: 1}
-            for v in range(1, n + 1):
-                nxt: dict[tuple[int, ...], int] = {}
+        for i in range(len(states)):
+            dist = {i: 1}
+            for move in moves:
+                nxt: dict[int, int] = {}
                 for t, w in dist.items():
-                    u = move(t, v)
-                    nxt[u] = nxt.get(u, 0) + w
+                    nxt[move[t]] = nxt.get(move[t], 0) + w
                     nxt[t] = nxt.get(t, 0) + 2 * w
                 dist = nxt
-            rows.append({index[t]: w for t, w in dist.items()})
+            rows.append(dist)
     else:
         raise ValueError(f"unknown base {base!r}")
     return ChainKernel(states, rows, denom, None)

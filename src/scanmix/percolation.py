@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import Coloring, Graph, enumerate_colorings
+from .coupling import partner_proposal
+from .domain import PAD, Coloring, Graph, enumerate_colorings, path_accepts
 from .dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from .kernels import build_kernel
 
@@ -115,6 +116,18 @@ class SegmentLayout:
         )
 
     @property
+    def important_neighbors(self) -> np.ndarray:
+        """imp[v] for padded positions v = 0..n+1: the neighbor whose pair the
+        important-neighbor switch transposes by at v.  Left of a segment's
+        midpoint it is v - 1, from the midpoint to the next anchor v + 1; at
+        anchors and beyond the last anchor it is the sentinel position 0."""
+        v = np.arange(self.n + 2)
+        pos = (v - 1) % self.k  # distance to the anchor on the left
+        imp = np.where(pos < self.ell, v - 1, v + 1)
+        imp[(pos == 0) | (v == 0) | (v > 1 + self.m * self.k)] = 0
+        return imp
+
+    @property
     def threshold(self) -> float:
         """Z-tail split point m/q + (1/2) m n^(-1/3)."""
         return self.m / self.q + 0.5 * self.m * self.n ** (-1 / 3)
@@ -189,9 +202,7 @@ def sample_pi0(
     anchors = set(layout.anchors)
     last_anchor = layout.anchors[-1]
     out = np.zeros((replicates, n), dtype=np.int8)
-    U = np.empty((replicates, n))
-    for r in range(replicates):
-        U[r] = tape.uniforms(rep0 + r, 0, CH_INIT, n)
+    U = tape.block(rep0, replicates, 0, CH_INIT, n)
     uniform_next = np.zeros((q, q))
     for prev in range(q):
         for c in range(q):
@@ -296,6 +307,18 @@ class LBReport:
         return 1.0 - ((1.0 - self.free_tail) + self.disagreement_rate)
 
 
+def _padded(X: np.ndarray) -> np.ndarray:
+    """(R, n) colorings as a C-ordered (R, n + 2) array with PAD columns."""
+    return np.pad(X, ((0, 0), (1, 1)), constant_values=PAD)
+
+
+def _site_draws(tape: RandomTape, R: int, step: int, n: int, q: int):
+    """Per-replicate vertex (1-based) and color of one single-site step."""
+    U = tape.block(0, R, step, CH_SCAN, 2)
+    v = np.minimum((U[:, 0] * n).astype(np.int64) + 1, n)
+    return v, np.minimum((U[:, 1] * q).astype(np.int8), q - 1)
+
+
 def _coupled_switch_scan_sweep(
     S: np.ndarray,
     T: np.ndarray,
@@ -305,44 +328,24 @@ def _coupled_switch_scan_sweep(
 ) -> bool:
     """One switch-coupled sweep across all replicates, in place.
 
-    The clamped copy T rejects moves at anchors.  Returns whether every
-    created disagreement obeyed the percolation rule (an anchor move, an
-    option-(B) event beside a disagreeing updated neighbor, or a disagreeing
-    not-yet-updated right neighbor).
+    S and T are padded (R, n + 2); the clamped copy T rejects moves at
+    anchors.  Returns whether every created disagreement obeyed the
+    percolation rule (an anchor move, an option-(B) event beside a
+    disagreeing updated neighbor, or a disagreeing not-yet-updated right
+    neighbor).
     """
-    R, n = S.shape
+    s, t = S.T, T.T  # views, first axis the padded position
     contained = True
-    for v in range(n):
-        c1 = np.minimum((U[:, v] * q).astype(np.int8), q - 1)
-        if v > 0:
-            a = S[:, v - 1]
-            b = T[:, v - 1]
-            ldiff = a != b
-            c2 = np.where(c1 == a, b, np.where(c1 == b, a, c1)).astype(np.int8)
-            option_b = ldiff & (c1 == b)
-        else:
-            ldiff = np.zeros(R, dtype=bool)
-            c2 = c1
-            option_b = np.zeros(R, dtype=bool)
-        acc1 = np.ones(R, dtype=bool)
-        acc2 = np.ones(R, dtype=bool)
-        if v > 0:
-            acc1 &= c1 != S[:, v - 1]
-            acc2 &= c2 != T[:, v - 1]
-        if v < n - 1:
-            acc1 &= c1 != S[:, v + 1]
-            acc2 &= c2 != T[:, v + 1]
-            rdiff = S[:, v + 1] != T[:, v + 1]
-        else:
-            rdiff = np.zeros(R, dtype=bool)
-        if anchor_mask[v]:
-            acc2 &= False
-        before = S[:, v] != T[:, v]
-        S[:, v] = np.where(acc1, c1, S[:, v])
-        T[:, v] = np.where(acc2, c2, T[:, v])
-        created = (S[:, v] != T[:, v]) & ~before
-        allowed = anchor_mask[v] | rdiff | (ldiff & option_b)
-        if np.any(created & ~allowed):
+    for v in range(1, len(s) - 1):
+        c1 = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
+        c2 = partner_proposal("switch_scan", v, c1, s, t)
+        option_b = (s[v - 1] != t[v - 1]) & (c1 == t[v - 1])
+        rdiff = s[v + 1] != t[v + 1]
+        before = s[v] != t[v]
+        s[v] = np.where(path_accepts(s, v, c1), c1, s[v])
+        t[v] = np.where(path_accepts(t, v, c2) & ~anchor_mask[v], c2, t[v])
+        created = (s[v] != t[v]) & ~before
+        if np.any(created & ~(anchor_mask[v] | rdiff | option_b)):
             contained = False
     return contained
 
@@ -353,46 +356,22 @@ def _coupled_switch_glauber_steps(
     layout: SegmentLayout,
     steps: int,
     tape: RandomTape,
-    rep0: int,
+    anchor_mask: np.ndarray,
 ) -> None:
-    """t important-neighbor switch-coupled single-site steps per replicate."""
-    R, n = S.shape
-    q = layout.q
-    anchors = np.array(layout.anchors)
-    anchor_mask = np.zeros(n + 1, dtype=bool)
-    anchor_mask[anchors] = True
-    last_anchor = layout.anchors[-1]
-    # important neighbor: left of the midpoint it is v-1, from the midpoint on v+1
-    imp = np.zeros(n + 1, dtype=np.int64)
-    for i in range(layout.m):
-        left, mid, right = layout.anchors[i], layout.mids[i], layout.anchors[i + 1]
-        for v in range(left + 1, mid):
-            imp[v] = v - 1
-        for v in range(mid, right):
-            imp[v] = v + 1
-    rows = np.arange(R)
+    """t important-neighbor switch-coupled single-site steps per replicate,
+    in place on padded (R, n + 2) arrays; T rejects moves at anchors."""
+    R, width = S.shape
+    imp = layout.important_neighbors
+    base = np.arange(R) * width
+    s, t = S.reshape(-1), T.reshape(-1)  # views: replicate r's v sits at base[r] + v
     for step in range(steps):
-        U = np.empty((R, 2))
-        for r in range(R):
-            U[r] = tape.uniforms(rep0 + r, step, CH_SCAN, 2)
-        v = np.minimum((U[:, 0] * n).astype(np.int64) + 1, n)
-        c1 = np.minimum((U[:, 1] * q).astype(np.int8), q - 1)
-        w = imp[v]
-        use_switch = (v <= last_anchor) & (w > 0)
-        a = S[rows, np.maximum(w, 1) - 1]
-        b = T[rows, np.maximum(w, 1) - 1]
-        c2 = np.where(
-            use_switch & (c1 == a), b, np.where(use_switch & (c1 == b), a, c1)
-        ).astype(np.int8)
-        for X, c in ((S, c1), (T, c2)):
-            acc = np.ones(R, dtype=bool)
-            has_left = v > 1
-            acc &= ~has_left | (X[rows, np.maximum(v - 2, 0)] != c)
-            has_right = v < n
-            acc &= ~has_right | (X[rows, np.minimum(v, n - 1)] != c)
-            if X is T:
-                acc &= ~anchor_mask[v]
-            X[rows, v - 1] = np.where(acc, c, X[rows, v - 1])
+        v, c1 = _site_draws(tape, R, step, layout.n, layout.q)
+        f = base + v
+        c2 = partner_proposal(
+            "switch_glauber_important_neighbor", f, c1, s, t, base + imp[v]
+        )
+        s[f] = np.where(path_accepts(s, f, c1), c1, s[f])
+        t[f] = np.where(path_accepts(t, f, c2) & ~anchor_mask[v], c2, t[f])
 
 
 def lb_experiment(
@@ -411,24 +390,22 @@ def lb_experiment(
     if t < 0:
         raise ValueError("t >= 0 required")
     n, q = layout.n, layout.q
-    S = sample_pi0(layout, tape, replicates).copy()
+    S = _padded(sample_pi0(layout, tape, replicates))
     T = S.copy()
-    anchor_mask = np.zeros(n, dtype=bool)
-    anchor_mask[[a - 1 for a in layout.anchors]] = True
+    anchor_mask = np.zeros(n + 2, dtype=bool)
+    anchor_mask[list(layout.anchors)] = True
     contained = True
     if base == "scan":
         for sweep in range(t):
-            U = np.empty((replicates, n))
-            for r in range(replicates):
-                U[r] = tape.uniforms(r, 1 + sweep, CH_SCAN, n)
+            U = tape.block(0, replicates, 1 + sweep, CH_SCAN, n)
             ok = _coupled_switch_scan_sweep(S, T, U, q, anchor_mask)
             contained = contained and ok
     elif base == "glauber":
-        _coupled_switch_glauber_steps(S, T, layout, t, tape, rep0=0)
+        _coupled_switch_glauber_steps(S, T, layout, t, tape, anchor_mask)
     else:
         raise ValueError(f"unknown base {base!r}")
 
-    mids = np.array([m - 1 for m in layout.mids])
+    mids = np.array(layout.mids)
     thr = layout.threshold
     z_free = (S[:, mids] == 0).sum(axis=1)
     z_clamped = (T[:, mids] == 0).sum(axis=1)
@@ -479,22 +456,17 @@ def covariance_probe(
     read as statistical checks at the sampling scale.
     """
     n, q = layout.n, layout.q
-    S = sample_pi0(layout, tape, replicates).copy()
-    clamp_mask = np.zeros(n + 1, dtype=bool)
+    S = _padded(sample_pi0(layout, tape, replicates))
+    clamp_mask = np.zeros(n + 2, dtype=bool)
     if clamp_symmetric:
         clamp_mask[list(layout.symmetric_clamps)] = True
-    rows = np.arange(replicates)
+    base = np.arange(replicates) * (n + 2)
+    s = S.reshape(-1)  # view: replicate r's v sits at base[r] + v
     for step in range(t):
-        U = np.empty((replicates, 2))
-        for r in range(replicates):
-            U[r] = tape.uniforms(r, 1 + step, CH_SCAN, 2)
-        v = np.minimum((U[:, 0] * n).astype(np.int64) + 1, n)
-        c = np.minimum((U[:, 1] * q).astype(np.int8), q - 1)
-        acc = ~clamp_mask[v]
-        acc &= (v == 1) | (S[rows, np.maximum(v - 2, 0)] != c)
-        acc &= (v == n) | (S[rows, np.minimum(v, n - 1)] != c)
-        S[rows, v - 1] = np.where(acc, c, S[rows, v - 1])
-    mids = np.array([m - 1 for m in layout.mids])
+        v, c = _site_draws(tape, replicates, 1 + step, n, q)
+        f = base + v
+        s[f] = np.where(path_accepts(s, f, c) & ~clamp_mask[v], c, s[f])
+    mids = np.array(layout.mids)
     Z = (S[:, mids] == 0).astype(float)
     centered = Z - Z.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / replicates

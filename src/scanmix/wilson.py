@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import CH_SIGN, RandomTape
+from .dynamics import CH_SIGN, RandomTape, sign_move
 
 
 # ---------------------------------------------------------------------------
@@ -36,20 +36,13 @@ from .dynamics import CH_SIGN, RandomTape
 def move_expectation_map(v: int, n: int) -> np.ndarray:
     """Expectation map of the vertex-v sign move on column vectors.
 
-    A boundary flip (probability 1/3) contracts its coordinate by 1/3; an
-    interior swap (probability 1/3) mixes the two coordinates (2/3, 1/3).
+    The move acts with probability 1/3, so the map is (2I + P_v)/3 with P_v
+    the move's signed permutation: a boundary flip contracts its coordinate
+    by 1/3, an interior swap mixes the two coordinates (2/3, 1/3).
     """
-    m = n - 1
-    M = np.eye(m)
-    if v == 1:
-        M[0, 0] = 1 / 3
-    elif v == n:
-        M[m - 1, m - 1] = 1 / 3
-    else:
-        i, j = v - 2, v - 1
-        M[i, i] = M[j, j] = 2 / 3
-        M[i, j] = M[j, i] = 1 / 3
-    return M
+    P = np.eye(n - 1)
+    sign_move(P, v)
+    return (2 * np.eye(n - 1) + P) / 3
 
 
 def expectation_matrix(kind: str, n: int) -> np.ndarray:
@@ -196,12 +189,7 @@ def sweep_increments(
     z[0] = rows[0] @ cur
     for v in range(1, n + 1):
         if decisions[v - 1]:
-            if v == 1:
-                cur[0] = -cur[0]
-            elif v == n:
-                cur[n - 2] = -cur[n - 2]
-            else:
-                cur[v - 2], cur[v - 1] = cur[v - 1], cur[v - 2]
+            sign_move(cur, v)
         z[v] = rows[v] @ cur
     return np.diff(z)
 
@@ -245,12 +233,7 @@ def estimate_rho(
         decisions = tape.uniforms(rep, t, CH_SIGN, n) < 1 / 3
         for v in range(1, n + 1):
             if decisions[v - 1]:
-                if v == 1:
-                    x[0] = -x[0]
-                elif v == n:
-                    x[n - 2] = -x[n - 2]
-                else:
-                    x[v - 2], x[v - 1] = x[v - 1], x[v - 2]
+                sign_move(x, v)
         if (t + 1) % stride == 0 and len(probes) < n_probe_states:
             probes.append(x.copy())
 
@@ -283,6 +266,8 @@ class WilsonReport:
     ln n for single-site updates, pi^-2 n^2 ln n for sweeps (in the chain's
     own time unit).  ``rho_is_empirical`` flags that the sweep variance
     budget is a Monte Carlo constant rather than a proved one.
+    ``max_increment`` is the estimate's largest martingale increment, None
+    when the caller supplied rho.
     """
 
     kind: str
@@ -297,6 +282,7 @@ class WilsonReport:
     rho_is_empirical: bool
     asymptotic_reference: float
     small_n_caveat: bool
+    max_increment: Optional[float] = None
 
     def upper_bound(self, eps: float) -> float:
         return math.log(2 * self.phi0 / eps) / (1 - self.lam)
@@ -320,9 +306,10 @@ def wilson_bounds(
         raise ValueError(f"leading eigenvalue {eigen.lam} must sit in (0, 1)")
     # the sweep variance budget is empirical no matter who supplies it
     empirical = kind == "scan"
+    max_increment = None
     if rho is None:
         est = estimate_rho(kind, n, trials=trials, tape=tape)
-        rho, empirical = est.rho, est.empirical
+        rho, empirical, max_increment = est.rho, est.empirical, est.max_increment
     if rho <= 0:
         raise ValueError("rho must be positive")
     phi0 = float(np.sum(eigen.w))
@@ -345,6 +332,7 @@ def wilson_bounds(
         rho_is_empirical=empirical,
         asymptotic_reference=reference,
         small_n_caveat=n <= 3,
+        max_increment=max_increment,
     )
 
 
@@ -362,17 +350,16 @@ def threshold_flip(old: int, u: float) -> int:
     return 1 if u < (2 / 3 if old == 1 else 1 / 3) else -1
 
 
-def coupled_sign_move(x: list, y: list, v: int, n: int, u: float) -> None:
-    """Apply the vertex-v move to both copies from one shared uniform."""
-    if v == 1:
-        x[0] = threshold_flip(x[0], u)
-        y[0] = threshold_flip(y[0], u)
-    elif v == n:
-        x[n - 2] = threshold_flip(x[n - 2], u)
-        y[n - 2] = threshold_flip(y[n - 2], u)
+def coupled_sign_move(xy: np.ndarray, v: int, u: float) -> None:
+    """Apply the vertex-v move to both copies (the rows of xy) from one
+    shared uniform, in place: the threshold flip at the two boundary
+    coordinates, the swap in both copies when u < 1/3 at an interior vertex."""
+    n = xy.shape[-1] + 1
+    if v == 1 or v == n:
+        i = 0 if v == 1 else n - 2
+        xy[:, i] = [threshold_flip(old, u) for old in xy[:, i].tolist()]
     elif u < 1 / 3:
-        x[v - 2], x[v - 1] = x[v - 1], x[v - 2]
-        y[v - 2], y[v - 1] = y[v - 1], y[v - 2]
+        sign_move(xy, v)
 
 
 def coupled_sign_outcomes(
@@ -385,8 +372,9 @@ def coupled_sign_outcomes(
     outs = []
     for seg in range(3):
         u = (2 * seg + 1) / 6  # midpoint of [seg/3, (seg+1)/3)
-        xs, ys = list(x), list(y)
-        coupled_sign_move(xs, ys, v, n, u)
+        xy = np.array([x, y])
+        coupled_sign_move(xy, v, u)
+        xs, ys = xy.tolist()
         outs.append((Fraction(1, 3), tuple(xs), tuple(ys)))
     # merge equal outcomes
     merged: dict[tuple, Fraction] = {}

@@ -87,6 +87,45 @@ def test_drift_csv_golden_digests(tmp_path):
         assert hashlib.sha256(body.encode()).hexdigest() == digest, (n, q)
 
 
+# sha256 of the couple.csv / percolate.csv bodies, recorded before the
+# update engine was unified; every number in them comes from integer
+# coalescence times or replicate counts
+SIM_BODY_SHA256 = {
+    "couple": "e035215463a985904512f4ba5bc59a6cc9a8eba111880a5e34460c273de9cfe3",
+    "couple --chain glauber --coupling q4_glauber --n 16":
+        "acc2f8ffee52e26f0edba5e8d1953f17321d354fc4ac0fe9317d762b7f89d481",
+    "percolate --chain scan --t 6 --n 400 --r 2 --ell 4 --replicates 40":
+        "175a395b1e63ae5922281f90bd64adbab0efcdeef1f14b508dfe75ff9828d94c",
+    "percolate --chain glauber --t 2000 --n 400 --r 2 --ell 4 --replicates 40":
+        "02fd95761439b618b5d3b4b2fe26a8c117872376d8258b03af383c7465d52fce",
+}
+
+
+def test_simulation_csv_golden_digests(tmp_path):
+    for i, (job, digest) in enumerate(SIM_BODY_SHA256.items()):
+        argv = job.split()
+        out = tmp_path / str(i)
+        assert main(argv + ["--out", str(out)]) == 0
+        body = "".join(line + "\n" for line in body_lines(out / f"{argv[0]}.csv"))
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, job
+
+
+def test_couple_refuses_chain_coupling_mismatch(tmp_path, capsys):
+    for chain, coupling, named in (
+        ("scan", "identity_glauber", "scan chain"),
+        ("lazy", "q4_glauber", "lazy glauber chain"),
+        ("glauber", "q4_scan", "glauber chain"),
+        ("glauber", "switch_glauber_important_neighbor", "segment layout"),
+        ("scan", "bogus", "unknown coupling"),
+    ):
+        out = tmp_path / f"{chain}-{coupling}"
+        argv = ["couple", "--chain", chain, "--coupling", coupling, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and coupling in err and named in err, err
+        assert not out.exists()  # refused before any sweep ran
+
+
 def test_drift_refuses_q_below_3(tmp_path, capsys):
     # the ledger's lemmas are stated for q >= 3
     assert main(["drift", "--n", "4", "--q", "2", "--out", str(tmp_path / "o")]) == 2

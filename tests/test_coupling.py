@@ -17,6 +17,7 @@ from scanmix.coupling import (
     coupling_time,
     exact_drift,
     expected_coalescence_exact,
+    partner_proposal,
     hamming_contraction_rows,
     restricted_growth_tuples,
     site_variance_witness,
@@ -27,7 +28,7 @@ from scanmix.coupling import (
     variance_floor_witness,
     weighted_metric_contraction_rows,
 )
-from scanmix.domain import BudgetExceededError, Graph, VertexWeights, d2, enumerate_colorings
+from scanmix.domain import PAD, BudgetExceededError, Graph, VertexWeights, d2, enumerate_colorings
 from scanmix.dynamics import ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 
@@ -390,6 +391,70 @@ def test_transpose_color():
     assert transpose_color(0, 0, 1) == 1
     assert transpose_color(1, 0, 1) == 0
     assert transpose_color(2, 0, 1) == 2
+    assert transpose_color(1, 1, 1) == 1
+    c = np.arange(4, dtype=np.int8)
+    assert transpose_color(c, np.int8(1), np.int8(3)).tolist() == [0, 3, 2, 1]
+
+
+def _reference_partner(kind, v, c, sigma, tau, important):
+    """The partner rule as the drivers spelled it out, branch by branch, on
+    unpadded colorings (1-based v; ``important`` maps v to its neighbor)."""
+    n = len(sigma)
+
+    def swap(c, a, b):
+        return b if c == a else a if c == b else c
+
+    if kind.startswith("identity"):
+        return c
+    if kind.startswith("q4"):
+        if v > 1 and sigma[v - 2] != tau[v - 2]:
+            return swap(c, sigma[v - 2], tau[v - 2])
+        if v < n and sigma[v] != tau[v]:
+            return swap(c, sigma[v], tau[v])
+        return c
+    if kind == "switch_scan":
+        return swap(c, sigma[v - 2], tau[v - 2]) if v > 1 else c
+    w = important.get(v)
+    return swap(c, sigma[w - 1], tau[w - 1]) if w else c
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_partner_rule_matches_reference_on_every_window(q):
+    """Every window (left pair, right pair, each possibly missing) and color:
+    the padded partner rule equals the branch-by-branch reference, and the
+    batched form (first-axis and flat layouts) equals the one-replicate form."""
+    pairs = [None] + list(itertools.product(range(q), repeat=2))
+    frames, imps = [], []  # frame rows: PAD, left, vertex (color 0), right, PAD
+    for left, right in itertools.product(pairs, repeat=2):
+        frame = np.full((2, 5), PAD)
+        frame[:, 2] = 0
+        if left:
+            frame[:, 1] = left
+        if right:
+            frame[:, 3] = right
+        for imp in [0] + [w for w, p in ((1, left), (3, right)) if p]:
+            frames.append(frame)
+            imps.append(imp)  # padded position of the important neighbor
+    S, T = (np.array(frames, dtype=np.int8)[:, k].copy() for k in (0, 1))
+    W, base = np.array(imps), np.arange(len(imps)) * 5
+    kinds = ("identity_scan", "q4_scan", "switch_scan", "identity_glauber",
+             "q4_glauber", "switch_glauber_important_neighbor")
+    for kind in kinds:
+        for c in range(q):
+            scalar = []
+            for s, t, w in zip(S.tolist(), T.tolist(), imps):
+                sigma, tau = (tuple(x for x in y if x != PAD) for y in (s, t))
+                v = 1 + (s[1] != PAD)  # the vertex's place in the unpadded window
+                important = {v: v - 2 + w} if w else {}
+                got = partner_proposal(kind, 2, c, s, t, w)
+                assert got == _reference_partner(kind, v, c, sigma, tau, important), (kind, c)
+                scalar.append(got)
+            C = np.full(len(imps), c, dtype=np.int8)
+            if kind.startswith("switch_glauber"):
+                batch = partner_proposal(kind, base + 2, C, S.reshape(-1), T.reshape(-1), base + W)
+            else:
+                batch = partner_proposal(kind, 2, C, S.T, T.T)
+            assert np.broadcast_to(batch, C.shape).tolist() == scalar, kind
 
 
 def test_single_site_swap_coupling_marginals():

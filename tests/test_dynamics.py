@@ -5,9 +5,19 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from scanmix.domain import Graph, TargetGraph, enumerate_colorings, to_signs
+from scanmix.coupling import _site_update
+from scanmix.domain import (
+    PAD,
+    Graph,
+    TargetGraph,
+    enumerate_colorings,
+    pad,
+    path_accepts,
+    to_signs,
+)
 from scanmix.dynamics import (
     CH_SCAN,
     ChainSpec,
@@ -18,6 +28,7 @@ from scanmix.dynamics import (
     read_trajectory,
     run_chain,
     scan_sweep,
+    sign_move,
     sign_step,
     sign_sweep_from_decisions,
     write_trajectory,
@@ -286,3 +297,67 @@ def test_tape_draws_are_pure_functions(seed, rep, t, channel, size):
     # a prefix of a longer block is the block's own prefix
     c = RandomTape(seed).uniforms(rep, t, channel, size + 5)
     assert c[:size].tolist() == a.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the single-site update engine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_padded_rule_matches_proposal_accepted(n, q):
+    """Every state (improper ones included), vertex and color: the padded
+    path rule, one replicate at a time and batched in both layouts, agrees
+    with the general-graph rule; the engine's update honours clamps exactly
+    as metropolis_update does."""
+    g = Graph.path(n)
+    spec = ChainSpec(graph=g, q=q)
+    clamped = ChainSpec(graph=g, q=q, clamp=frozenset({1, (n + 1) // 2, n}))
+    states = list(itertools.product(range(q), repeat=n))
+    X = np.pad(np.array(states, dtype=np.int8), ((0, 0), (1, 1)), constant_values=PAD)
+    flat, base = X.reshape(-1), np.arange(len(states)) * (n + 2)
+    update = _site_update(clamped)
+    for v in range(1, n + 1):
+        for c in range(q):
+            want = np.array([proposal_accepted(spec, s, v, c) for s in states])
+            assert [path_accepts(pad(s), v, c) for s in states] == want.tolist()
+            assert np.array_equal(path_accepts(X.T, v, c), want)
+            assert np.array_equal(path_accepts(flat, base + v, c), want)
+            for s in states:
+                x = pad(s)
+                update(x, v, c)
+                assert tuple(x[1:-1]) == metropolis_update(s, v, c, clamped)
+
+
+@pytest.mark.parametrize("rep0", [0, 17])
+@pytest.mark.parametrize("size", [1, 2, 3, 10, 128, 10_000])
+def test_tape_block_is_the_stacked_replicate_draws(rep0, size):
+    tape = RandomTape(1729)
+    B = tape.block(rep0, 6, 5, CH_SCAN, size)
+    stacked = np.array([tape.uniforms(rep0 + r, 5, CH_SCAN, size) for r in range(6)])
+    assert np.array_equal(B, stacked)
+    # rows own their memory: writing one row leaves the others alone
+    B[0] = -1.0
+    assert np.array_equal(B[1:], stacked[1:])
+    assert tape.block(rep0, 0, 5, CH_SCAN, size).shape == (0, size)
+
+
+def test_sign_move_on_a_batch_moves_every_row():
+    """sign_move on the last axis of a state batch equals the per-vector
+    move, written out here as the reference."""
+    def reference(x, v, n):
+        x = list(x)
+        if v == 1:
+            x[0] = -x[0]
+        elif v == n:
+            x[n - 2] = -x[n - 2]
+        else:
+            x[v - 2], x[v - 1] = x[v - 1], x[v - 2]
+        return x
+
+    n = 5
+    X = np.array(list(itertools.product((-1, 1), repeat=n - 1)))
+    for v in range(1, n + 1):
+        Y = X.copy()
+        sign_move(Y, v)
+        assert Y.tolist() == [reference(x, v, n) for x in X.tolist()]

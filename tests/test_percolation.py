@@ -89,6 +89,18 @@ def test_layout_arithmetic():
         segment_layout(5, 4, override=(2, 10))  # no full segment
 
 
+@pytest.mark.parametrize("n", [25, 29, 2000])
+def test_important_neighbors_match_the_segment_walk(n):
+    lay = segment_layout(n, 4, override=(2, 4))
+    imp = [0] * (n + 2)  # v - 1 left of each midpoint, v + 1 from it on
+    for left, mid, right in zip(lay.anchors, lay.mids, lay.anchors[1:]):
+        for v in range(left + 1, mid):
+            imp[v] = v - 1
+        for v in range(mid, right):
+            imp[v] = v + 1
+    assert lay.important_neighbors.tolist() == imp
+
+
 def test_pi0_samples_live_on_the_fiber():
     lay = segment_layout(9, 4, override=(2, 2))
     X = sample_pi0(lay, RandomTape(42), replicates=4000)

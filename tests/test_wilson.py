@@ -14,9 +14,30 @@ from scanmix.wilson import (
     estimate_rho,
     expectation_matrix,
     glauber_phi0_closed_form,
+    move_expectation_map,
     tridiagonal_form,
     wilson_bounds,
 )
+
+
+def test_move_expectation_map_equals_hand_set_entries():
+    """(2I + P_v)/3 from the sign move is bitwise the hand-set matrix."""
+    def hand_set(v, n):
+        m = n - 1
+        M = np.eye(m)
+        if v == 1:
+            M[0, 0] = 1 / 3
+        elif v == n:
+            M[m - 1, m - 1] = 1 / 3
+        else:
+            i, j = v - 2, v - 1
+            M[i, i] = M[j, j] = 2 / 3
+            M[i, j] = M[j, i] = 1 / 3
+        return M
+
+    for n in range(3, 40):
+        for v in range(1, n + 1):
+            assert np.array_equal(move_expectation_map(v, n), hand_set(v, n)), (n, v)
 
 
 @pytest.mark.parametrize("n", [4, 7, 12, 25])
@@ -120,6 +141,10 @@ def test_scan_rho_estimate_and_increments():
     e = closed_form_eigen("scan", 16)
     wdiff = np.abs(np.diff(np.concatenate(([0.0], e.w, [0.0])))).max()
     assert est.max_increment <= 4 * wdiff
+    # the report carries the same estimate's increment; none for a given rho
+    rep = wilson_bounds("scan", 16, tape=tape, trials=256)
+    assert (rep.rho, rep.max_increment) == (est.rho, est.max_increment)
+    assert wilson_bounds("scan", 16, rho=est.rho).max_increment is None
 
 
 def test_scan_rho_growth_is_subquadratic():
