@@ -197,9 +197,9 @@ def cmd_mix(args, report: Report) -> int:
 
 
 def cmd_wilson(args, report: Report) -> int:
-    base, _ = _chain_fields(args)
+    base = args.chain
     if base not in ("glauber", "scan"):
-        raise SystemExit("wilson: --chain must be glauber or scan")
+        raise ValueError(f"wilson: --chain must be glauber or scan, not {base}")
     tape = RandomTape(args.seed)
     rep = wilson_bounds(base, args.n, tape=tape, trials=args.replicates)
     report.write(

@@ -13,6 +13,7 @@ two-clique bottleneck family whose conductance bound grows without limit.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,8 +129,13 @@ def canonical_path(
     path visits every second window, and each two-shift is realized by n
     single-vertex updates applied left to right (no-op updates are dropped).
     """
-    t = connector_length(target, n)
-    walk = connector_walk(target, sigma[-1], tau[0], t)
+    walk = connector_walk(target, sigma[-1], tau[0], connector_length(target, n))
+    return _route(sigma, tau, walk, n)
+
+
+def _route(sigma: Coloring, tau: Coloring, walk: list[int], n: int) -> list[Coloring]:
+    """The canonical path sigma -> tau along a given connector walk."""
+    t = len(walk) - 1
     word = list(sigma) + walk[1:-1] + list(tau)
     states = [sigma]
     cur = list(sigma)
@@ -199,6 +205,8 @@ def canonical_congestion(
     t = connector_length(target, n)
     h = target.h
     n_states = len(states)
+    # one connector walk per endpoint pair (sigma[-1], tau[0])
+    walk = functools.cache(functools.partial(connector_walk, target, t=t))
 
     edge_load: dict[tuple[Coloring, Coloring], int] = {}
     edge_paths: dict[tuple[Coloring, Coloring], int] = {}
@@ -208,7 +216,7 @@ def canonical_congestion(
         for tau in states:
             if sigma == tau:
                 continue
-            path = canonical_path(sigma, tau, target, n)
+            path = _route(sigma, tau, walk(sigma[-1], tau[0]), n)
             if not is_valid_move_path(path, g, target):
                 valid = False
             length = len(path) - 1

@@ -1093,6 +1093,8 @@ def coupling_time(
     not coalesce within the horizon are recorded at the horizon and counted
     as censored.
     """
+    if replicates < 1:
+        raise ValueError("replicates >= 1 required")
     _check_kind_fits(kind, spec)
     n, q = spec.graph.n, spec.n_colors
     if horizon is None:

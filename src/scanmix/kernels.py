@@ -1,30 +1,29 @@
 """Exact finite-chain analysis: kernels, mixing times, spectra, comparisons.
 
-Transition matrices are held sparsely with integer numerators over one global
-denominator, so row-stochasticity and stationarity checks are exact.  Spectra
-and total-variation mixing times use dense float64 linear algebra; the chains
+Transition matrices are held in compressed sparse rows with int64 numerators
+over one global denominator, so row-stochasticity and stationarity checks are
+exact; every kernel is built from per-vertex move tables.  Spectra and
+total-variation mixing times use dense float64 linear algebra; the chains
 analysed here have at most a few thousand states.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .domain import (
-    BudgetExceededError,
-    Coloring,
-    Graph,
-    TargetGraph,
-    enumerate_colorings,
-    enumerate_h_colorings,
-    to_signs,
+    BudgetExceededError, Coloring, Graph, TargetGraph, enumerate_colorings, enumerate_h_colorings,
 )
-from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move
+# proposal_accepted is the scalar rule that the move tables vectorize
+from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
 
 DEFAULT_STATE_BUDGET = 20_000
 
@@ -37,18 +36,42 @@ class NonErgodicError(RuntimeError):
         self.classes = classes
 
 
+class _Row(Mapping):
+    """One CSR row as a read-only mapping: column index -> numerator."""
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray):
+        self._cols, self._vals = cols, vals
+
+    def __getitem__(self, j):
+        k = int(np.searchsorted(self._cols, j))
+        if k == len(self._cols) or self._cols[k] != j:
+            raise KeyError(j)
+        return self._vals[k].item()
+
+    def __iter__(self):
+        return iter(self._cols.tolist())
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def items(self):
+        return list(zip(self._cols.tolist(), self._vals.tolist()))
+
+
 @dataclass
 class ChainKernel:
     """Row-stochastic matrix over an enumerated, lexicographically ordered space.
 
-    In exact mode ``rows[i][j] / denom`` is the transition probability i -> j
-    with integer numerators; above the exactness threshold the entries are
-    floats and ``denom`` is None.  ``spec`` records which chain the matrix
-    represents.
+    CSR store: row i holds ``data[indptr[i]:indptr[i + 1]]`` at the sorted
+    columns ``indices[...]``, int64 numerators over ``denom`` in exact mode
+    and floats (``denom`` None) above the exactness threshold.  ``rows[i]``
+    views row i as a mapping; ``spec`` records which chain this is.
     """
 
     states: list
-    rows: list[dict[int, int]]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     denom: Optional[int]
     spec: Optional[ChainSpec] = None
     _dense: Optional[np.ndarray] = field(default=None, repr=False)
@@ -63,45 +86,43 @@ class ChainKernel:
     def exact(self) -> bool:
         return self.denom is not None
 
+    @cached_property
+    def rows(self) -> list[_Row]:
+        ptr = self.indptr.tolist()
+        return [_Row(self.indices[a:b], self.data[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+    def _row_ids(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.states)), np.diff(self.indptr))
+
     def entry(self, i: int, j: int):
         """Transition probability as a Fraction (exact mode) or float."""
-        if self.exact:
-            return Fraction(self.rows[i].get(j, 0), self.denom)
-        return self.rows[i].get(j, 0.0)
+        num = self.rows[i].get(j, 0)
+        return Fraction(num, self.denom) if self.exact else float(num)
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            n = len(self.states)
-            P = np.zeros((n, n))
-            for i, row in enumerate(self.rows):
-                for j, num in row.items():
-                    P[i, j] = num / self.denom if self.exact else num
-            self._dense = P
+            self._dense = np.zeros((len(self), len(self)))
+            scale = self.denom if self.exact else 1
+            self._dense[self._row_ids(), self.indices] = self.data / scale
         return self._dense
+
+    def _sums_are_one(self, at: np.ndarray, tol: float) -> bool:
+        sums = np.zeros(len(self), dtype=self.data.dtype)
+        np.add.at(sums, at, self.data)
+        return bool(np.all(sums == self.denom if self.exact else np.abs(sums - 1.0) <= tol))
 
     def row_sums_exact(self, tol: float = 1e-12) -> bool:
         """Rows sum to one: exactly in rational mode, within tol in float mode."""
-        if self.exact:
-            return all(sum(row.values()) == self.denom for row in self.rows)
-        return all(abs(sum(row.values()) - 1.0) <= tol for row in self.rows)
+        return self._sums_are_one(self._row_ids(), tol)
 
     def uniform_is_stationary(self, tol: float = 1e-12) -> bool:
         """With uniform pi, stationarity is equivalent to unit column sums."""
-        col = [0 if self.exact else 0.0] * len(self.states)
-        for row in self.rows:
-            for j, num in row.items():
-                col[j] += num
-        if self.exact:
-            return all(c == self.denom for c in col)
-        return all(abs(c - 1.0) <= tol for c in col)
+        return self._sums_are_one(self.indices, tol)
 
     def reversal(self) -> "ChainKernel":
         """Time reversal with respect to the uniform distribution (transpose)."""
-        rows: list[dict] = [dict() for _ in self.states]
-        for i, row in enumerate(self.rows):
-            for j, num in row.items():
-                rows[j][i] = num
-        return ChainKernel(list(self.states), rows, self.denom, self.spec)
+        csr = _combine(self.indices, self._row_ids(), self.data, len(self), len(self))
+        return ChainKernel(list(self.states), *csr, self.denom, self.spec)
 
     def compose(self, other: "ChainKernel") -> "ChainKernel":
         """Exact product kernel: one step of self followed by one of other."""
@@ -109,52 +130,108 @@ class ChainKernel:
             raise ValueError("composition requires identical state spaces")
         if not (self.exact and other.exact):
             raise ValueError("composition is implemented for exact kernels")
-        rows: list[dict[int, int]] = []
-        for row in self.rows:
-            out: dict[int, int] = {}
-            for j, num in row.items():
-                for k, num2 in other.rows[j].items():
-                    out[k] = out.get(k, 0) + num * num2
-            rows.append(out)
-        return ChainKernel(list(self.states), rows, self.denom * other.denom, self.spec)
+        denom = _int64_denominator(self.denom * other.denom)
+        other_csr = (other.indptr, other.indices, other.data)
+        csr = _gather(other_csr, self.indices, self.data, self._row_ids(), len(self))
+        return ChainKernel(list(self.states), *csr, denom, self.spec)
 
     def to_triplets(self) -> str:
         """Sparse text export: one 'i j num den' line per nonzero entry."""
         if not self.exact:
             raise ValueError("triplet export requires the exact (rational) mode")
-        lines = []
-        for i, row in enumerate(self.rows):
-            for j in sorted(row):
-                lines.append(f"{i} {j} {row[j]} {self.denom}")
-        return "\n".join(lines)
+        triplets = zip(self._row_ids().tolist(), self.indices.tolist(), self.data.tolist())
+        return "\n".join(f"{i} {j} {num} {self.denom}" for i, j, num in triplets)
 
 
 # ---------------------------------------------------------------------------
 # Kernel construction
 # ---------------------------------------------------------------------------
 
+def _int64_denominator(denom: int) -> int:
+    if denom >= 2 ** 63:
+        raise ValueError(f"{denom} does not fit the int64 state codes and numerators")
+    return denom
+
+
+def _combine(rows, cols, vals, n_rows: int, n_cols: int):
+    """CSR (indptr, indices, data) of the entries vals at (rows, cols); duplicate
+    keys are summed exactly by a stable sort (which merges the sorted runs that
+    gathered rows arrive in) and one ``np.add.reduceat``."""
+    key = rows * n_cols + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    data = np.add.reduceat(vals[order], first)
+    key = key[first]
+    return np.searchsorted(key, np.arange(n_rows + 1) * n_cols), key % n_cols, data
+
+
+def _gather(csr, src, weights, rows_out, n: int):
+    """n x n CSR: row r sums weights[k] * csr[src[k]] (None: ones) over rows_out[k] == r."""
+    indptr, indices, data = csr
+    start = indptr[src]
+    length = indptr[src + 1] - start
+    pos = np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+    vals = data[pos] if weights is None else np.repeat(weights, length) * data[pos]
+    return _combine(np.repeat(rows_out, length), indices[pos], vals, n, n)
+
+
+def _from_tables(states: list, tables: list, sweep: bool, spec=None) -> ChainKernel:
+    """Kernel of move tables whose columns are chosen uniformly.  Single-site:
+    one keyed sum over every (i, J_v[i, c]), over the total column count.
+    Sweep (tables in update order): M <- sum_c M[J_v[:, c], :] from the last
+    table back to the first, over the product of the column counts."""
+    n = len(states)
+    i = np.arange(n)
+    if not sweep:
+        T = np.hstack(tables)
+        csr = _combine(np.repeat(i, T.shape[1]), T.ravel(), np.ones(T.size, np.int64), n, n)
+        return ChainKernel(states, *csr, T.shape[1], spec)
+    denom = _int64_denominator(math.prod(J.shape[1] for J in tables))
+    csr = (np.arange(n + 1), i, np.ones(n, np.int64))
+    for J in reversed(tables):
+        csr = _gather(csr, J.ravel(), None, np.repeat(i, J.shape[1]), n)
+    # copied once the last step's temporaries are freed, so they pin less heap
+    return ChainKernel(states, *(a.copy() for a in csr), denom, spec)
+
+
+def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
+    """J_v for v = 1..n, each (N, q): ``J_v[i, c]`` is the state proposal c at
+    vertex v leads to from state i (i itself when rejected or v is clamped),
+    found by ``searchsorted`` on the sorted base-q state codes.  Acceptance
+    reads the H-allows matrix (``~eye(q)`` for a clique) at each neighbour's
+    color, for a directed H as ``proposal_accepted`` reads it."""
+    g, q, t = spec.graph, spec.n_colors, spec.target
+    _int64_denominator(q ** g.n)
+    X = np.array(states, dtype=np.int64).reshape(len(states), g.n)
+    place = q ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    codes = X @ place
+    allows = ~np.eye(q, dtype=bool) if t is None else np.array(t.adjacency)
+    tables = []
+    for v in range(1, g.n + 1):
+        ok = np.full((len(states), q), v not in spec.clamp)
+        for u in g.adjacency[v]:
+            ok &= (allows.T if t is not None and t.directed and u > v else allows)[X[:, u - 1]]
+        moved = codes[:, None] + ok * (np.arange(q) - X[:, [v - 1]]) * place[v - 1]
+        pos = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
+        if np.any(codes[pos] != moved):
+            raise ValueError(f"an accepted move at vertex {v} leaves the enumerated states")
+        tables.append(pos)
+    return tables
+
+
 def _state_space(
-    spec: ChainSpec,
-    budget: int,
-    component: str,
-    fiber_of: Optional[Coloring],
-    proper_only: bool,
+    spec: ChainSpec, budget: int, component: str, fiber_of: Optional[Coloring], proper_only: bool
 ) -> list:
     g = spec.graph
     if spec.q is not None:
         states = enumerate_colorings(g, spec.q, proper_only=proper_only, budget=budget)
     else:
         if component == "auto":
-            component = (
-                "side0"
-                if g.kind == "path" and spec.target.is_bipartite
-                else "all"
-            )
+            component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
         states = enumerate_h_colorings(g, spec.target, component=component, budget=budget)
     if fiber_of is not None and spec.clamp:
-        states = [
-            s for s in states if all(s[v - 1] == fiber_of[v - 1] for v in spec.clamp)
-        ]
+        states = [s for s in states if all(s[v - 1] == fiber_of[v - 1] for v in spec.clamp)]
     if len(states) > budget:
         raise BudgetExceededError(f"{len(states)} states exceed budget {budget}")
     return states
@@ -168,110 +245,48 @@ def build_kernel(
     proper_only: bool = True,
     exact_threshold: int = DEFAULT_STATE_BUDGET,
 ) -> ChainKernel:
-    """Transition matrix of the specified chain.
+    """Transition matrix of the specified chain, from its n move tables: their
+    average (lazy adds nq stay columns) or their ordered product over q^n.
 
-    The sweep kernel is the ordered product of the n per-vertex update
-    kernels, computed by sparse row propagation with integer weights.
     ``fiber_of`` restricts a clamped chain to the states agreeing with the
     given coloring on the clamped vertices.  Entries are exact rationals up
     to ``exact_threshold`` states and floats beyond.
     """
     states = _state_space(spec, budget, component, fiber_of, proper_only)
-    index = {s: i for i, s in enumerate(states)}
-    n, q = spec.graph.n, spec.n_colors
-
-    rows: list[dict[int, int]] = []
+    tables = _move_tables(spec, states)
     if spec.base == "glauber":
-        denom = n * q * (2 if spec.lazy else 1)
-        for s in states:
-            row: dict[int, int] = {}
-            diag = n * q if spec.lazy else 0
-            for v in range(1, n + 1):
-                if v in spec.clamp:
-                    diag += q
-                    continue
-                for c in range(q):
-                    if c != s[v - 1] and proposal_accepted(spec, s, v, c):
-                        t = s[: v - 1] + (c,) + s[v:]
-                        j = index[t]
-                        row[j] = row.get(j, 0) + 1
-                    else:
-                        diag += 1
-            i = index[s]
-            row[i] = row.get(i, 0) + diag
-            rows.append(row)
+        if spec.lazy:
+            tables.append(np.tile(np.arange(len(states)), (spec.graph.n * spec.n_colors, 1)).T)
+        kernel = _from_tables(states, tables, False, spec)
     else:
-        denom = q ** n
-        order = list(scan_order(spec))
-        for s in states:
-            # sparse distribution over reachable states, scaled by q per vertex
-            dist = {s: 1}
-            for v in order:
-                if v in spec.clamp:
-                    dist = {t: w * q for t, w in dist.items()}
-                    continue
-                nxt: dict[Coloring, int] = {}
-                for t, w in dist.items():
-                    for c in range(q):
-                        if c != t[v - 1] and proposal_accepted(spec, t, v, c):
-                            u = t[: v - 1] + (c,) + t[v:]
-                        else:
-                            u = t
-                        nxt[u] = nxt.get(u, 0) + w
-                dist = nxt
-            rows.append({index[t]: w for t, w in dist.items()})
+        kernel = _from_tables(states, [tables[v - 1] for v in scan_order(spec)], True, spec)
     if len(states) > exact_threshold:
-        rows = [{j: num / denom for j, num in row.items()} for row in rows]
-        denom = None
-    return ChainKernel(states, rows, denom, spec)
+        kernel.data, kernel.denom = kernel.data / kernel.denom, None
+    return kernel
 
 
 def sign_states(n: int) -> list[tuple[int, ...]]:
     """All sign vectors in {-1,+1}^(n-1), lexicographically ordered."""
-    import itertools
-
     return list(itertools.product((-1, 1), repeat=n - 1))
 
 
 def build_sign_kernel(base: str, n: int) -> ChainKernel:
-    """Exact kernel of the auxiliary sign chain on {-1,+1}^(n-1)."""
+    """Exact kernel of the auxiliary sign chain on {-1,+1}^(n-1); each vertex
+    move applies with probability 1/3, so its table is [i, i, move_v(i)]."""
+    if base not in ("glauber", "scan"):
+        raise ValueError(f"unknown base {base!r}")
     states = sign_states(n)
     X = np.array(states)
     place = 2 ** np.arange(n - 2, -1, -1)  # states are binary numbers, -1 -> 0
-    moves = []  # moves[v - 1][i]: index of state i after the vertex-v move
+    Y = np.repeat(X[None], n, axis=0)  # Y[v - 1]: every state after the vertex-v move
     for v in range(1, n + 1):
-        Y = X.copy()
-        sign_move(Y, v)
-        moves.append((((Y + 1) // 2) @ place).tolist())
-
-    rows: list[dict[int, int]] = []
-    if base == "glauber":
-        denom = 3 * n
-        for i in range(len(states)):
-            row: dict[int, int] = {}
-            for move in moves:
-                row[move[i]] = row.get(move[i], 0) + 1
-                row[i] = row.get(i, 0) + 2
-            rows.append(row)
-    elif base == "scan":
-        denom = 3 ** n
-        for i in range(len(states)):
-            dist = {i: 1}
-            for move in moves:
-                nxt: dict[int, int] = {}
-                for t, w in dist.items():
-                    nxt[move[t]] = nxt.get(move[t], 0) + w
-                    nxt[t] = nxt.get(t, 0) + 2 * w
-                dist = nxt
-            rows.append(dist)
-    else:
-        raise ValueError(f"unknown base {base!r}")
-    return ChainKernel(states, rows, denom, None)
+        sign_move(Y[v - 1], v)
+    stay = np.arange(len(states))
+    tables = [np.column_stack([stay, stay, moved]) for moved in ((Y + 1) // 2) @ place]
+    return _from_tables(states, tables, base == "scan")
 
 
-def lump_kernel(
-    kernel: ChainKernel, projection: Callable
-) -> Optional[ChainKernel]:
+def lump_kernel(kernel: ChainKernel, projection: Callable) -> Optional[ChainKernel]:
     """Pushforward of a kernel under a state-space projection.
 
     Returns None when the lumping is not well defined (two states in the same
@@ -279,25 +294,23 @@ def lump_kernel(
     """
     if not kernel.exact:
         raise ValueError("lumping is decided by exact row comparison")
-    classes: dict = {}
-    for s in kernel.states:
-        classes.setdefault(projection(s), []).append(s)
-    lumped_states = sorted(classes)
+    images = [projection(s) for s in kernel.states]
+    lumped_states = sorted(set(images))
     lindex = {x: i for i, x in enumerate(lumped_states)}
-    rows: list[dict[int, int]] = []
-    for x in lumped_states:
-        projected = None
-        for s in classes[x]:
-            row: dict[int, int] = {}
-            for j, num in kernel.rows[kernel.index[s]].items():
-                jj = lindex[projection(kernel.states[j])]
-                row[jj] = row.get(jj, 0) + num
-            if projected is None:
-                projected = row
-            elif projected != row:
-                return None
-        rows.append(projected)
-    return ChainKernel(lumped_states, rows, kernel.denom, kernel.spec)
+    label = np.array([lindex[x] for x in images], dtype=np.int64)
+    m = len(lumped_states)
+    indptr, indices, data = csr = _combine(
+        kernel._row_ids(), label[kernel.indices], kernel.data, len(kernel), m
+    )
+    first = np.unique(label, return_index=True)[1]  # first state of each fiber
+    rep, length = first[label], np.diff(indptr)
+    if np.any(length != length[rep]):
+        return None
+    at = np.repeat(indptr[rep] - indptr[:-1], length) + np.arange(len(indices))
+    if np.any(indices[at] != indices) or np.any(data[at] != data):
+        return None
+    return ChainKernel(lumped_states, *_gather(csr, first, None, np.arange(m), m),
+                       kernel.denom, kernel.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -306,43 +319,30 @@ def lump_kernel(
 
 def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
     """Strongly connected components of the positive-transition digraph."""
-    n = len(kernel.states)
-    succ = [list(row.keys()) for row in kernel.rows]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(kernel.rows):
-        for j in row:
-            pred[j].append(i)
+    succ = [list(row) for row in kernel.rows]
+    pred = [list(row) for row in kernel.reversal().rows]
 
-    order: list[int] = []
-    seen = [False] * n
-    for s in range(n):
+    order: list[int] = []  # by DFS finishing time
+    seen = [False] * len(kernel)
+    for s in range(len(kernel)):
         if seen[s]:
             continue
-        stack = [(s, iter(succ[s]))]
         seen[s] = True
+        stack = [(s, iter(succ[s]))]
         while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, iter(succ[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(u)
-                stack.pop()
-
-    comp = [-1] * n
-    c = 0
+            v = next((v for v in stack[-1][1] if not seen[v]), None)
+            if v is None:
+                order.append(stack.pop()[0])
+            else:
+                seen[v] = True
+                stack.append((v, iter(succ[v])))
+    comp, c = [-1] * len(kernel), 0
     for s in reversed(order):
         if comp[s] != -1:
             continue
-        stack = [s]
-        comp[s] = c
+        stack, comp[s] = [s], c
         while stack:
-            u = stack.pop()
-            for v in pred[u]:
+            for v in pred[stack.pop()]:
                 if comp[v] == -1:
                     comp[v] = c
                     stack.append(v)

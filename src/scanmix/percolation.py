@@ -389,6 +389,8 @@ def lb_experiment(
     """
     if t < 0:
         raise ValueError("t >= 0 required")
+    if replicates < 1:
+        raise ValueError("replicates >= 1 required")
     n, q = layout.n, layout.q
     S = _padded(sample_pi0(layout, tape, replicates))
     T = S.copy()
@@ -455,6 +457,8 @@ def covariance_probe(
     The pairwise covariance ceiling is 1/m and the variance ceiling 2m, both
     read as statistical checks at the sampling scale.
     """
+    if replicates < 1:
+        raise ValueError("replicates >= 1 required")
     n, q = layout.n, layout.q
     S = _padded(sample_pi0(layout, tape, replicates))
     clamp_mask = np.zeros(n + 2, dtype=bool)

@@ -110,6 +110,66 @@ def test_simulation_csv_golden_digests(tmp_path):
         assert hashlib.sha256(body.encode()).hexdigest() == digest, job
 
 
+# sha256 over the output files of each exact job (file name, then body with
+# header lines dropped), recorded from the state-by-state kernel builder.
+# The spectra are eigenvalues printed to 15 digits, so these digests are tied
+# to the numpy/LAPACK build as well as to the kernels.  DIRECTED_H is a
+# directed constraint graph whose single-site chain on the 4-path has four
+# classes of sizes 4, 2, 1, 2: mix must list them in that order.
+DIRECTED_H = "001\n110\n010\n"
+EXACT_SHA256 = {
+    "spectrum": "23a641fdc10bf0e3dbce915139ce7c2bb18ec235b72eaab862f86190eaf2861a",
+    "mix": "0751d6c9b4b3ee4a6c45f62b28350fd17bdc0295575179d5cff9b21f98674d09",
+    "compare": "68cfba9a9a93c906ffa4384972bb7dc17a4b2d669d6770658d4226fe40ce6f2c",
+    "congestion": "7742213ac56652b32f200126836b3ead366bb83d8bff93a86600e60b437e4141",
+    "ergodic": "00c56ef3e56e930d4d3f316c4ee022d340865b08b73c5d4187ec84251de4845c",
+    "spectrum --n 10 --q 3 --chain scan":
+        "28025e806c00da4cf5db124ecc9ac17d80dddb5eb7bab28a44a9dc35d42fca78",
+    "mix --n 9 --q 3": "bf24cf29af7d44fde02608572ff8b4a1b666bfd8ba8c55777fb60309b2fc6c75",
+    "compare --n 6 --q 4": "936ba292d6e463b9da834d9d12e1c6bb2eff97677fc8e015a3af38dd5a651b87",
+    "congestion --n 6 --q 3": "7f2ffc619b5fa8b0bf1a791b45aa3e746615866be29aee59706ee917c087f0d1",
+    "spectrum --chain reverse": "f9bbb0cabfb81ce30c370287d5dc2bc98a8906fa18ac9c9ef1390f16be7145fe",
+    "spectrum --chain lazy --clamp 2":
+        "ff00f9131fa93d45f0df07b2e3eb445d36b23fd2471b809a3bb283de0c42891a",
+    "spectrum --n 4 --directed --h-file":
+        "e6181acdfd4161d9af0813c53fd1d3564f911252cb9cabb77e512b0074e63027",
+    "mix --n 4 --directed --h-file":
+        "8097d133bc7df6392e38e4e54abd2ae8a4f6748e8523af0ad7002f37b21aa8e6",
+}
+
+
+def test_exact_outputs_golden_digests(tmp_path):
+    hfile = tmp_path / "h.txt"
+    hfile.write_text(DIRECTED_H)
+    for i, (job, digest) in enumerate(EXACT_SHA256.items()):
+        argv = job.split() + ([str(hfile)] if job.endswith("--h-file") else [])
+        out = tmp_path / str(i)
+        assert main(argv + ["--out", str(out)]) == 0, job
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(out)):
+            body = "".join(line + "\n" for line in body_lines(out / name))
+            h.update(f"{name}\n{body}".encode())
+        assert h.hexdigest() == digest, job
+
+
+def test_wilson_refuses_lazy_and_reverse(tmp_path, capsys):
+    # the eigenvector bounds are derived for the glauber and scan sign chains
+    for chain in ("lazy", "reverse"):
+        out = tmp_path / chain
+        assert main(["wilson", "--chain", chain, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and chain in err, err
+        assert not out.exists()
+
+
+def test_zero_replicates_exit_2(tmp_path, capsys):
+    for sub in ("couple", "percolate"):
+        out = tmp_path / sub
+        assert main([sub, "--replicates", "0", "--out", str(out)]) == 2
+        assert "replicates" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_couple_refuses_chain_coupling_mismatch(tmp_path, capsys):
     for chain, coupling, named in (
         ("scan", "identity_glauber", "scan chain"),

@@ -387,6 +387,12 @@ def test_coupling_time_growth_is_logarithmic():
     assert stats.median < 64
 
 
+def test_coupling_time_refuses_zero_replicates():
+    spec = ChainSpec(graph=Graph.path(8), q=4, base="scan")
+    with pytest.raises(ValueError, match="replicates"):
+        coupling_time(spec, "q4_scan", 0, RandomTape(1))
+
+
 def test_transpose_color():
     assert transpose_color(0, 0, 1) == 1
     assert transpose_color(1, 0, 1) == 0

@@ -5,17 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scanmix.congestion import bottleneck_target, directed_cycle
 from scanmix.domain import Graph, TargetGraph, to_signs
-from scanmix.dynamics import ChainSpec
+from scanmix.dynamics import ChainSpec, proposal_accepted, scan_order, sign_move
 from scanmix.kernels import (
+    DEFAULT_STATE_BUDGET,
     ChainKernel,
     NonErgodicError,
     build_kernel,
     build_sign_kernel,
     communicating_classes,
     dirichlet_form,
+    _state_space,
     lump_kernel,
     poincare_constant,
+    sign_states,
     tv_mixing_time,
     variance_uniform,
     verify_comparison,
@@ -101,8 +105,13 @@ def test_mixing_time_nonergodic_reports_classes():
 
 def test_poincare_uniform_kernel():
     n = 6
-    rows = [{j: 1 for j in range(n)} for _ in range(n)]
-    K = ChainKernel(states=list(range(n)), rows=rows, denom=n)
+    K = ChainKernel(
+        states=list(range(n)),
+        indptr=np.arange(0, n * n + 1, n),
+        indices=np.tile(np.arange(n), n),
+        data=np.ones(n * n, dtype=np.int64),
+        denom=n,
+    )
     rep = poincare_constant(K)
     assert abs(rep.poincare - 1.0) < 1e-12
     assert np.allclose(sorted(rep.eigenvalues), [0.0] * (n - 1) + [1.0])
@@ -233,3 +242,153 @@ def test_kernel_composition_matches_two_steps():
     assert np.allclose(K2.dense(), P2, atol=1e-14)
     with pytest.raises(ValueError):
         K.compose(build_kernel(ChainSpec(graph=Graph.path(3), q=3)))
+
+
+# ---------------------------------------------------------------------------
+# The move-table builders against the state-by-state reference
+# ---------------------------------------------------------------------------
+
+def reference_kernel(spec, component="auto", fiber_of=None, proper_only=True):
+    """(states, denom, rows) from the state-by-state builder: a dict per row,
+    sweep rows propagated as sparse distributions scaled by q per vertex."""
+    states = _state_space(spec, DEFAULT_STATE_BUDGET, component, fiber_of, proper_only)
+    index = {s: i for i, s in enumerate(states)}
+    n, q = spec.graph.n, spec.n_colors
+    rows = []
+    if spec.base == "glauber":
+        denom = n * q * (2 if spec.lazy else 1)
+        for s in states:
+            row = {}
+            diag = n * q if spec.lazy else 0
+            for v in range(1, n + 1):
+                if v in spec.clamp:
+                    diag += q
+                    continue
+                for c in range(q):
+                    if c != s[v - 1] and proposal_accepted(spec, s, v, c):
+                        j = index[s[: v - 1] + (c,) + s[v:]]
+                        row[j] = row.get(j, 0) + 1
+                    else:
+                        diag += 1
+            row[index[s]] = row.get(index[s], 0) + diag
+            rows.append(row)
+    else:
+        denom = q ** n
+        for s in states:
+            dist = {s: 1}
+            for v in scan_order(spec):
+                if v in spec.clamp:
+                    dist = {t: w * q for t, w in dist.items()}
+                    continue
+                nxt = {}
+                for t, w in dist.items():
+                    for c in range(q):
+                        u = t
+                        if c != t[v - 1] and proposal_accepted(spec, t, v, c):
+                            u = t[: v - 1] + (c,) + t[v:]
+                        nxt[u] = nxt.get(u, 0) + w
+                dist = nxt
+            rows.append({index[t]: w for t, w in dist.items()})
+    return states, denom, rows
+
+
+def reference_sign_kernel(base, n):
+    states = sign_states(n)
+    X = np.array(states)
+    place = 2 ** np.arange(n - 2, -1, -1)
+    moves = []
+    for v in range(1, n + 1):
+        Y = X.copy()
+        sign_move(Y, v)
+        moves.append((((Y + 1) // 2) @ place).tolist())
+    rows = []
+    for i in range(len(states)):
+        if base == "glauber":
+            row = {}
+            for move in moves:
+                row[move[i]] = row.get(move[i], 0) + 1
+                row[i] = row.get(i, 0) + 2
+            rows.append(row)
+            continue
+        dist = {i: 1}
+        for move in moves:
+            nxt = {}
+            for t, w in dist.items():
+                nxt[move[t]] = nxt.get(move[t], 0) + w
+                nxt[t] = nxt.get(t, 0) + 2 * w
+            dist = nxt
+        rows.append(dist)
+    return states, 3 * n if base == "glauber" else 3 ** n, rows
+
+
+def assert_matches(K, reference):
+    states, denom, rows = reference
+    assert K.states == states
+    assert K.denom == denom
+    assert [dict(row.items()) for row in K.rows] == rows
+    assert all(np.all(np.diff(row_cols) > 0) for row_cols in np.split(K.indices, K.indptr[1:-1]))
+
+
+ANCHOR6 = (0, 1, 2, 0, 1, 0)
+REFERENCE_CASES = [
+    *(dict(graph=Graph.path(n), q=q, base=base, lazy=lazy)
+      for n, q in ((1, 3), (4, 3), (5, 3), (4, 4), (3, 5))
+      for base, lazy in (("glauber", False), ("glauber", True), ("scan", False),
+                         ("reverse_scan", False))),
+    dict(graph=Graph.path(6), q=3, base="scan", clamp={1, 5}, fiber_of=ANCHOR6),
+    dict(graph=Graph.path(6), q=3, base="glauber", clamp={1, 5}, fiber_of=ANCHOR6),
+    dict(graph=Graph.path(6), q=3, base="glauber", lazy=True, clamp={2}, fiber_of=ANCHOR6),
+    dict(graph=Graph.path(5), q=4, base="reverse_scan", clamp={3}),
+    dict(graph=Graph.star(5), q=3, base="glauber"),
+    dict(graph=Graph.star(5), q=3, base="scan"),
+    dict(graph=Graph.star(4), q=4, base="reverse_scan", clamp={1}),
+    dict(graph=Graph.path(5), target=TargetGraph.cycle(4), base="glauber"),
+    dict(graph=Graph.path(5), target=TargetGraph.cycle(4), base="scan"),
+    dict(graph=Graph.path(4), target=TargetGraph.cycle(6), base="scan", component="side1"),
+    dict(graph=Graph.path(4), target=TargetGraph.cycle(5), base="scan"),
+    dict(graph=Graph.path(4), target=directed_cycle(3), base="glauber"),
+    dict(graph=Graph.path(4), target=bottleneck_target(2), base="scan"),
+    dict(graph=Graph.path(4), target=bottleneck_target(1), base="glauber", lazy=True),
+    dict(graph=Graph.star(4), target=bottleneck_target(1), base="scan"),
+    dict(graph=Graph.path(3), q=3, base="scan", proper_only=False),
+    dict(graph=Graph.path(3), q=3, base="glauber", lazy=True, proper_only=False),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_kernel_matches_the_state_by_state_reference(case):
+    kw = dict(REFERENCE_CASES[case])
+    build = {k: kw.pop(k) for k in ("component", "fiber_of", "proper_only") if k in kw}
+    spec = ChainSpec(**kw)
+    assert_matches(build_kernel(spec, **build), reference_kernel(spec, **build))
+
+
+@pytest.mark.parametrize("base", ["glauber", "scan"])
+def test_sign_kernel_matches_the_reference(base):
+    for n in range(2, 9):
+        assert_matches(build_sign_kernel(base, n), reference_sign_kernel(base, n))
+
+
+def test_lump_kernel_refuses_an_ill_defined_projection():
+    K = build_kernel(ChainSpec(graph=Graph.path(4), q=3, base="scan"))
+    assert lump_kernel(K, lambda s: s[0]) is None  # first colour alone is not Markov
+    whole = lump_kernel(K, lambda s: 0)
+    assert whole.states == [0] and whole.entry(0, 0) == 1
+
+
+def test_accepted_move_leaving_the_state_space_is_refused():
+    # one vertex, bipartite H: the side-0 space excludes colors the move reaches
+    spec = ChainSpec(graph=Graph.path(1), target=TargetGraph.cycle(4))
+    with pytest.raises(ValueError, match="leaves the enumerated states"):
+        build_kernel(spec)
+
+
+def test_int64_overflow_is_refused():
+    # q**n must fit int64: state codes and sweep numerators live in int64
+    K = build_kernel(ChainSpec(graph=Graph.path(62), q=2, base="scan"))
+    assert K.denom == 2 ** 62 and K.row_sums_exact()
+    for base in ("glauber", "scan"):
+        with pytest.raises(ValueError, match="int64"):
+            build_kernel(ChainSpec(graph=Graph.path(63), q=2, base=base))
+    with pytest.raises(ValueError, match="int64"):
+        K.compose(K)

@@ -209,3 +209,10 @@ def test_covariance_probe_symmetric_clamp_variant():
     for rep in (free, clamped):
         assert rep.max_abs_covariance <= rep.covariance_ceiling + 3 * rep.covariance_se
         assert rep.var_z <= rep.var_ceiling + 3 * rep.var_se
+
+
+def test_experiments_refuse_zero_replicates():
+    lay = segment_layout(400, 4, override=(2, 4))
+    for run in (lb_experiment, covariance_probe):
+        with pytest.raises(ValueError, match="replicates"):
+            run(lay, 1, 0, RandomTape(1))
