@@ -287,7 +287,9 @@ def cmd_percolate(args, report: Report) -> int:
     layout = segment_layout(
         args.n, args.q, override=(args.r, args.ell) if args.r else None
     )
-    base, _ = _chain_fields(args)
+    base = args.chain
+    if base not in ("glauber", "scan"):
+        raise ValueError(f"percolate: --chain must be glauber or scan, not {base}")
     tape = RandomTape(args.seed)
     rep = lb_experiment(layout, args.t, args.replicates, tape, base=base)
     head = _kv_block(

@@ -8,7 +8,9 @@ variants, and the auxiliary sign-vector chains for 3-colorings of a path.
 Randomness comes from a :class:`RandomTape`: a counter-based source where
 every draw is a pure function of ``(seed, replicate, time index, channel,
 position)``.  Replicates and time steps can therefore be simulated in any
-order, or in parallel, with bit-identical results.
+order, or in parallel, with bit-identical results.  A tape holds one
+generator whose counter each call moves, so parallel workers each use their
+own tape (one per thread).
 """
 
 from __future__ import annotations
@@ -38,15 +40,31 @@ class RandomTape:
     ``uniforms(rep, t, channel, size)`` returns the same block for the same
     coordinates regardless of call order.  Per-vertex draws are positions
     inside the block for their (rep, t, channel) coordinate.
+
+    The tape holds one Philox generator keyed by the seed and moves its
+    counter to each coordinate, so calls on one tape must not overlap:
+    give each thread its own tape.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = int(seed)
+        self._key = (self.seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B97F4A7C15)
+        self._philox = Philox(key=np.array(self._key, dtype=np.uint64))
+        self._gen = Generator(self._philox)
 
     def uniforms(self, rep: int, t: int, channel: int, size: int) -> np.ndarray:
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B97F4A7C15], dtype=np.uint64)
-        counter = np.array([rep, t, channel, 0], dtype=np.uint64)
-        return Generator(Philox(key=key, counter=counter)).random(size)
+        # Philox output is a pure function of key and counter: setting the
+        # counter with the 4-output buffer marked spent (buffer_pos = 4)
+        # gives exactly the draws of a fresh Philox(key, counter).
+        self._philox.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (rep, t, channel, 0), "key": self._key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen.random(size)
 
     def block(self, rep0: int, reps: int, t: int, channel: int, size: int) -> np.ndarray:
         """Row r is ``uniforms(rep0 + r, t, channel, size)``; shape (reps, size).

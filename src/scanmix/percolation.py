@@ -187,6 +187,19 @@ def _conditional_matrices(layout: SegmentLayout) -> list[np.ndarray]:
     return mats
 
 
+def _draw_next(prev: np.ndarray, u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Colors drawn by inverting the row-wise cumulative law ``cum[prev]`` at u.
+
+    The color is the number of cumulative values c < q - 1 not above u, which
+    is the number over all q capped at q - 1 (the row total may round below 1).
+    """
+    q = cum.shape[0]
+    out = (u >= cum[:, 0][prev]).astype(np.int8)
+    for c in range(1, q - 1):
+        out += u >= cum[:, c][prev]
+    return out
+
+
 def sample_pi0(
     layout: SegmentLayout, tape: RandomTape, replicates: int = 1, rep0: int = 0
 ) -> np.ndarray:
@@ -196,30 +209,24 @@ def sample_pi0(
     by its number of completions to the next anchor, beyond the last anchor
     uniformly among the colors differing from the left neighbor.  Returns an
     (replicates, n) int8 array.
+
+    Every anchor is colored 0, so all m segments advance together: offset j
+    of every segment draws from conditional matrix k - j + 1, the distance
+    from its left neighbor to the next anchor.
     """
-    n, q = layout.n, layout.q
-    mats = _conditional_matrices(layout)
-    anchors = set(layout.anchors)
-    last_anchor = layout.anchors[-1]
+    n, q, k, m = layout.n, layout.q, layout.k, layout.m
+    cums = [np.cumsum(M, axis=1) for M in _conditional_matrices(layout)]
     out = np.zeros((replicates, n), dtype=np.int8)
     U = tape.block(rep0, replicates, 0, CH_INIT, n)
-    uniform_next = np.zeros((q, q))
-    for prev in range(q):
-        for c in range(q):
-            if c != prev:
-                uniform_next[prev, c] = 1 / (q - 1)
-    for v in range(2, n + 1):
-        if v in anchors:
-            continue
-        prev = out[:, v - 2].astype(np.int64)
-        if v <= last_anchor:
-            next_anchor = 1 + ((v - 2) // layout.k + 1) * layout.k
-            M = mats[next_anchor - (v - 1)]
-        else:
-            M = uniform_next
-        cum = np.cumsum(M[prev], axis=1)
-        idx = (U[:, v - 1, None] >= cum).sum(axis=1)
-        out[:, v - 1] = np.minimum(idx, q - 1)
+    # views (R, m, k) of the segments; offset 0 is the anchor, left at 0
+    seg = out[:, : m * k].reshape(replicates, m, k)
+    useg = U[:, : m * k].reshape(replicates, m, k)
+    for j in range(1, k):
+        seg[:, :, j] = _draw_next(seg[:, :, j - 1], useg[:, :, j], cums[k - j + 1])
+    uniform_next = (1 - np.eye(q)) / (q - 1)
+    cum = np.cumsum(uniform_next, axis=1)
+    for col in range(m * k + 1, n):
+        out[:, col] = _draw_next(out[:, col - 1], U[:, col], cum)
     return out
 
 
@@ -335,19 +342,19 @@ def _coupled_switch_scan_sweep(
     neighbor).
     """
     s, t = S.T, T.T  # views, first axis the padded position
-    contained = True
+    violated = np.zeros(len(S), dtype=bool)
     for v in range(1, len(s) - 1):
         c1 = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
+        before = s[v] != t[v]
+        s[v] = np.where(path_accepts(s, v, c1), c1, s[v])
+        if anchor_mask[v]:
+            continue  # T rejects the move, and an anchor may disagree
         c2 = partner_proposal("switch_scan", v, c1, s, t)
         option_b = (s[v - 1] != t[v - 1]) & (c1 == t[v - 1])
         rdiff = s[v + 1] != t[v + 1]
-        before = s[v] != t[v]
-        s[v] = np.where(path_accepts(s, v, c1), c1, s[v])
-        t[v] = np.where(path_accepts(t, v, c2) & ~anchor_mask[v], c2, t[v])
-        created = (s[v] != t[v]) & ~before
-        if np.any(created & ~(anchor_mask[v] | rdiff | option_b)):
-            contained = False
-    return contained
+        t[v] = np.where(path_accepts(t, v, c2), c2, t[v])
+        violated |= (s[v] != t[v]) & ~(before | rdiff | option_b)
+    return not violated.any()
 
 
 def _coupled_switch_glauber_steps(

@@ -87,27 +87,46 @@ def test_drift_csv_golden_digests(tmp_path):
         assert hashlib.sha256(body.encode()).hexdigest() == digest, (n, q)
 
 
-# sha256 of the couple.csv / percolate.csv bodies, recorded before the
-# update engine was unified; every number in them comes from integer
-# coalescence times or replicate counts
+# sha256 of output bodies (header lines dropped) per job and file.  The CSV
+# digests were recorded before the update engine was unified; every number
+# in them comes from integer coalescence times or replicate counts.  The
+# percolate.txt and wilson digests were recorded before the tape kept one
+# generator per tape and pi0 sampling advanced all segments together;
+# percolate.txt carries percolation_contained, and the scan wilson job reads
+# an empirical rho from the tape.
 SIM_BODY_SHA256 = {
-    "couple": "e035215463a985904512f4ba5bc59a6cc9a8eba111880a5e34460c273de9cfe3",
-    "couple --chain glauber --coupling q4_glauber --n 16":
-        "acc2f8ffee52e26f0edba5e8d1953f17321d354fc4ac0fe9317d762b7f89d481",
-    "percolate --chain scan --t 6 --n 400 --r 2 --ell 4 --replicates 40":
-        "175a395b1e63ae5922281f90bd64adbab0efcdeef1f14b508dfe75ff9828d94c",
-    "percolate --chain glauber --t 2000 --n 400 --r 2 --ell 4 --replicates 40":
-        "02fd95761439b618b5d3b4b2fe26a8c117872376d8258b03af383c7465d52fce",
+    "couple": {
+        "couple.csv": "e035215463a985904512f4ba5bc59a6cc9a8eba111880a5e34460c273de9cfe3",
+    },
+    "couple --chain glauber --coupling q4_glauber --n 16": {
+        "couple.csv": "acc2f8ffee52e26f0edba5e8d1953f17321d354fc4ac0fe9317d762b7f89d481",
+    },
+    "percolate --chain scan --t 6 --n 400 --r 2 --ell 4 --replicates 40": {
+        "percolate.csv": "175a395b1e63ae5922281f90bd64adbab0efcdeef1f14b508dfe75ff9828d94c",
+        "percolate.txt": "5fdcbcd7fa08784653e9faf142621c2ee8d57b384d767a33f1ee2781c08f0286",
+    },
+    "percolate --chain glauber --t 2000 --n 400 --r 2 --ell 4 --replicates 40": {
+        "percolate.csv": "02fd95761439b618b5d3b4b2fe26a8c117872376d8258b03af383c7465d52fce",
+        "percolate.txt": "5fdcbcd7fa08784653e9faf142621c2ee8d57b384d767a33f1ee2781c08f0286",
+    },
+    "wilson": {
+        "wilson_w.csv": "f907928f6bcff2ac6a0f15526ceb170f6053c93fea22f55cf8fdd578b33f16b8",
+        "wilson.txt": "1428e71cb02c698149d8ed60027abe99a479f54cb509eb93aa22778aec010e00",
+    },
+    "wilson --chain scan --n 16 --replicates 256": {
+        "wilson_w.csv": "3e2f27841b5f33e4a1e3678ef3bc77a33c0f5c16c2640cf818f120719391e884",
+        "wilson.txt": "87b71f42b18442fefb0e21377358b9ab25a1380cabe598ddf7c1121eaf8f17d2",
+    },
 }
 
 
 def test_simulation_csv_golden_digests(tmp_path):
-    for i, (job, digest) in enumerate(SIM_BODY_SHA256.items()):
-        argv = job.split()
+    for i, (job, digests) in enumerate(SIM_BODY_SHA256.items()):
         out = tmp_path / str(i)
-        assert main(argv + ["--out", str(out)]) == 0
-        body = "".join(line + "\n" for line in body_lines(out / f"{argv[0]}.csv"))
-        assert hashlib.sha256(body.encode()).hexdigest() == digest, job
+        assert main(job.split() + ["--out", str(out)]) == 0
+        for name, digest in digests.items():
+            body = "".join(line + "\n" for line in body_lines(out / name))
+            assert hashlib.sha256(body.encode()).hexdigest() == digest, (job, name)
 
 
 # sha256 over the output files of each exact job (file name, then body with
@@ -157,6 +176,17 @@ def test_wilson_refuses_lazy_and_reverse(tmp_path, capsys):
     for chain in ("lazy", "reverse"):
         out = tmp_path / chain
         assert main(["wilson", "--chain", chain, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and chain in err, err
+        assert not out.exists()
+
+
+def test_percolate_refuses_lazy_and_reverse(tmp_path, capsys):
+    # the experiment runs the plain glauber and forward scan chains only
+    for chain in ("lazy", "reverse"):
+        out = tmp_path / chain
+        assert main(["percolate", "--chain", chain, "--n", "400", "--r", "2",
+                     "--ell", "4", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and chain in err, err
         assert not out.exists()

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from scanmix.coupling import _site_update
 from scanmix.domain import (
@@ -340,6 +341,40 @@ def test_tape_block_is_the_stacked_replicate_draws(rep0, size):
     B[0] = -1.0
     assert np.array_equal(B[1:], stacked[1:])
     assert tape.block(rep0, 0, 5, CH_SCAN, size).shape == (0, size)
+
+
+def fresh_generator_uniforms(seed, rep, t, channel, size):
+    """The reference tape: a new Philox generator at every coordinate."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    counter = np.array([rep, t, channel, 0], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=counter)).random(size)
+
+
+@pytest.mark.parametrize("seed", [0, 1729, 2**64 - 1, -5])
+def test_tape_equals_a_fresh_generator_at_every_coordinate(seed):
+    """One generator per tape, its counter moved per call, gives the draws of
+    a generator built fresh at each coordinate: for every size 1..4099 (a
+    leftover 4-output buffer would shift sizes that are not multiples of 4),
+    in shuffled order, after large blocks, at rep and t beyond 2^32, and
+    with a second tape of the same seed drawing in between."""
+    order = np.random.default_rng(abs(seed) % 2**32)
+    sizes = order.permutation(np.arange(1, 4100))
+    reps = order.integers(0, 2**64, len(sizes), dtype=np.uint64)
+    times = order.integers(0, 2**40, len(sizes))
+    channels = order.integers(0, 5, len(sizes))
+    tape, twin = RandomTape(seed), RandomTape(seed)
+    for i, size in enumerate(sizes.tolist()):
+        rep, t, ch = int(reps[i]) >> (i % 3) * 31, int(times[i]), int(channels[i])
+        if i % 500 == 0:
+            tape.block(i, 300, 7, CH_SCAN, 5001)
+        if i % 3 == 0:
+            twin.uniforms(rep ^ 1, t, ch, size + 3)
+        got = tape.uniforms(rep, t, ch, size)
+        assert np.array_equal(got, fresh_generator_uniforms(seed, rep, t, ch, size)), (
+            rep, t, ch, size)
+        if i % 3 == 1:
+            assert np.array_equal(twin.uniforms(rep, t, ch, size), got)
+    assert tape.uniform(2**33, 2**35, 4, 6) == fresh_generator_uniforms(seed, 2**33, 2**35, 4, 7)[6]
 
 
 def test_sign_move_on_a_batch_moves_every_row():

@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from scanmix.domain import Graph
-from scanmix.dynamics import ChainSpec, RandomTape
+import scanmix.percolation as percolation
+from scanmix.domain import Graph, path_accepts
+from scanmix.dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 from scanmix.percolation import (
+    _conditional_matrices,
+    _coupled_switch_scan_sweep,
+    _padded,
     anchored_z_tail_exact,
     covariance_probe,
     enumerate_anchor_fiber,
@@ -216,3 +220,104 @@ def test_experiments_refuse_zero_replicates():
     for run in (lb_experiment, covariance_probe):
         with pytest.raises(ValueError, match="replicates"):
             run(lay, 1, 0, RandomTape(1))
+
+
+def sample_pi0_by_vertex(layout, tape, replicates=1, rep0=0):
+    """Reference sampler: one vertex at a time, a cumulative law per vertex."""
+    n, q = layout.n, layout.q
+    mats = _conditional_matrices(layout)
+    anchors = set(layout.anchors)
+    last_anchor = layout.anchors[-1]
+    out = np.zeros((replicates, n), dtype=np.int8)
+    U = tape.block(rep0, replicates, 0, CH_INIT, n)
+    uniform_next = np.zeros((q, q))
+    for prev in range(q):
+        for c in range(q):
+            if c != prev:
+                uniform_next[prev, c] = 1 / (q - 1)
+    for v in range(2, n + 1):
+        if v in anchors:
+            continue
+        prev = out[:, v - 2].astype(np.int64)
+        if v <= last_anchor:
+            next_anchor = 1 + ((v - 2) // layout.k + 1) * layout.k
+            M = mats[next_anchor - (v - 1)]
+        else:
+            M = uniform_next
+        cum = np.cumsum(M[prev], axis=1)
+        idx = (U[:, v - 1, None] >= cum).sum(axis=1)
+        out[:, v - 1] = np.minimum(idx, q - 1)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize(
+    "n,override",
+    [(400, (2, 4)), (403, (2, 4)), (61, (2, 2)), (10_000, (2, 10)), (5000, None)],
+)
+def test_sample_pi0_matches_the_vertex_by_vertex_reference(q, n, override):
+    """Segment-parallel sampling gives the reference's int8 arrays, with an
+    empty tail beyond the last anchor (n = 403, 61) and a nonempty one, on
+    override layouts and on the recipe layout (n = 5000: k = 412 or 414)."""
+    lay = segment_layout(n, q, override=override)
+    assert lay.overridden == (override is not None)
+    for replicates, rep0 in ((1, 0), (37, 0), (1, 5), (37, 5)):
+        got = sample_pi0(lay, RandomTape(31), replicates, rep0)
+        want = sample_pi0_by_vertex(lay, RandomTape(31), replicates, rep0)
+        assert got.dtype == np.int8 and got.shape == (replicates, n)
+        assert np.array_equal(got, want), (replicates, rep0)
+
+
+def switch_scan_sweep_by_vertex(S, T, U, q, anchor_mask):
+    """Reference sweep: every vertex runs both copies and its own check."""
+    s, t = S.T, T.T
+    contained = True
+    for v in range(1, len(s) - 1):
+        c1 = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
+        c2 = percolation.partner_proposal("switch_scan", v, c1, s, t)
+        option_b = (s[v - 1] != t[v - 1]) & (c1 == t[v - 1])
+        rdiff = s[v + 1] != t[v + 1]
+        before = s[v] != t[v]
+        s[v] = np.where(path_accepts(s, v, c1), c1, s[v])
+        t[v] = np.where(path_accepts(t, v, c2) & ~anchor_mask[v], c2, t[v])
+        created = (s[v] != t[v]) & ~before
+        if np.any(created & ~(anchor_mask[v] | rdiff | option_b)):
+            contained = False
+    return contained
+
+
+def _sweep_pairs(sweep, lay, S, T, sweeps):
+    anchor_mask = np.zeros(lay.n + 2, dtype=bool)
+    anchor_mask[list(lay.anchors)] = True
+    tape = RandomTape(77)
+    flags = []
+    for k in range(sweeps):
+        U = tape.block(0, len(S), 1 + k, CH_SCAN, lay.n)
+        flags.append(sweep(S, T, U, lay.q, anchor_mask))
+    return flags
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("start", ["equal", "independent"])
+def test_switch_sweep_matches_the_vertex_by_vertex_reference(q, start):
+    lay = segment_layout(400, q, override=(2, 4))
+    S = _padded(sample_pi0(lay, RandomTape(3), 25))
+    T = S.copy() if start == "equal" else _padded(sample_pi0(lay, RandomTape(4), 25))
+    assert (start == "equal") == np.array_equal(S, T)
+    S_ref, T_ref = S.copy(), T.copy()
+    flags = _sweep_pairs(_coupled_switch_scan_sweep, lay, S, T, 5)
+    assert flags == _sweep_pairs(switch_scan_sweep_by_vertex, lay, S_ref, T_ref, 5)
+    assert np.array_equal(S, S_ref) and np.array_equal(T, T_ref)
+
+
+def test_switch_sweep_flags_an_uncontained_disagreement(monkeypatch):
+    """Under the switch rule no created disagreement breaks the percolation
+    rule, so the flag stays True; with the identity proposal in its place a
+    disagreeing left pair spreads unchecked, and both sweeps must say so."""
+    monkeypatch.setattr(percolation, "partner_proposal", lambda kind, v, c, s, t: c)
+    lay = segment_layout(400, 4, override=(2, 4))
+    S = _padded(sample_pi0(lay, RandomTape(3), 25))
+    T = _padded(sample_pi0(lay, RandomTape(4), 25))
+    flags = _sweep_pairs(_coupled_switch_scan_sweep, lay, S.copy(), T.copy(), 3)
+    assert flags == _sweep_pairs(switch_scan_sweep_by_vertex, lay, S, T, 3)
+    assert False in flags
