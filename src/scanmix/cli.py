@@ -36,7 +36,6 @@ from .kernels import (
     build_kernel,
     build_sign_kernel,
     lump_kernel,
-    max_tv_to_uniform,
     poincare_constant,
     tv_mixing_time,
     verify_comparison,
@@ -168,8 +167,9 @@ def cmd_mix(args, report: Report) -> int:
         graph=g, q=None if target else args.q, target=target, base=base, lazy=lazy
     )
     kernel = build_kernel(spec)
+    ladder: list[tuple[int, float]] = []
     try:
-        t_mix = tv_mixing_time(kernel, args.eps)
+        t_mix = tv_mixing_time(kernel, args.eps, ladder=ladder)
     except NonErgodicError as exc:
         body = _kv_block(
             [("ergodic", False), ("n_classes", len(exc.classes))]
@@ -178,13 +178,7 @@ def cmd_mix(args, report: Report) -> int:
         report.write("mix.txt", body)
         print("mix: chain is not ergodic; class sizes written")
         return 0
-    P = kernel.dense()
-    rows = []
-    t, M = 1, P
-    while t <= t_mix:
-        rows.append(f"{t},{max_tv_to_uniform(M):.15g}")
-        M = M @ M
-        t *= 2
+    rows = [f"{t},{tv:.15g}" for t, tv in ladder if t <= t_mix]
     report.write("mix.csv", "t,max_tv\n" + "\n".join(rows) + "\n")
     report.write(
         "mix.txt",

@@ -13,11 +13,12 @@ two-clique bottleneck family whose conductance bound grows without limit.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .domain import Coloring, Graph, TargetGraph, enumerate_h_colorings
 from .dynamics import ChainSpec, proposal_accepted
@@ -195,7 +196,14 @@ class CongestionReport:
 def canonical_congestion(
     n: int, target: TargetGraph, component: str = "auto"
 ) -> CongestionReport:
-    """Build every canonical path on the n-path and measure the edge loads."""
+    """Build every canonical path on the n-path and measure the edge loads.
+
+    All (sigma, tau) pairs of a block of sigmas are routed at once: the
+    spliced words are columns of one array, and each window step of
+    ``_route`` runs over the whole block.  Loads are tallied per distinct
+    single-site transition, and the step rule of ``is_valid_move_path`` is
+    checked once per distinct transition, since it depends on nothing else.
+    """
     if not target.is_connected:
         raise ValueError("target graph must be connected")
     g = Graph.path(n)
@@ -205,28 +213,68 @@ def canonical_congestion(
     t = connector_length(target, n)
     h = target.h
     n_states = len(states)
-    # one connector walk per endpoint pair (sigma[-1], tau[0])
-    walk = functools.cache(functools.partial(connector_walk, target, t=t))
+    # base-h state codes; a move (code, vertex j, color c) is keyed
+    # code * n * h + j * h + c, below 2^63 since h^n is within the enumeration budget
+    X = np.array(states, dtype=np.int64).reshape(n_states, n)
+    place = h ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = X @ place
+    shifts = range(0, n + t - 1, 2)
+    n_steps = n * len(shifts)
+    # connector-walk interiors by endpoint pair sigma[-1] * h + tau[0], built on first use
+    interiors = np.zeros((h * h, t - 1), dtype=np.int64)
+    built = np.zeros(h * h, dtype=bool)
 
-    edge_load: dict[tuple[Coloring, Coloring], int] = {}
-    edge_paths: dict[tuple[Coloring, Coloring], int] = {}
-    valid = True
+    tallies = []
     max_len = 0
-    for sigma in states:
-        for tau in states:
-            if sigma == tau:
-                continue
-            path = _route(sigma, tau, walk(sigma[-1], tau[0]), n)
-            if not is_valid_move_path(path, g, target):
-                valid = False
-            length = len(path) - 1
-            max_len = max(max_len, length)
-            for a, b in zip(path, path[1:]):
-                edge_load[(a, b)] = edge_load.get((a, b), 0) + length
-                edge_paths[(a, b)] = edge_paths.get((a, b), 0) + 1
+    block = max(1, _BLOCK_STEPS // max(1, n_states * n_steps))
+    everyone = np.arange(n_states)
+    for start in range(0, n_states, block):
+        sigmas = everyone[start:start + block]
+        si, ti = np.repeat(sigmas, n_states), np.tile(everyone, len(sigmas))
+        si, ti = si[si != ti], ti[si != ti]
+        if not len(si):
+            continue
+        ends = X[si, -1] * h + X[ti, 0]
+        for e in np.unique(ends[~built[ends]]).tolist():
+            interiors[e] = connector_walk(target, e // h, e % h, t=t)[1:-1]
+            built[e] = True
+        # word[p] over the block: sigma . connector interior . tau
+        word = np.ascontiguousarray(np.hstack([X[si], interiors[ends], X[ti]]).T)
+        code = codes[si]
+        moved = np.empty((n_steps, len(si)), dtype=bool)
+        keys = np.empty((n_steps, len(si)), dtype=np.int64)
+        k = 0
+        for i in shifts:
+            # window shift i -> i + 2 via vertices 1..n in order; vertex j
+            # still holds word[i + j] when its turn comes
+            for j in range(n):
+                old, new = word[i + j], word[i + 2 + j]
+                moved[k] = old != new
+                keys[k] = code * (n * h) + j * h + new
+                code = code + (new - old) * place[j]
+                k += 1
+        if np.any(code != codes[ti]):
+            raise AssertionError("canonical path missed its endpoint")
+        length = moved.sum(axis=0)
+        max_len = max(max_len, int(length.max()))
+        lengths = np.broadcast_to(length, moved.shape)[moved]
+        tallies.append(_tally(keys[moved], lengths, np.ones_like(lengths)))
 
-    max_load = max(edge_load.values(), default=0)
-    max_paths = max(edge_paths.values(), default=0)
+    if tallies:
+        moves, loads, paths = _tally(*(np.concatenate(c) for c in zip(*tallies)))
+    else:
+        moves = loads = paths = np.zeros(0, dtype=np.int64)
+    spec = ChainSpec(graph=g, target=target, base="glauber")
+    before, vertex, color = moves // (n * h), moves % (n * h) // h, moves % h
+    valid = all(
+        proposal_accepted(spec, tuple(a), v + 1, c)
+        for a, v, c in zip(
+            (before[:, None] // place % h).tolist(), vertex.tolist(), color.tolist()
+        )
+    )
+
+    max_load = int(loads.max(initial=0))
+    max_paths = int(paths.max(initial=0))
     congestion = Fraction(n * h * max_load, n_states)
     length_bound = Fraction(n + t, 2) * n
     encoding_bound = length_bound * n * h * Fraction(max_paths, n_states)
@@ -241,6 +289,17 @@ def canonical_congestion(
         encoding_bound=encoding_bound,
         paths_valid=valid,
     )
+
+
+_BLOCK_STEPS = 1 << 17  # routed steps per block of sigmas (pairs x steps per path)
+
+
+def _tally(keys: np.ndarray, *columns: np.ndarray):
+    """Distinct keys, ascending, with each column summed exactly per key."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return (keys[first], *(np.add.reduceat(c[order], first) for c in columns))
 
 
 # ---------------------------------------------------------------------------

@@ -319,12 +319,18 @@ def lump_kernel(kernel: ChainKernel, projection: Callable) -> Optional[ChainKern
 
 def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
     """Strongly connected components of the positive-transition digraph."""
-    succ = [list(row) for row in kernel.rows]
-    pred = [list(row) for row in kernel.reversal().rows]
+    n = len(kernel)
+    ptr, cols = kernel.indptr.tolist(), kernel.indices.tolist()
+    succ = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
+    # predecessors: the rows of each column, ascending, by one stable sort on the column
+    by_col = np.argsort(kernel.indices, kind="stable")
+    rows = kernel._row_ids()[by_col].tolist()
+    col_ptr = np.searchsorted(kernel.indices[by_col], np.arange(n + 1)).tolist()
+    pred = [rows[a:b] for a, b in zip(col_ptr, col_ptr[1:])]
 
     order: list[int] = []  # by DFS finishing time
-    seen = [False] * len(kernel)
-    for s in range(len(kernel)):
+    seen = [False] * n
+    for s in range(n):
         if seen[s]:
             continue
         seen[s] = True
@@ -336,7 +342,7 @@ def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
             else:
                 seen[v] = True
                 stack.append((v, iter(succ[v])))
-    comp, c = [-1] * len(kernel), 0
+    comp, c = [-1] * n, 0
     for s in reversed(order):
         if comp[s] != -1:
             continue
@@ -358,20 +364,28 @@ def max_tv_to_uniform(P_t: np.ndarray) -> float:
     return 0.5 * float(np.max(np.abs(P_t - 1.0 / n).sum(axis=1)))
 
 
-def tv_mixing_time(kernel: ChainKernel, eps: float, max_t: int = 10 ** 9) -> int:
+def tv_mixing_time(
+    kernel: ChainKernel, eps: float, max_t: int = 10 ** 9, *, ladder: Optional[list] = None
+) -> int:
     """min { t > 0 : max_x TV(P^t(x, .), uniform) <= eps }.
 
     Doubling ladder then binary search; the worst-start distance is
-    nonincreasing in t, so the search is valid.
+    nonincreasing in t, so the search is valid.  ``ladder``, when given,
+    receives (t, max_tv) for each rung P^t, t = 1, 2, 4, ..., as it is
+    computed: up to the first power of two at or above the mixing time.
     """
     classes = communicating_classes(kernel)
     if len(classes) > 1:
         raise NonErgodicError(classes)
-    P = kernel.dense()
-    ladder = [P]
+    powers = [kernel.dense()]
     t = 1
-    while max_tv_to_uniform(ladder[-1]) > eps:
-        ladder.append(ladder[-1] @ ladder[-1])
+    while True:
+        tv = max_tv_to_uniform(powers[-1])
+        if ladder is not None:
+            ladder.append((t, tv))
+        if tv <= eps:
+            break
+        powers.append(powers[-1] @ powers[-1])
         t *= 2
         if t > max_t:
             raise RuntimeError(f"no mixing by t={max_t}; chain may be periodic")
@@ -383,7 +397,7 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, max_t: int = 10 ** 9) -> int
         k = 0
         while m:
             if m & 1:
-                out = ladder[k] if out is None else out @ ladder[k]
+                out = powers[k] if out is None else out @ powers[k]
             m >>= 1
             k += 1
         return out

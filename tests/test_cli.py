@@ -3,7 +3,12 @@
 import hashlib
 import os
 
+import pytest
+
 from scanmix.cli import main
+from scanmix.domain import Graph, TargetGraph
+from scanmix.dynamics import ChainSpec
+from scanmix.kernels import build_kernel, communicating_classes, max_tv_to_uniform
 
 
 def read(path):
@@ -130,12 +135,16 @@ def test_simulation_csv_golden_digests(tmp_path):
 
 
 # sha256 over the output files of each exact job (file name, then body with
-# header lines dropped), recorded from the state-by-state kernel builder.
-# The spectra are eigenvalues printed to 15 digits, so these digests are tied
-# to the numpy/LAPACK build as well as to the kernels.  DIRECTED_H is a
-# directed constraint graph whose single-site chain on the 4-path has four
-# classes of sizes 4, 2, 1, 2: mix must list them in that order.
+# header lines dropped), recorded from the state-by-state kernel builder;
+# the two congestion jobs after "congestion --n 6 --q 3" were recorded from
+# the pair-by-pair router.  The spectra are eigenvalues printed to 15 digits,
+# so these digests are tied to the numpy/LAPACK build as well as to the
+# kernels.  An argument that names an H_FILES entry is replaced by that
+# file's path.  directed.h is a directed constraint graph whose single-site
+# chain on the 4-path has four classes of sizes 4, 2, 1, 2: mix must list
+# them in that order; c5.h is the undirected 5-cycle.
 DIRECTED_H = "001\n110\n010\n"
+H_FILES = {"directed.h": DIRECTED_H, "c5.h": "01001\n10100\n01010\n00101\n10010\n"}
 EXACT_SHA256 = {
     "spectrum": "23a641fdc10bf0e3dbce915139ce7c2bb18ec235b72eaab862f86190eaf2861a",
     "mix": "0751d6c9b4b3ee4a6c45f62b28350fd17bdc0295575179d5cff9b21f98674d09",
@@ -147,21 +156,24 @@ EXACT_SHA256 = {
     "mix --n 9 --q 3": "bf24cf29af7d44fde02608572ff8b4a1b666bfd8ba8c55777fb60309b2fc6c75",
     "compare --n 6 --q 4": "936ba292d6e463b9da834d9d12e1c6bb2eff97677fc8e015a3af38dd5a651b87",
     "congestion --n 6 --q 3": "7f2ffc619b5fa8b0bf1a791b45aa3e746615866be29aee59706ee917c087f0d1",
+    "congestion --n 5 --q 4": "e0868cc6aaba9554a75fe8b8d52380618339808365e77687876619b108ea3c98",
+    "congestion --n 5 --h-file c5.h":
+        "ce145c2fa816d487260dbaa71299c680ce16f6be5a9ee65b8ff3b08245269f14",
     "spectrum --chain reverse": "f9bbb0cabfb81ce30c370287d5dc2bc98a8906fa18ac9c9ef1390f16be7145fe",
     "spectrum --chain lazy --clamp 2":
         "ff00f9131fa93d45f0df07b2e3eb445d36b23fd2471b809a3bb283de0c42891a",
-    "spectrum --n 4 --directed --h-file":
+    "spectrum --n 4 --directed --h-file directed.h":
         "e6181acdfd4161d9af0813c53fd1d3564f911252cb9cabb77e512b0074e63027",
-    "mix --n 4 --directed --h-file":
+    "mix --n 4 --directed --h-file directed.h":
         "8097d133bc7df6392e38e4e54abd2ae8a4f6748e8523af0ad7002f37b21aa8e6",
 }
 
 
 def test_exact_outputs_golden_digests(tmp_path):
-    hfile = tmp_path / "h.txt"
-    hfile.write_text(DIRECTED_H)
+    for name, text in H_FILES.items():
+        (tmp_path / name).write_text(text)
     for i, (job, digest) in enumerate(EXACT_SHA256.items()):
-        argv = job.split() + ([str(hfile)] if job.endswith("--h-file") else [])
+        argv = [str(tmp_path / a) if a in H_FILES else a for a in job.split()]
         out = tmp_path / str(i)
         assert main(argv + ["--out", str(out)]) == 0, job
         h = hashlib.sha256()
@@ -295,3 +307,46 @@ def test_mix_nonergodic_writes_classes(tmp_path):
     assert main(["mix", "--n", "4", "--h-file", str(hfile), "--directed", "--out", str(out)]) == 0
     kv = dict(l.split(" = ") for l in body_lines(out / "mix.txt"))
     assert kv["ergodic"] == "False" and kv["n_classes"] == "3"
+
+
+C5 = TargetGraph.from_text(H_FILES["c5.h"])
+MIX_LADDER_JOBS = {
+    "mix --n 5": ChainSpec(graph=Graph.path(5), q=3),
+    "mix --n 5 --chain scan": ChainSpec(graph=Graph.path(5), q=3, base="scan"),
+    "mix --n 4 --q 4 --chain lazy": ChainSpec(graph=Graph.path(4), q=4, lazy=True),
+    "mix --n 5 --eps 1.0": ChainSpec(graph=Graph.path(5), q=3),
+    "mix --n 4 --h-file c5.h --eps 0.1": ChainSpec(graph=Graph.path(4), target=C5),
+}
+
+
+@pytest.mark.parametrize("job", MIX_LADDER_JOBS)
+def test_mix_csv_matches_recomputed_ladder(tmp_path, job):
+    """mix.csv lists max TV at t = 1, 2, 4, ... <= t_mix; the rows are
+    recomputed here by squaring the dense kernel from scratch."""
+    (tmp_path / "c5.h").write_text(H_FILES["c5.h"])
+    argv = [str(tmp_path / a) if a in H_FILES else a for a in job.split()]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    kv = dict(l.split(" = ") for l in body_lines(out / "mix.txt"))
+    t_mix = int(kv["mixing_time"])
+    rows, t, M = [], 1, build_kernel(MIX_LADDER_JOBS[job]).dense()
+    while t <= t_mix:
+        rows.append(f"{t},{max_tv_to_uniform(M):.15g}")
+        M = M @ M
+        t *= 2
+    assert body_lines(out / "mix.csv") == ["t,max_tv"] + rows
+    if "--eps 1.0" in job:
+        assert t_mix == 1 and len(rows) == 1
+
+
+def test_mix_nonergodic_class_sizes_in_kosaraju_order(tmp_path):
+    hfile = tmp_path / "directed.h"
+    hfile.write_text(DIRECTED_H)
+    out = tmp_path / "o"
+    assert main(["mix", "--n", "4", "--h-file", str(hfile), "--directed", "--out", str(out)]) == 0
+    kv = dict(l.split(" = ") for l in body_lines(out / "mix.txt"))
+    H = TargetGraph.from_text(DIRECTED_H, directed=True)
+    classes = communicating_classes(build_kernel(ChainSpec(graph=Graph.path(4), target=H)))
+    sizes = [int(kv[f"class_{i}_size"]) for i in range(int(kv["n_classes"]))]
+    assert kv["ergodic"] == "False"
+    assert sizes == [len(c) for c in classes] == [4, 2, 1, 2]

@@ -1,10 +1,14 @@
 """Canonical paths, connector walks, and reachability diagnostics."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 
+from scanmix import congestion
 from scanmix.congestion import (
+    CongestionReport,
+    _route,
     bottleneck_report,
     bottleneck_target,
     canonical_congestion,
@@ -79,6 +83,81 @@ def test_congestion_reports(n, target):
     if rep.n_states > 1:
         assert rep.congestion > 0
         assert rep.poincare_lower_bound > 0
+
+
+def reference_congestion(n, target, component="auto"):
+    """The pair-by-pair router: one Python path per (sigma, tau), every step
+    checked with is_valid_move_path, loads kept in dicts."""
+    g = Graph.path(n)
+    if component == "auto":
+        component = "side0" if target.is_bipartite else "all"
+    states = enumerate_h_colorings(g, target, component=component)
+    t = connector_length(target, n)
+    h = target.h
+    n_states = len(states)
+    walk = functools.cache(functools.partial(congestion.connector_walk, target, t=t))
+
+    edge_load, edge_paths = {}, {}
+    valid = True
+    max_len = 0
+    for sigma in states:
+        for tau in states:
+            if sigma == tau:
+                continue
+            path = _route(sigma, tau, walk(sigma[-1], tau[0]), n)
+            if not is_valid_move_path(path, g, target):
+                valid = False
+            length = len(path) - 1
+            max_len = max(max_len, length)
+            for a, b in zip(path, path[1:]):
+                edge_load[(a, b)] = edge_load.get((a, b), 0) + length
+                edge_paths[(a, b)] = edge_paths.get((a, b), 0) + 1
+
+    max_load = max(edge_load.values(), default=0)
+    max_paths = max(edge_paths.values(), default=0)
+    length_bound = Fraction(n + t, 2) * n
+    return CongestionReport(
+        n=n,
+        t=t,
+        n_states=n_states,
+        congestion=Fraction(n * h * max_load, n_states),
+        max_paths_through_edge=max_paths,
+        max_path_length=max_len,
+        length_bound=length_bound,
+        encoding_bound=length_bound * n * h * Fraction(max_paths, n_states),
+        paths_valid=valid,
+    )
+
+
+K3_LOOP = TargetGraph(((True, True, True), (True, False, True), (True, True, False)))
+REFERENCE_CASES = (
+    [(n, K3) for n in range(1, 7)]
+    + [(n, TargetGraph.clique(4)) for n in range(1, 6)]
+    # bipartite: side0 of the edge is one state, so there is no pair to route
+    + [(n, EDGE) for n in range(1, 7)]
+    + [(n, TargetGraph.cycle(5)) for n in range(1, 5)]
+    + [(n, K3_LOOP) for n in range(1, 5)]
+    + [(5, TargetGraph.cycle(4))]
+    + [(n, TargetGraph.from_text("001\n110\n010\n", directed=True)) for n in (3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("n,target", REFERENCE_CASES)
+def test_congestion_matches_pair_by_pair_router(n, target):
+    assert canonical_congestion(n, target) == reference_congestion(n, target)
+
+
+@pytest.mark.parametrize("n,target", [(4, K3), (3, TargetGraph.clique(4)), (4, K3_LOOP)])
+def test_congestion_matches_router_on_invalid_paths(monkeypatch, n, target):
+    # a connector that stalls on sigma's last color: the spliced word repeats
+    # a color on adjacent vertices, so some moves break the step rule
+    def stalling_walk(target, a, b, t):
+        return [a] * t + [b]
+
+    monkeypatch.setattr(congestion, "connector_walk", stalling_walk)
+    rep = canonical_congestion(n, target)
+    assert not rep.paths_valid
+    assert rep == reference_congestion(n, target)
 
 
 def test_congestion_lower_bounds_the_gap():

@@ -1,5 +1,6 @@
 """Exact kernels, stationarity, mixing times, spectra, and comparisons."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from scanmix.kernels import (
     dirichlet_form,
     _state_space,
     lump_kernel,
+    max_tv_to_uniform,
     poincare_constant,
     sign_states,
     tv_mixing_time,
@@ -167,6 +169,101 @@ def test_communicating_classes_and_triplets():
     text = K.to_triplets()
     first = text.splitlines()[0].split()
     assert len(first) == 4 and int(first[3]) == K.denom
+
+
+def reference_communicating_classes(kernel):
+    """Kosaraju over the row mappings of the kernel and of its reversal."""
+    succ = [list(row) for row in kernel.rows]
+    pred = [list(row) for row in kernel.reversal().rows]
+    order = []
+    seen = [False] * len(kernel)
+    for s in range(len(kernel)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(succ[s]))]
+        while stack:
+            v = next((v for v in stack[-1][1] if not seen[v]), None)
+            if v is None:
+                order.append(stack.pop()[0])
+            else:
+                seen[v] = True
+                stack.append((v, iter(succ[v])))
+    comp, c = [-1] * len(kernel), 0
+    for s in reversed(order):
+        if comp[s] != -1:
+            continue
+        stack, comp[s] = [s], c
+        while stack:
+            for v in pred[stack.pop()]:
+                if comp[v] == -1:
+                    comp[v] = c
+                    stack.append(v)
+        c += 1
+    out = [[] for _ in range(c)]
+    for i, ci in enumerate(comp):
+        out[ci].append(i)
+    return out
+
+
+def test_communicating_classes_match_reference_on_directed_triangles():
+    """Every connected directed H on 3 vertices (self-loops allowed)."""
+    n_split = 0
+    for bits in itertools.product((False, True), repeat=9):
+        H = TargetGraph(tuple(bits[3 * i:3 * i + 3] for i in range(3)), directed=True)
+        if not H.is_connected:
+            continue
+        for n, base in itertools.product((3, 4), ("glauber", "scan")):
+            K = build_kernel(ChainSpec(graph=Graph.path(n), target=H, base=base))
+            classes = communicating_classes(K)
+            assert classes == reference_communicating_classes(K), (H.to_text(), n, base)
+            n_split += len(classes) > 1
+    assert n_split > 0  # the family includes reducible chains
+
+
+def test_communicating_classes_match_reference_on_random_digraphs():
+    # moves on H-colorings are reversible, so the chains above have no
+    # transient states; random digraphs also pin the order of the classes
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 16))
+        adj = rng.random((n, n)) < rng.uniform(0.05, 0.3)
+        rows, cols = np.nonzero(adj)
+        K = ChainKernel(
+            states=list(range(n)),
+            indptr=np.searchsorted(rows, np.arange(n + 1)),
+            indices=cols.astype(np.int64),
+            data=np.ones(len(cols), dtype=np.int64),
+            denom=1,
+        )
+        assert communicating_classes(K) == reference_communicating_classes(K)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(graph=Graph.path(5), q=3),
+        ChainSpec(graph=Graph.path(5), q=3, base="scan"),
+        ChainSpec(graph=Graph.path(4), q=4, lazy=True),
+    ],
+    ids=["glauber", "scan", "lazy"],
+)
+@pytest.mark.parametrize("eps", [1.0, 0.25, 0.05])
+def test_tv_ladder_records_each_rung(spec, eps):
+    K = build_kernel(spec)
+    ladder = []
+    t_mix = tv_mixing_time(K, eps, ladder=ladder)
+    assert t_mix == tv_mixing_time(K, eps)
+    M, expected = K.dense(), []
+    for k in range(len(ladder)):
+        expected.append((2 ** k, max_tv_to_uniform(M)))
+        M = M @ M
+    assert ladder == expected
+    # the ladder stops at the first power of two at or above the mixing time
+    assert ladder[-1][1] <= eps and all(tv > eps for _, tv in ladder[:-1])
+    assert ladder[-1][0] // 2 < t_mix <= ladder[-1][0]
+    if eps == 1.0:
+        assert t_mix == 1 and len(ladder) == 1
 
 
 def test_comparison_path_and_star():
