@@ -21,17 +21,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import (
-    PAD,
     BudgetExceededError,
     Coloring,
     Graph,
     VertexWeights,
-    d2,
     enumerate_colorings,
-    height_of,
+    heights,
     optimal_height_pair,
     pad,
     path_accepts,
+    weighted_height_distance,
 )
 from .dynamics import (
     CH_GLAUBER,
@@ -44,6 +43,7 @@ from .dynamics import (
     scan_order,
     vertex_from_uniform,
 )
+from .kernels import _move_tables
 
 COUPLING_KINDS = (
     "identity_glauber",
@@ -227,11 +227,15 @@ class DriftReport:
         return self.bound is None or self.expected_after <= self.bound
 
 
-def _pair_metric(sigma, tau, metric, weights) -> Fraction:
+def _pair_metric(sig, tau, metric, weights) -> tuple[np.ndarray, int]:
+    """The metric of the pairs (sig[k], tau[k]) of proper colorings as
+    integers over one denominator: (numerators, denominator).  d2 counts
+    units of 1/(2 * weights.denominator)."""
     if metric == "hamming":
-        return Fraction(sum(a != b for a, b in zip(sigma, tau)))
+        return (np.asarray(sig) != np.asarray(tau)).sum(axis=-1), 1
     if metric == "d2":
-        return d2(sigma, tau, weights)
+        value, _ = weighted_height_distance(heights(sig), heights(tau), weights.numerators)
+        return value, 2 * weights.denominator
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -268,29 +272,27 @@ def exact_drift(
     if coupling == "switch_glauber_important_neighbor":
         raise ValueError("the important-neighbor coupling needs a segment layout")
     n = len(sigma)
-    before = _pair_metric(sigma, tau, metric, weights)
     if coupling.endswith("glauber"):
         s, t = pad(sigma), pad(tau)
-        acc = Fraction(0)
-        for v in range(1, n + 1):
-            for c in range(q):
-                c2 = partner_proposal(coupling, v, c, s, t)
-                acc += _pair_metric(_try(sigma, v, c), _try(tau, v, c2), metric, weights)
-        expected = acc / (n * q)
+        after = [
+            (_try(sigma, v, c), _try(tau, v, partner_proposal(coupling, v, c, s, t)))
+            for v in range(1, n + 1)
+            for c in range(q)
+        ]
     elif metric == "hamming":
-        sig = np.array([sigma], dtype=np.int64)
-        ta = np.array([tau], dtype=np.int64)
-        num, scale = _ham_batch_drift(sig, ta, start_vertex - 1, q, coupling)
-        expected = Fraction(int(num[0]), scale)
+        after = []
     else:
-        k = n - start_vertex + 1
-        acc = Fraction(0)
-        for props in itertools.product(range(q), repeat=k):
-            a, b = _deterministic_coupled_scan(
-                sigma, tau, coupling, props, start_vertex, q, n
-            )
-            acc += _pair_metric(a, b, metric, weights)
-        expected = acc / q ** k
+        after = [
+            _deterministic_coupled_scan(sigma, tau, coupling, props, start_vertex, q, n)
+            for props in itertools.product(range(q), repeat=n - start_vertex + 1)
+        ]
+    values, den = _pair_metric(*zip((sigma, tau), *after), metric, weights)
+    before = Fraction(int(values[0]), den)
+    if after:
+        expected = Fraction(int(values[1:].sum()), den * len(after))
+    else:
+        num, scale = _ham_batch_drift(np.array([sigma]), np.array([tau]), start_vertex - 1, q, coupling)
+        expected = Fraction(int(num[0]), scale)
     return DriftReport(
         pair=(sigma, tau),
         metric=metric,
@@ -636,65 +638,52 @@ def hamming_contraction_rows(n: int, q: int) -> Ledger:
 # Exact drift: weighted-metric family for 3-colorings (identity coupling)
 # ---------------------------------------------------------------------------
 
+def _eighths(weights: VertexWeights) -> np.ndarray:
+    """4 * weights as integers, with which the metric counts units of 1/8."""
+    if 4 % weights.denominator:
+        raise ValueError("metric tables need weights in multiples of 1/4")
+    return weights.numerators * (4 // weights.denominator)
+
+
 class PathMetricTables:
     """Vectorized exact-drift machinery for proper 3-colorings of a path.
 
-    Precomputes the state list, the weighted metric as integers in units of
-    1/8 (both weight presets are dyadic with denominator 8 after halving),
-    and single-move result indices; sums of the metric after identity-coupled
-    moves and sweeps over all proposals follow from these, for all pairs.
+    Holds the state list, their heights, the weighted metric of every pair
+    from ``weighted_height_distance`` in units of 1/8 (which needs weights in
+    multiples of 1/4), and the glauber kernel's move tables; sums of the
+    metric after identity-coupled moves and sweeps over all proposals follow
+    from these, for all pairs.
     """
 
     def __init__(self, n: int, weights: VertexWeights):
         self.n = n
         self.weights = weights
         self.states = enumerate_colorings(Graph.path(n), 3)
+        self.heights = heights(self.states)
         self.d2_int = self._metric_table()
-        self._move_table: Optional[np.ndarray] = None
+        # move_table[s, v, c]: state index after trying color c at 0-based v
+        spec = ChainSpec(graph=Graph.path(n), q=3, base="glauber")
+        self.move_table = np.stack(_move_tables(spec, self.states), axis=1)
 
     def _metric_table(self) -> np.ndarray:
-        """All-pairs metric in 1/8 units: min over anchor shifts, vectorized.
+        """All-pairs metric in 1/8 units, in row blocks.
 
-        The objective sum_i w_i |delta_i - s| is convex in the shift s, so
-        scanning the multiples of 6 across the height-difference range hits
-        the minimum.
+        The products run in BLAS; every sum is an integer far below 2^24,
+        so float32 holds it exactly.
         """
-        if any(4 * w != int(4 * w) for w in self.weights.weights):
-            raise ValueError("metric tables need weights in multiples of 1/4")
-        # the products run in BLAS; every sum is an integer far below 2^24,
-        # so float32 holds it exactly
-        w8 = np.array([int(4 * w) for w in self.weights.weights], dtype=np.float32)
-        H = np.array([height_of(s) for s in self.states], dtype=np.float32)
+        w8 = _eighths(self.weights).astype(np.float32)
+        H = self.heights.astype(np.float32)
         S, n = H.shape
         out = np.empty((S, S), dtype=np.int32)
-        lo, hi = int(H.min() - H.max()) - 6, int(H.max() - H.min()) + 6
-        shifts = range(6 * (lo // 6), hi + 1, 6)
         rows = max(1, 2 ** 18 // (S * n))
         for i in range(0, S, rows):
-            delta = H[i:i + rows, None, :] - H[None, :, :]  # (rows, S, n)
-            out[i:i + rows] = np.min([np.abs(delta - s) @ w8 for s in shifts], axis=0)
+            out[i:i + rows], _ = weighted_height_distance(H[i:i + rows, None, :], H[None], w8)
         return out
-
-    def move_table(self) -> np.ndarray:
-        """M[s, v, c] = state index after trying color c at 0-based vertex v."""
-        if self._move_table is None:
-            n = self.n
-            X = np.array(self.states, dtype=np.int64)
-            place = 3 ** np.arange(n - 1, -1, -1)
-            code = X @ place  # increasing: states are in lexicographic order
-            padded = np.pad(X, ((0, 0), (1, 1)), constant_values=PAD).T
-            M = np.empty((len(X), n, 3), dtype=np.int64)
-            for v in range(n):
-                for c in range(3):
-                    ok = path_accepts(padded, v + 1, c)
-                    M[:, v, c] = np.searchsorted(code, code + ok * (c - X[:, v]) * place[v])
-            self._move_table = M
-        return self._move_table
 
     def site_sums(self, si: np.ndarray, ti: np.ndarray) -> np.ndarray:
         """Sum over the 3n single-site draws of the metric after the
         identity-coupled update of pairs (si, ti), in 1/8 units."""
-        M = self.move_table()
+        M = self.move_table
         after = self.d2_int[M[si].reshape(len(si), -1), M[ti].reshape(len(ti), -1)]
         return after.sum(axis=1, dtype=np.int64)
 
@@ -707,7 +696,7 @@ class PathMetricTables:
         ``start``, then sweeps from start+1, so
         F[start][s, t] = sum_d F[start+1][M[s, start, d], M[t, start, d]].
         """
-        M = self.move_table()
+        M = self.move_table
         F = [self.d2_int.astype(np.int64)]
         for v in range(self.n - 1, -1, -1):
             F.append(sum(F[-1][np.ix_(M[:, v, d], M[:, v, d])] for d in range(3)))
@@ -725,7 +714,9 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
     - sweep_first / sweep_second / sweep_interior / sweep_last:
       single-disagreement pairs swept from vertex 1 end below 1/4, 1, 1, 3/4.
 
-    Raises BudgetExceededError when the cells of one all-pairs table
+    One all-pairs table holds the sweep-weight metric; the glauber-weight
+    metric is read only at the single-disagreement pairs and their 3n
+    post-move pairs.  Raises BudgetExceededError when the cells of the table
     (states squared) exceed ``LEDGER_BUDGET``, before enumerating.
     """
     work = (3 * 2 ** (n - 1)) ** 2
@@ -733,15 +724,20 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
         raise BudgetExceededError(
             f"{work} pair-table cells exceed budget {LEDGER_BUDGET}"
         )
-    site = PathMetricTables(n, VertexWeights.glauber_q3(n))
     sweep = PathMetricTables(n, VertexWeights.scan_q3(n))
     X = np.array(sweep.states)
     S = len(X)
 
     # single-disagreement (ordered) pairs: the moves that change the state
-    M = sweep.move_table()
+    M = sweep.move_table
     si, v, c = np.nonzero(M != np.arange(S)[:, None, None])
     ti = M[si, v, c]
+    H, w8 = sweep.heights, _eighths(VertexWeights.glauber_q3(n))
+    before_site, _ = weighted_height_distance(H[si], H[ti], w8)
+    # post-move pairs one vertex at a time: small temporaries
+    site_sum = sum(
+        weighted_height_distance(H[M[si, u]], H[M[ti, u]], w8)[0].sum(axis=1) for u in range(n)
+    )
     # sweep_suffix pairs, ordered (s, i, t): agree right of i, differ at i
     eq = X[:, None, :] == X[None, :, :]
     agree_from = np.logical_and.accumulate(eq[..., ::-1], axis=-1)[..., ::-1]
@@ -755,7 +751,6 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
         suffix_sum[sel] = F[i + 1][s2[sel], t2[sel]]
     sweep_sum = F[0][si, ti]
 
-    before_site = site.d2_int[si, ti].astype(np.int64)
     where = [v == 0, v == 1, v == n - 1]
     lemma = np.select(
         where, [_CODE[k] for k in ("sweep_first", "sweep_second", "sweep_last")],
@@ -766,7 +761,7 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
     pairs = _slot_block(
         np.ones((len(si), 2), dtype=bool),
         np.stack([np.full(len(si), _CODE["site_break_even"]), lemma], axis=1),
-        np.stack([site.site_sums(si, ti), sweep_sum], axis=1),
+        np.stack([site_sum, sweep_sum], axis=1),
         np.array([3 * n * 8, 3 ** n * 8]),
         np.stack([before_site, bound_num], axis=1),
         np.stack([np.full(len(si), 8), bound_den], axis=1),
@@ -893,21 +888,16 @@ def site_variance_witness(
         raise ValueError("pair must be unequal")
     n = len(sigma)
     weights = weights if weights is not None else VertexWeights.glauber_q3(n)
-    w = weights.w_min
-    before = d2(sigma, tau, weights)
-
-    def drop_of(z: int, c: int) -> Fraction:
-        return before - d2(_try(sigma, z + 1, c), _try(tau, z + 1, c), weights)
-
-    z, c = _drop_choice(sigma, tau, weights)
-    if c is not None and drop_of(z, c) >= w:
-        return SiteWitness(z + 1, c, w, drop_of(z, c))
-    # fall back to exhaustive search; reaching this means the primary
-    # construction missed, which the exhaustive tests would surface
-    for z in range(n):
-        for c in range(3):
-            if drop_of(z, c) >= w:
-                return SiteWitness(z + 1, c, w, drop_of(z, c))
+    tries = [(z, c) for z in range(n) for c in range(3)]
+    after = [(_try(sigma, z + 1, c), _try(tau, z + 1, c)) for z, c in tries]
+    values, den = _pair_metric(*zip((sigma, tau), *after), "d2", weights)
+    drop = dict(zip(tries, (values[0] - values[1:]).tolist()))
+    w = 2 * int(weights.numerators.min())  # w_min in units of 1/den
+    # the case analysis's choice first; an exhaustive search backs it up,
+    # and reaching it means the primary construction missed
+    for z, c in [_drop_choice(sigma, tau, weights), *tries]:
+        if c is not None and drop[z, c] >= w:
+            return SiteWitness(z + 1, c, weights.w_min, Fraction(drop[z, c], den))
     raise AssertionError(f"no variance witness for pair {sigma} / {tau}")
 
 
@@ -930,35 +920,30 @@ def _verify_sweep_witness(
     metric by at least w/2; otherwise the worst-case achieved shift.
     """
     n = len(sigma)
-    w = weights.w_min
-    before = d2(sigma, tau, weights)
     free = [v for v in range(n) if v not in (z - 1, z, z + 1)]
-    worst: Optional[Fraction] = None
-    for combo in itertools.product(range(3), repeat=len(free)):
-        draw = dict(zip(free, combo))
-        if z > 0:
-            draw[z - 1] = c_left
-        best_here: Optional[Fraction] = None
-        for cz in range(3):
-            s, t = pad(sigma), pad(tau)
-            for v in range(n):
-                if v == z:
-                    cv = cz
-                elif v == z + 1 and z < n - 1:
-                    cv = c_right[cz]
-                else:
-                    cv = draw[v]
-                for x in (s, t):
-                    if path_accepts(x, v + 1, cv):
-                        x[v + 1] = cv
-            shift = abs(d2(tuple(s[1:-1]), tuple(t[1:-1]), weights) - before)
-            if shift >= Fraction(w, 2):
-                best_here = shift if best_here is None else min(best_here, shift)
-                break
-        if best_here is None:
-            return None
-        worst = best_here if worst is None else min(worst, best_here)
-    return worst
+    # draws[k, cz, v]: the color tried at 0-based v in the realization with
+    # free draws k and z color cz; one padded batch column per realization
+    draws = np.empty((3 ** len(free), 3, n), dtype=np.int64)
+    draws[:, :, free] = np.array(list(itertools.product(range(3), repeat=len(free))))[:, None]
+    draws[:, :, z] = np.arange(3)
+    if z > 0:
+        draws[:, :, z - 1] = c_left
+    if z < n - 1:
+        draws[:, :, z + 1] = c_right
+    draws = draws.reshape(-1, n).T
+    after = []
+    for start in (sigma, tau):
+        x = np.repeat(np.array(pad(start))[:, None], draws.shape[1], axis=1)
+        for v in range(1, n + 1):
+            x[v] = np.where(path_accepts(x, v, draws[v - 1]), draws[v - 1], x[v])
+        after.append(np.vstack([start, x[1:-1].T]))
+    values, den = _pair_metric(*after, "d2", weights)
+    shift = np.abs(values[1:] - values[0]).reshape(-1, 3)
+    # each realization takes its first z color shifting by w/2 or more
+    ok = shift >= weights.numerators.min()
+    if not ok.any(axis=1).all():
+        return None
+    return Fraction(int(shift[np.arange(len(shift)), ok.argmax(axis=1)].min()), den)
 
 
 def sweep_variance_witness(
@@ -981,24 +966,18 @@ def sweep_variance_witness(
     weights = weights if weights is not None else VertexWeights.scan_q3(n)
 
     def candidates_at(z: int):
-        lefts: list[Optional[int]]
+        lefts: list[Optional[int]] = [None]
         if z > 0:
-            lefts = _freeze_colors(
-                sigma[z - 1], tau[z - 1], {sigma[z]}, {tau[z]}
-            )
-        else:
-            lefts = [None]
+            lefts = _freeze_colors(sigma[z - 1], tau[z - 1], {sigma[z]}, {tau[z]})
+        rights: list[Optional[tuple[int, int, int]]] = [None]
         if z < n - 1:
-            per_c = []
-            for c in range(3):
-                s_mid = _try(sigma, z + 1, c)[z]
-                t_mid = _try(tau, z + 1, c)[z]
-                per_c.append(
-                    _freeze_colors(sigma[z + 1], tau[z + 1], {s_mid}, {t_mid})
+            per_c = [
+                _freeze_colors(
+                    sigma[z + 1], tau[z + 1], {_try(sigma, z + 1, c)[z]}, {_try(tau, z + 1, c)[z]}
                 )
-            rights = [tuple(r) for r in itertools.product(*per_c)]
-        else:
-            rights = [None]
+                for c in range(3)
+            ]
+            rights = list(itertools.product(*per_c))
         return lefts, rights
 
     def freeze_color(z: int) -> int:
@@ -1014,15 +993,12 @@ def sweep_variance_witness(
             for c_right in rights:
                 shift = _verify_sweep_witness(sigma, tau, weights, z, c_left, c_right)
                 if shift is not None:
-                    prob = Fraction(1, 9)
-                    if z == 0 or z == n - 1:
-                        prob = Fraction(1, 3)
                     return SweepWitness(
                         vertex=z + 1,
                         c_left=c_left,
                         c_right=c_right,
                         c_freeze=freeze_color(z),
-                        event_probability=prob,
+                        event_probability=Fraction(1, 3 if z in (0, n - 1) else 9),
                         min_shift=shift,
                     )
     raise AssertionError(f"no sweep variance witness for pair {sigma} / {tau}")
@@ -1126,22 +1102,17 @@ def expected_coalescence_exact(spec: ChainSpec, kind: str = "identity_glauber"):
         raise ValueError("exact absorption oracle implemented for identity_glauber")
     n, q = spec.graph.n, spec.n_colors
     states = enumerate_colorings(spec.graph, q)
-    index = {s: i for i, s in enumerate(states)}
     S = len(states)
     pairs = [(a, b) for a in states for b in states]
-    pidx = {p: i for i, p in enumerate(pairs)}
     size = len(pairs)
-    P = np.zeros((size, size))
-    for (a, b), i in pidx.items():
-        if a == b:
-            P[i, i] = 1.0
-            continue
-        for v in range(1, n + 1):
-            for c in range(q):
-                a2 = metropolis_update(a, v, c, spec)
-                b2 = metropolis_update(b, v, c, spec)
-                P[i, pidx[(a2, b2)]] += 1.0 / (n * q)
-    transient = [i for (a, b), i in pidx.items() if a != b]
+    # pair (a, b) is index a * S + b; each row adds its moves in (v, c) order
+    a, b = np.divmod(np.arange(size), S)
+    P = np.diag((a == b) * 1.0)  # equal pairs absorb
+    transient = np.flatnonzero(a != b)
+    a, b = a[transient], b[transient]
+    for J in _move_tables(spec, states):
+        for c in range(q):
+            P[transient, J[a, c] * S + J[b, c]] += 1.0 / (n * q)
     Q = P[np.ix_(transient, transient)]
     t = np.linalg.solve(np.eye(len(transient)) - Q, np.ones(len(transient)))
     expected = np.zeros(size)

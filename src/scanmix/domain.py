@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 Coloring = tuple[int, ...]
 SignConfig = tuple[int, ...]
@@ -404,12 +406,21 @@ def height_of(coloring: Coloring) -> HeightFunction:
     increments equal the sign encoding, so |h_i - h_{i+1}| = 1 along edges
     and h_i = i (mod 2), h_i = coloring[i-1] (mod 3) for every vertex.
     """
-    signs = to_signs(coloring)
-    h1 = next(h for h in range(6) if h % 2 == 1 and h % 3 == coloring[0] % 3)
-    out = [h1]
-    for s in signs:
-        out.append(out[-1] + s)
-    return tuple(out)
+    _require_proper3(coloring)
+    return tuple(heights(coloring).tolist())
+
+
+def heights(colorings) -> np.ndarray:
+    """``height_of`` for an array of proper path 3-colorings, unchecked.
+
+    The vertex is the last axis.  The anchor (3 - 2c) mod 6 is the odd value
+    congruent to c mod 3; a color difference of 1 (mod 3) steps up, 2 down.
+    """
+    X = np.asarray(colorings, dtype=np.int64)
+    steps = np.empty_like(X)
+    steps[..., 0] = (3 - 2 * X[..., 0]) % 6
+    steps[..., 1:] = 3 - 2 * ((X[..., 1:] - X[..., :-1]) % 3)
+    return steps.cumsum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +448,17 @@ class VertexWeights:
     @property
     def w_min(self) -> Fraction:
         return min(self.weights)
+
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm D of the weights' denominators."""
+        return math.lcm(*(w.denominator for w in self.weights))
+
+    @cached_property
+    def numerators(self) -> np.ndarray:
+        """The weights as integers in units of 1/D, D = ``denominator``."""
+        D = self.denominator
+        return np.array([w.numerator * (D // w.denominator) for w in self.weights], dtype=np.int64)
 
     @staticmethod
     def uniform(n: int) -> "VertexWeights":
@@ -468,15 +490,27 @@ def d1(sigma: Coloring, tau: Coloring) -> int:
     return sum(a != b for a, b in zip(to_signs(sigma), to_signs(tau)))
 
 
-def _weighted_median(values: Sequence[int], weights: VertexWeights) -> int:
-    items = sorted(zip(values, weights.weights))
-    total = sum(w for _, w in items)
-    acc = Fraction(0)
-    for v, w in items:
-        acc += w
-        if 2 * acc >= total:
-            return v
-    return items[-1][0]
+def weighted_height_distance(H, Hstar, w) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted height metric of integer height arrays, in the units of w.
+
+    The vertex is the last axis of ``H`` and ``Hstar`` (any leading axes are a
+    batch and broadcast); ``w`` holds the weights.  Returns (value, shift):
+    min over s in 6Z of sum_i w_i |H_i - H*_i - s| and the smallest
+    minimizing s.  Outside the range of the differences the objective is
+    strictly monotone, so scanning the multiples of 6 that bracket the range
+    in ascending order, keeping strict improvements, finds both.  One shift
+    at a time keeps the temporaries at the size of the batch.
+    """
+    delta = np.asarray(H) - np.asarray(Hstar)
+    value = shift = None
+    for s in range(6 * (int(delta.min()) // 6), int(delta.max()) + 6, 6):
+        val = np.abs(delta - s) @ w
+        if value is None:
+            value, shift = val, np.full(np.shape(val), s)
+        else:
+            shift[val < value] = s
+            value = np.minimum(value, val)
+    return value, shift
 
 
 def optimal_height_pair(
@@ -485,32 +519,24 @@ def optimal_height_pair(
     """Height profiles (h, h*) attaining the weighted height distance.
 
     Minimizes sum_i weights[i] * |h_i - h*_i| / 2 over the anchor freedom,
-    which is exactly a shift of one profile by a multiple of 6.  The
-    objective is convex piecewise-linear in the shift, so it suffices to
-    evaluate the two multiples of 6 bracketing the weighted median of the
-    height differences.
+    which is exactly a shift of one profile by a multiple of 6; the smallest
+    minimizing shift is applied to h*.  ``weighted_height_distance`` computes
+    it in units of 1/(2 * weights.denominator).
     """
     if len(sigma) != len(tau) or len(sigma) != len(weights):
         raise ValueError("length mismatch")
     h = height_of(sigma)
     hstar = height_of(tau)
-    diffs = [a - b for a, b in zip(h, hstar)]
-    med = _weighted_median(diffs, weights)
-    s0 = 6 * math.floor(Fraction(med, 6))
-    best: Optional[tuple[Fraction, int]] = None
-    for s in (s0 - 6, s0, s0 + 6):
-        val = sum(w * abs(d - s) for d, w in zip(diffs, weights.weights)) / 2
-        if best is None or val < best[0]:
-            best = (val, s)
-    val, s = best
-    return h, tuple(x + s for x in hstar), val
+    val, s = weighted_height_distance(h, hstar, weights.numerators)
+    return h, tuple(x + int(s) for x in hstar), Fraction(int(val), 2 * weights.denominator)
 
 
 def d2(sigma: Coloring, tau: Coloring, weights: VertexWeights) -> Fraction:
     """Minimal weighted single-vertex move cost between two proper 3-colorings.
 
     Equals the minimum over height representatives of
-    sum_i weights[i] * |h_i - h*_i| / 2.
+    sum_i weights[i] * |h_i - h*_i| / 2, computed in integers by
+    ``weighted_height_distance``; only the returned value is a Fraction.
     """
     return optimal_height_pair(sigma, tau, weights)[2]
 
@@ -522,22 +548,25 @@ def geodesic(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[Coloring]:
     """A minimum-cost single-vertex move path from sigma to tau inside the
-    proper colorings, realizing d2; Dijkstra over the weighted move graph.
+    proper colorings, realizing d2; Dijkstra over the weighted move graph,
+    with integer costs in units of 1/weights.denominator.  The budget bounds
+    the 3 * 2^(n-1) proper colorings the search may visit.
 
     Returns the state sequence [sigma, ..., tau]; empty moves list when
     sigma == tau (the returned sequence is then just [sigma]).
     """
     n = len(sigma)
-    if 3 ** n > budget:
-        raise BudgetExceededError(f"3**{n} states exceed budget {budget}")
+    if 3 * 2 ** (n - 1) > budget:
+        raise BudgetExceededError(f"3*2**{n - 1} states exceed budget {budget}")
     _require_proper3(sigma)
     _require_proper3(tau)
 
     target_cost = d2(sigma, tau, weights)
-    dist: dict[Coloring, Fraction] = {sigma: Fraction(0)}
+    step = weights.numerators.tolist()
+    dist: dict[Coloring, int] = {sigma: 0}
     prev: dict[Coloring, Coloring] = {}
     counter = itertools.count()
-    pq: list[tuple[Fraction, int, Coloring]] = [(Fraction(0), next(counter), sigma)]
+    pq: list[tuple[int, int, Coloring]] = [(0, next(counter), sigma)]
     while pq:
         d, _, u = heapq.heappop(pq)
         if u == tau:
@@ -550,17 +579,16 @@ def geodesic(
                 if c == x[v] or not path_accepts(x, v, c):
                     continue
                 nxt = u[:v - 1] + (c,) + u[v:]
-                nd = d + weights[v - 1]
+                nd = d + step[v - 1]
                 if nxt not in dist or nd < dist[nxt]:
                     dist[nxt] = nd
                     prev[nxt] = u
                     heapq.heappush(pq, (nd, next(counter), nxt))
     if tau not in dist:
         raise RuntimeError("move graph is disconnected; cannot happen on a path")
-    if dist[tau] != target_cost:
-        raise AssertionError(
-            f"geodesic cost {dist[tau]} does not match metric value {target_cost}"
-        )
+    cost = Fraction(dist[tau], weights.denominator)
+    if cost != target_cost:
+        raise AssertionError(f"geodesic cost {cost} does not match metric value {target_cost}")
     path = [tau]
     while path[-1] != sigma:
         path.append(prev[path[-1]])

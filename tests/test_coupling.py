@@ -1,5 +1,6 @@
 """Coupled evolutions: drift oracles, ledger, witnesses, coalescence."""
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -28,8 +29,17 @@ from scanmix.coupling import (
     variance_floor_witness,
     weighted_metric_contraction_rows,
 )
-from scanmix.domain import PAD, BudgetExceededError, Graph, VertexWeights, d2, enumerate_colorings
-from scanmix.dynamics import ChainSpec, RandomTape
+from scanmix.domain import (
+    PAD,
+    BudgetExceededError,
+    Graph,
+    VertexWeights,
+    d2,
+    enumerate_colorings,
+    height_of,
+    path_accepts,
+)
+from scanmix.dynamics import ChainSpec, RandomTape, metropolis_update
 from scanmix.kernels import build_kernel
 
 
@@ -247,6 +257,40 @@ def test_sweep_sums_match_simulated_sweeps(n):
             assert (sums[start][si] == D[R[si][None, :], R].sum(axis=1)).all(), (start, si)
 
 
+def _reference_move_table(tables):
+    """The move table PathMetricTables built for itself before it read the
+    kernel's: the path acceptance rule and a searchsorted on base-3 codes."""
+    n = tables.n
+    X = np.array(tables.states, dtype=np.int64)
+    place = 3 ** np.arange(n - 1, -1, -1)
+    code = X @ place
+    padded = np.pad(X, ((0, 0), (1, 1)), constant_values=PAD).T
+    M = np.empty((len(X), n, 3), dtype=np.int64)
+    for v in range(n):
+        for c in range(3):
+            ok = path_accepts(padded, v + 1, c)
+            M[:, v, c] = np.searchsorted(code, code + ok * (c - X[:, v]) * place[v])
+    return M
+
+
+def _reference_metric_table(tables):
+    """The all-pairs table PathMetricTables computed before it called the
+    shared metric routine: the minimum over a fixed range of shifts."""
+    w8 = np.array([int(4 * w) for w in tables.weights.weights], dtype=np.float32)
+    H = np.array([height_of(s) for s in tables.states], dtype=np.float32)
+    lo, hi = int(H.min() - H.max()) - 6, int(H.max() - H.min()) + 6
+    delta = H[:, None, :] - H[None, :, :]
+    return np.min([np.abs(delta - s) @ w8 for s in range(6 * (lo // 6), hi + 1, 6)], axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8])
+@pytest.mark.parametrize("preset", ["glauber_q3", "scan_q3"])
+def test_metric_tables_match_reference(n, preset):
+    tables = PathMetricTables(n, getattr(VertexWeights, preset)(n))
+    assert np.array_equal(tables.move_table, _reference_move_table(tables))
+    assert np.array_equal(tables.d2_int, _reference_metric_table(tables))
+
+
 def test_metric_tables_need_quarter_weights():
     with pytest.raises(ValueError):
         PathMetricTables(4, VertexWeights((Fraction(1, 3),) * 4))
@@ -299,6 +343,21 @@ def test_witnesses_exhaustive_n4():
             assert sweep.min_shift >= Fraction(ws.w_min, 2)
     with pytest.raises(ValueError):
         variance_floor_witness(states[0], states[0], "glauber_q3")
+
+
+# sha256 over the reprs of the site and sweep witnesses of every unequal pair
+# at n = 4 and 5, recorded with the Fraction metric
+WITNESS_DIGEST = "aa9321f0111a4651cea112f04bcbd72184cc85b9fe391bc5d8318fa020d329d6"
+
+
+def test_witnesses_match_golden_digest():
+    digest = hashlib.sha256()
+    for n in (4, 5):
+        states = enumerate_colorings(Graph.path(n), 3)
+        for sigma, tau in itertools.permutations(states, 2):
+            digest.update((repr(site_variance_witness(sigma, tau)) + "\n").encode())
+            digest.update((repr(sweep_variance_witness(sigma, tau)) + "\n").encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 def test_window_freeze_table_row():
@@ -355,6 +414,44 @@ def test_coupling_time_identical_starts():
     t = 0
     a, b = s, s
     assert a == b  # zero coalescence time by definition
+
+
+def _reference_coalescence(spec):
+    """expected_coalescence_exact before it read the move tables: one
+    metropolis_update per pair, vertex and color."""
+    n, q = spec.graph.n, spec.n_colors
+    states = enumerate_colorings(spec.graph, q)
+    pairs = [(a, b) for a in states for b in states]
+    pidx = {p: i for i, p in enumerate(pairs)}
+    size = len(pairs)
+    P = np.zeros((size, size))
+    for (a, b), i in pidx.items():
+        if a == b:
+            P[i, i] = 1.0
+            continue
+        for v in range(1, n + 1):
+            for c in range(q):
+                a2 = metropolis_update(a, v, c, spec)
+                b2 = metropolis_update(b, v, c, spec)
+                P[i, pidx[(a2, b2)]] += 1.0 / (n * q)
+    transient = [i for (a, b), i in pidx.items() if a != b]
+    Q = P[np.ix_(transient, transient)]
+    t = np.linalg.solve(np.eye(len(transient)) - Q, np.ones(len(transient)))
+    expected = np.zeros(size)
+    expected[transient] = t
+    return pairs, expected
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(graph=Graph.path(4), q=3, base="glauber"),
+    ChainSpec(graph=Graph.path(3), q=4, base="glauber"),
+    ChainSpec(graph=Graph.star(4), q=3, base="glauber"),
+])
+def test_expected_coalescence_matches_reference_loop(spec):
+    pairs, expected = expected_coalescence_exact(spec)
+    ref_pairs, ref_expected = _reference_coalescence(spec)
+    assert np.array_equal(pairs, ref_pairs)
+    assert np.array_equal(expected, ref_expected)
 
 
 def test_coupling_time_against_exact_absorption():

@@ -1,8 +1,10 @@
 """Colorings, encodings, and the two path metrics."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +25,11 @@ from scanmix.domain import (
     from_signs,
     geodesic,
     height_of,
+    heights,
     is_proper,
     optimal_height_pair,
     to_signs,
+    weighted_height_distance,
 )
 
 
@@ -292,6 +296,87 @@ def test_optimal_height_pair_attains_metric():
             h, hstar, val = optimal_height_pair(a, b, w)
             assert val == d2(a, b, w)
             assert sum(wi * abs(x - y) for wi, x, y in zip(w.weights, h, hstar)) / 2 == val
+
+
+# The Fraction metric that weighted_height_distance replaced, kept as the
+# reference: heights from the sign encoding, the weighted median of the
+# height differences, and the multiples of 6 around it.
+
+def _reference_height(coloring):
+    signs = to_signs(coloring)
+    h1 = next(h for h in range(6) if h % 2 == 1 and h % 3 == coloring[0] % 3)
+    out = [h1]
+    for s in signs:
+        out.append(out[-1] + s)
+    return tuple(out)
+
+
+def _reference_weighted_median(values, weights):
+    items = sorted(zip(values, weights.weights))
+    total = sum(w for _, w in items)
+    acc = Fraction(0)
+    for v, w in items:
+        acc += w
+        if 2 * acc >= total:
+            return v
+    return items[-1][0]
+
+
+def _reference_shift(diffs, weights):
+    """(value, shift) of the Fraction code; a function of the differences."""
+    med = _reference_weighted_median(diffs, weights)
+    s0 = 6 * math.floor(Fraction(med, 6))
+    best = None
+    for s in (s0 - 6, s0, s0 + 6):
+        val = sum(w * abs(d - s) for d, w in zip(diffs, weights.weights)) / 2
+        if best is None or val < best[0]:
+            best = (val, s)
+    return best
+
+
+WEIGHT_SETS = {
+    "glauber_q3": VertexWeights.glauber_q3,
+    "scan_q3": VertexWeights.scan_q3,
+    "uniform": VertexWeights.uniform,
+    "thirds": lambda n: VertexWeights(tuple(Fraction(k % 5 + 1, 3) for k in range(n))),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(WEIGHT_SETS))
+def test_integer_metric_matches_fraction_reference(preset):
+    """(h, h*, value) of every ordered pair, n = 2..7, equal the Fraction
+    code's: from the batched routine at every pair (h* is h*'s heights
+    plus the shift), and from the public optimal_height_pair at every pair
+    up to n = 5.  The reference runs once per distinct difference profile."""
+    for n in range(2, 8):
+        w = WEIGHT_SETS[preset](n)
+        states = proper3(n)
+        ref_h = [_reference_height(s) for s in states]
+        H = heights(states)
+        assert H.tolist() == [list(h) for h in ref_h]
+        value, shift = weighted_height_distance(H[:, None], H[None], w.numerators)
+        profiles, inverse = np.unique((H[:, None] - H[None]).reshape(-1, n), axis=0, return_inverse=True)
+        ref = [_reference_shift(tuple(d), w) for d in profiles.tolist()]
+        ref = [ref[k] for k in inverse.ravel()]  # (value, shift) of pair i * S + j
+        unit = 2 * w.denominator
+        assert [Fraction(v, unit) for v in value.ravel().tolist()] == [v for v, _ in ref]
+        assert shift.ravel().tolist() == [s for _, s in ref]
+        if n <= 5:
+            for (val, s), (i, j) in zip(ref, itertools.product(range(len(states)), repeat=2)):
+                want = (ref_h[i], tuple(x + s for x in ref_h[j]), val)
+                assert optimal_height_pair(states[i], states[j], w) == want
+
+
+def test_geodesic_budget_counts_proper_colorings():
+    """The budget bounds the 3 * 2^(n-1) proper colorings, not 3^n."""
+    n = 8
+    w = VertexWeights.glauber_q3(n)
+    sigma = tuple(i % 3 for i in range(n))
+    tau = cyclic_shift(sigma, 1)
+    path = geodesic(sigma, tau, w, budget=384)
+    assert path[0] == sigma and path[-1] == tau
+    with pytest.raises(BudgetExceededError):
+        geodesic(sigma, tau, w, budget=383)
 
 
 # ---------------------------------------------------------------------------
