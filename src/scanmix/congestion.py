@@ -207,14 +207,16 @@ def canonical_congestion(
     if not target.is_connected:
         raise ValueError("target graph must be connected")
     g = Graph.path(n)
+    h = target.h
+    if h ** n * n * h >= 2 ** 63:
+        raise ValueError(f"move keys up to {h}**{n} * {n * h} do not fit int64")
     if component == "auto":
         component = "side0" if target.is_bipartite else "all"
     states = enumerate_h_colorings(g, target, component=component)
     t = connector_length(target, n)
-    h = target.h
     n_states = len(states)
     # base-h state codes; a move (code, vertex j, color c) is keyed
-    # code * n * h + j * h + c, below 2^63 since h^n is within the enumeration budget
+    # code * n * h + j * h + c, below h^n * n * h < 2^63
     X = np.array(states, dtype=np.int64).reshape(n_states, n)
     place = h ** np.arange(n - 1, -1, -1, dtype=np.int64)
     codes = X @ place

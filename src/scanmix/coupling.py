@@ -1096,10 +1096,16 @@ def expected_coalescence_exact(spec: ChainSpec, kind: str = "identity_glauber"):
 
     Builds the coupled transition matrix on pairs of proper colorings with
     the diagonal absorbing and solves the first-passage linear system.
-    Returns (pairs, expected_times) aligned by index.
+    Returns (pairs, expected_times) aligned by index.  The spec must be the
+    chain that coupling drives: plain single-site glauber on a clique model,
+    neither lazy nor clamped.
     """
     if kind != "identity_glauber":
         raise ValueError("exact absorption oracle implemented for identity_glauber")
+    if spec.q is None or spec.base != "glauber" or spec.lazy or spec.clamp:
+        raise ValueError(
+            f"identity_glauber drives plain glauber on q colors, not {spec.describe()}"
+        )
     n, q = spec.graph.n, spec.n_colors
     states = enumerate_colorings(spec.graph, q)
     S = len(states)

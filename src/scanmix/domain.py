@@ -273,6 +273,35 @@ def is_proper(g: Graph, q: int, coloring: Coloring) -> bool:
     return all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges)
 
 
+def _build_states(g: Graph, allows: np.ndarray, budget: int, first=None) -> list[Coloring]:
+    """Colorings of g with allows[color(u), color(v)] on every edge (u, v),
+    u < v, and vertex 1 colored from ``first`` (any color by default).
+
+    Grows an (N, v) color array one vertex at a time: each partial coloring is
+    extended by every color its earlier neighbours allow, in color order, so
+    the rows stay in lexicographic order.  Raises BudgetExceededError as soon
+    as one level keeps more than ``budget`` partial colorings.
+    """
+    h = len(allows)
+    X = np.zeros((1, 0), dtype=np.min_scalar_type(h - 1))
+    for v in range(1, g.n + 1):
+        ok = np.ones((len(X), h), dtype=bool)
+        if v == 1 and first is not None:
+            ok[0] = np.isin(np.arange(h), list(first))
+        for u in g.adjacency[v]:
+            if u < v:
+                ok &= allows[X[:, u - 1]]
+        rows, colors = np.nonzero(ok)
+        if len(rows) > budget:
+            raise BudgetExceededError(
+                f"{len(rows)} colorings of vertices 1..{v} exceed budget {budget}"
+            )
+        X = np.column_stack([X[rows], colors.astype(X.dtype)])
+    # to tuples of ints in blocks, so no list of row lists is held at once
+    block = 1 << 12
+    return [c for i in range(0, len(X), block) for c in map(tuple, X[i:i + block].tolist())]
+
+
 def enumerate_colorings(
     g: Graph,
     q: int,
@@ -281,34 +310,15 @@ def enumerate_colorings(
 ) -> list[Coloring]:
     """All q-colorings of g in lexicographic order, optionally proper only.
 
-    Raises BudgetExceededError when the a-priori size bound (q(q-1)^(n-1)
-    proper path colorings, q^n otherwise) exceeds the budget.
+    Built by ``_build_states`` with the allows matrix ~eye(q) (all ones when
+    not proper_only); raises BudgetExceededError when the colorings of some
+    prefix 1..v exceed the budget.  On a path the largest level is the last,
+    so proper colorings are refused exactly when q(q-1)^(n-1) > budget.
     """
     if q < 2:
         raise ValueError("q >= 2 required")
-    if proper_only and g.kind == "path":
-        size_bound = q * (q - 1) ** (g.n - 1)
-    else:
-        size_bound = q ** g.n
-    if size_bound > budget:
-        raise BudgetExceededError(f"{size_bound} colorings exceed budget {budget}")
-    if not proper_only:
-        return [tuple(c) for c in itertools.product(range(q), repeat=g.n)]
-    adjacency = g.adjacency
-    out: list[Coloring] = []
-    partial = [0] * g.n
-
-    def extend(v: int) -> None:
-        if v > g.n:
-            out.append(tuple(partial))
-            return
-        for c in range(q):
-            if all(partial[u - 1] != c for u in adjacency[v] if u < v):
-                partial[v - 1] = c
-                extend(v + 1)
-
-    extend(1)
-    return out
+    allows = ~np.eye(q, dtype=bool) if proper_only else np.ones((q, q), dtype=bool)
+    return _build_states(g, allows, budget)
 
 
 def enumerate_h_colorings(
@@ -319,45 +329,24 @@ def enumerate_h_colorings(
 ) -> list[Coloring]:
     """All homomorphisms g -> H in lexicographic order.
 
-    ``component`` selects a compatibility class for bipartite undirected H on
-    a path: "side0"/"side1" keep colorings whose first vertex lies on the
-    side of H-vertex 0 / the other side.
+    Built by ``_build_states`` from H's adjacency; directed arcs follow the
+    stored (u, v) orientation with u < v, which on a path reads left to
+    right.  ``component`` selects a compatibility class for bipartite
+    undirected H on a path: "side0"/"side1" keep colorings whose first vertex
+    lies on the side of H-vertex 0 / the other side.  Raises
+    BudgetExceededError when the colorings of some prefix 1..v exceed the
+    budget.
     """
     if component not in ("all", "side0", "side1"):
         raise ValueError(f"unknown component {component!r}")
+    first = None
     if component != "all":
         if target.bipartition is None:
             raise ValueError("component selection requires a bipartite target graph")
         if g.kind != "path":
             raise ValueError("component selection is defined for paths only")
-    if target.h ** g.n > budget:
-        raise BudgetExceededError(f"{target.h}**{g.n} colorings exceed budget {budget}")
-    adjacency = g.adjacency
-    out: list[Coloring] = []
-    partial = [0] * g.n
-
-    def ok(v: int, c: int) -> bool:
-        # directed arcs follow the stored (u, v) orientation with u < v,
-        # which on a path reads left to right
-        return all(
-            target.allows(partial[u - 1], c) for u in adjacency[v] if u < v
-        )
-
-    def extend(v: int) -> None:
-        if v > g.n:
-            out.append(tuple(partial))
-            return
-        for c in range(target.h):
-            if ok(v, c):
-                partial[v - 1] = c
-                extend(v + 1)
-
-    extend(1)
-    if component == "all":
-        return out
-    side0, _side1 = target.bipartition
-    keep0 = component == "side0"
-    return [c for c in out if (c[0] in side0) == keep0]
+        first = target.bipartition[0 if component == "side0" else 1]
+    return _build_states(g, np.array(target.adjacency), budget, first)
 
 
 # ---------------------------------------------------------------------------

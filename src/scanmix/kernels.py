@@ -19,9 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import (
-    BudgetExceededError, Coloring, Graph, TargetGraph, enumerate_colorings, enumerate_h_colorings,
-)
+from .domain import Coloring, Graph, TargetGraph, enumerate_colorings, enumerate_h_colorings
 # proposal_accepted is the scalar rule that the move tables vectorize
 from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
 
@@ -223,6 +221,9 @@ def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
 def _state_space(
     spec: ChainSpec, budget: int, component: str, fiber_of: Optional[Coloring], proper_only: bool
 ) -> list:
+    """The chain's states in lexicographic order.  The enumerator refuses any
+    vertex prefix with more than ``budget`` colorings; the fiber filter only
+    shrinks that list."""
     g = spec.graph
     if spec.q is not None:
         states = enumerate_colorings(g, spec.q, proper_only=proper_only, budget=budget)
@@ -232,8 +233,6 @@ def _state_space(
         states = enumerate_h_colorings(g, spec.target, component=component, budget=budget)
     if fiber_of is not None and spec.clamp:
         states = [s for s in states if all(s[v - 1] == fiber_of[v - 1] for v in spec.clamp)]
-    if len(states) > budget:
-        raise BudgetExceededError(f"{len(states)} states exceed budget {budget}")
     return states
 
 

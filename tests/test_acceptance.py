@@ -251,15 +251,16 @@ def test_criterion_7_comparison_audit():
         "edge": TargetGraph.single_edge(),
         "C5": TargetGraph.cycle(5),
     }
+    instances = [(n, name) for n in range(3, 9) for name in ("K3", "C5")]
+    instances += [(n, name) for n in (3, 4, 5) for name in ("K4", "edge")]
     checked = []
-    for n in (3, 4, 5):
-        for name, target in targets.items():
-            rep = verify_comparison(Graph.path(n), target)
-            assert rep.site_le_sweep_ok, (n, name)
-            assert rep.sweep_le_site_ok, (n, name)
-            if rep.mix_square_bound_ok is not None:
-                assert rep.mix_square_bound_ok, (n, name)
-            checked.append((n, name, rep.trivial))
+    for n, name in instances:
+        rep = verify_comparison(Graph.path(n), targets[name])
+        assert rep.site_le_sweep_ok, (n, name)
+        assert rep.sweep_le_site_ok, (n, name)
+        if rep.mix_square_bound_ok is not None:
+            assert rep.mix_square_bound_ok, (n, name)
+        checked.append((n, name, rep.trivial))
     star = verify_comparison(Graph.star(4), TargetGraph.clique(4))
     assert star.max_degree == 3 and star.site_factor == 4 * 4 ** 4
     assert star.site_le_sweep_ok and star.sweep_le_site_ok

@@ -225,3 +225,9 @@ def test_self_loop_device_floor_on_smallest_eigenvalue():
         h = target.h
         assert all(K.entry(i, i) >= Fraction(1, h) for i in range(len(K.states)))
         assert poincare_constant(K).beta_min >= 2 / h - 1 - 1e-12
+
+
+def test_move_keys_must_fit_int64():
+    # one side-0 state, but the keys code * n * h + j * h + c need 2^60 * 120
+    with pytest.raises(ValueError, match="int64"):
+        canonical_congestion(60, EDGE)

@@ -33,6 +33,7 @@ from scanmix.domain import (
     PAD,
     BudgetExceededError,
     Graph,
+    TargetGraph,
     VertexWeights,
     d2,
     enumerate_colorings,
@@ -452,6 +453,17 @@ def test_expected_coalescence_matches_reference_loop(spec):
     ref_pairs, ref_expected = _reference_coalescence(spec)
     assert np.array_equal(pairs, ref_pairs)
     assert np.array_equal(expected, ref_expected)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(graph=Graph.path(3), q=3, base="glauber", lazy=True),
+    ChainSpec(graph=Graph.path(3), q=3, base="scan"),
+    ChainSpec(graph=Graph.path(4), q=3, base="glauber", clamp={2}),
+    ChainSpec(graph=Graph.path(3), target=TargetGraph.cycle(5), base="glauber"),
+])
+def test_expected_coalescence_refuses_other_chains(spec):
+    with pytest.raises(ValueError, match="identity_glauber drives plain glauber"):
+        expected_coalescence_exact(spec)
 
 
 def test_coupling_time_against_exact_absorption():

@@ -126,6 +126,98 @@ def test_enumerate_h_brute_force_cross_check():
     assert enumerate_h_colorings(g, C5) == brute
 
 
+# The two recursive enumerators the vertex-by-vertex builder replaced, kept
+# as references (without their a-priori budgets).
+
+def reference_colorings(g, q, proper_only=True):
+    if not proper_only:
+        return [tuple(c) for c in itertools.product(range(q), repeat=g.n)]
+    out = []
+    partial = [0] * g.n
+
+    def extend(v):
+        if v > g.n:
+            out.append(tuple(partial))
+            return
+        for c in range(q):
+            if all(partial[u - 1] != c for u in g.adjacency[v] if u < v):
+                partial[v - 1] = c
+                extend(v + 1)
+
+    extend(1)
+    return out
+
+
+def reference_h_colorings(g, target, component="all"):
+    out = []
+    partial = [0] * g.n
+
+    def extend(v):
+        if v > g.n:
+            out.append(tuple(partial))
+            return
+        for c in range(target.h):
+            if all(target.allows(partial[u - 1], c) for u in g.adjacency[v] if u < v):
+                partial[v - 1] = c
+                extend(v + 1)
+
+    extend(1)
+    if component == "all":
+        return out
+    side0, _side1 = target.bipartition
+    keep0 = component == "side0"
+    return [c for c in out if (c[0] in side0) == keep0]
+
+
+REFERENCE_GRAPHS = (
+    [Graph.path(n) for n in range(1, 9)]
+    + [Graph.star(n) for n in range(2, 7)]
+    + [Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])]
+)
+
+
+def test_builder_matches_the_recursive_clique_enumerator():
+    for g in REFERENCE_GRAPHS:
+        for q in (2, 3, 4):
+            for proper_only in (True, False):
+                assert enumerate_colorings(g, q, proper_only=proper_only) == (
+                    reference_colorings(g, q, proper_only)
+                ), (g, q, proper_only)
+
+
+def test_builder_matches_the_recursive_h_enumerator():
+    targets = [
+        TargetGraph.clique(3), TargetGraph.clique(4), TargetGraph.cycle(5),
+        TargetGraph.cycle(6), TargetGraph.single_edge(),
+    ]
+    for bits in itertools.product("01", repeat=9):
+        text = "\n".join("".join(bits[3 * i:3 * i + 3]) for i in range(3))
+        targets.append(TargetGraph.from_text(text, directed=True))
+    cases = 0
+    for g in REFERENCE_GRAPHS:
+        for target in targets:
+            components = ["all"]
+            if target.is_bipartite and g.kind == "path":
+                components += ["side0", "side1"]
+            for component in components:
+                assert enumerate_h_colorings(g, target, component=component) == (
+                    reference_h_colorings(g, target, component)
+                ), (g, target, component)
+                cases += 1
+    assert cases == 7270
+
+
+def test_budget_bounds_the_largest_level():
+    # on a path the last level is the largest: 3 * 2^7 = 384 proper 3-colorings
+    assert len(enumerate_colorings(Graph.path(8), 3, budget=384)) == 384
+    with pytest.raises(BudgetExceededError):
+        enumerate_colorings(Graph.path(8), 3, budget=383)
+    # 5 * 2^7 = 640 homomorphisms into C5, although 5^8 is far larger
+    assert len(enumerate_h_colorings(Graph.path(8), TargetGraph.cycle(5), budget=640)) == 640
+    with pytest.raises(BudgetExceededError):
+        enumerate_h_colorings(Graph.path(8), TargetGraph.cycle(5), budget=639)
+
+
 # ---------------------------------------------------------------------------
 # signs and heights
 # ---------------------------------------------------------------------------
