@@ -22,6 +22,7 @@ import numpy as np
 
 from .domain import Coloring, Graph, TargetGraph, enumerate_h_colorings
 from .dynamics import ChainSpec, proposal_accepted
+from .kernels import _from_tables, _move_tables, communicating_classes
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +160,7 @@ def is_valid_move_path(
     spec = ChainSpec(graph=g, target=target, base="glauber")
     for a, b in zip(states, states[1:]):
         diffs = [v for v in range(g.n) if a[v] != b[v]]
-        if len(diffs) != 1:
-            return False
-        v = diffs[0]
-        if not proposal_accepted(spec, a, v + 1, b[v]):
+        if len(diffs) != 1 or not proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]]):
             return False
     return True
 
@@ -267,12 +265,11 @@ def canonical_congestion(
     else:
         moves = loads = paths = np.zeros(0, dtype=np.int64)
     spec = ChainSpec(graph=g, target=target, base="glauber")
-    before, vertex, color = moves // (n * h), moves % (n * h) // h, moves % h
+    before = (moves // (n * h))[:, None] // place % h
+    vertex, color = (moves % (n * h) // h).tolist(), (moves % h).tolist()
     valid = all(
         proposal_accepted(spec, tuple(a), v + 1, c)
-        for a, v, c in zip(
-            (before[:, None] // place % h).tolist(), vertex.tolist(), color.tolist()
-        )
+        for a, v, c in zip(before.tolist(), vertex, color)
     )
 
     max_load = int(loads.max(initial=0))
@@ -323,35 +320,18 @@ class ErgodicityReport:
 
 
 def ergodicity_report(g: Graph, target: TargetGraph) -> ErgodicityReport:
-    """Connected components of the single-site move graph on hom(g, H).
+    """Communicating classes of the single-site move graph on hom(g, H).
 
-    Accepted moves are reversible (the overwritten color was itself
-    compatible), so communicating classes are plain components.
+    The classes are ``communicating_classes`` of the glauber kernel built
+    from the move tables, so a move is read exactly as the kernels read it.
+    Classes come in the order of their first state, each in lexicographic
+    order.
     """
     states = enumerate_h_colorings(g, target)
     spec = ChainSpec(graph=g, target=target, base="glauber")
-    index = {s: i for i, s in enumerate(states)}
-    seen = [False] * len(states)
-    classes: list[list[Coloring]] = []
-    for start in range(len(states)):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(states[i])
-            s = states[i]
-            for v in range(1, g.n + 1):
-                for c in range(target.h):
-                    if c != s[v - 1] and proposal_accepted(spec, s, v, c):
-                        j = index[s[: v - 1] + (c,) + s[v:]]
-                        if not seen[j]:
-                            seen[j] = True
-                            stack.append(j)
-        classes.append(comp)
-    return ErgodicityReport(n_states=len(states), classes=classes)
+    kernel = _from_tables(states, _move_tables(spec, states), False, spec)
+    classes = sorted(communicating_classes(kernel))
+    return ErgodicityReport(len(states), [[states[i] for i in c] for c in classes])
 
 
 def directed_cycle(h: int) -> TargetGraph:
@@ -404,20 +384,17 @@ class BottleneckReport:
 
 
 def bottleneck_report(k: int, n: int) -> BottleneckReport:
-    target = bottleneck_target(k)
-    g = Graph.path(n)
-    states = enumerate_h_colorings(g, target)
+    report = ergodicity_report(Graph.path(n), bottleneck_target(k))
+    states = [s for c in report.classes for s in c]  # the classes partition the states
     first = set(range(1, k + 1))
     size_a = sum(1 for s in states if any(c in first for c in s))
     size_m = sum(1 for s in states if sum(c != 0 for c in s) <= 1)
-    total = len(states)
-    report = ergodicity_report(g, target)
-    pi_a = Fraction(size_a, total)
-    pi_m = Fraction(size_m, total)
+    pi_a = Fraction(size_a, report.n_states)
+    pi_m = Fraction(size_m, report.n_states)
     return BottleneckReport(
         k=k,
         n=n,
-        n_states=total,
+        n_states=report.n_states,
         size_a=size_a,
         size_m=size_m,
         pi_a=pi_a,

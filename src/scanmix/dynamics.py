@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -133,6 +134,11 @@ class ChainSpec:
     def n_colors(self) -> int:
         return self.q if self.q is not None else self.target.h
 
+    @cached_property
+    def model(self) -> TargetGraph:
+        """The constraint graph: ``target``, or K_q for the clique model."""
+        return self.target if self.target is not None else TargetGraph.clique(self.q)
+
     def describe(self) -> str:
         model = f"q={self.q}" if self.q is not None else f"h={self.target.h}"
         clamp = ",".join(map(str, sorted(self.clamp))) or "-"
@@ -143,24 +149,15 @@ class ChainSpec:
 def proposal_accepted(spec: ChainSpec, sigma: Coloring, v: int, c: int) -> bool:
     """Acceptance rule of Metropolis(v) for proposed color c.
 
-    Clique model: accept iff no neighbor of v carries c.  Constraint-graph
-    model: accept iff every neighbor's color is compatible with c; for a
-    directed constraint graph, in-neighbors u (u < v, adjacent) must allow
-    (color[u], c) and out-neighbors w must allow (c, color[w]).
+    One orientation rule for every model: an earlier neighbour u < v must
+    allow (color[u], c) and a later one must allow (c, color[u]) in
+    ``spec.model``.  For a clique or an undirected H the matrix is symmetric,
+    so this is "every neighbour's color is compatible with c".
     """
-    nbrs = spec.graph.adjacency[v]
-    if spec.q is not None:
-        return all(sigma[u - 1] != c for u in nbrs)
-    t = spec.target
-    if not t.directed:
-        return all(t.allows(sigma[u - 1], c) for u in nbrs)
-    for u in nbrs:
-        if u < v:
-            if not t.allows(sigma[u - 1], c):
-                return False
-        else:
-            if not t.allows(c, sigma[u - 1]):
-                return False
+    allows = spec.model.adjacency
+    for u in spec.graph.adjacency[v]:
+        if not (allows[sigma[u - 1]][c] if u < v else allows[c][sigma[u - 1]]):
+            return False
     return True
 
 

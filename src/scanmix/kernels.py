@@ -196,21 +196,23 @@ def _from_tables(states: list, tables: list, sweep: bool, spec=None) -> ChainKer
 def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
     """J_v for v = 1..n, each (N, q): ``J_v[i, c]`` is the state proposal c at
     vertex v leads to from state i (i itself when rejected or v is clamped),
-    found by ``searchsorted`` on the sorted base-q state codes.  Acceptance
-    reads the H-allows matrix (``~eye(q)`` for a clique) at each neighbour's
-    color, for a directed H as ``proposal_accepted`` reads it."""
-    g, q, t = spec.graph, spec.n_colors, spec.target
-    _int64_denominator(q ** g.n)
+    found by ``searchsorted`` on the sorted base-q state codes (Python ints
+    once q^n outgrows int64).  Acceptance reads ``spec.model``'s adjacency at
+    each neighbour's color, transposed for a later neighbour u > v: the rule
+    of ``proposal_accepted``."""
+    g, q = spec.graph, spec.n_colors
+    codes_type = np.int64 if q ** g.n < 2 ** 63 else object
     X = np.array(states, dtype=np.int64).reshape(len(states), g.n)
-    place = q ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    place = np.array([q ** k for k in range(g.n - 1, -1, -1)], dtype=codes_type)
     codes = X @ place
-    allows = ~np.eye(q, dtype=bool) if t is None else np.array(t.adjacency)
+    allows = np.array(spec.model.adjacency)
     tables = []
     for v in range(1, g.n + 1):
         ok = np.full((len(states), q), v not in spec.clamp)
         for u in g.adjacency[v]:
-            ok &= (allows.T if t is not None and t.directed and u > v else allows)[X[:, u - 1]]
-        moved = codes[:, None] + ok * (np.arange(q) - X[:, [v - 1]]) * place[v - 1]
+            ok &= (allows if u < v else allows.T)[X[:, u - 1]]
+        step = (ok * (np.arange(q) - X[:, [v - 1]])).astype(codes_type, copy=False)
+        moved = codes[:, None] + step * place[v - 1]
         pos = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
         if np.any(codes[pos] != moved):
             raise ValueError(f"an accepted move at vertex {v} leaves the enumerated states")
@@ -249,9 +251,11 @@ def build_kernel(
 
     ``fiber_of`` restricts a clamped chain to the states agreeing with the
     given coloring on the clamped vertices.  Entries are exact rationals up
-    to ``exact_threshold`` states and floats beyond.
+    to ``exact_threshold`` states and floats beyond.  Every base refuses
+    q^n >= 2^63, the scan kernel's denominator.
     """
     states = _state_space(spec, budget, component, fiber_of, proper_only)
+    _int64_denominator(spec.n_colors ** spec.graph.n)
     tables = _move_tables(spec, states)
     if spec.base == "glauber":
         if spec.lazy:

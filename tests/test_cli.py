@@ -228,6 +228,19 @@ def test_couple_refuses_chain_coupling_mismatch(tmp_path, capsys):
         assert not out.exists()  # refused before any sweep ran
 
 
+def test_congestion_refuses_invalid_canonical_paths(tmp_path, capsys):
+    # on this directed H some canonical paths take moves H does not allow,
+    # so no congestion figure or Poincare bound is written
+    hfile = tmp_path / "h.txt"
+    hfile.write_text("001\n110\n010\n")
+    out = tmp_path / "o"
+    argv = ["congestion", "--n", "4", "--directed", "--h-file", str(hfile), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no bound" in err, err
+    assert not out.exists()
+
+
 def test_drift_refuses_q_below_3(tmp_path, capsys):
     # the ledger's lemmas are stated for q >= 3
     assert main(["drift", "--n", "4", "--q", "2", "--out", str(tmp_path / "o")]) == 2

@@ -1,6 +1,7 @@
 """Canonical paths, connector walks, and reachability diagnostics."""
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from scanmix.congestion import (
     is_valid_move_path,
 )
 from scanmix.domain import Graph, TargetGraph, enumerate_h_colorings
+from scanmix.dynamics import ChainSpec, proposal_accepted
 
 
 K3 = TargetGraph.clique(3)
@@ -177,6 +179,70 @@ def test_directed_cycle_classes():
         rep = ergodicity_report(Graph.path(n), directed_cycle(3))
         assert rep.n_classes == 3
         assert rep.class_sizes == [1, 1, 1]
+
+
+def reference_ergodicity_classes(g, target):
+    """The depth-first search over accepted moves that the move-table classes
+    replaced: classes in the order of their first state, states in DFS order."""
+    states = enumerate_h_colorings(g, target)
+    spec = ChainSpec(graph=g, target=target, base="glauber")
+    index = {s: i for i, s in enumerate(states)}
+    seen = [False] * len(states)
+    classes = []
+    for start in range(len(states)):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            comp.append(states[i])
+            s = states[i]
+            for v in range(1, g.n + 1):
+                for c in range(target.h):
+                    if c != s[v - 1] and proposal_accepted(spec, s, v, c):
+                        j = index[s[: v - 1] + (c,) + s[v:]]
+                        if not seen[j]:
+                            seen[j] = True
+                            stack.append(j)
+        classes.append(comp)
+    return classes
+
+
+DIRECTED_H3 = [
+    h for h in (
+        TargetGraph.from_text(
+            "\n".join("".join(bits[3 * i:3 * i + 3]) for i in range(3)), directed=True
+        )
+        for bits in itertools.product("01", repeat=9)
+    )
+    if h.is_connected
+]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph.path(n) for n in range(1, 6)] + [Graph.star(n) for n in range(2, 5)],
+    ids=lambda g: f"{g.kind}{g.n}",
+)
+def test_classes_match_the_depth_first_search(g):
+    """Same classes in the same order on every connected directed 3-vertex H;
+    inside a class the states are in lexicographic order, not DFS order."""
+    assert len(DIRECTED_H3) == 432
+    for target in DIRECTED_H3:
+        rep = ergodicity_report(g, target)
+        ref = reference_ergodicity_classes(g, target)
+        assert rep.classes == [sorted(c) for c in ref]
+        assert rep.n_states == sum(map(len, ref))
+
+
+@pytest.mark.parametrize("target", [directed_cycle(3), bottleneck_target(1)], ids=["cycle", "hub"])
+def test_classes_beyond_int64_state_codes(target):
+    # 3**40 > 2**63: the move tables fall back to Python-int state codes
+    g = Graph.path(40)
+    rep = ergodicity_report(g, target)
+    assert rep.classes == [sorted(c) for c in reference_ergodicity_classes(g, target)]
 
 
 def test_undirected_clique_single_class():

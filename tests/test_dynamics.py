@@ -101,6 +101,63 @@ def test_directed_acceptance():
                 assert metropolis_update(sigma, v, c, spec) == sigma
 
 
+def reference_proposal_accepted(spec, sigma, v, c):
+    """The three-branch rule that one orientation rule replaced: clique,
+    undirected H, and directed H with in-neighbours u < v."""
+    nbrs = spec.graph.adjacency[v]
+    if spec.q is not None:
+        return all(sigma[u - 1] != c for u in nbrs)
+    t = spec.target
+    if not t.directed:
+        return all(t.allows(sigma[u - 1], c) for u in nbrs)
+    for u in nbrs:
+        if u < v:
+            if not t.allows(sigma[u - 1], c):
+                return False
+        else:
+            if not t.allows(c, sigma[u - 1]):
+                return False
+    return True
+
+
+def _rules_agree(spec):
+    """Every state (improper ones included), vertex and color."""
+    n, h = spec.graph.n, spec.n_colors
+    return all(
+        proposal_accepted(spec, s, v, c) == reference_proposal_accepted(spec, s, v, c)
+        for s in itertools.product(range(h), repeat=n)
+        for v in range(1, n + 1)
+        for c in range(h)
+    )
+
+
+RULE_GRAPHS = [
+    Graph.path(4), Graph.star(4), Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+]
+K3_LOOP = TargetGraph(((True, True, True), (True, False, True), (True, True, False)))
+
+
+@pytest.mark.parametrize("g", RULE_GRAPHS, ids=lambda g: f"{g.kind}{g.n}-{len(g.edges)}")
+def test_one_rule_matches_the_three_branch_rule(g):
+    for q in (2, 3, 4):
+        assert _rules_agree(ChainSpec(graph=g, q=q))
+        assert _rules_agree(ChainSpec(graph=g, target=TargetGraph.clique(q)))
+    for target in (TargetGraph.cycle(5), K3_LOOP):
+        assert _rules_agree(ChainSpec(graph=g, target=target))
+
+
+@pytest.mark.parametrize("g", [Graph.path(4), Graph.star(4)], ids=["path4", "star4"])
+def test_one_rule_matches_the_three_branch_rule_on_directed_h(g):
+    checked = 0
+    for bits in itertools.product("01", repeat=9):
+        text = "\n".join("".join(bits[3 * i:3 * i + 3]) for i in range(3))
+        target = TargetGraph.from_text(text, directed=True)
+        if target.is_connected:
+            assert _rules_agree(ChainSpec(graph=g, target=target)), text
+            checked += 1
+    assert checked == 432
+
+
 def test_glauber_empirical_matches_kernel_row():
     g = Graph.path(4)
     spec = ChainSpec(graph=g, q=3)
