@@ -87,6 +87,35 @@ def partner_proposal(kind: str, v, c, s, t, w=None):
     return transpose_color(c, a, b)
 
 
+def coupled_update(s, t, v, c, kind: str, w=None, frozen=np.False_) -> None:
+    """One coupled Metropolis(v) move on padded batches, in place.
+
+    Copy one tries c, copy two the partner proposal of ``kind`` (``w`` as in
+    ``partner_proposal``); a ``frozen`` copy two rejects.  ``s`` and ``t``
+    are indexed like ``path_accepts``: int v on position-major arrays, or
+    flat indices into flattened (R, n + 2) arrays.
+    """
+    c2 = partner_proposal(kind, v, c, s, t, w)
+    s[v] = np.where(path_accepts(s, v, c), c, s[v])
+    t[v] = np.where(path_accepts(t, v, c2) & ~frozen, c2, t[v])
+
+
+def _coupled_moves(sigma: Coloring, tau: Coloring, kind: str, vertices, props):
+    """The pair and its images under K coupled move sequences, as (sig, tau)
+    arrays of K + 1 rows, row 0 the pair itself.
+
+    Column k of ``props`` (m, K) is sequence k: copy one tries props[j, k]
+    at 1-based vertex vertices[j, k], j = 0..m-1 in order, and copy two
+    follows by ``coupled_update``; ``vertices`` is (m, K) or (m, 1).
+    """
+    rows, width = props.shape[1] + 1, len(sigma) + 2
+    # padded rows, flattened; column k moves row k + 1
+    s, t = np.array(pad(sigma) * rows), np.array(pad(tau) * rows)
+    for f, c in zip(vertices + width * np.arange(1, rows), props):
+        coupled_update(s, t, f, c, kind)
+    return s.reshape(rows, width)[:, 1:-1], t.reshape(rows, width)[:, 1:-1]
+
+
 def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
     """The coupling must drive the spec's chain; neighbor-indexed couplings
     assume the path; q4 rules need q >= 4."""
@@ -186,13 +215,11 @@ def coupled_sweep(
     tape: RandomTape,
     rep: int = 0,
     t: int = 0,
-    spec_tau: Optional[ChainSpec] = None,
 ) -> tuple[Coloring, Coloring]:
     """Dispatch one coupled sweep (scan kinds) or step (glauber kinds)."""
-    spec_tau = spec_tau if spec_tau is not None else spec
     if kind.endswith("_scan"):
-        return coupled_scan_sweep(sigma, tau, kind, spec, spec_tau, tape, rep, t)
-    return coupled_glauber_step(sigma, tau, kind, spec, spec_tau, tape, rep, t)
+        return coupled_scan_sweep(sigma, tau, kind, spec, spec, tape, rep, t)
+    return coupled_glauber_step(sigma, tau, kind, spec, spec, tape, rep, t)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +266,6 @@ def _pair_metric(sig, tau, metric, weights) -> tuple[np.ndarray, int]:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n):
-    """Apply one coupled sweep with the given proposal colors (copy one)."""
-    s, t = pad(sigma), pad(tau)
-    for v in range(start, n + 1):
-        c = props[v - start]
-        c2 = partner_proposal(kind, v, c, s, t)
-        for x, cc in ((s, c), (t, c2)):
-            if path_accepts(x, v, cc):
-                x[v] = cc
-    return tuple(s[1:-1]), tuple(t[1:-1])
-
-
 def exact_drift(
     sigma: Coloring,
     tau: Coloring,
@@ -273,25 +288,20 @@ def exact_drift(
         raise ValueError("the important-neighbor coupling needs a segment layout")
     n = len(sigma)
     if coupling.endswith("glauber"):
-        s, t = pad(sigma), pad(tau)
-        after = [
-            (_try(sigma, v, c), _try(tau, v, partner_proposal(coupling, v, c, s, t)))
-            for v in range(1, n + 1)
-            for c in range(q)
-        ]
+        v, c = np.divmod(np.arange(n * q), q)  # one single-site move per (v, c)
+        pairs = _coupled_moves(sigma, tau, coupling, v[None] + 1, c[None])
     elif metric == "hamming":
-        after = []
+        pairs = np.array([sigma]), np.array([tau])
     else:
-        after = [
-            _deterministic_coupled_scan(sigma, tau, coupling, props, start_vertex, q, n)
-            for props in itertools.product(range(q), repeat=n - start_vertex + 1)
-        ]
-    values, den = _pair_metric(*zip((sigma, tau), *after), metric, weights)
+        m = n - start_vertex + 1  # one sweep per proposal vector
+        props = np.indices((q,) * m).reshape(m, q ** m)
+        pairs = _coupled_moves(sigma, tau, coupling, np.arange(start_vertex, n + 1)[:, None], props)
+    values, den = _pair_metric(*pairs, metric, weights)
     before = Fraction(int(values[0]), den)
-    if after:
-        expected = Fraction(int(values[1:].sum()), den * len(after))
+    if len(values) > 1:
+        expected = Fraction(int(values[1:].sum()), den * (len(values) - 1))
     else:
-        num, scale = _ham_batch_drift(np.array([sigma]), np.array([tau]), start_vertex - 1, q, coupling)
+        num, scale = _ham_batch_drift(*pairs, start_vertex - 1, q, coupling)
         expected = Fraction(int(num[0]), scale)
     return DriftReport(
         pair=(sigma, tau),
@@ -303,13 +313,6 @@ def exact_drift(
         bound=bound,
         lemma_id=lemma_id,
     )
-
-
-def _try(sigma: Coloring, v: int, c: int) -> Coloring:
-    """sigma after Metropolis(v) with proposal c on the path."""
-    if path_accepts(pad(sigma), v, c):
-        return sigma[: v - 1] + (c,) + sigma[v:]
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +343,28 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     table = (a * q1 + b).reshape(-1, q)
     table.flags.writeable = False
     return table
+
+
+@functools.cache
+def switch_scan_contained(q: int) -> bool:
+    """Whether the switch_scan coupling contains disagreements on q colors.
+
+    Exhaustive over ``_step_table``: every updated left pair, old pair, old
+    right pair and proposal c, sentinel ends and improper colors included.
+    Holds when every disagreement created at an unfrozen vertex has a
+    disagreeing right pair, or a disagreeing left pair with c equal to copy
+    two's left color (the option-B event), so a disagreement anywhere must
+    have percolated from a frozen vertex.
+    """
+    q1, L = q + 1, (q + 1) ** 2
+    a, b = np.divmod(_step_table(q, "switch_scan").reshape(L, q * q, L, q), q1)
+    pa, pb = np.divmod(np.arange(L), q1)
+    oa, ob = np.divmod(np.arange(q * q), q)
+    differs = pa != pb
+    # axes (right pair, old pair, left pair, c)
+    created = (a != b) & (oa == ob)[:, None, None]
+    option_b = differs[:, None] & (np.arange(q) == pb[:, None])
+    return not (created & ~(differs[:, None, None, None] | option_b)).any()
 
 
 def _ham_batch_drift(
@@ -889,8 +914,9 @@ def site_variance_witness(
     n = len(sigma)
     weights = weights if weights is not None else VertexWeights.glauber_q3(n)
     tries = [(z, c) for z in range(n) for c in range(3)]
-    after = [(_try(sigma, z + 1, c), _try(tau, z + 1, c)) for z, c in tries]
-    values, den = _pair_metric(*zip((sigma, tau), *after), "d2", weights)
+    z, c = np.divmod(np.arange(3 * n), 3)
+    pairs = _coupled_moves(sigma, tau, "identity_glauber", z[None] + 1, c[None])
+    values, den = _pair_metric(*pairs, "d2", weights)
     drop = dict(zip(tries, (values[0] - values[1:]).tolist()))
     w = 2 * int(weights.numerators.min())  # w_min in units of 1/den
     # the case analysis's choice first; an exhaustive search backs it up,
@@ -930,14 +956,10 @@ def _verify_sweep_witness(
         draws[:, :, z - 1] = c_left
     if z < n - 1:
         draws[:, :, z + 1] = c_right
-    draws = draws.reshape(-1, n).T
-    after = []
-    for start in (sigma, tau):
-        x = np.repeat(np.array(pad(start))[:, None], draws.shape[1], axis=1)
-        for v in range(1, n + 1):
-            x[v] = np.where(path_accepts(x, v, draws[v - 1]), draws[v - 1], x[v])
-        after.append(np.vstack([start, x[1:-1].T]))
-    values, den = _pair_metric(*after, "d2", weights)
+    pairs = _coupled_moves(
+        sigma, tau, "identity_scan", np.arange(1, n + 1)[:, None], draws.reshape(-1, n).T
+    )
+    values, den = _pair_metric(*pairs, "d2", weights)
     shift = np.abs(values[1:] - values[0]).reshape(-1, 3)
     # each realization takes its first z color shifting by w/2 or more
     ok = shift >= weights.numerators.min()
@@ -971,11 +993,12 @@ def sweep_variance_witness(
             lefts = _freeze_colors(sigma[z - 1], tau[z - 1], {sigma[z]}, {tau[z]})
         rights: list[Optional[tuple[int, int, int]]] = [None]
         if z < n - 1:
+            after_s, after_t = _coupled_moves(
+                sigma, tau, "identity_glauber", np.array([[z + 1]]), np.arange(3)[None]
+            )
             per_c = [
-                _freeze_colors(
-                    sigma[z + 1], tau[z + 1], {_try(sigma, z + 1, c)[z]}, {_try(tau, z + 1, c)[z]}
-                )
-                for c in range(3)
+                _freeze_colors(sigma[z + 1], tau[z + 1], {a}, {b})
+                for a, b in zip(after_s[1:, z].tolist(), after_t[1:, z].tolist())
             ]
             rights = list(itertools.product(*per_c))
         return lefts, rights

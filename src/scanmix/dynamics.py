@@ -32,7 +32,6 @@ CH_GLAUBER = 0   # per step: [lazy coin, vertex draw, color draw]
 CH_SCAN = 1      # per sweep: one color draw per vertex, indexed by vertex - 1
 CH_SIGN = 2      # per sweep/step: move decisions for the sign chains
 CH_INIT = 3      # initial-state sampling
-CH_COUPLE = 4    # extra draws for couplings / experiment plumbing
 
 
 class RandomTape:

@@ -24,6 +24,8 @@ from .domain import Coloring, Graph, TargetGraph, enumerate_colorings, enumerate
 from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
 
 DEFAULT_STATE_BUDGET = 20_000
+# relative slack of the comparison audit's floating-point inequalities
+RTOL = 1e-9
 
 
 class NonErgodicError(RuntimeError):
@@ -499,7 +501,6 @@ def verify_comparison(
     target: TargetGraph,
     eps: float = 0.25,
     budget: int = DEFAULT_STATE_BUDGET,
-    rtol: float = 1e-9,
 ) -> ComparisonReport:
     """Audit the two Poincare-constant comparison inequalities on (g, H)."""
     spec_site = ChainSpec(graph=g, target=target, base="glauber")
@@ -526,8 +527,8 @@ def verify_comparison(
     sweep_factor = float(n * n * q)
     site_rhs = site_factor * lam_sweep
     sweep_rhs = sweep_factor * lam_site
-    site_ok = lam_site <= site_rhs * (1 + rtol) + rtol
-    sweep_ok = lam_sweep <= sweep_rhs * (1 + rtol) + rtol
+    site_ok = lam_site <= site_rhs * (1 + RTOL) + RTOL
+    sweep_ok = lam_sweep <= sweep_rhs * (1 + RTOL) + RTOL
 
     log_inv_pi = math.log(nstates)
     cont_bound = (2 * math.log(1 / eps) + log_inv_pi) / lam_sweep
@@ -539,7 +540,7 @@ def verify_comparison(
         mix_e = tv_mixing_time(K_sweep, 1 / math.e)
         lhs = 1.0 / lam_sweep
         rhs = 2.0 * mix_e ** 2 / (0.5 - 1 / math.e) ** 2
-        mix_ok = lhs <= rhs * (1 + rtol)
+        mix_ok = lhs <= rhs * (1 + RTOL)
     except NonErgodicError:
         pass
 

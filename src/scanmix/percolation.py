@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import partner_proposal
+from .coupling import coupled_update, switch_scan_contained
 from .domain import PAD, Coloring, Graph, enumerate_colorings, path_accepts
 from .dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from .kernels import build_kernel
@@ -296,6 +296,10 @@ class LBReport:
     ``tv_lower_estimate`` = 1 - ((1 - free_tail) + disagreement_rate), a
     conservative triangle-argument reading; the stationary tail at the same
     threshold is the quantity it should dominate.
+    ``percolation_contained``: for scan sweeps the exhaustive certificate
+    ``switch_scan_contained(q)``; for single-site steps it is not certified
+    and reads True (the important-neighbor rule can create a disagreement
+    whose important pair agrees).
     """
 
     layout: SegmentLayout
@@ -326,61 +330,6 @@ def _site_draws(tape: RandomTape, R: int, step: int, n: int, q: int):
     return v, np.minimum((U[:, 1] * q).astype(np.int8), q - 1)
 
 
-def _coupled_switch_scan_sweep(
-    S: np.ndarray,
-    T: np.ndarray,
-    U: np.ndarray,
-    q: int,
-    anchor_mask: np.ndarray,
-) -> bool:
-    """One switch-coupled sweep across all replicates, in place.
-
-    S and T are padded (R, n + 2); the clamped copy T rejects moves at
-    anchors.  Returns whether every created disagreement obeyed the
-    percolation rule (an anchor move, an option-(B) event beside a
-    disagreeing updated neighbor, or a disagreeing not-yet-updated right
-    neighbor).
-    """
-    s, t = S.T, T.T  # views, first axis the padded position
-    violated = np.zeros(len(S), dtype=bool)
-    for v in range(1, len(s) - 1):
-        c1 = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
-        before = s[v] != t[v]
-        s[v] = np.where(path_accepts(s, v, c1), c1, s[v])
-        if anchor_mask[v]:
-            continue  # T rejects the move, and an anchor may disagree
-        c2 = partner_proposal("switch_scan", v, c1, s, t)
-        option_b = (s[v - 1] != t[v - 1]) & (c1 == t[v - 1])
-        rdiff = s[v + 1] != t[v + 1]
-        t[v] = np.where(path_accepts(t, v, c2), c2, t[v])
-        violated |= (s[v] != t[v]) & ~(before | rdiff | option_b)
-    return not violated.any()
-
-
-def _coupled_switch_glauber_steps(
-    S: np.ndarray,
-    T: np.ndarray,
-    layout: SegmentLayout,
-    steps: int,
-    tape: RandomTape,
-    anchor_mask: np.ndarray,
-) -> None:
-    """t important-neighbor switch-coupled single-site steps per replicate,
-    in place on padded (R, n + 2) arrays; T rejects moves at anchors."""
-    R, width = S.shape
-    imp = layout.important_neighbors
-    base = np.arange(R) * width
-    s, t = S.reshape(-1), T.reshape(-1)  # views: replicate r's v sits at base[r] + v
-    for step in range(steps):
-        v, c1 = _site_draws(tape, R, step, layout.n, layout.q)
-        f = base + v
-        c2 = partner_proposal(
-            "switch_glauber_important_neighbor", f, c1, s, t, base + imp[v]
-        )
-        s[f] = np.where(path_accepts(s, f, c1), c1, s[f])
-        t[f] = np.where(path_accepts(t, f, c2) & ~anchor_mask[v], c2, t[f])
-
-
 def lb_experiment(
     layout: SegmentLayout,
     t: int,
@@ -403,14 +352,22 @@ def lb_experiment(
     T = S.copy()
     anchor_mask = np.zeros(n + 2, dtype=bool)
     anchor_mask[list(layout.anchors)] = True
-    contained = True
     if base == "scan":
         for sweep in range(t):
             U = tape.block(0, replicates, 1 + sweep, CH_SCAN, n)
-            ok = _coupled_switch_scan_sweep(S, T, U, q, anchor_mask)
-            contained = contained and ok
+            for v in range(1, n + 1):
+                c = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
+                coupled_update(S.T, T.T, v, c, "switch_scan", frozen=anchor_mask[v])
     elif base == "glauber":
-        _coupled_switch_glauber_steps(S, T, layout, t, tape, anchor_mask)
+        imp = layout.important_neighbors
+        flat = np.arange(replicates) * (n + 2)
+        free, clamped = S.reshape(-1), T.reshape(-1)  # views: replicate r's v at flat[r] + v
+        for step in range(t):
+            v, c = _site_draws(tape, replicates, step, n, q)
+            coupled_update(
+                free, clamped, flat + v, c, "switch_glauber_important_neighbor",
+                w=flat + imp[v], frozen=anchor_mask[v],
+            )
     else:
         raise ValueError(f"unknown base {base!r}")
 
@@ -429,7 +386,7 @@ def lb_experiment(
         clamped_tail=float(np.mean(z_clamped >= thr)),
         disagreement_rate=float(np.mean(mid_dis > 0)),
         mean_mid_disagreements=float(np.mean(mid_dis)),
-        percolation_contained=contained,
+        percolation_contained=switch_scan_contained(q) if base == "scan" else True,
     )
 
 

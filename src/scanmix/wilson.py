@@ -28,6 +28,8 @@ import numpy as np
 
 from .dynamics import CH_SIGN, RandomTape, sign_move
 
+# states the scan estimate of rho probes along its walk
+PROBE_STATES = 24
 
 # ---------------------------------------------------------------------------
 # Expectation matrices
@@ -199,8 +201,6 @@ def estimate_rho(
     n: int,
     trials: int = 512,
     tape: Optional[RandomTape] = None,
-    n_probe_states: int = 24,
-    rep: int = 0,
 ) -> RhoEstimate:
     """Bound/estimate for rho = max_x E[var(Phi_t | X(t-1) = x)].
 
@@ -222,19 +222,19 @@ def estimate_rho(
     if tape is None:
         tape = RandomTape()
     rows = _sweep_statistic_rows(eigen)
-    inner = max(8, trials // n_probe_states)
+    inner = max(8, trials // PROBE_STATES)
 
     # phase 1: walk the chain, remember evenly spaced states
     x = np.ones(n - 1)
     probes = [x.copy()]
-    walk_sweeps = 4 * n_probe_states
-    stride = max(1, walk_sweeps // (n_probe_states - 1)) if n_probe_states > 1 else 1
+    walk_sweeps = 4 * PROBE_STATES
+    stride = walk_sweeps // (PROBE_STATES - 1)
     for t in range(walk_sweeps):
-        decisions = tape.uniforms(rep, t, CH_SIGN, n) < 1 / 3
+        decisions = tape.uniforms(0, t, CH_SIGN, n) < 1 / 3
         for v in range(1, n + 1):
             if decisions[v - 1]:
                 sign_move(x, v)
-        if (t + 1) % stride == 0 and len(probes) < n_probe_states:
+        if (t + 1) % stride == 0 and len(probes) < PROBE_STATES:
             probes.append(x.copy())
 
     # phase 2: inner sampling of the conditional variance at each probe state
@@ -244,7 +244,7 @@ def estimate_rho(
     for k, state in enumerate(probes):
         acc = 0.0
         for j in range(inner):
-            decisions = tape.uniforms(rep, t_base + k * inner + j, CH_SIGN, n) < 1 / 3
+            decisions = tape.uniforms(0, t_base + k * inner + j, CH_SIGN, n) < 1 / 3
             inc = sweep_increments(state, decisions, eigen, rows)
             acc += float(np.sum(inc ** 2))
             max_inc = max(max_inc, float(np.max(np.abs(inc))))

@@ -11,7 +11,6 @@ import pytest
 from scanmix.coupling import (
     CouplingStats,
     PathMetricTables,
-    _deterministic_coupled_scan,
     _ham_batch_drift,
     coupled_glauber_step,
     coupled_scan_sweep,
@@ -38,6 +37,7 @@ from scanmix.domain import (
     d2,
     enumerate_colorings,
     height_of,
+    pad,
     path_accepts,
 )
 from scanmix.dynamics import ChainSpec, RandomTape, metropolis_update
@@ -46,6 +46,42 @@ from scanmix.kernels import build_kernel
 
 def ham(a, b):
     return sum(x != y for x, y in zip(a, b))
+
+
+def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n):
+    """Scalar reference: one coupled sweep from ``start`` with the given
+    proposal colors of copy one."""
+    s, t = pad(sigma), pad(tau)
+    for v in range(start, n + 1):
+        c = props[v - start]
+        c2 = partner_proposal(kind, v, c, s, t)
+        for x, cc in ((s, c), (t, c2)):
+            if path_accepts(x, v, cc):
+                x[v] = cc
+    return tuple(s[1:-1]), tuple(t[1:-1])
+
+
+def _reference_drift(sigma, tau, kind, metric, q, start, weights):
+    """Scalar reference for ``exact_drift``: the mean metric over every
+    coupled single-site move (glauber kinds) or sweep (scan kinds)."""
+    n = len(sigma)
+    if kind.endswith("glauber"):
+        s, t = pad(sigma), pad(tau)
+        after = []
+        for v in range(1, n + 1):
+            for c in range(q):
+                c2 = partner_proposal(kind, v, c, s, t)
+                a, b = list(s), list(t)
+                a[v] = c if path_accepts(s, v, c) else s[v]
+                b[v] = c2 if path_accepts(t, v, c2) else t[v]
+                after.append((tuple(a[1:-1]), tuple(b[1:-1])))
+    else:
+        after = [
+            _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n)
+            for props in itertools.product(range(q), repeat=n - start + 1)
+        ]
+    dist = ham if metric == "hamming" else (lambda a, b: d2(a, b, weights))
+    return sum((Fraction(dist(a, b)) for a, b in after), Fraction(0)) / len(after)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +143,45 @@ def test_marginal_law_is_the_chain_law(kind):
             assert kernel.entry(kernel.index[sigma], kernel.index[state]) == Fraction(cnt, q ** n)
         for state, cnt in law2.items():
             assert kernel.entry(kernel.index[tau], kernel.index[state]) == Fraction(cnt, q ** n)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_scan_d2_drift_equals_the_sweep_sums(n):
+    """The enumerating d2 scan branch equals PathMetricTables' sweep DP for
+    every ordered pair and every start vertex."""
+    w = VertexWeights.scan_q3(n)
+    tables = PathMetricTables(n, w)
+    F = tables.sweep_sums()
+    for start in range(1, n + 1):
+        for i, sigma in enumerate(tables.states):
+            for j, tau in enumerate(tables.states):
+                r = exact_drift(sigma, tau, "identity_scan", "d2", q=3, start_vertex=start, weights=w)
+                assert r.expected_after == Fraction(int(F[start - 1][i, j]), 8 * 3 ** (n - start + 1))
+                assert r.before == Fraction(int(tables.d2_int[i, j]), 8)
+
+
+@pytest.mark.parametrize(
+    "kind,metric,q",
+    [
+        ("switch_scan", "d2", 3),
+        ("q4_scan", "d2", 3),
+        ("identity_glauber", "d2", 3),
+        ("q4_glauber", "d2", 3),
+        ("identity_glauber", "hamming", 4),
+        ("q4_glauber", "hamming", 4),
+    ],
+)
+def test_enumerated_drift_matches_the_scalar_reference(kind, metric, q):
+    n = 5
+    states = enumerate_colorings(Graph.path(n), q)
+    w = VertexWeights.scan_q3(n) if kind.endswith("scan") else VertexWeights.glauber_q3(n)
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        i, j = rng.choice(len(states), size=2, replace=False)
+        sigma, tau = states[i], states[j]
+        for start in (1, 3, n) if kind.endswith("scan") else (1,):
+            r = exact_drift(sigma, tau, kind, metric, q=q, start_vertex=start, weights=w)
+            assert r.expected_after == _reference_drift(sigma, tau, kind, metric, q, start, w)
 
 
 def test_single_site_swap_coupling_never_grows_in_expectation():

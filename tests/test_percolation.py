@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-import scanmix.percolation as percolation
+import scanmix.coupling as coupling
+from scanmix.coupling import coupled_update, partner_proposal, switch_scan_contained
 from scanmix.domain import Graph, path_accepts
 from scanmix.dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 from scanmix.percolation import (
     _conditional_matrices,
-    _coupled_switch_scan_sweep,
     _padded,
     anchored_z_tail_exact,
     covariance_probe,
@@ -274,7 +274,7 @@ def switch_scan_sweep_by_vertex(S, T, U, q, anchor_mask):
     contained = True
     for v in range(1, len(s) - 1):
         c1 = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
-        c2 = percolation.partner_proposal("switch_scan", v, c1, s, t)
+        c2 = partner_proposal("switch_scan", v, c1, s, t)
         option_b = (s[v - 1] != t[v - 1]) & (c1 == t[v - 1])
         rdiff = s[v + 1] != t[v + 1]
         before = s[v] != t[v]
@@ -284,6 +284,13 @@ def switch_scan_sweep_by_vertex(S, T, U, q, anchor_mask):
         if np.any(created & ~(anchor_mask[v] | rdiff | option_b)):
             contained = False
     return contained
+
+
+def switch_scan_sweep(S, T, U, q, anchor_mask):
+    """The sweep of ``lb_experiment``: one ``coupled_update`` per vertex."""
+    for v in range(1, S.shape[1] - 1):
+        c = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
+        coupled_update(S.T, T.T, v, c, "switch_scan", frozen=anchor_mask[v])
 
 
 def _sweep_pairs(sweep, lay, S, T, sweeps):
@@ -300,24 +307,36 @@ def _sweep_pairs(sweep, lay, S, T, sweeps):
 @pytest.mark.parametrize("q", [3, 4, 5])
 @pytest.mark.parametrize("start", ["equal", "independent"])
 def test_switch_sweep_matches_the_vertex_by_vertex_reference(q, start):
+    """coupled_update sweeps give the reference's arrays, and the
+    reference's own containment check never fires."""
     lay = segment_layout(400, q, override=(2, 4))
     S = _padded(sample_pi0(lay, RandomTape(3), 25))
     T = S.copy() if start == "equal" else _padded(sample_pi0(lay, RandomTape(4), 25))
     assert (start == "equal") == np.array_equal(S, T)
     S_ref, T_ref = S.copy(), T.copy()
-    flags = _sweep_pairs(_coupled_switch_scan_sweep, lay, S, T, 5)
-    assert flags == _sweep_pairs(switch_scan_sweep_by_vertex, lay, S_ref, T_ref, 5)
+    _sweep_pairs(switch_scan_sweep, lay, S, T, 5)
+    assert _sweep_pairs(switch_scan_sweep_by_vertex, lay, S_ref, T_ref, 5) == [True] * 5
     assert np.array_equal(S, S_ref) and np.array_equal(T, T_ref)
 
 
-def test_switch_sweep_flags_an_uncontained_disagreement(monkeypatch):
-    """Under the switch rule no created disagreement breaks the percolation
-    rule, so the flag stays True; with the identity proposal in its place a
-    disagreeing left pair spreads unchecked, and both sweeps must say so."""
-    monkeypatch.setattr(percolation, "partner_proposal", lambda kind, v, c, s, t: c)
-    lay = segment_layout(400, 4, override=(2, 4))
-    S = _padded(sample_pi0(lay, RandomTape(3), 25))
-    T = _padded(sample_pi0(lay, RandomTape(4), 25))
-    flags = _sweep_pairs(_coupled_switch_scan_sweep, lay, S.copy(), T.copy(), 3)
-    assert flags == _sweep_pairs(switch_scan_sweep_by_vertex, lay, S, T, 3)
-    assert False in flags
+@pytest.mark.parametrize("q", range(3, 8))
+def test_switch_scan_containment_is_certified(q):
+    assert switch_scan_contained(q) is True
+
+
+@pytest.fixture
+def fresh_step_tables():
+    """Empty the step-table and certificate caches around a test, so no
+    other test sees a table built under a patched rule."""
+    coupling._step_table.cache_clear()
+    coupling.switch_scan_contained.cache_clear()
+    yield
+    coupling._step_table.cache_clear()
+    coupling.switch_scan_contained.cache_clear()
+
+
+def test_switch_scan_certificate_refuses_the_identity_partner(monkeypatch, fresh_step_tables):
+    """With the identity proposal in place of the switch rule a disagreeing
+    left pair spreads without the option-B event, and the certificate says so."""
+    monkeypatch.setattr(coupling, "partner_proposal", lambda kind, v, c, s, t, w=None: c)
+    assert switch_scan_contained(4) is False
