@@ -54,6 +54,10 @@ COUPLING_KINDS = (
     "switch_glauber_important_neighbor",
 )
 
+# Largest q whose scan sweeps run by table lookup: the step table has
+# (q + 1)^4 q^3 entries (0.5M at q = 6), built through int64 temporaries.
+TABLE_MAX_Q = 6
+
 
 def transpose_color(c, a, b):
     """Image of c under the transposition (a b); branch-free, so c, a and b
@@ -167,10 +171,23 @@ def coupled_scan_sweep(
     rep: int = 0,
     sweep: int = 0,
 ) -> tuple[Coloring, Coloring]:
-    """One coupled sweep; each copy marginally follows its own chain."""
+    """One coupled sweep; each copy marginally follows its own chain.
+
+    When both copies run one unclamped clique-model spec on the path with at
+    most ``TABLE_MAX_Q`` colors, and every color lies in range(q), each
+    vertex is one lookup in ``_step_table``; clamped or differing specs,
+    H-coloring models and other graphs run ``_site_update`` vertex by vertex.
+    """
     _check_kind_fits(kind, spec_sigma)
     q = spec_sigma.n_colors
     u = tape.uniforms(rep, sweep, CH_SCAN, spec_sigma.graph.n)
+    if (
+        spec_sigma == spec_tau and spec_sigma.q is not None and q <= TABLE_MAX_Q
+        and spec_sigma.graph.kind == "path" and not spec_sigma.clamp
+    ):
+        X = np.array((sigma, tau), dtype=np.int64)
+        if X.min() >= 0 and X.max() < q:
+            return _table_scan_sweep(X, kind, q, u, spec_sigma.base == "reverse_scan")
     s, t = pad(sigma), pad(tau)
     update_s, update_t = _site_update(spec_sigma), _site_update(spec_tau)
     for v in scan_order(spec_sigma):
@@ -179,6 +196,32 @@ def coupled_scan_sweep(
         update_s(s, v, c)
         update_t(t, v, c2)
     return tuple(s[1:-1]), tuple(t[1:-1])
+
+
+def _table_scan_sweep(
+    X: np.ndarray, kind: str, q: int, u: np.ndarray, reverse: bool
+) -> tuple[Coloring, Coloring]:
+    """The coupled sweep of the (2, n) copies X under draws u, by table.
+
+    Everything but the already-updated neighbour pair is an old value, so
+    the table positions less that pair's term come in one numpy pass; the
+    chase then adds the pair each lookup returned, scaled by its stride.
+    """
+    q1, L = q + 1, (q + 1) ** 2
+    P = np.full(X.shape[1] + 2, L - 1)
+    P[1:-1] = X[0] * q1 + X[1]
+    c = np.minimum((u * q).astype(np.int64), q - 1)
+    if reverse:
+        base, stride = _table_index(q, P[:-2], P[1:-1], 0, c)[::-1], _table_index(q, 0, 0, 1, 0)
+    else:
+        base, stride = _table_index(q, 0, P[1:-1], P[2:], c), _table_index(q, 1, 0, 0, 0)
+    table = _step_table(q, kind).reshape(-1).data  # indexing gives Python ints
+    x, out = L - 1, []
+    for pos in base.tolist():
+        x = table[pos + x * stride]
+        out.append(x)
+    a, b = np.divmod(out[::-1] if reverse else out, q1)
+    return tuple(a.tolist()), tuple(b.tolist())
 
 
 def coupled_glauber_step(
@@ -255,9 +298,10 @@ class DriftReport:
 
 
 def _pair_metric(sig, tau, metric, weights) -> tuple[np.ndarray, int]:
-    """The metric of the pairs (sig[k], tau[k]) of proper colorings as
-    integers over one denominator: (numerators, denominator).  d2 counts
-    units of 1/(2 * weights.denominator)."""
+    """The metric of the pairs (sig[k], tau[k]) as integers over one
+    denominator: (numerators, denominator).  d2 counts units of
+    1/(2 * weights.denominator) and raises ImproperColoringError unless every
+    coloring is a proper 3-coloring, as ``domain.d2`` does."""
     if metric == "hamming":
         return (np.asarray(sig) != np.asarray(tau)).sum(axis=-1), 1
     if metric == "d2":
@@ -323,13 +367,20 @@ def exact_drift(
 def _step_table(q: int, coupling: str) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
-    Pairs (a, b) of the two copies' colors are indexed a * (q + 1) + b, with
-    color q standing for a missing neighbor.  Row (right * q^2 + old) * L +
-    left, column c holds the pair at the vertex after copy one proposes c,
-    where ``left`` is the updated left neighbor pair, ``right`` the old right
-    neighbor pair, ``old`` the vertex's own pair and L = (q + 1)^2.  Built on
-    first use and cached per (q, coupling).
+    The one definition of the coupled vertex move, built from
+    ``partner_proposal`` and ``path_accepts``: the Hamming DP, the
+    ``switch_scan_contained`` certificate, ``coupled_scan_sweep`` and the
+    scan sweeps of ``percolation.lb_experiment`` all read it.  Pairs (a, b)
+    of the two copies' colors are coded a * (q + 1) + b, with color q
+    standing for a missing neighbor.  Row (right * q^2 + old) * L + left,
+    column c holds the pair code at the vertex after copy one proposes c,
+    where ``left`` is the left neighbor pair, ``right`` the right neighbor
+    pair, ``old`` = a * q + b the vertex's own pair and L = (q + 1)^2
+    (``_table_index`` gives the flat position).  In a left-to-right sweep
+    the left pair is already updated and the right one old.  Built on first
+    use and cached per (q, coupling), as uint8.
     """
+    _check_byte_codes(q)
     q1, L = q + 1, (q + 1) ** 2
     pa, pb = np.divmod(np.arange(L), q1)
     oa, ob = np.divmod(np.arange(q * q), q)
@@ -340,9 +391,25 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     partner = partner_proposal(coupling, 1, c, s, t)
     a = np.where(path_accepts(s, 1, c), c, oa)
     b = np.where(path_accepts(t, 1, partner), partner, ob)
-    table = (a * q1 + b).reshape(-1, q)
+    table = (a * q1 + b).astype(np.uint8).reshape(-1, q)
     table.flags.writeable = False
     return table
+
+
+def _table_index(q: int, left, own, right, c):
+    """Flat position in ``_step_table(q, kind)`` of proposal c at a vertex
+    with left, own and right pair codes (the own pair is never a sentinel);
+    ints or int64 arrays.  The position is linear in the left and in the
+    right code, so a sweep can pass the updated neighbour's code as 0 and
+    add it later times its stride, the position of code 1."""
+    L = (q + 1) ** 2
+    return ((right * q * q + own - own // (q + 1)) * L + left) * q + c
+
+
+def _check_byte_codes(q: int) -> None:
+    """Raise ValueError unless every pair code of q colors fits in a byte."""
+    if (q + 1) ** 2 > 256:
+        raise ValueError(f"pair codes of {q} colors do not fit in a byte: q <= 15 required")
 
 
 @functools.cache

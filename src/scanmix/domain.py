@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -395,20 +395,25 @@ def height_of(coloring: Coloring) -> HeightFunction:
     increments equal the sign encoding, so |h_i - h_{i+1}| = 1 along edges
     and h_i = i (mod 2), h_i = coloring[i-1] (mod 3) for every vertex.
     """
-    _require_proper3(coloring)
     return tuple(heights(coloring).tolist())
 
 
 def heights(colorings) -> np.ndarray:
-    """``height_of`` for an array of proper path 3-colorings, unchecked.
+    """``height_of`` for an array of proper path 3-colorings.
 
     The vertex is the last axis.  The anchor (3 - 2c) mod 6 is the odd value
     congruent to c mod 3; a color difference of 1 (mod 3) steps up, 2 down.
+    Raises ImproperColoringError unless every coloring is proper.
     """
     X = np.asarray(colorings, dtype=np.int64)
+    if X.min() < 0 or X.max() > 2:
+        raise ImproperColoringError("colors must lie in {0,1,2}")
+    diff = (X[..., 1:] - X[..., :-1]) % 3
+    if not diff.all():
+        raise ImproperColoringError("coloring is not proper on the path")
     steps = np.empty_like(X)
     steps[..., 0] = (3 - 2 * X[..., 0]) % 6
-    steps[..., 1:] = 3 - 2 * ((X[..., 1:] - X[..., :-1]) % 3)
+    steps[..., 1:] = 3 - 2 * diff
     return steps.cumsum(axis=-1)
 
 
@@ -447,15 +452,19 @@ class VertexWeights:
     def numerators(self) -> np.ndarray:
         """The weights as integers in units of 1/D, D = ``denominator``."""
         D = self.denominator
-        return np.array([w.numerator * (D // w.denominator) for w in self.weights], dtype=np.int64)
+        out = np.array([w.numerator * (D // w.denominator) for w in self.weights], dtype=np.int64)
+        out.flags.writeable = False
+        return out
 
     @staticmethod
     def uniform(n: int) -> "VertexWeights":
         return VertexWeights((Fraction(1),) * n)
 
     @staticmethod
+    @cache
     def glauber_q3(n: int) -> "VertexWeights":
-        """Break-even weights for single random-site updates: (1/2, 1, ..., 1, 1/2)."""
+        """Break-even weights for single random-site updates: (1/2, 1, ..., 1, 1/2).
+        One shared instance per n."""
         if n < 2:
             raise ValueError("n >= 2 required")
         return VertexWeights(
@@ -463,8 +472,10 @@ class VertexWeights:
         )
 
     @staticmethod
+    @cache
     def scan_q3(n: int) -> "VertexWeights":
-        """Break-even weights for left-to-right sweeps: (1/4, 1, ..., 1, 3/4)."""
+        """Break-even weights for left-to-right sweeps: (1/4, 1, ..., 1, 3/4).
+        One shared instance per n."""
         if n < 2:
             raise ValueError("n >= 2 required")
         return VertexWeights(
@@ -514,10 +525,10 @@ def optimal_height_pair(
     """
     if len(sigma) != len(tau) or len(sigma) != len(weights):
         raise ValueError("length mismatch")
-    h = height_of(sigma)
-    hstar = height_of(tau)
-    val, s = weighted_height_distance(h, hstar, weights.numerators)
-    return h, tuple(x + int(s) for x in hstar), Fraction(int(val), 2 * weights.denominator)
+    H = heights((sigma, tau))
+    val, s = weighted_height_distance(H[0], H[1], weights.numerators)
+    h, hstar = H.tolist()
+    return tuple(h), tuple(x + int(s) for x in hstar), Fraction(int(val), 2 * weights.denominator)
 
 
 def d2(sigma: Coloring, tau: Coloring, weights: VertexWeights) -> Fraction:

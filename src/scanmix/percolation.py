@@ -19,7 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import coupled_update, switch_scan_contained
+from .coupling import (
+    _check_byte_codes,
+    _step_table,
+    _table_index,
+    coupled_update,
+    switch_scan_contained,
+)
 from .domain import PAD, Coloring, Graph, enumerate_colorings, path_accepts
 from .dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from .kernels import build_kernel
@@ -323,6 +329,36 @@ def _padded(X: np.ndarray) -> np.ndarray:
     return np.pad(X, ((0, 0), (1, 1)), constant_values=PAD)
 
 
+# Table positions computed at once, as (vertices, replicates) int64 cells:
+# the block stays near 128 kB, where an (n, R) one would outweigh the codes.
+CHUNK_CELLS = 2 ** 14
+
+
+def _switch_scan_sweep(P: np.ndarray, U: np.ndarray, q: int, frozen: np.ndarray) -> None:
+    """One switch-coupled scan sweep of the pair codes P (n + 2, R), in place.
+
+    Copy one tries the colors of U (R, n); copy two keeps its color at
+    ``frozen`` positions.  Each vertex is one gather from ``_step_table``:
+    the positions less the updated left pair's term come a chunk of vertices
+    at a time from the old codes, so only the chase along the sweep remains.
+    """
+    q1, n = q + 1, len(P) - 2
+    table = _step_table(q, "switch_scan").reshape(-1)
+    stride = np.int64(_table_index(q, 1, 0, 0, 0))  # x * stride promotes to int64
+    x = P[0]
+    rows = max(1, CHUNK_CELLS // P.shape[1])
+    for v0 in range(1, n + 1, rows):
+        v1 = min(v0 + rows, n + 1)
+        old = P[v0:v1 + 1].astype(np.int64)
+        c = np.minimum((U[:, v0 - 1:v1 - 1].T * q).astype(np.int64), q - 1)
+        base = _table_index(q, 0, old[:-1], old[1:], c)
+        for v, b in zip(range(v0, v1), base):
+            x = table[b + x * stride]
+            if frozen[v]:
+                x = x - x % q1 + P[v] % q1
+            P[v] = x
+
+
 def _site_draws(tape: RandomTape, R: int, step: int, n: int, q: int):
     """Per-replicate vertex (1-based) and color of one single-site step."""
     U = tape.block(0, R, step, CH_SCAN, 2)
@@ -348,17 +384,21 @@ def lb_experiment(
     if replicates < 1:
         raise ValueError("replicates >= 1 required")
     n, q = layout.n, layout.q
-    S = _padded(sample_pi0(layout, tape, replicates))
-    T = S.copy()
     anchor_mask = np.zeros(n + 2, dtype=bool)
     anchor_mask[list(layout.anchors)] = True
+    mids = np.array(layout.mids)
     if base == "scan":
+        _check_byte_codes(q)
+        # position-major pair codes; both copies start at one sample x: x * (q + 2)
+        P = np.full((n + 2, replicates), (q + 1) ** 2 - 1, dtype=np.uint8)
+        P[1:-1] = sample_pi0(layout, tape, replicates).T
+        P[1:-1] *= q + 2
         for sweep in range(t):
-            U = tape.block(0, replicates, 1 + sweep, CH_SCAN, n)
-            for v in range(1, n + 1):
-                c = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
-                coupled_update(S.T, T.T, v, c, "switch_scan", frozen=anchor_mask[v])
+            _switch_scan_sweep(P, tape.block(0, replicates, 1 + sweep, CH_SCAN, n), q, anchor_mask)
+        mid_free, mid_clamped = np.divmod(P[mids], q + 1)
     elif base == "glauber":
+        S = _padded(sample_pi0(layout, tape, replicates))
+        T = S.copy()
         imp = layout.important_neighbors
         flat = np.arange(replicates) * (n + 2)
         free, clamped = S.reshape(-1), T.reshape(-1)  # views: replicate r's v at flat[r] + v
@@ -368,14 +408,15 @@ def lb_experiment(
                 free, clamped, flat + v, c, "switch_glauber_important_neighbor",
                 w=flat + imp[v], frozen=anchor_mask[v],
             )
+        mid_free, mid_clamped = S.T[mids], T.T[mids]
     else:
         raise ValueError(f"unknown base {base!r}")
 
-    mids = np.array(layout.mids)
+    # rows are midpoints, columns replicates
     thr = layout.threshold
-    z_free = (S[:, mids] == 0).sum(axis=1)
-    z_clamped = (T[:, mids] == 0).sum(axis=1)
-    mid_dis = (S[:, mids] != T[:, mids]).sum(axis=1)
+    z_free = (mid_free == 0).sum(axis=0)
+    z_clamped = (mid_clamped == 0).sum(axis=0)
+    mid_dis = (mid_free != mid_clamped).sum(axis=0)
     return LBReport(
         layout=layout,
         base=base,

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from scanmix.coupling import (
+    TABLE_MAX_Q,
     CouplingStats,
     PathMetricTables,
+    _check_byte_codes,
     _ham_batch_drift,
+    _step_table,
     coupled_glauber_step,
     coupled_scan_sweep,
     coupling_time,
@@ -32,6 +35,7 @@ from scanmix.domain import (
     PAD,
     BudgetExceededError,
     Graph,
+    ImproperColoringError,
     TargetGraph,
     VertexWeights,
     d2,
@@ -40,7 +44,14 @@ from scanmix.domain import (
     pad,
     path_accepts,
 )
-from scanmix.dynamics import ChainSpec, RandomTape, metropolis_update
+from scanmix.dynamics import (
+    CH_SCAN,
+    ChainSpec,
+    RandomTape,
+    color_from_uniform,
+    metropolis_update,
+    scan_order,
+)
 from scanmix.kernels import build_kernel
 
 
@@ -48,11 +59,12 @@ def ham(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
-def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n):
+def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n, order=None):
     """Scalar reference: one coupled sweep from ``start`` with the given
-    proposal colors of copy one."""
+    proposal colors of copy one, over the vertices of ``order`` (by default
+    left to right)."""
     s, t = pad(sigma), pad(tau)
-    for v in range(start, n + 1):
+    for v in order or range(start, n + 1):
         c = props[v - start]
         c2 = partner_proposal(kind, v, c, s, t)
         for x, cc in ((s, c), (t, c2)):
@@ -184,6 +196,19 @@ def test_enumerated_drift_matches_the_scalar_reference(kind, metric, q):
             assert r.expected_after == _reference_drift(sigma, tau, kind, metric, q, start, w)
 
 
+def test_d2_drift_refuses_improper_pairs():
+    """exact_drift's d2 refuses what domain.d2 refuses, where it used to read
+    the unequal pair (0,1,2,3) / (0,1,2,0) as distance 0."""
+    wg, ws = VertexWeights.glauber_q3(4), VertexWeights.scan_q3(4)
+    for sigma, tau in (((0, 1, 2, 3), (0, 1, 2, 0)), ((0, 1, 2, 0), (0, 1, 1, 0))):
+        with pytest.raises(ImproperColoringError):
+            d2(sigma, tau, wg)
+        with pytest.raises(ImproperColoringError):
+            exact_drift(sigma, tau, "identity_glauber", "d2", q=4, weights=wg)
+        with pytest.raises(ImproperColoringError):
+            exact_drift(sigma, tau, "identity_scan", "d2", q=4, weights=ws)
+
+
 def test_single_site_swap_coupling_never_grows_in_expectation():
     """One coupled random-site update from a single-disagreement pair keeps
     the expected Hamming distance at most 1."""
@@ -211,6 +236,43 @@ def test_coupled_drivers_match_deterministic_form():
     u = tape.uniforms(0, 0, 1, n)
     props = tuple(min(int(x * q), q - 1) for x in u)
     assert out == _deterministic_coupled_scan(sigma, tau, "q4_scan", props, 1, q, n)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, TABLE_MAX_Q + 1])
+@pytest.mark.parametrize("base", ["scan", "reverse_scan"])
+def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
+    """``coupled_scan_sweep`` gives the scalar reference's pair for every
+    scan coupling that fits q, on random proper and improper pairs and on
+    pairs with a color outside range(q), which run vertex by vertex, as
+    does every pair beyond TABLE_MAX_Q colors."""
+    kinds = ["identity_scan", "switch_scan"] + (["q4_scan"] if q >= 4 else [])
+    rng = np.random.default_rng(q)
+    tape = RandomTape(q)
+    for n in (1, 2, 5, 12):
+        spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
+        for rep in range(30):
+            if rep % 3 == 0:
+                sigma = uniform_proper_coloring(n, q, tape, rep, 0)
+                tau = uniform_proper_coloring(n, q, tape, rep, 1)
+            else:
+                sigma, tau = (tuple(rng.integers(0, q, n).tolist()) for _ in "st")
+                if rep == 1:
+                    sigma = (q,) + sigma[1:]
+            props = [color_from_uniform(u, q) for u in tape.uniforms(rep, 3, CH_SCAN, n)]
+            for kind in kinds:
+                got = coupled_scan_sweep(sigma, tau, kind, spec, spec, tape, rep, 3)
+                want = _deterministic_coupled_scan(sigma, tau, kind, props, 1, q, n, scan_order(spec))
+                assert got == want, (kind, sigma, tau)
+
+
+def test_byte_codes_refuse_more_than_15_colors():
+    """Pair codes (q + 1)^2 fit in a byte up to q = 15; the uint8 step
+    table refuses q = 16 before it builds anything."""
+    _check_byte_codes(15)
+    with pytest.raises(ValueError, match="byte"):
+        _check_byte_codes(16)
+    with pytest.raises(ValueError, match="byte"):
+        _step_table(16, "q4_scan")
 
 
 def test_identity_coupling_diagonal_absorbs():

@@ -235,6 +235,16 @@ def test_to_signs_rejects_improper():
         to_signs((0, 3, 1))
 
 
+@pytest.mark.parametrize("bad", [(0, 0, 1), (0, 3, 1), (0, -1, 1)])
+def test_heights_reject_improper(bad):
+    """heights refuses an improper row anywhere in a batch, as height_of
+    refuses the coloring."""
+    with pytest.raises(ImproperColoringError):
+        height_of(bad)
+    with pytest.raises(ImproperColoringError):
+        heights([(0, 1, 2), bad])
+
+
 def test_sign_fibers_are_cyclic_shifts():
     for n in (3, 5):
         groups = {}
@@ -483,6 +493,16 @@ def test_vertex_weights():
     assert s.w_min == Fraction(1, 4)
     with pytest.raises(ValueError):
         VertexWeights((0, 1))
+
+
+def test_weight_presets_are_shared_and_read_only():
+    """One preset instance per n, so its numerators are computed once and
+    can be written by no caller."""
+    for preset in (VertexWeights.glauber_q3, VertexWeights.scan_q3):
+        w = preset(5)
+        assert preset(5) is w and preset(6) is not w
+        with pytest.raises(ValueError):
+            w.numerators[0] = 7
 
 
 def test_coloring_text_roundtrip():

@@ -10,12 +10,13 @@ import scipy.stats
 
 import scanmix.coupling as coupling
 from scanmix.coupling import coupled_update, partner_proposal, switch_scan_contained
-from scanmix.domain import Graph, path_accepts
+from scanmix.domain import PAD, Graph, path_accepts
 from scanmix.dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 from scanmix.percolation import (
     _conditional_matrices,
     _padded,
+    _switch_scan_sweep,
     anchored_z_tail_exact,
     covariance_probe,
     enumerate_anchor_fiber,
@@ -287,10 +288,18 @@ def switch_scan_sweep_by_vertex(S, T, U, q, anchor_mask):
 
 
 def switch_scan_sweep(S, T, U, q, anchor_mask):
-    """The sweep of ``lb_experiment``: one ``coupled_update`` per vertex."""
+    """Reference sweep: one ``coupled_update`` per vertex."""
     for v in range(1, S.shape[1] - 1):
         c = np.minimum((U[:, v - 1] * q).astype(np.int8), q - 1)
         coupled_update(S.T, T.T, v, c, "switch_scan", frozen=anchor_mask[v])
+
+
+def switch_scan_table_sweep(S, T, U, q, anchor_mask):
+    """``lb_experiment``'s table sweep on the pair codes of S and T, decoded
+    back into them."""
+    P = (np.where(S == PAD, q, S) * (q + 1) + np.where(T == PAD, q, T)).T.astype(np.uint8)
+    _switch_scan_sweep(P, U, q, anchor_mask)
+    S.T[1:-1], T.T[1:-1] = np.divmod(P[1:-1], q + 1)
 
 
 def _sweep_pairs(sweep, lay, S, T, sweeps):
@@ -304,19 +313,59 @@ def _sweep_pairs(sweep, lay, S, T, sweeps):
     return flags
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
-@pytest.mark.parametrize("start", ["equal", "independent"])
-def test_switch_sweep_matches_the_vertex_by_vertex_reference(q, start):
-    """coupled_update sweeps give the reference's arrays, and the
-    reference's own containment check never fires."""
+def _check_against_the_reference(sweep, q, start):
     lay = segment_layout(400, q, override=(2, 4))
     S = _padded(sample_pi0(lay, RandomTape(3), 25))
     T = S.copy() if start == "equal" else _padded(sample_pi0(lay, RandomTape(4), 25))
     assert (start == "equal") == np.array_equal(S, T)
     S_ref, T_ref = S.copy(), T.copy()
-    _sweep_pairs(switch_scan_sweep, lay, S, T, 5)
+    _sweep_pairs(sweep, lay, S, T, 5)
     assert _sweep_pairs(switch_scan_sweep_by_vertex, lay, S_ref, T_ref, 5) == [True] * 5
     assert np.array_equal(S, S_ref) and np.array_equal(T, T_ref)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("start", ["equal", "independent"])
+def test_switch_sweep_matches_the_vertex_by_vertex_reference(q, start):
+    """coupled_update sweeps give the reference's arrays, and the
+    reference's own containment check never fires."""
+    _check_against_the_reference(switch_scan_sweep, q, start)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+@pytest.mark.parametrize("start", ["equal", "independent"])
+def test_table_sweep_matches_the_vertex_by_vertex_reference(q, start):
+    """``lb_experiment``'s table sweeps give the reference's arrays, frozen
+    anchors included."""
+    _check_against_the_reference(switch_scan_table_sweep, q, start)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("n,override", [(23, (2, 2)), (61, (2, 4)), (64, (4, 6))])
+def test_lb_experiment_scan_matches_the_coupled_update_loop(q, n, override):
+    """The scan experiment's statistics equal those of per-vertex
+    ``coupled_update`` sweeps with frozen anchors, for t = 0..3; with 300
+    replicates the sweep computes its table positions in more than one
+    chunk of vertices at n = 61 and 64."""
+    lay = segment_layout(n, q, override=override)
+    anchor_mask = np.zeros(n + 2, dtype=bool)
+    anchor_mask[list(lay.anchors)] = True
+    mids = np.array(lay.mids)
+    for t, replicates in itertools.product(range(4), (1, 300)):
+        tape = RandomTape(11 + t)
+        S = _padded(sample_pi0(lay, tape, replicates))
+        T = S.copy()
+        for k in range(t):
+            U = tape.block(0, replicates, 1 + k, CH_SCAN, n)
+            switch_scan_sweep(S, T, U, q, anchor_mask)
+        z_free = (S[:, mids] == 0).sum(axis=1)
+        z_clamped = (T[:, mids] == 0).sum(axis=1)
+        mid_dis = (S[:, mids] != T[:, mids]).sum(axis=1)
+        rep = lb_experiment(lay, t, replicates, RandomTape(11 + t))
+        assert rep.free_tail == float(np.mean(z_free >= lay.threshold))
+        assert rep.clamped_tail == float(np.mean(z_clamped >= lay.threshold))
+        assert rep.disagreement_rate == float(np.mean(mid_dis > 0))
+        assert rep.mean_mid_disagreements == float(np.mean(mid_dis))
 
 
 @pytest.mark.parametrize("q", range(3, 8))
