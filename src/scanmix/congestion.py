@@ -122,49 +122,6 @@ def connector_walk(target: TargetGraph, a: int, b: int, t: int) -> list[int]:
 # Canonical paths and congestion
 # ---------------------------------------------------------------------------
 
-def canonical_path(
-    sigma: Coloring, tau: Coloring, target: TargetGraph, n: int
-) -> list[Coloring]:
-    """Move sequence sigma -> tau through the window states of the spliced word.
-
-    The word sigma . connector-interior . tau is scanned by an n-window; the
-    path visits every second window, and each two-shift is realized by n
-    single-vertex updates applied left to right (no-op updates are dropped).
-    """
-    walk = connector_walk(target, sigma[-1], tau[0], connector_length(target, n))
-    return _route(sigma, tau, walk, n)
-
-
-def _route(sigma: Coloring, tau: Coloring, walk: list[int], n: int) -> list[Coloring]:
-    """The canonical path sigma -> tau along a given connector walk."""
-    t = len(walk) - 1
-    word = list(sigma) + walk[1:-1] + list(tau)
-    states = [sigma]
-    cur = list(sigma)
-    for i in range(0, n + t - 1, 2):
-        # window shift i -> i + 2 via vertices 1..n in order
-        for j in range(n):
-            new = word[i + 2 + j]
-            if cur[j] != new:
-                cur[j] = new
-                states.append(tuple(cur))
-    if states[-1] != tau:
-        raise AssertionError("canonical path missed its endpoint")
-    return states
-
-
-def is_valid_move_path(
-    states: list[Coloring], g: Graph, target: TargetGraph
-) -> bool:
-    """Consecutive states differ at exactly one vertex by an accepted move."""
-    spec = ChainSpec(graph=g, target=target, base="glauber")
-    for a, b in zip(states, states[1:]):
-        diffs = [v for v in range(g.n) if a[v] != b[v]]
-        if len(diffs) != 1 or not proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]]):
-            return False
-    return True
-
-
 @dataclass
 class CongestionReport:
     """Exact congestion of the canonical routing on the n-path.
@@ -196,11 +153,15 @@ def canonical_congestion(
 ) -> CongestionReport:
     """Build every canonical path on the n-path and measure the edge loads.
 
-    All (sigma, tau) pairs of a block of sigmas are routed at once: the
-    spliced words are columns of one array, and each window step of
-    ``_route`` runs over the whole block.  Loads are tallied per distinct
-    single-site transition, and the step rule of ``is_valid_move_path`` is
-    checked once per distinct transition, since it depends on nothing else.
+    The canonical path sigma -> tau scans the spliced word sigma .
+    connector-interior . tau with an n-window: it visits every second window,
+    and realizes each two-shift by n single-vertex updates applied left to
+    right, dropping no-op updates.  All (sigma, tau) pairs of a block of
+    sigmas are routed at once: the spliced words are columns of one array,
+    and each window step runs over the whole block.  Loads are tallied per
+    distinct single-site transition, and every distinct transition is
+    checked once against ``proposal_accepted``, since a step's validity
+    depends on nothing else.
     """
     if not target.is_connected:
         raise ValueError("target graph must be connected")

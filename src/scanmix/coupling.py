@@ -6,7 +6,7 @@ driven by a neighbor's colors), an exact expected-drift oracle (dynamic
 programming / exhaustive enumeration over proposal draws, never sampling),
 the contraction-bound ledger quantified over canonical color classes, the
 variance-floor witnesses for the two q = 3 settings, and empirical
-coalescence-time experiments with an exact small-space absorption oracle.
+coalescence-time experiments driven by one coupled step, ``coupled_sweep``.
 """
 
 from __future__ import annotations
@@ -161,41 +161,45 @@ def _site_update(spec: ChainSpec):
     return update
 
 
-def coupled_scan_sweep(
+def coupled_sweep(
     sigma: Coloring,
     tau: Coloring,
     kind: str,
-    spec_sigma: ChainSpec,
-    spec_tau: ChainSpec,
+    spec: ChainSpec,
     tape: RandomTape,
     rep: int = 0,
-    sweep: int = 0,
+    t: int = 0,
 ) -> tuple[Coloring, Coloring]:
-    """One coupled sweep; each copy marginally follows its own chain.
+    """One coupled sweep (scan kinds) or single-site step (glauber kinds) of
+    two copies of the spec's chain.
 
-    When both copies run one unclamped clique-model spec on the path with at
-    most ``TABLE_MAX_Q`` colors, and every color lies in range(q), each
-    vertex is one lookup in ``_step_table``; clamped or differing specs,
-    H-coloring models and other graphs run ``_site_update`` vertex by vertex.
+    Copy one tries the tape's proposals, copy two their partner proposals.
+    A step consumes the draw block of ``glauber_step``, so copy one
+    coincides with the plain chain under one tape.  A sweep of an unclamped
+    clique-model spec on the path with at most ``TABLE_MAX_Q`` colors, every
+    color in range(q), is one lookup in ``_step_table`` per vertex; H-coloring
+    models, other graphs and clamped specs run ``_site_update`` vertex by
+    vertex.
     """
-    _check_kind_fits(kind, spec_sigma)
-    q = spec_sigma.n_colors
-    u = tape.uniforms(rep, sweep, CH_SCAN, spec_sigma.graph.n)
-    if (
-        spec_sigma == spec_tau and spec_sigma.q is not None and q <= TABLE_MAX_Q
-        and spec_sigma.graph.kind == "path" and not spec_sigma.clamp
-    ):
-        X = np.array((sigma, tau), dtype=np.int64)
-        if X.min() >= 0 and X.max() < q:
-            return _table_scan_sweep(X, kind, q, u, spec_sigma.base == "reverse_scan")
-    s, t = pad(sigma), pad(tau)
-    update_s, update_t = _site_update(spec_sigma), _site_update(spec_tau)
-    for v in scan_order(spec_sigma):
-        c = color_from_uniform(u[v - 1], q)
-        c2 = partner_proposal(kind, v, c, s, t)
-        update_s(s, v, c)
-        update_t(t, v, c2)
-    return tuple(s[1:-1]), tuple(t[1:-1])
+    _check_kind_fits(kind, spec)
+    q = spec.n_colors
+    if kind.endswith("_scan"):
+        u = tape.uniforms(rep, t, CH_SCAN, spec.graph.n)
+        if spec.q is not None and q <= TABLE_MAX_Q and spec.graph.kind == "path" and not spec.clamp:
+            X = np.array((sigma, tau), dtype=np.int64)
+            if X.min() >= 0 and X.max() < q:
+                return _table_scan_sweep(X, kind, q, u, spec.base == "reverse_scan")
+        moves = [(v, color_from_uniform(u[v - 1], q)) for v in scan_order(spec)]
+    else:
+        u = tape.uniforms(rep, t, CH_GLAUBER, 3)
+        moves = [(vertex_from_uniform(u[1], spec.graph.n), color_from_uniform(u[2], q))]
+    x, y = pad(sigma), pad(tau)
+    update = _site_update(spec)
+    for v, c in moves:
+        c2 = partner_proposal(kind, v, c, x, y)
+        update(x, v, c)
+        update(y, v, c2)
+    return tuple(x[1:-1]), tuple(y[1:-1])
 
 
 def _table_scan_sweep(
@@ -222,47 +226,6 @@ def _table_scan_sweep(
         out.append(x)
     a, b = np.divmod(out[::-1] if reverse else out, q1)
     return tuple(a.tolist()), tuple(b.tolist())
-
-
-def coupled_glauber_step(
-    sigma: Coloring,
-    tau: Coloring,
-    kind: str,
-    spec_sigma: ChainSpec,
-    spec_tau: ChainSpec,
-    tape: RandomTape,
-    rep: int = 0,
-    step: int = 0,
-) -> tuple[Coloring, Coloring]:
-    """One coupled single-site update (same vertex in both copies).
-
-    Consumes the same draw block as the uncoupled single-site step, so the
-    first copy's trajectory coincides with the plain chain under one tape.
-    """
-    _check_kind_fits(kind, spec_sigma)
-    u = tape.uniforms(rep, step, CH_GLAUBER, 3)
-    v = vertex_from_uniform(u[1], spec_sigma.graph.n)
-    c = color_from_uniform(u[2], spec_sigma.n_colors)
-    s, t = pad(sigma), pad(tau)
-    c2 = partner_proposal(kind, v, c, s, t)
-    _site_update(spec_sigma)(s, v, c)
-    _site_update(spec_tau)(t, v, c2)
-    return tuple(s[1:-1]), tuple(t[1:-1])
-
-
-def coupled_sweep(
-    sigma: Coloring,
-    tau: Coloring,
-    kind: str,
-    spec: ChainSpec,
-    tape: RandomTape,
-    rep: int = 0,
-    t: int = 0,
-) -> tuple[Coloring, Coloring]:
-    """Dispatch one coupled sweep (scan kinds) or step (glauber kinds)."""
-    if kind.endswith("_scan"):
-        return coupled_scan_sweep(sigma, tau, kind, spec, spec, tape, rep, t)
-    return coupled_glauber_step(sigma, tau, kind, spec, spec, tape, rep, t)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +332,7 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
 
     The one definition of the coupled vertex move, built from
     ``partner_proposal`` and ``path_accepts``: the Hamming DP, the
-    ``switch_scan_contained`` certificate, ``coupled_scan_sweep`` and the
+    ``switch_scan_contained`` certificate, ``coupled_sweep`` and the
     scan sweeps of ``percolation.lb_experiment`` all read it.  Pairs (a, b)
     of the two copies' colors are coded a * (q + 1) + b, with color q
     standing for a missing neighbor.  Row (right * q^2 + old) * L + left,
@@ -484,7 +447,11 @@ def _ham_batch_drift(
 
 def _restricted_growth_array(length: int, q: int) -> np.ndarray:
     """Restricted-growth strings of ``length`` over q colors, in lexicographic
-    order, as rows of an int64 array (see ``restricted_growth_tuples``)."""
+    order, as rows of an int64 array: one representative per orbit of q-ary
+    tuples under color permutation.  Each entry is at most one larger than
+    the running maximum (first occurrences appear in order), capped at
+    q - 1.  The coupled dynamics and the Hamming metric are equivariant
+    under global color relabeling, so drifts are class functions."""
     out = np.zeros((1, 0), dtype=np.int64)
     top = np.full(1, -1)
     for _ in range(length):
@@ -494,17 +461,6 @@ def _restricted_growth_array(length: int, q: int) -> np.ndarray:
         out = np.column_stack([out[parent], c])
         top = np.maximum(top[parent], c)
     return out
-
-
-def restricted_growth_tuples(length: int, q: int) -> list[tuple[int, ...]]:
-    """One representative per orbit of q-ary tuples under color permutation.
-
-    Representatives are the restricted-growth strings: each entry is at most
-    one larger than the running maximum (first occurrences appear in order),
-    capped at q - 1.  The coupled dynamics and the Hamming metric are
-    equivariant under global color relabeling, so drifts are class functions.
-    """
-    return [tuple(r) for r in _restricted_growth_array(length, q).tolist()]
 
 
 def _class_count(length: int, q: int) -> int:
@@ -868,28 +824,6 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
     return Ledger.from_blocks(n, 3, [pairs, suffix_rows])
 
 
-def supermartingale_rows(n: int, chain: str) -> tuple[Fraction, int]:
-    """Worst exact one-step identity-coupling drift over all ordered pairs.
-
-    chain='glauber' pairs the (1/2,...,1/2) weights with single-site updates;
-    chain='scan' pairs the (1/4,...,3/4) weights with full sweeps.  Returns
-    (max drift, number of pairs); the path-coupling break-even property says
-    the max is <= 0.
-    """
-    weights = (
-        VertexWeights.glauber_q3(n) if chain == "glauber" else VertexWeights.scan_q3(n)
-    )
-    tables = PathMetricTables(n, weights)
-    S = len(tables.states)
-    si, ti = np.nonzero(~np.eye(S, dtype=bool))
-    if chain == "glauber":
-        after, den = tables.site_sums(si, ti), 3 * n
-    else:
-        after, den = tables.sweep_sums()[0][si, ti], 3 ** n
-    drift = after - den * tables.d2_int[si, ti].astype(np.int64)
-    return Fraction(int(drift.max()), 8 * den), len(si)
-
-
 # ---------------------------------------------------------------------------
 # Variance-floor witnesses (q = 3)
 # ---------------------------------------------------------------------------
@@ -1179,38 +1113,3 @@ def coupling_time(
             censored += 1
         times.append(t)
     return CouplingStats(times=times, censored=censored, horizon=horizon)
-
-
-def expected_coalescence_exact(spec: ChainSpec, kind: str = "identity_glauber"):
-    """Expected coalescence times from every ordered pair, via the joint kernel.
-
-    Builds the coupled transition matrix on pairs of proper colorings with
-    the diagonal absorbing and solves the first-passage linear system.
-    Returns (pairs, expected_times) aligned by index.  The spec must be the
-    chain that coupling drives: plain single-site glauber on a clique model,
-    neither lazy nor clamped.
-    """
-    if kind != "identity_glauber":
-        raise ValueError("exact absorption oracle implemented for identity_glauber")
-    if spec.q is None or spec.base != "glauber" or spec.lazy or spec.clamp:
-        raise ValueError(
-            f"identity_glauber drives plain glauber on q colors, not {spec.describe()}"
-        )
-    n, q = spec.graph.n, spec.n_colors
-    states = enumerate_colorings(spec.graph, q)
-    S = len(states)
-    pairs = [(a, b) for a in states for b in states]
-    size = len(pairs)
-    # pair (a, b) is index a * S + b; each row adds its moves in (v, c) order
-    a, b = np.divmod(np.arange(size), S)
-    P = np.diag((a == b) * 1.0)  # equal pairs absorb
-    transient = np.flatnonzero(a != b)
-    a, b = a[transient], b[transient]
-    for J in _move_tables(spec, states):
-        for c in range(q):
-            P[transient, J[a, c] * S + J[b, c]] += 1.0 / (n * q)
-    Q = P[np.ix_(transient, transient)]
-    t = np.linalg.solve(np.eye(len(transient)) - Q, np.ones(len(transient)))
-    expected = np.zeros(size)
-    expected[transient] = t
-    return pairs, expected

@@ -239,15 +239,6 @@ class TargetGraph:
 # Colorings and enumeration
 # ---------------------------------------------------------------------------
 
-def coloring_to_text(coloring: Coloring) -> str:
-    """Comma-separated integer serialization."""
-    return ",".join(str(c) for c in coloring)
-
-
-def coloring_from_text(text: str) -> Coloring:
-    return tuple(int(x) for x in text.strip().split(","))
-
-
 PAD = -1  # sentinel at positions 0 and n + 1 of a padded path configuration
 
 
@@ -267,27 +258,24 @@ def path_accepts(x, v, c):
     return (x[v - 1] != c) & (x[v + 1] != c)
 
 
-def is_proper(g: Graph, q: int, coloring: Coloring) -> bool:
-    if len(coloring) != g.n or any(not (0 <= c < q) for c in coloring):
-        return False
-    return all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges)
-
-
-def _build_states(g: Graph, allows: np.ndarray, budget: int, first=None) -> list[Coloring]:
+def _build_states(g: Graph, allows: np.ndarray, budget: int, palette=None) -> list[Coloring]:
     """Colorings of g with allows[color(u), color(v)] on every edge (u, v),
-    u < v, and vertex 1 colored from ``first`` (any color by default).
+    u < v, and each vertex v colored from the true entries of the boolean
+    row palette[v - 1] (any color when ``palette`` is None).
 
     Grows an (N, v) color array one vertex at a time: each partial coloring is
-    extended by every color its earlier neighbours allow, in color order, so
-    the rows stay in lexicographic order.  Raises BudgetExceededError as soon
-    as one level keeps more than ``budget`` partial colorings.
+    extended by every color its row and its earlier neighbours allow, in color
+    order, so the rows stay in lexicographic order.  Raises
+    BudgetExceededError as soon as one level keeps more than ``budget``
+    partial colorings; the palette prunes every level, so a restricted space
+    is budgeted by its own prefixes, not by the whole space's.
     """
     h = len(allows)
     X = np.zeros((1, 0), dtype=np.min_scalar_type(h - 1))
     for v in range(1, g.n + 1):
         ok = np.ones((len(X), h), dtype=bool)
-        if v == 1 and first is not None:
-            ok[0] = np.isin(np.arange(h), list(first))
+        if palette is not None:
+            ok &= palette[v - 1]
         for u in g.adjacency[v]:
             if u < v:
                 ok &= allows[X[:, u - 1]]
@@ -337,16 +325,24 @@ def enumerate_h_colorings(
     BudgetExceededError when the colorings of some prefix 1..v exceed the
     budget.
     """
+    palette = _component_palette(g, target, component)
+    return _build_states(g, np.array(target.adjacency), budget, palette)
+
+
+def _component_palette(g: Graph, target: TargetGraph, component: str) -> np.ndarray:
+    """The ``_build_states`` palette of a compatibility class (see
+    ``enumerate_h_colorings``): every color everywhere for "all", else
+    vertex 1 on the selected side of a bipartite H."""
     if component not in ("all", "side0", "side1"):
         raise ValueError(f"unknown component {component!r}")
-    first = None
+    palette = np.ones((g.n, target.h), dtype=bool)
     if component != "all":
         if target.bipartition is None:
             raise ValueError("component selection requires a bipartite target graph")
         if g.kind != "path":
             raise ValueError("component selection is defined for paths only")
-        first = target.bipartition[0 if component == "side0" else 1]
-    return _build_states(g, np.array(target.adjacency), budget, first)
+        palette[0] = np.isin(np.arange(target.h), list(target.bipartition[component == "side1"]))
+    return palette
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +377,6 @@ def from_signs(signs: SignConfig, first_color: int) -> Coloring:
             raise ValueError("signs must be +-1")
         out.append((out[-1] + (1 if s == 1 else 2)) % 3)
     return tuple(out)
-
-
-def cyclic_shift(coloring: Coloring, s: int) -> Coloring:
-    """Add s to every color mod 3."""
-    return tuple((c + s) % 3 for c in coloring)
 
 
 def height_of(coloring: Coloring) -> HeightFunction:

@@ -15,10 +15,9 @@ own tape (one per thread).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -217,23 +216,6 @@ def scan_sweep(
     return out
 
 
-def run_chain(
-    sigma: Coloring,
-    spec: ChainSpec,
-    tape: RandomTape,
-    steps: int,
-    rep: int = 0,
-) -> Coloring:
-    """Advance the chain ``steps`` glauber steps or scan sweeps."""
-    out = sigma
-    for t in range(steps):
-        if spec.base == "glauber":
-            out = glauber_step(out, spec, tape, rep, t)
-        else:
-            out = scan_sweep(out, spec, tape, rep, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Auxiliary sign chains (3-colorings of the path)
 # ---------------------------------------------------------------------------
@@ -289,30 +271,3 @@ def sign_sweep_from_decisions(x: SignConfig, decisions: Sequence[bool]) -> SignC
         if decisions[v - 1]:
             sign_move(out, v)
     return tuple(out.tolist())
-
-
-# ---------------------------------------------------------------------------
-# Trajectory dumps
-# ---------------------------------------------------------------------------
-
-def write_trajectory(
-    fh: io.TextIOBase,
-    spec: ChainSpec,
-    seed: int,
-    states: Iterable[Coloring],
-) -> None:
-    """One serialized state per line, after a header recording spec and seed."""
-    fh.write(f"# spec: {spec.describe()}\n")
-    fh.write(f"# seed: {seed}\n")
-    for s in states:
-        fh.write(",".join(str(c) for c in s) + "\n")
-
-
-def read_trajectory(fh: io.TextIOBase) -> list[Coloring]:
-    out = []
-    for line in fh:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(tuple(int(x) for x in line.split(",")))
-    return out

@@ -19,7 +19,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import Coloring, Graph, TargetGraph, enumerate_colorings, enumerate_h_colorings
+from .domain import (
+    Coloring,
+    Graph,
+    TargetGraph,
+    _build_states,
+    _component_palette,
+    enumerate_colorings,
+    enumerate_h_colorings,
+)
 # proposal_accepted is the scalar rule that the move tables vectorize
 from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
 
@@ -226,18 +234,26 @@ def _state_space(
     spec: ChainSpec, budget: int, component: str, fiber_of: Optional[Coloring], proper_only: bool
 ) -> list:
     """The chain's states in lexicographic order.  The enumerator refuses any
-    vertex prefix with more than ``budget`` colorings; the fiber filter only
-    shrinks that list."""
-    g = spec.graph
+    vertex prefix with more than ``budget`` colorings; a clamped fiber is
+    enumerated with each clamped vertex held at its ``fiber_of`` color, so
+    the budget counts the fiber's own colorings."""
+    g, h = spec.graph, spec.n_colors
+    if spec.target is not None and component == "auto":
+        component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
+    if fiber_of is None or not spec.clamp:
+        if spec.q is not None:
+            return enumerate_colorings(g, spec.q, proper_only=proper_only, budget=budget)
+        return enumerate_h_colorings(g, spec.target, component=component, budget=budget)
     if spec.q is not None:
-        states = enumerate_colorings(g, spec.q, proper_only=proper_only, budget=budget)
+        palette = np.ones((g.n, h), dtype=bool)
     else:
-        if component == "auto":
-            component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
-        states = enumerate_h_colorings(g, spec.target, component=component, budget=budget)
-    if fiber_of is not None and spec.clamp:
-        states = [s for s in states if all(s[v - 1] == fiber_of[v - 1] for v in spec.clamp)]
-    return states
+        palette = _component_palette(g, spec.target, component)
+    for v in spec.clamp:
+        palette[v - 1] &= np.arange(h) == fiber_of[v - 1]
+    allows = np.array(spec.model.adjacency)
+    if spec.q is not None and not proper_only:
+        allows[:] = True
+    return _build_states(g, allows, budget, palette)
 
 
 def build_kernel(
@@ -445,18 +461,6 @@ def poincare_constant(kernel: ChainKernel) -> SpectralReport:
     return SpectralReport(
         eigenvalues=eig, poincare=float(1.0 - eig[1]), beta_min=float(eig[-1])
     )
-
-
-def dirichlet_form(kernel: ChainKernel, f: np.ndarray) -> float:
-    """E(f,f) = (1/2) sum_xy pi(x) P(x,y) (f(x)-f(y))^2 with uniform pi."""
-    P = kernel.dense()
-    n = len(kernel.states)
-    diff = f[:, None] - f[None, :]
-    return 0.5 * float(np.sum(P * diff ** 2)) / n
-
-
-def variance_uniform(f: np.ndarray) -> float:
-    return float(np.mean((f - np.mean(f)) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .coupling import (
     coupled_update,
     switch_scan_contained,
 )
-from .domain import PAD, Coloring, Graph, enumerate_colorings, path_accepts
+from .domain import PAD, Coloring, Graph, _build_states, enumerate_colorings
 from .dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from .kernels import build_kernel
 
@@ -82,9 +82,8 @@ def mid_color_prob(q: int, ell: int, r: int) -> Fraction:
 class SegmentLayout:
     """Anchor/midpoint geometry of the segmented path.
 
-    Anchors sit at L_i = 1 + i*k for i = 0..m, midpoints at M_i = L_i + ell
-    for i = 0..m-1, and the symmetric clamp set at M_i + k/2 (clipped to the
-    path).  All vertex ids are 1-based.
+    Anchors sit at L_i = 1 + i*k for i = 0..m and midpoints at M_i = L_i + ell
+    for i = 0..m-1.  All vertex ids are 1-based.
     """
 
     n: int
@@ -114,12 +113,6 @@ class SegmentLayout:
     @property
     def mids(self) -> tuple[int, ...]:
         return tuple(1 + i * self.k + self.ell for i in range(self.m))
-
-    @property
-    def symmetric_clamps(self) -> tuple[int, ...]:
-        return tuple(
-            v for v in (mid + self.k // 2 for mid in self.mids) if 1 <= v <= self.n
-        )
 
     @property
     def important_neighbors(self) -> np.ndarray:
@@ -237,11 +230,11 @@ def sample_pi0(
 
 
 def enumerate_anchor_fiber(layout: SegmentLayout, budget: int = 200_000) -> list[Coloring]:
-    """All proper colorings with anchors colored 0 (small layouts only)."""
-    g = Graph.path(layout.n)
-    states = enumerate_colorings(g, layout.q, budget=budget)
-    anchors = layout.anchors
-    return [s for s in states if all(s[a - 1] == 0 for a in anchors)]
+    """All proper colorings with anchors colored 0, budgeted by their own
+    count (small layouts only)."""
+    palette = np.ones((layout.n, layout.q), dtype=bool)
+    palette[np.array(layout.anchors) - 1, 1:] = False
+    return _build_states(Graph.path(layout.n), ~np.eye(layout.q, dtype=bool), budget, palette)
 
 
 def stationary_z_tail_exact(layout: SegmentLayout, budget: int = 200_000) -> Fraction:
@@ -428,67 +421,4 @@ def lb_experiment(
         disagreement_rate=float(np.mean(mid_dis > 0)),
         mean_mid_disagreements=float(np.mean(mid_dis)),
         percolation_contained=switch_scan_contained(q) if base == "scan" else True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Midpoint covariance probe
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CovarianceReport:
-    layout: SegmentLayout
-    t: int
-    replicates: int
-    max_abs_covariance: float
-    covariance_ceiling: float        # 1/m
-    covariance_se: float             # rough sampling scale 1/sqrt(replicates)
-    var_z: float
-    var_ceiling: float               # 2m
-    var_se: float
-
-
-def covariance_probe(
-    layout: SegmentLayout,
-    t: int,
-    replicates: int,
-    tape: RandomTape,
-    clamp_symmetric: bool = False,
-) -> CovarianceReport:
-    """Empirical midpoint-indicator covariances after t single-site steps.
-
-    Starts from the anchored distribution and runs the free chain (or, with
-    ``clamp_symmetric``, the chain clamped at the symmetric clamp set).
-    The pairwise covariance ceiling is 1/m and the variance ceiling 2m, both
-    read as statistical checks at the sampling scale.
-    """
-    if replicates < 1:
-        raise ValueError("replicates >= 1 required")
-    n, q = layout.n, layout.q
-    S = _padded(sample_pi0(layout, tape, replicates))
-    clamp_mask = np.zeros(n + 2, dtype=bool)
-    if clamp_symmetric:
-        clamp_mask[list(layout.symmetric_clamps)] = True
-    base = np.arange(replicates) * (n + 2)
-    s = S.reshape(-1)  # view: replicate r's v sits at base[r] + v
-    for step in range(t):
-        v, c = _site_draws(tape, replicates, 1 + step, n, q)
-        f = base + v
-        s[f] = np.where(path_accepts(s, f, c) & ~clamp_mask[v], c, s[f])
-    mids = np.array(layout.mids)
-    Z = (S[:, mids] == 0).astype(float)
-    centered = Z - Z.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / replicates
-    off = cov - np.diag(np.diag(cov))
-    z_tot = Z.sum(axis=1)
-    return CovarianceReport(
-        layout=layout,
-        t=t,
-        replicates=replicates,
-        max_abs_covariance=float(np.abs(off).max()) if layout.m > 1 else 0.0,
-        covariance_ceiling=1.0 / layout.m,
-        covariance_se=1.0 / math.sqrt(replicates),
-        var_z=float(z_tot.var()),
-        var_ceiling=2.0 * layout.m,
-        var_se=float(2.0 * layout.m / math.sqrt(replicates)),
     )

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -68,23 +67,6 @@ def expectation_matrix(kind: str, n: int) -> np.ndarray:
             A = move_expectation_map(v, n) @ A
         return A
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def tridiagonal_form(n: int) -> np.ndarray:
-    """B with expectation_matrix('glauber', n) == I - B/(3n).
-
-    Generic row (-1, 2, -1); boundary diagonals 3.  Kept as an independent
-    cross-check of the construction from move semantics.
-    """
-    m = n - 1
-    B = np.zeros((m, m))
-    for i in range(m):
-        B[i, i] = 3 if i in (0, m - 1) else 2
-        if i > 0:
-            B[i, i - 1] = -1
-        if i < m - 1:
-            B[i, i + 1] = -1
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +270,6 @@ class WilsonReport:
         return math.log(2 * self.phi0 / eps) / (1 - self.lam)
 
 
-def glauber_phi0_closed_form(n: int) -> float:
-    """Geometric-series value of sum_i w_i: c_n * cosec(pi / (2(n-1)))."""
-    return closed_form_eigen("glauber", n).c_n / math.sin(math.pi / (2 * (n - 1)))
-
-
 def wilson_bounds(
     kind: str,
     n: int,
@@ -334,50 +311,3 @@ def wilson_bounds(
         small_n_caveat=n <= 3,
         max_increment=max_increment,
     )
-
-
-# ---------------------------------------------------------------------------
-# Monotone coupling of two sign-chain copies
-# ---------------------------------------------------------------------------
-
-def threshold_flip(old: int, u: float) -> int:
-    """Common-uniform update of a boundary coordinate: +1 iff u < p(old).
-
-    p(+1) = 2/3 >= p(-1) = 1/3 reproduces the marginal flip probability 1/3
-    and is monotone in the old value, so coupled copies preserve the
-    coordinatewise order.
-    """
-    return 1 if u < (2 / 3 if old == 1 else 1 / 3) else -1
-
-
-def coupled_sign_move(xy: np.ndarray, v: int, u: float) -> None:
-    """Apply the vertex-v move to both copies (the rows of xy) from one
-    shared uniform, in place: the threshold flip at the two boundary
-    coordinates, the swap in both copies when u < 1/3 at an interior vertex."""
-    n = xy.shape[-1] + 1
-    if v == 1 or v == n:
-        i = 0 if v == 1 else n - 2
-        xy[:, i] = [threshold_flip(old, u) for old in xy[:, i].tolist()]
-    elif u < 1 / 3:
-        sign_move(xy, v)
-
-
-def coupled_sign_outcomes(
-    x: tuple, y: tuple, v: int, n: int
-) -> list[tuple[Fraction, tuple, tuple]]:
-    """Exact outcome distribution of one coupled vertex move, in thirds.
-
-    Enumerates the segments of the shared uniform; masses are exact.
-    """
-    outs = []
-    for seg in range(3):
-        u = (2 * seg + 1) / 6  # midpoint of [seg/3, (seg+1)/3)
-        xy = np.array([x, y])
-        coupled_sign_move(xy, v, u)
-        xs, ys = xy.tolist()
-        outs.append((Fraction(1, 3), tuple(xs), tuple(ys)))
-    # merge equal outcomes
-    merged: dict[tuple, Fraction] = {}
-    for mass, a, b in outs:
-        merged[(a, b)] = merged.get((a, b), Fraction(0)) + mass
-    return [(mass, a, b) for (a, b), mass in merged.items()]

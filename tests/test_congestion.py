@@ -9,16 +9,13 @@ import pytest
 from scanmix import congestion
 from scanmix.congestion import (
     CongestionReport,
-    _route,
     bottleneck_report,
     bottleneck_target,
     canonical_congestion,
-    canonical_path,
     connector_length,
     connector_walk,
     directed_cycle,
     ergodicity_report,
-    is_valid_move_path,
 )
 from scanmix.domain import Graph, TargetGraph, enumerate_h_colorings
 from scanmix.dynamics import ChainSpec, proposal_accepted
@@ -26,6 +23,42 @@ from scanmix.dynamics import ChainSpec, proposal_accepted
 
 K3 = TargetGraph.clique(3)
 EDGE = TargetGraph.single_edge()
+
+
+def canonical_path(sigma, tau, target, n):
+    """Move sequence sigma -> tau through the window states of the spliced
+    word, one pair at a time."""
+    walk = connector_walk(target, sigma[-1], tau[0], connector_length(target, n))
+    return route(sigma, tau, walk, n)
+
+
+def route(sigma, tau, walk, n):
+    """The canonical path sigma -> tau along a given connector walk: the
+    word sigma . walk interior . tau is scanned by an n-window; the path
+    visits every second window, and each two-shift is realized by n
+    single-vertex updates applied left to right (no-op updates dropped)."""
+    t = len(walk) - 1
+    word = list(sigma) + walk[1:-1] + list(tau)
+    states = [sigma]
+    cur = list(sigma)
+    for i in range(0, n + t - 1, 2):
+        for j in range(n):
+            new = word[i + 2 + j]
+            if cur[j] != new:
+                cur[j] = new
+                states.append(tuple(cur))
+    assert states[-1] == tau, "canonical path missed its endpoint"
+    return states
+
+
+def is_valid_move_path(states, g, target):
+    """Consecutive states differ at exactly one vertex by an accepted move."""
+    spec = ChainSpec(graph=g, target=target, base="glauber")
+    for a, b in zip(states, states[1:]):
+        diffs = [v for v in range(g.n) if a[v] != b[v]]
+        if len(diffs) != 1 or not proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]]):
+            return False
+    return True
 
 
 @pytest.mark.parametrize(
@@ -106,7 +139,7 @@ def reference_congestion(n, target, component="auto"):
         for tau in states:
             if sigma == tau:
                 continue
-            path = _route(sigma, tau, walk(sigma[-1], tau[0]), n)
+            path = route(sigma, tau, walk(sigma[-1], tau[0]), n)
             if not is_valid_move_path(path, g, target):
                 valid = False
             length = len(path) - 1

@@ -14,17 +14,14 @@ from scanmix.coupling import (
     PathMetricTables,
     _check_byte_codes,
     _ham_batch_drift,
+    _restricted_growth_array,
     _step_table,
-    coupled_glauber_step,
-    coupled_scan_sweep,
+    coupled_sweep,
     coupling_time,
     exact_drift,
-    expected_coalescence_exact,
     partner_proposal,
     hamming_contraction_rows,
-    restricted_growth_tuples,
     site_variance_witness,
-    supermartingale_rows,
     sweep_variance_witness,
     transpose_color,
     uniform_proper_coloring,
@@ -40,19 +37,23 @@ from scanmix.domain import (
     VertexWeights,
     d2,
     enumerate_colorings,
+    enumerate_h_colorings,
     height_of,
     pad,
     path_accepts,
 )
 from scanmix.dynamics import (
+    CH_GLAUBER,
     CH_SCAN,
     ChainSpec,
     RandomTape,
     color_from_uniform,
     metropolis_update,
     scan_order,
+    vertex_from_uniform,
 )
 from scanmix.kernels import build_kernel
+from scanmix.percolation import _switch_scan_sweep
 
 
 def ham(a, b):
@@ -232,7 +233,7 @@ def test_coupled_drivers_match_deterministic_form():
     tape = RandomTape(12)
     sigma = uniform_proper_coloring(n, q, tape, 0, 0)
     tau = uniform_proper_coloring(n, q, tape, 0, 1)
-    out = coupled_scan_sweep(sigma, tau, "q4_scan", spec, spec, tape, rep=0, sweep=0)
+    out = coupled_sweep(sigma, tau, "q4_scan", spec, tape, rep=0, t=0)
     u = tape.uniforms(0, 0, 1, n)
     props = tuple(min(int(x * q), q - 1) for x in u)
     assert out == _deterministic_coupled_scan(sigma, tau, "q4_scan", props, 1, q, n)
@@ -241,7 +242,7 @@ def test_coupled_drivers_match_deterministic_form():
 @pytest.mark.parametrize("q", [3, 4, 5, 6, TABLE_MAX_Q + 1])
 @pytest.mark.parametrize("base", ["scan", "reverse_scan"])
 def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
-    """``coupled_scan_sweep`` gives the scalar reference's pair for every
+    """``coupled_sweep`` gives the scalar reference's pair for every
     scan coupling that fits q, on random proper and improper pairs and on
     pairs with a color outside range(q), which run vertex by vertex, as
     does every pair beyond TABLE_MAX_Q colors."""
@@ -260,7 +261,7 @@ def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
                     sigma = (q,) + sigma[1:]
             props = [color_from_uniform(u, q) for u in tape.uniforms(rep, 3, CH_SCAN, n)]
             for kind in kinds:
-                got = coupled_scan_sweep(sigma, tau, kind, spec, spec, tape, rep, 3)
+                got = coupled_sweep(sigma, tau, kind, spec, tape, rep, 3)
                 want = _deterministic_coupled_scan(sigma, tau, kind, props, 1, q, n, scan_order(spec))
                 assert got == want, (kind, sigma, tau)
 
@@ -281,14 +282,61 @@ def test_identity_coupling_diagonal_absorbs():
     tape = RandomTape(5)
     s = (0, 1, 2, 0)
     for t in range(10):
-        a, b = coupled_scan_sweep(s, s, "identity_scan", spec, spec, tape, 0, t)
+        a, b = coupled_sweep(s, s, "identity_scan", spec, tape, 0, t)
         assert a == b
         s = a
+
+
+def _reference_coupled_sweep(sigma, tau, kind, spec, tape, rep, t):
+    """One coupled sweep or step from ``partner_proposal`` and
+    ``metropolis_update`` on the draws of ``scan_sweep``/``glauber_step``."""
+    n, q = spec.graph.n, spec.n_colors
+    if kind.endswith("_scan"):
+        u = tape.uniforms(rep, t, CH_SCAN, n)
+        moves = [(v, color_from_uniform(u[v - 1], q)) for v in scan_order(spec)]
+    else:
+        u = tape.uniforms(rep, t, CH_GLAUBER, 3)
+        moves = [(vertex_from_uniform(u[1], n), color_from_uniform(u[2], q))]
+    for v, c in moves:
+        c2 = partner_proposal(kind, v, c, pad(sigma), pad(tau))
+        sigma, tau = metropolis_update(sigma, v, c, spec), metropolis_update(tau, v, c2, spec)
+    return sigma, tau
+
+
+@pytest.mark.parametrize("model,kinds", [
+    (dict(graph=Graph.star(4), q=3), ("identity_scan", "identity_glauber")),
+    (dict(graph=Graph.path(5), target=TargetGraph.cycle(5)), ("identity_scan", "identity_glauber")),
+    (dict(graph=Graph.path(6), q=4, clamp={2, 5}),
+     ("identity_scan", "q4_scan", "switch_scan", "identity_glauber", "q4_glauber")),
+])
+def test_vertex_by_vertex_coupled_sweep_matches_the_reference(model, kinds):
+    """Off the table path (a star, an H-coloring model, a clamped path)
+    ``coupled_sweep`` runs ``_site_update`` vertex by vertex; five steps from
+    each of 12 random pairs follow the reference, in every scan order."""
+    rng = np.random.default_rng(5)
+    tape = RandomTape(5)
+    for kind in kinds:
+        for base in ("glauber",) if kind.endswith("glauber") else ("scan", "reverse_scan"):
+            spec = ChainSpec(base=base, **model)
+            states = enumerate_h_colorings(spec.graph, spec.model)
+            for rep in range(12):
+                i, j = rng.integers(len(states), size=2)
+                pair = states[i], states[j]
+                for t in range(5):
+                    want = _reference_coupled_sweep(*pair, kind, spec, tape, rep, t)
+                    pair = coupled_sweep(*pair, kind, spec, tape, rep, t)
+                    assert pair == want, (kind, base, rep, t)
 
 
 # ---------------------------------------------------------------------------
 # ledger
 # ---------------------------------------------------------------------------
+
+def restricted_growth_tuples(length, q):
+    """One representative per orbit of q-ary tuples under color permutation,
+    as tuples."""
+    return [tuple(r) for r in _restricted_growth_array(length, q).tolist()]
+
 
 def test_restricted_growth_tuples_are_canonical():
     reps = restricted_growth_tuples(4, 3)
@@ -445,6 +493,26 @@ def test_ledger_budgets_and_q_range():
         hamming_contraction_rows(4, 2)
 
 
+def supermartingale_rows(n, chain):
+    """Worst exact one-step identity-coupling drift over all ordered pairs.
+
+    chain='glauber' pairs the (1/2,...,1/2) weights with single-site updates;
+    chain='scan' pairs the (1/4,...,3/4) weights with full sweeps.  Returns
+    (max drift, number of pairs); the path-coupling break-even property says
+    the max is <= 0.
+    """
+    weights = VertexWeights.glauber_q3(n) if chain == "glauber" else VertexWeights.scan_q3(n)
+    tables = PathMetricTables(n, weights)
+    S = len(tables.states)
+    si, ti = np.nonzero(~np.eye(S, dtype=bool))
+    if chain == "glauber":
+        after, den = tables.site_sums(si, ti), 3 * n
+    else:
+        after, den = tables.sweep_sums()[0][si, ti], 3 ** n
+    drift = after - den * tables.d2_int[si, ti].astype(np.int64)
+    return Fraction(int(drift.max()), 8 * den), len(si)
+
+
 @pytest.mark.parametrize("chain", ["glauber", "scan"])
 def test_identity_coupling_is_a_supermartingale(chain):
     worst, count = supermartingale_rows(4, chain)
@@ -534,12 +602,12 @@ def test_metric_increment_caps_along_trajectories():
     tau = uniform_proper_coloring(n, 3, tape, 0, 1)
     s, t = sigma, tau
     for step in range(200):
-        a, b = coupled_glauber_step(s, t, "identity_glauber", spec_g, spec_g, tape, 1, step)
+        a, b = coupled_sweep(s, t, "identity_glauber", spec_g, tape, 1, step)
         assert abs(d2(a, b, wg) - d2(s, t, wg)) <= 2
         s, t = a, b
     s, t = sigma, tau
     for sweep in range(100):
-        a, b = coupled_scan_sweep(s, t, "identity_scan", spec_s, spec_s, tape, 2, sweep)
+        a, b = coupled_sweep(s, t, "identity_scan", spec_s, tape, 2, sweep)
         assert abs(d2(a, b, ws) - d2(s, t, ws)) <= 2 * n
         s, t = a, b
 
@@ -555,8 +623,10 @@ def test_coupling_time_identical_starts():
 
 
 def _reference_coalescence(spec):
-    """expected_coalescence_exact before it read the move tables: one
-    metropolis_update per pair, vertex and color."""
+    """Exact expected coalescence times of the identity_glauber coupling from
+    every ordered pair, as (pairs, times): the coupled kernel on pairs, one
+    metropolis_update per pair, vertex and color, with the diagonal
+    absorbing, and its first-passage linear system."""
     n, q = spec.graph.n, spec.n_colors
     states = enumerate_colorings(spec.graph, q)
     pairs = [(a, b) for a in states for b in states]
@@ -580,34 +650,11 @@ def _reference_coalescence(spec):
     return pairs, expected
 
 
-@pytest.mark.parametrize("spec", [
-    ChainSpec(graph=Graph.path(4), q=3, base="glauber"),
-    ChainSpec(graph=Graph.path(3), q=4, base="glauber"),
-    ChainSpec(graph=Graph.star(4), q=3, base="glauber"),
-])
-def test_expected_coalescence_matches_reference_loop(spec):
-    pairs, expected = expected_coalescence_exact(spec)
-    ref_pairs, ref_expected = _reference_coalescence(spec)
-    assert np.array_equal(pairs, ref_pairs)
-    assert np.array_equal(expected, ref_expected)
-
-
-@pytest.mark.parametrize("spec", [
-    ChainSpec(graph=Graph.path(3), q=3, base="glauber", lazy=True),
-    ChainSpec(graph=Graph.path(3), q=3, base="scan"),
-    ChainSpec(graph=Graph.path(4), q=3, base="glauber", clamp={2}),
-    ChainSpec(graph=Graph.path(3), target=TargetGraph.cycle(5), base="glauber"),
-])
-def test_expected_coalescence_refuses_other_chains(spec):
-    with pytest.raises(ValueError, match="identity_glauber drives plain glauber"):
-        expected_coalescence_exact(spec)
-
-
 def test_coupling_time_against_exact_absorption():
     """Empirical mean coalescence time sits within 3 SE of the exact value."""
     g = Graph.path(4)
     spec = ChainSpec(graph=g, q=3, base="glauber")
-    pairs, expected = expected_coalescence_exact(spec)
+    pairs, expected = _reference_coalescence(spec)
     pidx = {p: i for i, p in enumerate(pairs)}
     tape = RandomTape(6)
     reps = 600
@@ -737,23 +784,22 @@ def test_single_site_swap_coupling_marginals():
 
 def test_switch_coupling_with_clamped_copy():
     """The clamped copy never moves its anchors; the free copy does."""
-    from scanmix.coupling import coupled_scan_sweep
-
     n, q = 12, 4
-    g = Graph.path(n)
     anchors = frozenset({1, 5, 9})
-    free = ChainSpec(graph=g, q=q, base="scan")
-    clamped = ChainSpec(graph=g, q=q, base="scan", clamp=anchors)
+    frozen = np.zeros(n + 2, dtype=bool)
+    frozen[list(anchors)] = True
     tape = RandomTape(31)
     s = uniform_proper_coloring(n, q, tape, 0, 0)
-    t = s
-    initial = {a: s[a - 1] for a in anchors}
+    # pair codes a * (q + 1) + b of one replicate, equal copies, sentinel ends
+    end = (q + 1) ** 2 - 1
+    P = np.array([[end, *(c * (q + 2) for c in s), end]], dtype=np.uint8).T
     moved_anchor = False
     for sweep in range(12):
-        s, t = coupled_scan_sweep(s, t, "switch_scan", free, clamped, tape, 0, sweep)
+        _switch_scan_sweep(P, tape.uniforms(0, sweep, CH_SCAN, n)[None], q, frozen)
+        free, clamped = np.divmod(P[1:-1, 0], q + 1)
         for a in anchors:
-            assert t[a - 1] == initial[a]  # clamped copy holds its anchors
-        moved_anchor = moved_anchor or any(s[a - 1] != initial[a] for a in anchors)
+            assert clamped[a - 1] == s[a - 1]  # clamped copy holds its anchors
+        moved_anchor = moved_anchor or any(free[a - 1] != s[a - 1] for a in anchors)
     assert moved_anchor
 
 
@@ -772,9 +818,9 @@ def test_coupling_kind_model_mismatch_raises():
     tape = RandomTape(0)
     star_spec = ChainSpec(graph=Graph.star(4), q=4, base="scan")
     with pytest.raises(ValueError):
-        coupled_scan_sweep((0, 1, 2, 3), (0, 1, 2, 2), "q4_scan", star_spec, star_spec, tape)
+        coupled_sweep((0, 1, 2, 3), (0, 1, 2, 2), "q4_scan", star_spec, tape)
     q3_spec = ChainSpec(graph=Graph.path(4), q=3, base="scan")
     with pytest.raises(ValueError):
-        coupled_scan_sweep((0, 1, 0, 1), (0, 1, 2, 1), "q4_scan", q3_spec, q3_spec, tape)
+        coupled_sweep((0, 1, 0, 1), (0, 1, 2, 1), "q4_scan", q3_spec, tape)
     with pytest.raises(ValueError):
         exact_drift((0, 1), (1, 0), "switch_glauber_important_neighbor", "hamming", q=4)

@@ -15,9 +15,6 @@ from scanmix.domain import (
     ImproperColoringError,
     TargetGraph,
     VertexWeights,
-    coloring_from_text,
-    coloring_to_text,
-    cyclic_shift,
     d1,
     d2,
     enumerate_colorings,
@@ -26,7 +23,6 @@ from scanmix.domain import (
     geodesic,
     height_of,
     heights,
-    is_proper,
     optimal_height_pair,
     to_signs,
     weighted_height_distance,
@@ -35,6 +31,18 @@ from scanmix.domain import (
 
 def proper3(n):
     return enumerate_colorings(Graph.path(n), 3)
+
+
+def is_proper(g, q, coloring):
+    """Reference check: q colors, and the ends of every edge differ."""
+    if len(coloring) != g.n or any(not (0 <= c < q) for c in coloring):
+        return False
+    return all(coloring[u - 1] != coloring[v - 1] for u, v in g.edges)
+
+
+def cyclic_shift(coloring, s):
+    """Add s to every color mod 3."""
+    return tuple((c + s) % 3 for c in coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +511,6 @@ def test_weight_presets_are_shared_and_read_only():
         assert preset(5) is w and preset(6) is not w
         with pytest.raises(ValueError):
             w.numerators[0] = 7
-
-
-def test_coloring_text_roundtrip():
-    s = (0, 2, 1, 0)
-    assert coloring_from_text(coloring_to_text(s)) == s
 
 
 def test_geodesic_budget():

@@ -1,6 +1,5 @@
 """Update kernels, tape reproducibility, and the sign chains."""
 
-import io
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -26,13 +25,10 @@ from scanmix.dynamics import (
     glauber_step,
     metropolis_update,
     proposal_accepted,
-    read_trajectory,
-    run_chain,
     scan_sweep,
     sign_move,
     sign_step,
     sign_sweep_from_decisions,
-    write_trajectory,
 )
 from scanmix.kernels import build_kernel
 
@@ -319,20 +315,6 @@ def test_sign_pushforward_one_step():
                 decisions.append(out != before)
             # a coloring move happened exactly when the sign move fired
             assert to_signs(out) == sign_sweep_from_decisions(to_signs(sigma), decisions)
-
-
-def test_trajectory_roundtrip():
-    g = Graph.path(4)
-    spec = ChainSpec(graph=g, q=3, base="scan")
-    tape = RandomTape(3)
-    states = [(0, 1, 2, 0)]
-    for t in range(5):
-        states.append(scan_sweep(states[-1], spec, tape, 0, t))
-    buf = io.StringIO()
-    write_trajectory(buf, spec, 3, states)
-    buf.seek(0)
-    assert read_trajectory(buf) == states
-    assert run_chain(states[0], spec, RandomTape(3), 5) == states[-1]
 
 
 from hypothesis import given, settings

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from scanmix.congestion import bottleneck_target, directed_cycle
-from scanmix.domain import Graph, TargetGraph, to_signs
+from scanmix.domain import (
+    BudgetExceededError,
+    Graph,
+    TargetGraph,
+    enumerate_colorings,
+    enumerate_h_colorings,
+    to_signs,
+)
 from scanmix.dynamics import ChainSpec, proposal_accepted, scan_order, sign_move
 from scanmix.kernels import (
     DEFAULT_STATE_BUDGET,
@@ -16,18 +23,28 @@ from scanmix.kernels import (
     build_kernel,
     build_sign_kernel,
     communicating_classes,
-    dirichlet_form,
     _state_space,
     lump_kernel,
     max_tv_to_uniform,
     poincare_constant,
     sign_states,
     tv_mixing_time,
-    variance_uniform,
     verify_comparison,
 )
 
 MIX_GLAUBER_N4_Q3_QUARTER = 36  # frozen regression value from exact powering
+
+
+def dirichlet_form(kernel, f):
+    """E(f,f) = (1/2) sum_xy pi(x) P(x,y) (f(x)-f(y))^2 with uniform pi."""
+    P = kernel.dense()
+    n = len(kernel.states)
+    diff = f[:, None] - f[None, :]
+    return 0.5 * float(np.sum(P * diff ** 2)) / n
+
+
+def variance_uniform(f):
+    return float(np.mean((f - np.mean(f)) ** 2))
 
 
 def test_glauber_kernel_shape():
@@ -80,6 +97,53 @@ def test_clamped_sweep_preserves_fiber_uniform():
         K = build_kernel(spec, fiber_of=anchor)
         assert all(s[0] == anchor[0] and s[4] == anchor[4] for s in K.states)
         assert K.row_sums_exact() and K.uniform_is_stationary()
+
+
+def filtered_fiber(spec, fiber_of, component="auto", proper_only=True):
+    """The fiber as the kernels found it before they enumerated fibers
+    directly: the whole state space, filtered to the clamped colors."""
+    g = spec.graph
+    if spec.q is not None:
+        states = enumerate_colorings(g, spec.q, proper_only=proper_only)
+    else:
+        if component == "auto":
+            component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
+        states = enumerate_h_colorings(g, spec.target, component=component)
+    return [s for s in states if all(s[v - 1] == fiber_of[v - 1] for v in spec.clamp)]
+
+
+@pytest.mark.parametrize("kw,build", [
+    (dict(graph=Graph.path(6), q=3, clamp={1, 5}), {}),
+    (dict(graph=Graph.path(5), q=3, clamp={2, 3}), {}),
+    (dict(graph=Graph.path(4), q=3, clamp={2}), dict(proper_only=False)),
+    (dict(graph=Graph.star(5), q=3, clamp={1, 4}), {}),
+    (dict(graph=Graph.path(5), target=TargetGraph.cycle(4), clamp={2}), {}),
+    (dict(graph=Graph.path(4), target=TargetGraph.cycle(6), clamp={1, 3}), dict(component="side1")),
+    (dict(graph=Graph.path(4), target=TargetGraph.cycle(5), clamp={1, 4}), {}),
+    (dict(graph=Graph.path(4), target=directed_cycle(3), clamp={3}), {}),
+])
+def test_fibers_equal_the_filtered_state_space(kw, build):
+    """Every fiber of every assignment of the clamped colors, empty ones
+    included, is the filtered whole space, in the same order."""
+    spec = ChainSpec(**kw)
+    clamp = sorted(spec.clamp)
+    for colors in itertools.product(range(spec.n_colors), repeat=len(clamp)):
+        fiber_of = [0] * spec.graph.n
+        for v, c in zip(clamp, colors):
+            fiber_of[v - 1] = c
+        got = _state_space(spec, DEFAULT_STATE_BUDGET, build.get("component", "auto"),
+                           tuple(fiber_of), build.get("proper_only", True))
+        assert got == filtered_fiber(spec, fiber_of, **build), colors
+
+
+def test_clamped_fibers_are_budgeted_by_their_own_states():
+    """A 256-state fiber of a 98,304-state space builds under the default
+    budget; a fiber above its budget is still refused."""
+    spec = ChainSpec(graph=Graph.path(16), q=3, clamp=frozenset(range(1, 9)))
+    K = build_kernel(spec, fiber_of=(0, 1) * 8)
+    assert len(K.states) == 256 and K.row_sums_exact() and K.uniform_is_stationary()
+    with pytest.raises(BudgetExceededError, match="256 colorings"):
+        build_kernel(spec, fiber_of=(0, 1) * 8, budget=255)
 
 
 def test_mixing_time_examples():

@@ -10,7 +10,7 @@ import scipy.stats
 
 import scanmix.coupling as coupling
 from scanmix.coupling import coupled_update, partner_proposal, switch_scan_contained
-from scanmix.domain import PAD, Graph, path_accepts
+from scanmix.domain import PAD, BudgetExceededError, Graph, enumerate_colorings, path_accepts
 from scanmix.dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 from scanmix.percolation import (
@@ -18,7 +18,6 @@ from scanmix.percolation import (
     _padded,
     _switch_scan_sweep,
     anchored_z_tail_exact,
-    covariance_probe,
     enumerate_anchor_fiber,
     exact_free_tail,
     lb_experiment,
@@ -85,7 +84,6 @@ def test_layout_arithmetic():
     assert lay.k == 6 and lay.m == 4
     assert lay.anchors == (1, 7, 13, 19, 25)
     assert lay.mids == (5, 11, 17, 23)
-    assert lay.symmetric_clamps == (8, 14, 20)
     big = segment_layout(10 ** 9, 4)
     assert big.r == 6 and not big.overridden
     with pytest.raises(ValueError):
@@ -130,6 +128,28 @@ def test_pi0_is_uniform_on_the_fiber():
     chi2 = float(((obs - expected) ** 2 / expected).sum())
     p_value = scipy.stats.chi2.sf(chi2, len(fiber) - 1)
     assert p_value > 1e-3
+
+
+@pytest.mark.parametrize(
+    "n,q,override", [(7, 3, (2, 2)), (9, 4, (2, 2)), (12, 3, (2, 4)), (14, 3, (4, 2))]
+)
+def test_anchor_fiber_is_the_filtered_state_space(n, q, override):
+    """The directly enumerated fiber is the whole space filtered to anchors
+    colored 0, in the same order."""
+    lay = segment_layout(n, q, override=override)
+    states = enumerate_colorings(Graph.path(n), q)
+    want = [s for s in states if all(s[a - 1] == 0 for a in lay.anchors)]
+    assert enumerate_anchor_fiber(lay) == want
+
+
+def test_anchor_fiber_is_budgeted_by_its_own_states():
+    """n = 19, q = 3: the 22^3 fiber states build under the default budget,
+    which the 786,432 colorings of the path exceed; a budget below the
+    fiber's is still refused."""
+    lay = segment_layout(19, 3, override=(2, 4))
+    assert len(enumerate_anchor_fiber(lay)) == 22 ** 3
+    with pytest.raises(BudgetExceededError):
+        enumerate_anchor_fiber(lay, budget=10_000)
 
 
 def test_clamped_sweep_keeps_fiber_distribution():
@@ -180,20 +200,6 @@ def test_lb_experiment_single_site_variant():
     assert 0.0 <= rep.disagreement_rate <= 1.0
 
 
-def test_covariance_probe_bounds():
-    t_steps = 4905  # the single-site scale q n r / (2 e (q-1)) at the desk layout
-    rep = covariance_probe(DESK, t=t_steps, replicates=100, tape=RandomTape(11))
-    assert rep.max_abs_covariance <= rep.covariance_ceiling + 3 * rep.covariance_se
-    assert rep.var_z <= rep.var_ceiling + 3 * rep.var_se
-
-
-def test_covariance_probe_null_at_t0():
-    lay = segment_layout(2000, 4, override=(2, 10))
-    rep = covariance_probe(lay, t=0, replicates=400, tape=RandomTape(13))
-    # anchored segments are independent at t=0: covariances sit near zero
-    assert rep.max_abs_covariance <= 3 * rep.covariance_se
-
-
 def test_z_statistic_counts_midpoints():
     lay = segment_layout(9, 4, override=(2, 2))
     s = [1] * 9
@@ -205,22 +211,10 @@ def test_z_statistic_counts_midpoints():
     assert z_statistic(tuple(s), lay) == len(lay.mids)
 
 
-def test_covariance_probe_symmetric_clamp_variant():
-    lay = segment_layout(2000, 4, override=(2, 10))
-    free = covariance_probe(lay, t=800, replicates=80, tape=RandomTape(17))
-    clamped = covariance_probe(
-        lay, t=800, replicates=80, tape=RandomTape(17), clamp_symmetric=True
-    )
-    for rep in (free, clamped):
-        assert rep.max_abs_covariance <= rep.covariance_ceiling + 3 * rep.covariance_se
-        assert rep.var_z <= rep.var_ceiling + 3 * rep.var_se
-
-
 def test_experiments_refuse_zero_replicates():
     lay = segment_layout(400, 4, override=(2, 4))
-    for run in (lb_experiment, covariance_probe):
-        with pytest.raises(ValueError, match="replicates"):
-            run(lay, 1, 0, RandomTape(1))
+    with pytest.raises(ValueError, match="replicates"):
+        lb_experiment(lay, 1, 0, RandomTape(1))
 
 
 def sample_pi0_by_vertex(layout, tape, replicates=1, rep0=0):

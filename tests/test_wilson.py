@@ -1,21 +1,19 @@
 """Sign-chain expectation matrices, closed-form eigendata, and the bounds."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scanmix.dynamics import RandomTape
+from scanmix.dynamics import RandomTape, sign_move
 from scanmix.kernels import build_sign_kernel, poincare_constant
 from scanmix.wilson import (
     closed_form_eigen,
-    coupled_sign_outcomes,
     estimate_rho,
     expectation_matrix,
-    glauber_phi0_closed_form,
     move_expectation_map,
-    tridiagonal_form,
     wilson_bounds,
 )
 
@@ -38,6 +36,21 @@ def test_move_expectation_map_equals_hand_set_entries():
     for n in range(3, 40):
         for v in range(1, n + 1):
             assert np.array_equal(move_expectation_map(v, n), hand_set(v, n)), (n, v)
+
+
+def tridiagonal_form(n):
+    """B with expectation_matrix('glauber', n) == I - B/(3n): generic row
+    (-1, 2, -1), boundary diagonals 3.  An independent cross-check of the
+    construction from move semantics."""
+    m = n - 1
+    B = np.zeros((m, m))
+    for i in range(m):
+        B[i, i] = 3 if i in (0, m - 1) else 2
+        if i > 0:
+            B[i, i - 1] = -1
+        if i < m - 1:
+            B[i, i + 1] = -1
+    return B
 
 
 @pytest.mark.parametrize("n", [4, 7, 12, 25])
@@ -95,6 +108,11 @@ def test_statistic_decays_geometrically():
         for t in range(1, 6):
             xt = A @ xt
             assert abs(e.w @ xt - e.lam ** t * phi0) < 1e-9 * phi0
+
+
+def glauber_phi0_closed_form(n):
+    """Geometric-series value of sum_i w_i: c_n * cosec(pi / (2(n-1)))."""
+    return closed_form_eigen("glauber", n).c_n / math.sin(math.pi / (2 * (n - 1)))
 
 
 def test_phi0_geometric_series_identity():
@@ -160,6 +178,41 @@ def test_scan_rho_growth_is_subquadratic():
 # ---------------------------------------------------------------------------
 # monotone coupling of two sign-chain copies
 # ---------------------------------------------------------------------------
+
+def threshold_flip(old, u):
+    """Common-uniform update of a boundary coordinate: +1 iff u < p(old).
+
+    p(+1) = 2/3 >= p(-1) = 1/3 reproduces the marginal flip probability 1/3
+    and is monotone in the old value, so coupled copies preserve the
+    coordinatewise order.
+    """
+    return 1 if u < (2 / 3 if old == 1 else 1 / 3) else -1
+
+
+def coupled_sign_move(xy, v, u):
+    """Apply the vertex-v move to both copies (the rows of xy) from one
+    shared uniform, in place: the threshold flip at the two boundary
+    coordinates, the swap in both copies when u < 1/3 at an interior vertex."""
+    n = xy.shape[-1] + 1
+    if v == 1 or v == n:
+        i = 0 if v == 1 else n - 2
+        xy[:, i] = [threshold_flip(old, u) for old in xy[:, i].tolist()]
+    elif u < 1 / 3:
+        sign_move(xy, v)
+
+
+def coupled_sign_outcomes(x, y, v, n):
+    """Exact outcome distribution of one coupled vertex move, in thirds:
+    one outcome per third of the shared uniform, equal outcomes merged."""
+    merged = {}
+    for seg in range(3):
+        xy = np.array([x, y])
+        coupled_sign_move(xy, v, (2 * seg + 1) / 6)  # the third's midpoint
+        xs, ys = xy.tolist()
+        key = (tuple(xs), tuple(ys))
+        merged[key] = merged.get(key, Fraction(0)) + Fraction(1, 3)
+    return [(mass, a, b) for (a, b), mass in merged.items()]
+
 
 def _states(n):
     return list(itertools.product((-1, 1), repeat=n - 1))
