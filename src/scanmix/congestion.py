@@ -148,10 +148,9 @@ class CongestionReport:
         return 1 / self.congestion if self.congestion > 0 else Fraction(0)
 
 
-def canonical_congestion(
-    n: int, target: TargetGraph, component: str = "auto"
-) -> CongestionReport:
-    """Build every canonical path on the n-path and measure the edge loads.
+def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
+    """Build every canonical path on the n-path and measure the edge loads,
+    over the side-0 class of a bipartite H and every H-coloring otherwise.
 
     The canonical path sigma -> tau scans the spliced word sigma .
     connector-interior . tau with an n-window: it visits every second window,
@@ -169,9 +168,7 @@ def canonical_congestion(
     h = target.h
     if h ** n * n * h >= 2 ** 63:
         raise ValueError(f"move keys up to {h}**{n} * {n * h} do not fit int64")
-    if component == "auto":
-        component = "side0" if target.is_bipartite else "all"
-    states = enumerate_h_colorings(g, target, component=component)
+    states = enumerate_h_colorings(g, target, "side0" if target.is_bipartite else "all")
     t = connector_length(target, n)
     n_states = len(states)
     # base-h state codes; a move (code, vertex j, color c) is keyed

@@ -238,8 +238,6 @@ class DriftReport:
 
     ``expected_after`` is computed by exhaustive enumeration or dynamic
     programming with exact rational probabilities, never by sampling.
-    ``bound`` (when given) upper-bounds expected_after; ``lemma_id`` names the
-    contraction bound being checked.
     """
 
     pair: tuple[Coloring, Coloring]
@@ -248,16 +246,10 @@ class DriftReport:
     start_vertex: int
     before: Fraction
     expected_after: Fraction
-    bound: Optional[Fraction] = None
-    lemma_id: Optional[str] = None
 
     @property
     def drift(self) -> Fraction:
         return self.expected_after - self.before
-
-    @property
-    def passed(self) -> bool:
-        return self.bound is None or self.expected_after <= self.bound
 
 
 def _pair_metric(sig, tau, metric, weights) -> tuple[np.ndarray, int]:
@@ -281,8 +273,6 @@ def exact_drift(
     q: int,
     start_vertex: int = 1,
     weights: Optional[VertexWeights] = None,
-    bound: Optional[Fraction] = None,
-    lemma_id: Optional[str] = None,
 ) -> DriftReport:
     """Exact expected metric after one coupled sweep (scan kinds) or one
     coupled single-site update (glauber kinds) on the path.
@@ -317,8 +307,6 @@ def exact_drift(
         start_vertex=start_vertex,
         before=before,
         expected_after=expected,
-        bound=bound,
-        lemma_id=lemma_id,
     )
 
 
@@ -906,14 +894,13 @@ def _drop_choice(sigma: Coloring, tau: Coloring, weights: VertexWeights):
     raise AssertionError("height case analysis matched no case")
 
 
-def site_variance_witness(
-    sigma: Coloring, tau: Coloring, weights: Optional[VertexWeights] = None
-) -> SiteWitness:
-    """Verified single-site variance witness for an unequal proper pair."""
+def site_variance_witness(sigma: Coloring, tau: Coloring) -> SiteWitness:
+    """Verified single-site variance witness for an unequal proper pair,
+    under the glauber q = 3 weights."""
     if sigma == tau:
         raise ValueError("pair must be unequal")
     n = len(sigma)
-    weights = weights if weights is not None else VertexWeights.glauber_q3(n)
+    weights = VertexWeights.glauber_q3(n)
     tries = [(z, c) for z in range(n) for c in range(3)]
     z, c = np.divmod(np.arange(3 * n), 3)
     pairs = _coupled_moves(sigma, tau, "identity_glauber", z[None] + 1, c[None])
@@ -969,10 +956,9 @@ def _verify_sweep_witness(
     return Fraction(int(shift[np.arange(len(shift)), ok.argmax(axis=1)].min()), den)
 
 
-def sweep_variance_witness(
-    sigma: Coloring, tau: Coloring, weights: Optional[VertexWeights] = None
-) -> SweepWitness:
-    """Verified sweep variance witness for an unequal proper pair.
+def sweep_variance_witness(sigma: Coloring, tau: Coloring) -> SweepWitness:
+    """Verified sweep variance witness for an unequal proper pair, under the
+    scan q = 3 weights.
 
     Construction: take the single-site drop choice (z, C); freeze z-1 with a
     shared color of both windows and z+1 with a per-color freeze choice, so
@@ -986,7 +972,7 @@ def sweep_variance_witness(
     if sigma == tau:
         raise ValueError("pair must be unequal")
     n = len(sigma)
-    weights = weights if weights is not None else VertexWeights.scan_q3(n)
+    weights = VertexWeights.scan_q3(n)
 
     def candidates_at(z: int):
         lefts: list[Optional[int]] = [None]

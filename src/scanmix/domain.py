@@ -268,9 +268,18 @@ def _build_states(g: Graph, allows: np.ndarray, budget: int, palette=None) -> li
     order, so the rows stay in lexicographic order.  Raises
     BudgetExceededError as soon as one level keeps more than ``budget``
     partial colorings; the palette prunes every level, so a restricted space
-    is budgeted by its own prefixes, not by the whole space's.
+    is budgeted by its own prefixes, not by the whole space's.  One reverse
+    pass first drops each color of a vertex that some later neighbour's
+    palette cannot follow, so a level keeps no prefix that a later palette
+    already rules out; the colorings returned are the same.
     """
     h = len(allows)
+    if palette is not None:
+        palette = np.array(palette, dtype=bool)
+        for v in range(g.n, 0, -1):
+            for u in g.adjacency[v]:
+                if u > v:
+                    palette[v - 1] &= (allows & palette[u - 1]).any(axis=1)
     X = np.zeros((1, 0), dtype=np.min_scalar_type(h - 1))
     for v in range(1, g.n + 1):
         ok = np.ones((len(X), h), dtype=bool)

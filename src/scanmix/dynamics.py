@@ -137,12 +137,6 @@ class ChainSpec:
         """The constraint graph: ``target``, or K_q for the clique model."""
         return self.target if self.target is not None else TargetGraph.clique(self.q)
 
-    def describe(self) -> str:
-        model = f"q={self.q}" if self.q is not None else f"h={self.target.h}"
-        clamp = ",".join(map(str, sorted(self.clamp))) or "-"
-        lazy = "lazy " if self.lazy else ""
-        return f"{lazy}{self.base} {model} n={self.graph.n} kind={self.graph.kind} clamp={clamp}"
-
 
 def proposal_accepted(spec: ChainSpec, sigma: Coloring, v: int, c: int) -> bool:
     """Acceptance rule of Metropolis(v) for proposed color c.
@@ -225,11 +219,12 @@ def sign_move(x: np.ndarray, v: int) -> None:
 
     The last axis holds the n - 1 coordinates.  Vertex 1 flips coordinate 1,
     vertex n flips the last coordinate n - 1, and an interior vertex v
-    exchanges coordinates v - 1 and v.
+    exchanges coordinates v - 1 and v; at n = 1 there is no coordinate and
+    the move is the identity.
     """
     n = x.shape[-1] + 1
     if v == 1:
-        x[..., 0] *= -1
+        x[..., :1] *= -1
     elif v == n:
         x[..., n - 2] *= -1
     else:
@@ -242,7 +237,6 @@ def sign_step(
     tape: RandomTape,
     rep: int = 0,
     t: int = 0,
-    n: Optional[int] = None,
 ) -> SignConfig:
     """One step of the auxiliary sign chain on {-1,+1}^(n-1).
 
@@ -250,8 +244,8 @@ def sign_step(
     order, then the vertex-n flip, each independently with probability 1/3.
     base='glauber': a single uniformly random vertex move with probability 1/3.
     """
-    n = n if n is not None else len(x) + 1
-    if len(x) != n - 1 or any(s not in (-1, 1) for s in x):
+    n = len(x) + 1
+    if any(s not in (-1, 1) for s in x):
         raise ValueError("sign vector must lie in {-1,+1}^(n-1)")
     if base == "scan":
         return sign_sweep_from_decisions(x, tape.uniforms(rep, t, CH_SIGN, n) < 1 / 3)

@@ -1,10 +1,10 @@
 """Exact finite-chain analysis: kernels, mixing times, spectra, comparisons.
 
 Transition matrices are held in compressed sparse rows with int64 numerators
-over one global denominator, so row-stochasticity and stationarity checks are
-exact; every kernel is built from per-vertex move tables.  Spectra and
-total-variation mixing times use dense float64 linear algebra; the chains
-analysed here have at most a few thousand states.
+over one integer denominator, so row-stochasticity and stationarity checks
+are exact; every kernel is built from per-vertex move tables.  Spectra and
+total-variation mixing times use dense float64 linear algebra on at most the
+state budget (20,000 by default) of states.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noq
 DEFAULT_STATE_BUDGET = 20_000
 # relative slack of the comparison audit's floating-point inequalities
 RTOL = 1e-9
+# doubling steps of tv_mixing_time stop beyond this power
+MAX_MIX_T = 10 ** 9
 
 
 class NonErgodicError(RuntimeError):
@@ -71,8 +73,7 @@ class ChainKernel:
     """Row-stochastic matrix over an enumerated, lexicographically ordered space.
 
     CSR store: row i holds ``data[indptr[i]:indptr[i + 1]]`` at the sorted
-    columns ``indices[...]``, int64 numerators over ``denom`` in exact mode
-    and floats (``denom`` None) above the exactness threshold.  ``rows[i]``
+    columns ``indices[...]``, int64 numerators over ``denom``.  ``rows[i]``
     views row i as a mapping; ``spec`` records which chain this is.
     """
 
@@ -80,7 +81,7 @@ class ChainKernel:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    denom: Optional[int]
+    denom: int
     spec: Optional[ChainSpec] = None
     _dense: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -90,10 +91,6 @@ class ChainKernel:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def exact(self) -> bool:
-        return self.denom is not None
-
     @cached_property
     def rows(self) -> list[_Row]:
         ptr = self.indptr.tolist()
@@ -102,30 +99,28 @@ class ChainKernel:
     def _row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.states)), np.diff(self.indptr))
 
-    def entry(self, i: int, j: int):
-        """Transition probability as a Fraction (exact mode) or float."""
-        num = self.rows[i].get(j, 0)
-        return Fraction(num, self.denom) if self.exact else float(num)
+    def entry(self, i: int, j: int) -> Fraction:
+        """Transition probability as a Fraction."""
+        return Fraction(self.rows[i].get(j, 0), self.denom)
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
             self._dense = np.zeros((len(self), len(self)))
-            scale = self.denom if self.exact else 1
-            self._dense[self._row_ids(), self.indices] = self.data / scale
+            self._dense[self._row_ids(), self.indices] = self.data / self.denom
         return self._dense
 
-    def _sums_are_one(self, at: np.ndarray, tol: float) -> bool:
+    def _sums_are_one(self, at: np.ndarray) -> bool:
         sums = np.zeros(len(self), dtype=self.data.dtype)
         np.add.at(sums, at, self.data)
-        return bool(np.all(sums == self.denom if self.exact else np.abs(sums - 1.0) <= tol))
+        return bool(np.all(sums == self.denom))
 
-    def row_sums_exact(self, tol: float = 1e-12) -> bool:
-        """Rows sum to one: exactly in rational mode, within tol in float mode."""
-        return self._sums_are_one(self._row_ids(), tol)
+    def row_sums_exact(self) -> bool:
+        """Rows sum to one, exactly."""
+        return self._sums_are_one(self._row_ids())
 
-    def uniform_is_stationary(self, tol: float = 1e-12) -> bool:
+    def uniform_is_stationary(self) -> bool:
         """With uniform pi, stationarity is equivalent to unit column sums."""
-        return self._sums_are_one(self.indices, tol)
+        return self._sums_are_one(self.indices)
 
     def reversal(self) -> "ChainKernel":
         """Time reversal with respect to the uniform distribution (transpose)."""
@@ -136,8 +131,6 @@ class ChainKernel:
         """Exact product kernel: one step of self followed by one of other."""
         if self.states != other.states:
             raise ValueError("composition requires identical state spaces")
-        if not (self.exact and other.exact):
-            raise ValueError("composition is implemented for exact kernels")
         denom = _int64_denominator(self.denom * other.denom)
         other_csr = (other.indptr, other.indices, other.data)
         csr = _gather(other_csr, self.indices, self.data, self._row_ids(), len(self))
@@ -145,8 +138,6 @@ class ChainKernel:
 
     def to_triplets(self) -> str:
         """Sparse text export: one 'i j num den' line per nonzero entry."""
-        if not self.exact:
-            raise ValueError("triplet export requires the exact (rational) mode")
         triplets = zip(self._row_ids().tolist(), self.indices.tolist(), self.data.tolist())
         return "\n".join(f"{i} {j} {num} {self.denom}" for i, j, num in triplets)
 
@@ -262,15 +253,14 @@ def build_kernel(
     component: str = "auto",
     fiber_of: Optional[Coloring] = None,
     proper_only: bool = True,
-    exact_threshold: int = DEFAULT_STATE_BUDGET,
 ) -> ChainKernel:
-    """Transition matrix of the specified chain, from its n move tables: their
-    average (lazy adds nq stay columns) or their ordered product over q^n.
+    """Exact transition matrix of the specified chain, from its n move
+    tables: their average (lazy adds nq stay columns) or their ordered
+    product over q^n.
 
     ``fiber_of`` restricts a clamped chain to the states agreeing with the
-    given coloring on the clamped vertices.  Entries are exact rationals up
-    to ``exact_threshold`` states and floats beyond.  Every base refuses
-    q^n >= 2^63, the scan kernel's denominator.
+    given coloring on the clamped vertices.  Every base refuses q^n >= 2^63,
+    the scan kernel's denominator, so the int64 numerators always fit.
     """
     states = _state_space(spec, budget, component, fiber_of, proper_only)
     _int64_denominator(spec.n_colors ** spec.graph.n)
@@ -278,12 +268,8 @@ def build_kernel(
     if spec.base == "glauber":
         if spec.lazy:
             tables.append(np.tile(np.arange(len(states)), (spec.graph.n * spec.n_colors, 1)).T)
-        kernel = _from_tables(states, tables, False, spec)
-    else:
-        kernel = _from_tables(states, [tables[v - 1] for v in scan_order(spec)], True, spec)
-    if len(states) > exact_threshold:
-        kernel.data, kernel.denom = kernel.data / kernel.denom, None
-    return kernel
+        return _from_tables(states, tables, False, spec)
+    return _from_tables(states, [tables[v - 1] for v in scan_order(spec)], True, spec)
 
 
 def sign_states(n: int) -> list[tuple[int, ...]]:
@@ -293,11 +279,12 @@ def sign_states(n: int) -> list[tuple[int, ...]]:
 
 def build_sign_kernel(base: str, n: int) -> ChainKernel:
     """Exact kernel of the auxiliary sign chain on {-1,+1}^(n-1); each vertex
-    move applies with probability 1/3, so its table is [i, i, move_v(i)]."""
+    move applies with probability 1/3, so its table is [i, i, move_v(i)].
+    It equals the q = 3 path kernel of the same base lumped by ``to_signs``."""
     if base not in ("glauber", "scan"):
         raise ValueError(f"unknown base {base!r}")
     states = sign_states(n)
-    X = np.array(states)
+    X = np.array(states, dtype=np.int64).reshape(len(states), n - 1)
     place = 2 ** np.arange(n - 2, -1, -1)  # states are binary numbers, -1 -> 0
     Y = np.repeat(X[None], n, axis=0)  # Y[v - 1]: every state after the vertex-v move
     for v in range(1, n + 1):
@@ -305,33 +292,6 @@ def build_sign_kernel(base: str, n: int) -> ChainKernel:
     stay = np.arange(len(states))
     tables = [np.column_stack([stay, stay, moved]) for moved in ((Y + 1) // 2) @ place]
     return _from_tables(states, tables, base == "scan")
-
-
-def lump_kernel(kernel: ChainKernel, projection: Callable) -> Optional[ChainKernel]:
-    """Pushforward of a kernel under a state-space projection.
-
-    Returns None when the lumping is not well defined (two states in the same
-    fiber would induce different projected rows).  Numerators stay exact.
-    """
-    if not kernel.exact:
-        raise ValueError("lumping is decided by exact row comparison")
-    images = [projection(s) for s in kernel.states]
-    lumped_states = sorted(set(images))
-    lindex = {x: i for i, x in enumerate(lumped_states)}
-    label = np.array([lindex[x] for x in images], dtype=np.int64)
-    m = len(lumped_states)
-    indptr, indices, data = csr = _combine(
-        kernel._row_ids(), label[kernel.indices], kernel.data, len(kernel), m
-    )
-    first = np.unique(label, return_index=True)[1]  # first state of each fiber
-    rep, length = first[label], np.diff(indptr)
-    if np.any(length != length[rep]):
-        return None
-    at = np.repeat(indptr[rep] - indptr[:-1], length) + np.arange(len(indices))
-    if np.any(indices[at] != indices) or np.any(data[at] != data):
-        return None
-    return ChainKernel(lumped_states, *_gather(csr, first, None, np.arange(m), m),
-                       kernel.denom, kernel.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +345,7 @@ def max_tv_to_uniform(P_t: np.ndarray) -> float:
     return 0.5 * float(np.max(np.abs(P_t - 1.0 / n).sum(axis=1)))
 
 
-def tv_mixing_time(
-    kernel: ChainKernel, eps: float, max_t: int = 10 ** 9, *, ladder: Optional[list] = None
-) -> int:
+def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = None) -> int:
     """min { t > 0 : max_x TV(P^t(x, .), uniform) <= eps }.
 
     Doubling ladder then binary search; the worst-start distance is
@@ -408,8 +366,8 @@ def tv_mixing_time(
             break
         powers.append(powers[-1] @ powers[-1])
         t *= 2
-        if t > max_t:
-            raise RuntimeError(f"no mixing by t={max_t}; chain may be periodic")
+        if t > MAX_MIX_T:
+            raise RuntimeError(f"no mixing by t={MAX_MIX_T}; chain may be periodic")
     if t == 1:
         return 1
 
@@ -446,10 +404,6 @@ class SpectralReport:
     eigenvalues: np.ndarray
     poincare: float
     beta_min: float
-
-    @property
-    def gap(self) -> float:
-        return self.poincare
 
 
 def poincare_constant(kernel: ChainKernel) -> SpectralReport:

@@ -85,7 +85,7 @@ class EigenData:
     gamma: float
 
 
-def _scan_beta(n: int, tol: float = 1e-14) -> float:
+def _scan_beta(n: int) -> float:
     """Root of tan(beta) = -3 tan(beta + pi/(n-1)) in (-pi/(n-1), 0), by bisection."""
     alpha = math.pi / (n - 1)
 
@@ -96,7 +96,7 @@ def _scan_beta(n: int, tol: float = 1e-14) -> float:
     flo = f(lo)
     if flo * f(hi) > 0:
         raise ArithmeticError("bracketing failure for the sweep phase root")
-    while hi - lo > tol:
+    while hi - lo > 1e-14:
         mid = (lo + hi) / 2
         if flo * f(mid) <= 0:
             hi = mid

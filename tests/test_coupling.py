@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from scanmix.coupling import (
+    COUPLING_KINDS,
     TABLE_MAX_Q,
     CouplingStats,
     PathMetricTables,
@@ -612,14 +613,30 @@ def test_metric_increment_caps_along_trajectories():
         s, t = a, b
 
 
-def test_coupling_time_identical_starts():
-    g = Graph.path(8)
-    spec = ChainSpec(graph=g, q=4, base="scan")
+COALESCED_CASES = [
+    (q, base, kind)
+    for q, base in ((4, "scan"), (4, "reverse_scan"), (7, "scan"), (4, "glauber"), (7, "glauber"))
+    for kind in COUPLING_KINDS
+    if kind != "switch_glauber_important_neighbor" and kind.endswith(base.split("_")[-1])
+]
+
+
+@pytest.mark.parametrize("q,base,kind", COALESCED_CASES)
+def test_coalesced_pair_stays_coalesced(q, base, kind):
+    """Every coupling kind that drives the chain keeps equal copies equal:
+    the q = 4 sweeps run by table, the q = 7 sweeps and the glauber steps
+    vertex by vertex."""
+    n = 8
+    spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
     tape = RandomTape(3)
-    s = uniform_proper_coloring(8, 4, tape, 0, 0)
-    t = 0
-    a, b = s, s
-    assert a == b  # zero coalescence time by definition
+    s = uniform_proper_coloring(n, q, tape, 0, 0)
+    visited = {s}
+    for step in range(20):
+        a, b = coupled_sweep(s, s, kind, spec, tape, 1, step)
+        assert a == b, f"copies split at step {step}"
+        s = a
+        visited.add(s)
+    assert len(visited) > 1  # the chain moved
 
 
 def _reference_coalescence(spec):

@@ -152,6 +152,17 @@ def test_anchor_fiber_is_budgeted_by_its_own_states():
         enumerate_anchor_fiber(lay, budget=10_000)
 
 
+def test_anchor_fiber_prefixes_exclude_colors_the_next_anchor_rejects():
+    """The 1..18 prefixes of that fiber number 15,488 when vertex 18 may
+    take the anchor's color 0; pruned by the anchor at vertex 19 they are the
+    fiber's 10,648, so a budget of exactly the fiber's size builds it."""
+    lay = segment_layout(19, 3, override=(2, 4))
+    assert len(enumerate_anchor_fiber(lay, budget=15_000)) == 10_648
+    assert len(enumerate_anchor_fiber(lay, budget=10_648)) == 10_648
+    with pytest.raises(BudgetExceededError, match="10648 colorings"):
+        enumerate_anchor_fiber(lay, budget=10_647)
+
+
 def test_clamped_sweep_keeps_fiber_distribution():
     lay = segment_layout(7, 3, override=(2, 2))
     g = Graph.path(7)

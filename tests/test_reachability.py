@@ -100,3 +100,32 @@ def test_every_definition_is_reachable_from_the_program():
 def test_the_allowlist_names_only_unreached_definitions():
     defs, seen = reachable()
     assert set(ALLOWED) <= set(defs) - seen
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module imports and never mentions, skipping ``__future__``
+    imports and any import statement marked ``# noqa: F401``."""
+    source = path.read_text()
+    tree, lines = ast.parse(source), source.splitlines()
+    used = _names(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_imported_name_is_used():
+    """Each package module but ``__init__`` (whose imports are the package's
+    exports) uses every name it imports."""
+    unused = [n for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+              for n in _unused_imports(path)]
+    assert unused == [], "imported and unused: " + ", ".join(unused)
