@@ -165,12 +165,17 @@ def _combine(rows, cols, vals, n_rows: int, n_cols: int):
     return np.searchsorted(key, np.arange(n_rows + 1) * n_cols), key % n_cols, data
 
 
+def _row_positions(indptr, src):
+    """Positions of the entries of CSR rows src, row after row, and the row lengths."""
+    start = indptr[src]
+    length = indptr[src + 1] - start
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum()), length
+
+
 def _gather(csr, src, weights, rows_out, n: int):
     """n x n CSR: row r sums weights[k] * csr[src[k]] (None: ones) over rows_out[k] == r."""
     indptr, indices, data = csr
-    start = indptr[src]
-    length = indptr[src + 1] - start
-    pos = np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+    pos, length = _row_positions(indptr, src)
     vals = data[pos] if weights is None else np.repeat(weights, length) * data[pos]
     return _combine(np.repeat(rows_out, length), indices[pos], vals, n, n)
 
@@ -194,28 +199,40 @@ def _from_tables(states: list, tables: list, sweep: bool, spec=None) -> ChainKer
     return ChainKernel(states, *(a.copy() for a in csr), denom, spec)
 
 
-def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
-    """J_v for v = 1..n, each (N, q): ``J_v[i, c]`` is the state proposal c at
-    vertex v leads to from state i (i itself when rejected or v is clamped),
-    found by ``searchsorted`` on the sorted base-q state codes (Python ints
-    once q^n outgrows int64).  Acceptance reads ``spec.model``'s adjacency at
-    each neighbour's color, transposed for a later neighbour u > v: the rule
-    of ``proposal_accepted``."""
+def _state_codes(spec: ChainSpec, states: list):
+    """The states as an (N, n) array, the base-q place values and the state
+    codes, ascending for lexicographically ordered states (Python ints once
+    q^n outgrows int64)."""
     g, q = spec.graph, spec.n_colors
     codes_type = np.int64 if q ** g.n < 2 ** 63 else object
     X = np.array(states, dtype=np.int64).reshape(len(states), g.n)
     place = np.array([q ** k for k in range(g.n - 1, -1, -1)], dtype=codes_type)
-    codes = X @ place
+    return X, place, X @ place
+
+
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> Optional[np.ndarray]:
+    """Positions of ``wanted`` in the ascending ``keys``; None if one is absent."""
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return None if np.any(keys[pos] != wanted) else pos
+
+
+def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
+    """J_v for v = 1..n, each (N, q): ``J_v[i, c]`` is the state proposal c at
+    vertex v leads to from state i (i itself when rejected or v is clamped),
+    found by ``searchsorted`` on the sorted state codes.  Acceptance reads
+    ``spec.model``'s adjacency at each neighbour's color, transposed for a
+    later neighbour u > v: the rule of ``proposal_accepted``."""
+    g, q = spec.graph, spec.n_colors
+    X, place, codes = _state_codes(spec, states)
     allows = np.array(spec.model.adjacency)
     tables = []
     for v in range(1, g.n + 1):
         ok = np.full((len(states), q), v not in spec.clamp)
         for u in g.adjacency[v]:
             ok &= (allows if u < v else allows.T)[X[:, u - 1]]
-        step = (ok * (np.arange(q) - X[:, [v - 1]])).astype(codes_type, copy=False)
-        moved = codes[:, None] + step * place[v - 1]
-        pos = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
-        if np.any(codes[pos] != moved):
+        step = (ok * (np.arange(q) - X[:, [v - 1]])).astype(codes.dtype, copy=False)
+        pos = _lookup(codes, codes[:, None] + step * place[v - 1])
+        if pos is None:
             raise ValueError(f"an accepted move at vertex {v} leaves the enumerated states")
         tables.append(pos)
     return tables
@@ -298,15 +315,35 @@ def build_sign_kernel(base: str, n: int) -> ChainKernel:
 # Ergodicity, mixing times, spectra
 # ---------------------------------------------------------------------------
 
+def _reaches_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """State 0 reaches every state of the CSR digraph: a breadth-first sweep
+    whose frontiers are gathered in numpy."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = indices[_row_positions(indptr, frontier)[0]]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
+
+
 def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
-    """Strongly connected components of the positive-transition digraph."""
+    """Strongly connected components of the positive-transition digraph.
+
+    A single class when state 0 reaches every state and every state
+    reaches 0, decided by a forward and a backward sweep over the CSR
+    arrays; only a reducible kernel goes on to Kosaraju's two depth-first
+    passes, which list its classes."""
     n = len(kernel)
+    # predecessors: the rows of each column, ascending, by one stable sort on the column
+    rows = kernel._row_ids()[np.argsort(kernel.indices, kind="stable")]
+    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(kernel.indices, minlength=n))))
+    if n and _reaches_all(kernel.indptr, kernel.indices) and _reaches_all(col_ptr, rows):
+        return [list(range(n))]
     ptr, cols = kernel.indptr.tolist(), kernel.indices.tolist()
     succ = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
-    # predecessors: the rows of each column, ascending, by one stable sort on the column
-    by_col = np.argsort(kernel.indices, kind="stable")
-    rows = kernel._row_ids()[by_col].tolist()
-    col_ptr = np.searchsorted(kernel.indices[by_col], np.arange(n + 1)).tolist()
+    rows, col_ptr = rows.tolist(), col_ptr.tolist()
     pred = [rows[a:b] for a, b in zip(col_ptr, col_ptr[1:])]
 
     order: list[int] = []  # by DFS finishing time
@@ -341,8 +378,40 @@ def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
 
 
 def max_tv_to_uniform(P_t: np.ndarray) -> float:
-    n = P_t.shape[0]
+    """Largest TV distance from uniform over the rows of P_t, which may be
+    any block of rows of an N-column power."""
+    n = P_t.shape[1]
     return 0.5 * float(np.max(np.abs(P_t - 1.0 / n).sum(axis=1)))
+
+
+def _orbit_representatives(kernel: ChainKernel) -> Optional[np.ndarray]:
+    """The states with color 0 at vertex 1 when the color rotation
+    c -> c + 1 mod h is a symmetry of the chain, else None.
+
+    The rotation must be an automorphism of ``spec.model``, map the state
+    list onto itself and commute with the kernel: P(rx, ry) = P(x, y) on
+    every nonzero entry, checked exactly on the integer CSR arrays.  Then
+    every start of a rotation orbit is as far from the (rotation-invariant)
+    uniform law as any other, and each orbit holds exactly one state with
+    color 0 at vertex 1.
+    """
+    spec = kernel.spec
+    if spec is None:
+        return None
+    allows = np.array(spec.model.adjacency)
+    if not np.array_equal(np.roll(allows, (1, 1), axis=(0, 1)), allows):
+        return None
+    X, place, codes = _state_codes(spec, kernel.states)
+    rotate = _lookup(codes, ((X + 1) % spec.n_colors) @ place)
+    if rotate is None:
+        return None
+    n = len(kernel)
+    rows, cols = kernel._row_ids(), kernel.indices
+    # CSR keys ascend: rows in order, sorted columns within each row
+    at = _lookup(rows * n + cols, rotate[rows] * n + rotate[cols])
+    if at is None or np.any(kernel.data[at] != kernel.data):
+        return None
+    return np.flatnonzero(X[:, 0] == 0)
 
 
 def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = None) -> int:
@@ -352,6 +421,9 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
     nonincreasing in t, so the search is valid.  ``ladder``, when given,
     receives (t, max_tv) for each rung P^t, t = 1, 2, 4, ..., as it is
     computed: up to the first power of two at or above the mixing time.
+    The search forms only the rows of one start per color-rotation orbit
+    when the rotation is a symmetry of the chain (``_orbit_representatives``),
+    and all rows otherwise.
     """
     classes = communicating_classes(kernel)
     if len(classes) > 1:
@@ -370,13 +442,20 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
             raise RuntimeError(f"no mixing by t={MAX_MIX_T}; chain may be periodic")
     if t == 1:
         return 1
+    # every midpoint is below t, so no search power reads the top rung P^t
+    powers.pop()
+    reps = _orbit_representatives(kernel)
 
     def power(m: int) -> np.ndarray:
+        """Rows ``reps`` (all rows when None) of P^m."""
         out = None
         k = 0
         while m:
             if m & 1:
-                out = powers[k] if out is None else out @ powers[k]
+                if out is None:
+                    out = powers[k] if reps is None else powers[k][reps]
+                else:
+                    out = out @ powers[k]
             m >>= 1
             k += 1
         return out

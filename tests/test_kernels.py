@@ -1,6 +1,8 @@
 """Exact kernels, stationarity, mixing times, spectra, and comparisons."""
 
+import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from scanmix.kernels import (
     communicating_classes,
     _combine,
     _gather,
+    _orbit_representatives,
     _state_space,
     max_tv_to_uniform,
     poincare_constant,
@@ -328,6 +331,45 @@ def test_communicating_classes_match_reference_on_random_digraphs():
         assert communicating_classes(K) == reference_communicating_classes(K)
 
 
+def digraph_kernel(n, arcs):
+    """Kernel over states 0..n-1 whose positive transitions are the given arcs."""
+    rows, cols = np.array(sorted(arcs), dtype=np.int64).reshape(-1, 2).T
+    return ChainKernel(
+        states=list(range(n)),
+        indptr=np.searchsorted(rows, np.arange(n + 1)),
+        indices=cols,
+        data=np.ones(len(cols), dtype=np.int64),
+        denom=1,
+    )
+
+
+def test_communicating_classes_backward_sweep_decides():
+    """State 0 reaches every state, but only 0 reaches 0: the forward sweep
+    passes and the backward one sends the kernel to the class listing."""
+    K = digraph_kernel(4, [(0, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
+    classes = communicating_classes(K)
+    assert classes == reference_communicating_classes(K)
+    assert sorted(classes) == [[0], [1, 2, 3]]
+    # the mirror image: every state reaches 0, but 0 reaches only itself
+    K = digraph_kernel(4, [(1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
+    assert communicating_classes(K) == reference_communicating_classes(K)
+    assert sorted(communicating_classes(K)) == [[0], [1, 2, 3]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(graph=Graph.path(4), q=3),
+        ChainSpec(graph=Graph.path(4), q=3, base="scan"),
+        ChainSpec(graph=Graph.path(5), target=TargetGraph.cycle(5), base="reverse_scan"),
+    ],
+    ids=["glauber", "scan", "c5_reverse"],
+)
+def test_irreducible_kernel_is_one_ascending_class(spec):
+    K = build_kernel(spec)
+    assert communicating_classes(K) == [list(range(len(K)))]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -353,6 +395,139 @@ def test_tv_ladder_records_each_rung(spec, eps):
     assert ladder[-1][0] // 2 < t_mix <= ladder[-1][0]
     if eps == 1.0:
         assert t_mix == 1 and len(ladder) == 1
+
+
+# The color rotation c -> c + 1 mod h is an automorphism of each of these
+# models; the directed 3-cycle is ergodic on a single vertex only, and with
+# self-loops on every path.
+LOOPED_DIRECTED_CYCLE = TargetGraph(
+    tuple(tuple(j in (i, (i + 1) % 3) for j in range(3)) for i in range(3)), directed=True
+)
+ROTATION_MODELS = {
+    "K3": ({"q": 3}, range(2, 8)),
+    "K4": ({"q": 4}, range(2, 6)),
+    "C5": ({"target": TargetGraph.cycle(5)}, range(2, 6)),
+    "dicycle3": ({"target": directed_cycle(3)}, range(1, 2)),
+    "dicycle3_loops": ({"target": LOOPED_DIRECTED_CYCLE}, range(2, 8)),
+}
+CHAINS = {
+    "glauber": {},
+    "lazy": {"lazy": True},
+    "scan": {"base": "scan"},
+    "reverse_scan": {"base": "reverse_scan"},
+}
+
+
+def all_rows(K):
+    """The same kernel without its spec, so every search power keeps all rows."""
+    return dataclasses.replace(K, spec=None, _dense=None)
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+@pytest.mark.parametrize("model", ROTATION_MODELS)
+def test_representative_search_matches_all_rows(model, chain):
+    fields, sizes = ROTATION_MODELS[model]
+    for n in sizes:
+        K = build_kernel(ChainSpec(graph=Graph.path(n), **fields, **CHAINS[chain]))
+        reps = _orbit_representatives(K)
+        h = K.spec.n_colors
+        assert reps is not None and len(reps) * h == len(K), n
+        assert all(K.states[i][0] == 0 for i in reps)
+        for eps in (1 / math.e, 0.25, 0.05):
+            ladder, full_ladder = [], []
+            t_mix = tv_mixing_time(K, eps, ladder=ladder)
+            assert t_mix == tv_mixing_time(all_rows(K), eps, ladder=full_ladder), (n, eps)
+            assert ladder == full_ladder
+
+
+TRIANGLE_WITH_PENDANT = TargetGraph(
+    ((False, True, True, False),
+     (True, False, True, False),
+     (True, True, False, True),
+     (False, False, True, False))
+)
+
+
+def perturbed(K):
+    """K with one unit of the stay mass of states 0 and b moved onto the
+    moves 0 -> b and b -> 0: still symmetric, so uniform stays stationary,
+    but no longer rotation-invariant."""
+    b = next(j for j in K.rows[0] if j != 0)
+    data = K.data.copy()
+    for i, j, d in ((0, 0, -1), (b, b, -1), (0, b, 1), (b, 0, 1)):
+        row = K.indices[K.indptr[i]:K.indptr[i + 1]]
+        data[K.indptr[i] + np.searchsorted(row, j)] += d
+    return dataclasses.replace(K, data=data, _dense=None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_kernel(
+            ChainSpec(graph=Graph.path(5), q=3, clamp={1}), fiber_of=(0, 1, 0, 1, 0)
+        ),
+        lambda: build_sign_kernel("scan", 5),
+        lambda: build_kernel(ChainSpec(graph=Graph.path(5), target=TargetGraph.cycle(4))),
+        lambda: build_kernel(ChainSpec(graph=Graph.path(4), target=TRIANGLE_WITH_PENDANT)),
+        lambda: perturbed(build_kernel(ChainSpec(graph=Graph.path(3), q=3))),
+    ],
+    ids=["clamped_fiber", "sign", "c4_side0", "no_rotation_automorphism", "not_commuting"],
+)
+def test_search_falls_back_to_all_rows(make):
+    K = make()
+    assert _orbit_representatives(K) is None
+    assert K.row_sums_exact() and K.uniform_is_stationary()
+    # the first t whose power is within eps, by one step at a time
+    P = K.dense()
+    M, t = P, 1
+    while max_tv_to_uniform(M) > 0.05:
+        M, t = M @ P, t + 1
+    assert tv_mixing_time(K, 0.05) == t > 2
+
+
+class ShapeRecordingArray(np.ndarray):
+    """Records the shape of every product's left operand."""
+
+    shapes: list = []
+
+    def __matmul__(self, other):
+        ShapeRecordingArray.shapes.append(self.shape)
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ChainSpec(graph=Graph.path(6), q=3),
+        ChainSpec(graph=Graph.path(4), q=4, base="scan"),
+        ChainSpec(graph=Graph.path(5), target=TargetGraph.cycle(5), lazy=True),
+    ],
+    ids=["k3_glauber", "k4_scan", "c5_lazy"],
+)
+def test_search_products_take_representative_rows(spec):
+    K = build_kernel(spec)
+    n, h = len(K), spec.n_colors
+    K._dense = K.dense().view(ShapeRecordingArray)
+    ShapeRecordingArray.shapes = []
+    ladder = []
+    t_mix = tv_mixing_time(K, 0.05, ladder=ladder)
+    rungs = len(ladder) - 1  # squarings that built the ladder
+    ladder_shapes, search_shapes = (
+        ShapeRecordingArray.shapes[:rungs], ShapeRecordingArray.shapes[rungs:]
+    )
+    assert t_mix & (t_mix - 1)  # not a power of two, so the search ran
+    assert ladder_shapes == [(n, n)] * rungs
+    assert search_shapes and search_shapes == [(n // h, n)] * len(search_shapes)
+
+
+def test_max_tv_reads_a_row_block_against_its_columns():
+    block = np.array([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+    assert max_tv_to_uniform(block) == 0.75
+    P = build_kernel(ChainSpec(graph=Graph.path(4), q=3)).dense()
+    P4 = np.linalg.matrix_power(P, 4)
+    rows = [0, 5, 17]
+    expected = max(0.5 * float(np.abs(P4[i] - 1 / len(P)).sum()) for i in rows)
+    assert max_tv_to_uniform(P4[rows]) == expected
 
 
 def test_comparison_path_and_star():
