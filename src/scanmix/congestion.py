@@ -13,16 +13,14 @@ two-clique bottleneck family whose conductance bound grows without limit.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .domain import Coloring, Graph, TargetGraph, enumerate_h_colorings
 from .dynamics import ChainSpec, proposal_accepted
-from .kernels import _from_tables, _move_tables, communicating_classes
+from .kernels import _from_tables, _move_tables, _state_codes, _tally, communicating_classes
 
 
 # ---------------------------------------------------------------------------
@@ -41,68 +39,37 @@ def connector_length(target: TargetGraph, n: int) -> int:
     return 4 * h - 1 if n % 2 == 0 else 4 * h
 
 
-def _bfs_path(target: TargetGraph, a: int, b: int) -> list[int]:
-    """Lexicographically smallest shortest walk a -> b (undirected reading)."""
-    prev: dict[int, Optional[int]] = {a: None}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            break
-        for v in range(target.h):
-            if v not in prev and (target.allows(u, v) or target.allows(v, u)):
-                prev[v] = u
-                queue.append(v)
-    if b not in prev:
-        raise ValueError("target graph is not connected")
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
-def _odd_closed_walk(target: TargetGraph, c: int) -> list[int]:
-    """Shortest odd-length closed walk at c, via the bipartite double cover."""
-    start = (c, 0)
-    prev: dict[tuple[int, int], Optional[tuple[int, int]]] = {start: None}
-    queue = deque([start])
-    goal = (c, 1)
-    while queue:
-        u, par = queue.popleft()
-        if (u, par) == goal:
-            break
-        for v in range(target.h):
-            if target.allows(u, v) or target.allows(v, u):
-                nxt = (v, 1 - par)
-                if nxt not in prev:
-                    prev[nxt] = (u, par)
-                    queue.append(nxt)
-    if goal not in prev:
-        raise ValueError("no odd closed walk; target graph is bipartite")
-    walk = [goal]
-    while prev[walk[-1]] is not None:
-        walk.append(prev[walk[-1]])
-    return [v for v, _ in walk[::-1]]
-
-
 def connector_walk(target: TargetGraph, a: int, b: int, t: int) -> list[int]:
     """Deterministic walk of exactly t edges from a to b in H.
 
     Shortest path first; a parity mismatch is repaired by inserting the
     smallest odd closed walk at its anchor vertex; remaining length is spent
-    going back and forth over the final edge.
+    going back and forth over the final edge.  Both kinds of walk are read
+    off ``TargetGraph.parity_bfs``: the shortest walk u -> v ends at the
+    first-reached pair of color v, the odd closed walk at c at (c, 1).
     """
-    walk = _bfs_path(target, a, b)
+    def shortest(u: int, v: int) -> list[int]:
+        prev = target.parity_bfs(u)
+        end = next((pair for pair in prev if pair[0] == v), None)
+        if end is None:
+            raise ValueError("target graph is not connected")
+        return target.walk(prev, end)
+
+    def odd_closed(c: int) -> list[int]:
+        prev = target.parity_bfs(c)
+        if (c, 1) not in prev:
+            raise ValueError("no odd closed walk; target graph is bipartite")
+        return target.walk(prev, (c, 1))
+
+    walk = shortest(a, b)
     if (t - (len(walk) - 1)) % 2 == 1:
-        anchor = min(
-            range(target.h), key=lambda v: (len(_odd_closed_walk(target, v)), v)
-        )
-        p1 = _bfs_path(target, a, anchor)
-        p2 = _bfs_path(target, anchor, b)
+        anchor = min(range(target.h), key=lambda v: (len(odd_closed(v)), v))
+        p1 = shortest(a, anchor)
+        p2 = shortest(anchor, b)
         walk = p1 + p2[1:]
         if (t - (len(walk) - 1)) % 2 == 1:
             # odd closed walk at the anchor repairs the parity
-            cyc = _odd_closed_walk(target, anchor)
+            cyc = odd_closed(anchor)
             walk = p1 + cyc[1:] + p2[1:]
     pad = t - (len(walk) - 1)
     if pad < 0 or pad % 2 == 1:
@@ -164,18 +131,16 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
     """
     if not target.is_connected:
         raise ValueError("target graph must be connected")
-    g = Graph.path(n)
+    spec = ChainSpec(graph=Graph.path(n), target=target, base="glauber")
     h = target.h
     if h ** n * n * h >= 2 ** 63:
         raise ValueError(f"move keys up to {h}**{n} * {n * h} do not fit int64")
-    states = enumerate_h_colorings(g, target, "side0" if target.is_bipartite else "all")
+    states = enumerate_h_colorings(spec.graph, target, "side0" if target.is_bipartite else "all")
     t = connector_length(target, n)
     n_states = len(states)
     # base-h state codes; a move (code, vertex j, color c) is keyed
     # code * n * h + j * h + c, below h^n * n * h < 2^63
-    X = np.array(states, dtype=np.int64).reshape(n_states, n)
-    place = h ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = X @ place
+    X, place, codes = _state_codes(spec, states)
     shifts = range(0, n + t - 1, 2)
     n_steps = n * len(shifts)
     # connector-walk interiors by endpoint pair sigma[-1] * h + tau[0], built on first use
@@ -222,7 +187,6 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
         moves, loads, paths = _tally(*(np.concatenate(c) for c in zip(*tallies)))
     else:
         moves = loads = paths = np.zeros(0, dtype=np.int64)
-    spec = ChainSpec(graph=g, target=target, base="glauber")
     before = (moves // (n * h))[:, None] // place % h
     vertex, color = (moves % (n * h) // h).tolist(), (moves % h).tolist()
     valid = all(
@@ -249,14 +213,6 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
 
 
 _BLOCK_STEPS = 1 << 17  # routed steps per block of sigmas (pairs x steps per path)
-
-
-def _tally(keys: np.ndarray, *columns: np.ndarray):
-    """Distinct keys, ascending, with each column summed exactly per key."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    return (keys[first], *(np.add.reduceat(c[order], first) for c in columns))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +250,7 @@ def ergodicity_report(g: Graph, target: TargetGraph) -> ErgodicityReport:
 
 def directed_cycle(h: int) -> TargetGraph:
     """Directed h-cycle 0 -> 1 -> ... -> h-1 -> 0."""
-    adj = [[False] * h for _ in range(h)]
-    for i in range(h):
-        adj[i][(i + 1) % h] = True
-    return TargetGraph(tuple(tuple(r) for r in adj), directed=True)
+    return TargetGraph([[j == (i + 1) % h for j in range(h)] for i in range(h)], directed=True)
 
 
 def bottleneck_target(k: int) -> TargetGraph:
@@ -307,17 +260,8 @@ def bottleneck_target(k: int) -> TargetGraph:
     1..k and k+1..2k form two directed cliques with self-loops.  Valid path
     colorings are exactly the words hub* first-clique* or hub* second-clique*.
     """
-    h = 2 * k + 1
-    adj = [[False] * h for _ in range(h)]
-    for v in range(h):
-        adj[0][v] = True
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            adj[i][j] = True
-    for i in range(k + 1, h):
-        for j in range(k + 1, h):
-            adj[i][j] = True
-    return TargetGraph(tuple(tuple(r) for r in adj), directed=True)
+    side = [0] + [1] * k + [2] * k
+    return TargetGraph([[i == 0 or a == b for b in side] for i, a in enumerate(side)], directed=True)
 
 
 @dataclass

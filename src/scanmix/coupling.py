@@ -318,10 +318,10 @@ def exact_drift(
 def _step_table(q: int, coupling: str) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
-    The one definition of the coupled vertex move, built from
-    ``partner_proposal`` and ``path_accepts``: the Hamming DP, the
-    ``switch_scan_contained`` certificate, ``coupled_sweep`` and the
-    scan sweeps of ``percolation.lb_experiment`` all read it.  Pairs (a, b)
+    The one definition of the coupled vertex move, built by
+    ``coupled_update``: the Hamming DP, the ``switch_scan_contained``
+    certificate, ``coupled_sweep`` and the scan sweeps of
+    ``percolation.lb_experiment`` all read it.  Pairs (a, b)
     of the two copies' colors are coded a * (q + 1) + b, with color q
     standing for a missing neighbor.  Row (right * q^2 + old) * L + left,
     column c holds the pair code at the vertex after copy one proposes c,
@@ -337,12 +337,10 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     oa, ob = np.divmod(np.arange(q * q), q)
     ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
     rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
-    # the engine's rules on the padded window (left, vertex, right)
-    s, t = (la, oa, ra), (lb, ob, rb)
-    partner = partner_proposal(coupling, 1, c, s, t)
-    a = np.where(path_accepts(s, 1, c), c, oa)
-    b = np.where(path_accepts(t, 1, partner), partner, ob)
-    table = (a * q1 + b).astype(np.uint8).reshape(-1, q)
+    # the engine's move on the padded window (left, vertex, right)
+    s, t = [la, oa, ra], [lb, ob, rb]
+    coupled_update(s, t, 1, c, coupling)
+    table = (s[1] * q1 + t[1]).astype(np.uint8).reshape(-1, q)
     table.flags.writeable = False
     return table
 
@@ -715,13 +713,6 @@ class PathMetricTables:
         for i in range(0, S, rows):
             out[i:i + rows], _ = weighted_height_distance(H[i:i + rows, None, :], H[None], w8)
         return out
-
-    def site_sums(self, si: np.ndarray, ti: np.ndarray) -> np.ndarray:
-        """Sum over the 3n single-site draws of the metric after the
-        identity-coupled update of pairs (si, ti), in 1/8 units."""
-        M = self.move_table
-        after = self.d2_int[M[si].reshape(len(si), -1), M[ti].reshape(len(ti), -1)]
-        return after.sum(axis=1, dtype=np.int64)
 
     def sweep_sums(self) -> list[np.ndarray]:
         """F with F[start][s, t] the sum, over the 3^(n-start) proposal

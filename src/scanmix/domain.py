@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -180,40 +181,51 @@ class TargetGraph:
     def single_edge() -> "TargetGraph":
         return TargetGraph(((False, True), (True, False)))
 
+    def parity_bfs(self, a: int) -> dict[tuple[int, int], Optional[tuple[int, int]]]:
+        """Breadth-first search of H's parity double cover from (a, 0).
+
+        Pairs are (color, parity of a walk's length from a); H is read in
+        either direction and colors are tried in increasing order.  Returns
+        each reached pair's predecessor (None at the start), in discovery
+        order.  A pair at distance d is only discovered from pairs at
+        distance d - 1, so the first pair of each color comes in the order of
+        a plain breadth-first search of H, with the same predecessors.
+        """
+        adj, h = self.adjacency, self.h
+        near = [[v for v in range(h) if adj[u][v] or adj[v][u]] for u in range(h)]
+        prev: dict[tuple[int, int], Optional[tuple[int, int]]] = {(a, 0): None}
+        queue = deque(prev)
+        while queue:
+            pair = u, parity = queue.popleft()
+            for v in near[u]:
+                if (v, 1 - parity) not in prev:
+                    prev[v, 1 - parity] = pair
+                    queue.append((v, 1 - parity))
+        return prev
+
+    @staticmethod
+    def walk(prev: dict, end: tuple[int, int]) -> list[int]:
+        """Colors of the walk that ``parity_bfs`` found from its start to ``end``."""
+        walk = []
+        while end is not None:
+            walk.append(end[0])
+            end = prev[end]
+        return walk[::-1]
+
     @cached_property
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in range(self.h):
-                if v not in seen and (self.adjacency[u][v] or self.adjacency[v][u]):
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.h
+        return len({v for v, _ in self.parity_bfs(0)}) == self.h
 
     @cached_property
     def bipartition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-        """(side containing vertex 0, other side) for bipartite undirected H, else None."""
-        if self.directed:
+        """(side containing vertex 0, other side) for bipartite undirected H, else None.
+
+        H is bipartite when it is connected and ``parity_bfs`` reaches no
+        color at both parities; the side of a color is its parity."""
+        reached = self.parity_bfs(0)
+        if self.directed or not self.is_connected or len(reached) != self.h:
             return None
-        side = {0: 0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            if self.adjacency[u][u]:
-                return None
-            for v in range(self.h):
-                if self.adjacency[u][v]:
-                    if v not in side:
-                        side[v] = 1 - side[u]
-                        stack.append(v)
-                    elif side[v] == side[u]:
-                        return None
-        if len(side) != self.h:
-            # disconnected: bipartiteness of the whole is not well-anchored
-            return None
-        s0 = frozenset(v for v, s in side.items() if s == 0)
+        s0 = frozenset(v for v, parity in reached if parity == 0)
         return s0, frozenset(range(self.h)) - s0
 
     @property

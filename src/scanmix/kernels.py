@@ -152,16 +152,21 @@ def _int64_denominator(denom: int) -> int:
     return denom
 
 
+def _tally(keys: np.ndarray, *columns: np.ndarray):
+    """Distinct keys, ascending, with each column summed exactly per key by a
+    stable sort (which merges the sorted runs that gathered rows arrive in)
+    and one ``np.add.reduceat``."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = [np.add.reduceat(c[order], first) for c in columns]
+    return (keys[first], *sums)
+
+
 def _combine(rows, cols, vals, n_rows: int, n_cols: int):
-    """CSR (indptr, indices, data) of the entries vals at (rows, cols); duplicate
-    keys are summed exactly by a stable sort (which merges the sorted runs that
-    gathered rows arrive in) and one ``np.add.reduceat``."""
-    key = rows * n_cols + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    data = np.add.reduceat(vals[order], first)
-    key = key[first]
+    """CSR (indptr, indices, data) of the entries vals at (rows, cols), with
+    duplicate entries summed by ``_tally``."""
+    key, data = _tally(rows * n_cols + cols, vals)
     return np.searchsorted(key, np.arange(n_rows + 1) * n_cols), key % n_cols, data
 
 

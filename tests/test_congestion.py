@@ -1,7 +1,9 @@
 """Canonical paths, connector walks, and reachability diagnostics."""
 
+import collections
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -330,3 +332,183 @@ def test_move_keys_must_fit_int64():
     # one side-0 state, but the keys code * n * h + j * h + c need 2^60 * 120
     with pytest.raises(ValueError, match="int64"):
         canonical_congestion(60, EDGE)
+
+
+# ---------------------------------------------------------------------------
+# One search over H: the traversals it replaced, as references
+# ---------------------------------------------------------------------------
+
+def reference_is_connected(target):
+    """Depth-first search from color 0, H read in either direction."""
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(target.h):
+            if v not in seen and (target.allows(u, v) or target.allows(v, u)):
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == target.h
+
+
+def reference_bipartition(target):
+    """Depth-first 2-coloring from color 0; None for directed or disconnected H."""
+    if target.directed:
+        return None
+    side, stack = {0: 0}, [0]
+    while stack:
+        u = stack.pop()
+        if target.allows(u, u):
+            return None
+        for v in range(target.h):
+            if target.allows(u, v):
+                if v not in side:
+                    side[v] = 1 - side[u]
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    return None
+    if len(side) != target.h:
+        return None
+    s0 = frozenset(v for v, s in side.items() if s == 0)
+    return s0, frozenset(range(target.h)) - s0
+
+
+@functools.cache
+def reference_shortest_walk(target, a, b):
+    """Lexicographically smallest shortest walk a -> b by a plain BFS."""
+    prev = {a: None}
+    queue = collections.deque([a])
+    while queue:
+        u = queue.popleft()
+        if u == b:
+            break
+        for v in range(target.h):
+            if v not in prev and (target.allows(u, v) or target.allows(v, u)):
+                prev[v] = u
+                queue.append(v)
+    if b not in prev:
+        raise ValueError("target graph is not connected")
+    path = [b]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+@functools.cache
+def reference_odd_closed_walk(target, c):
+    """Shortest odd closed walk at c by a BFS of the double cover that stops at (c, 1)."""
+    goal = (c, 1)
+    prev = {(c, 0): None}
+    queue = collections.deque([(c, 0)])
+    while queue:
+        u, par = queue.popleft()
+        if (u, par) == goal:
+            break
+        for v in range(target.h):
+            if (target.allows(u, v) or target.allows(v, u)) and (v, 1 - par) not in prev:
+                prev[v, 1 - par] = (u, par)
+                queue.append((v, 1 - par))
+    if goal not in prev:
+        raise ValueError("no odd closed walk; target graph is bipartite")
+    walk = [goal]
+    while prev[walk[-1]] is not None:
+        walk.append(prev[walk[-1]])
+    return [v for v, _ in walk[::-1]]
+
+
+def reference_connector_walk(target, a, b, t):
+    """``connector_walk`` over the reference traversals."""
+    walk = reference_shortest_walk(target, a, b)
+    if (t - (len(walk) - 1)) % 2 == 1:
+        anchor = min(
+            range(target.h), key=lambda v: (len(reference_odd_closed_walk(target, v)), v)
+        )
+        p1 = reference_shortest_walk(target, a, anchor)
+        p2 = reference_shortest_walk(target, anchor, b)
+        walk = p1 + p2[1:]
+        if (t - (len(walk) - 1)) % 2 == 1:
+            cyc = reference_odd_closed_walk(target, anchor)
+            walk = p1 + cyc[1:] + p2[1:]
+    pad = t - (len(walk) - 1)
+    if pad < 0 or pad % 2 == 1:
+        raise AssertionError("connector construction exceeded its budget")
+    if pad:
+        if len(walk) >= 2:
+            u = walk[-2]
+        else:
+            u = next(
+                v for v in range(target.h) if target.allows(b, v) or target.allows(v, b)
+            )
+        walk = walk + [u, b] * (pad // 2)
+    return walk
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def matrices(h, symmetric):
+    """Every h x h 0/1 adjacency matrix (every symmetric one if ``symmetric``)."""
+    cells = [(i, j) for i in range(h) for j in range(h) if not symmetric or i <= j]
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        adj = [[False] * h for _ in range(h)]
+        for (i, j), bit in zip(cells, bits):
+            adj[i][j] = bit
+            if symmetric:
+                adj[j][i] = bit
+        yield adj
+
+
+def search_targets():
+    """Every matrix with h <= 3 (directed and undirected), every symmetric
+    one with h = 4, and a seeded sample of directed H with h = 4..7."""
+    for h in (1, 2, 3):
+        yield from (TargetGraph(adj, directed=True) for adj in matrices(h, False))
+        yield from (TargetGraph(adj) for adj in matrices(h, True))
+    yield from (TargetGraph(adj) for adj in matrices(4, True))
+    rng = random.Random(15)
+    for h in (4, 5, 6, 7):
+        for _ in range(40):
+            density = rng.uniform(0.1, 0.6)
+            adj = [[rng.random() < density for _ in range(h)] for _ in range(h)]
+            yield TargetGraph(adj, directed=True)
+
+
+def test_one_search_matches_the_four_traversals(monkeypatch):
+    # the search is a pure function of (H, start): memoized here only to keep
+    # the h + 3 searches of each parity-repairing connector walk cheap
+    monkeypatch.setattr(TargetGraph, "parity_bfs", functools.cache(TargetGraph.parity_bfs))
+    count = 0
+    for target in search_targets():
+        count += 1
+        h = target.h
+        assert target.is_connected == reference_is_connected(target)
+        assert target.bipartition == reference_bipartition(target)
+        for a, b, t in itertools.product(range(h), range(h), (4 * h, 4 * h + 1)):
+            assert outcome(connector_walk, target, a, b, t) == outcome(
+                reference_connector_walk, target, a, b, t)
+        for a in range(h):
+            prev = target.parity_bfs(a)
+            for b in range(h):
+                end = next((pair for pair in prev if pair[0] == b), None)
+                walk = target.walk(prev, end) if end else (ValueError, "target graph is not connected")
+                assert walk == outcome(reference_shortest_walk, target, a, b)
+            odd = target.walk(prev, (a, 1)) if (a, 1) in prev else (
+                ValueError, "no odd closed walk; target graph is bipartite")
+            assert odd == outcome(reference_odd_closed_walk, target, a)
+    assert count == 2 + 16 + 512 + 2 + 8 + 64 + 1024 + 160
+
+
+def test_connector_walk_refuses_a_disconnected_target():
+    two_loops = TargetGraph(((True, False), (False, True)))
+    with pytest.raises(ValueError, match="target graph is not connected"):
+        connector_walk(two_loops, 0, 1, 3)
+
+
+def test_connector_walk_refuses_the_wrong_parity_on_a_bipartite_target():
+    # 0 -> 1 takes an odd number of edges on the single edge, never two
+    with pytest.raises(ValueError, match="no odd closed walk; target graph is bipartite"):
+        connector_walk(EDGE, 0, 1, 2)
