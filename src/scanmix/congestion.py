@@ -79,8 +79,12 @@ def connector_walk(target: TargetGraph, a: int, b: int, t: int) -> list[int]:
             u = walk[-2]
         else:
             u = next(
-                v for v in range(target.h) if target.allows(b, v) or target.allows(v, b)
+                (v for v in range(target.h) if target.allows(b, v) or target.allows(v, b)), None
             )
+            if u is None:
+                raise ValueError(
+                    f"no edge at color {b} to pad the walk; target graph has an isolated color"
+                )
         walk = walk + [u, b] * (pad // 2)
     return walk
 
@@ -136,6 +140,8 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
     if h ** n * n * h >= 2 ** 63:
         raise ValueError(f"move keys up to {h}**{n} * {n * h} do not fit int64")
     states = enumerate_h_colorings(spec.graph, target, "side0" if target.is_bipartite else "all")
+    if not states:
+        raise ValueError(f"the {n}-path has no H-coloring; there is nothing to route")
     t = connector_length(target, n)
     n_states = len(states)
     # base-h state codes; a move (code, vertex j, color c) is keyed

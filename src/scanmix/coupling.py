@@ -383,6 +383,18 @@ def switch_scan_contained(q: int) -> bool:
     return not (created & ~(differs[:, None, None, None] | option_b)).any()
 
 
+@functools.cache
+def _last_vertex_off(q: int, coupling: str) -> np.ndarray:
+    """Proposals that leave the last vertex's pair off-diagonal, from
+    ``_step_table``: entry [own, left] counts them for the vertex's own pair
+    a * q + b and its updated left pair code, the right pair being the
+    sentinel.  Cached per (q, coupling), as float64 for the DP's sums."""
+    q1, L = q + 1, (q + 1) ** 2
+    last = _step_table(q, coupling)[(L - 1) * q * q * L:]
+    a, b = np.divmod(last.reshape(q * q, L, q), q1)
+    return (a != b).sum(axis=2).astype(np.float64)
+
+
 def _ham_batch_drift(
     sig: np.ndarray, tau: np.ndarray, start: int, q: int, coupling: str = "q4_scan"
 ) -> tuple[np.ndarray, int]:
@@ -391,8 +403,15 @@ def _ham_batch_drift(
     ``sig``, ``tau``: (C, n) integer arrays of full copy colorings; returns
     (numerators, scale) with expectation numerators[i] / scale per row.
     The DP state is the joint color pair at the previously updated vertex;
-    counts are integers at scale q^(number of scanned vertices).  Each
-    vertex is one gather from ``_step_table`` and one bincount.
+    counts are integers at scale q^(number of scanned vertices).  After
+    vertex v the state depends only on the pair codes from the left
+    neighbour of ``start`` through v + 1, so the rows are sorted by those
+    codes and each shared prefix is advanced once: one gather from
+    ``_step_table`` and one bincount per vertex over the prefix runs, each
+    run starting from its parent run's distribution.  The last vertex needs
+    only its off-diagonal mass, read per row from ``_last_vertex_off``.
+    Every count and partial sum is an integer at most ``scale`` < 2^53, so
+    float64 holds them exactly in any summation order.
     """
     if coupling not in ("q4_scan", "identity_scan", "switch_scan"):
         raise ValueError(f"no Hamming DP for coupling {coupling!r}")
@@ -402,29 +421,53 @@ def _ham_batch_drift(
     scale = q ** (n - start)
     if scale >= 2 ** 53:
         raise ValueError("counts beyond 2^53 are not exact in the DP")
+    fixed = (sig[:, :start] != tau[:, :start]).sum(axis=1)
+    m = n - start
+    if not (m and C):
+        return fixed * scale, scale
     q1, L = q + 1, (q + 1) ** 2
     table = _step_table(q, coupling)
-    pad = np.full((C, 1), q)
-    right = np.hstack([sig[:, 1:], pad]) * q1 + np.hstack([tau[:, 1:], pad])
-    rows_at = (right * q * q + sig * q + tau) * L
     a, b = np.divmod(np.arange(L), q1)
     off_diag = (a != b) & (a < q) & (b < q)
 
-    dist = np.zeros((C, L))        # counts, exact in float64 below 2^53
-    left = sig[:, start - 1] * q1 + tau[:, start - 1] if start else L - 1
-    dist[np.arange(C), left] = 1
-    expected = np.zeros(C, dtype=np.int64)
-    for v in range(start, n):
-        r, lp = np.nonzero(dist)
-        nxt = table[rows_at[r, v] + lp]
+    # pair codes of the left neighbour of start (the sentinel if there is
+    # none) and of the scanned vertices; the last one's right pair is the
+    # sentinel, which _last_vertex_off assumes
+    P = np.full((C, m + 1), L - 1)
+    P[:, 1:] = sig[:, start:] * q1 + tau[:, start:]
+    if start:
+        P[:, 0] = sig[:, start - 1] * q1 + tau[:, start - 1]
+    order = np.lexsort(P.T[::-1])
+    P = P[order]
+    # new[i, k]: sorted row i differs from row i - 1 in columns 0..k
+    new = np.ones((C, m + 1), dtype=bool)
+    new[1:] = np.logical_or.accumulate(P[1:] != P[:-1], axis=1)
+    own = P - P // q1  # a * q + b, the table's own-pair code
+
+    # runs before any update share the left pair; after the k-th scanned
+    # vertex (column k) they share columns 0..k+1
+    run = np.cumsum(new[:, 0]) - 1
+    dist = np.zeros((run[-1] + 1, L))  # counts, exact in float64 below 2^53
+    dist[run, P[:, 0]] = 1
+    expected = np.zeros(len(dist), dtype=np.int64)
+    for k in range(1, m):
+        heads = np.flatnonzero(new[:, k + 1])
+        parent = run[heads]
+        r, lp = np.nonzero(dist[parent])
+        nxt = table[(P[heads, k + 1] * q * q + own[heads, k])[r] * L + lp]
         dist = np.bincount(
             (nxt + (r * L)[:, None]).ravel(),
-            weights=np.repeat(dist[r, lp], q),
-            minlength=C * L,
-        ).reshape(C, L)
-        expected += dist[:, off_diag].sum(axis=1).astype(np.int64) * q ** (n - v - 1)
-    fixed = (sig[:, :start] != tau[:, :start]).sum(axis=1)
-    return fixed * scale + expected, scale
+            weights=np.repeat(dist[parent[r], lp], q),
+            minlength=len(heads) * L,
+        ).reshape(-1, L)
+        expected = expected[parent] + dist[:, off_diag].sum(axis=1).astype(np.int64) * q ** (m - k)
+        run = np.cumsum(new[:, k + 1]) - 1
+    # per row, not one product over all q^2 own pairs: a BLAS product here
+    # raised the drift jobs' peak RSS by 6 MB
+    last = (dist[run] * _last_vertex_off(q, coupling)[own[:, m]]).sum(axis=1)
+    out = np.empty(C, dtype=np.int64)
+    out[order] = expected[run] + last.astype(np.int64)
+    return fixed * scale + out, scale
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -99,10 +98,6 @@ class ChainKernel:
     def _row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.states)), np.diff(self.indptr))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """Transition probability as a Fraction."""
-        return Fraction(self.rows[i].get(j, 0), self.denom)
-
     def dense(self) -> np.ndarray:
         if self._dense is None:
             self._dense = np.zeros((len(self), len(self)))
@@ -121,25 +116,6 @@ class ChainKernel:
     def uniform_is_stationary(self) -> bool:
         """With uniform pi, stationarity is equivalent to unit column sums."""
         return self._sums_are_one(self.indices)
-
-    def reversal(self) -> "ChainKernel":
-        """Time reversal with respect to the uniform distribution (transpose)."""
-        csr = _combine(self.indices, self._row_ids(), self.data, len(self), len(self))
-        return ChainKernel(list(self.states), *csr, self.denom, self.spec)
-
-    def compose(self, other: "ChainKernel") -> "ChainKernel":
-        """Exact product kernel: one step of self followed by one of other."""
-        if self.states != other.states:
-            raise ValueError("composition requires identical state spaces")
-        denom = _int64_denominator(self.denom * other.denom)
-        other_csr = (other.indptr, other.indices, other.data)
-        csr = _gather(other_csr, self.indices, self.data, self._row_ids(), len(self))
-        return ChainKernel(list(self.states), *csr, denom, self.spec)
-
-    def to_triplets(self) -> str:
-        """Sparse text export: one 'i j num den' line per nonzero entry."""
-        triplets = zip(self._row_ids().tolist(), self.indices.tolist(), self.data.tolist())
-        return "\n".join(f"{i} {j} {num} {self.denom}" for i, j, num in triplets)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,19 @@ def test_congestion_refuses_invalid_canonical_paths(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_congestion_refuses_a_path_with_no_h_coloring(tmp_path, capsys):
+    # one loopless color colors a single vertex but no edge of the path
+    hfile = tmp_path / "one.h"
+    hfile.write_text("0\n")
+    out = tmp_path / "o"
+    assert main(["congestion", "--n", "2", "--h-file", str(hfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no H-coloring" in err, err
+    assert not out.exists()
+    assert main(["congestion", "--n", "1", "--h-file", str(hfile), "--out", str(out)]) == 0
+    assert "A=0 " in capsys.readouterr().out
+
+
 def test_drift_refuses_q_below_3(tmp_path, capsys):
     # the ledger's lemmas are stated for q >= 3
     assert main(["drift", "--n", "4", "--q", "2", "--out", str(tmp_path / "o")]) == 2

@@ -21,6 +21,7 @@ from scanmix.congestion import (
 )
 from scanmix.domain import Graph, TargetGraph, enumerate_h_colorings
 from scanmix.dynamics import ChainSpec, proposal_accepted
+from test_kernels import entry
 
 
 K3 = TargetGraph.clique(3)
@@ -324,7 +325,7 @@ def test_self_loop_device_floor_on_smallest_eigenvalue():
     for n, target in ((3, K3), (4, K3)):
         K = build_kernel(ChainSpec(graph=Graph.path(n), target=target))
         h = target.h
-        assert all(K.entry(i, i) >= Fraction(1, h) for i in range(len(K.states)))
+        assert all(entry(K, i, i) >= Fraction(1, h) for i in range(len(K.states)))
         assert poincare_constant(K).beta_min >= 2 / h - 1 - 1e-12
 
 
@@ -436,8 +437,12 @@ def reference_connector_walk(target, a, b, t):
             u = walk[-2]
         else:
             u = next(
-                v for v in range(target.h) if target.allows(b, v) or target.allows(v, b)
+                (v for v in range(target.h) if target.allows(b, v) or target.allows(v, b)), None
             )
+            if u is None:
+                raise ValueError(
+                    f"no edge at color {b} to pad the walk; target graph has an isolated color"
+                )
         walk = walk + [u, b] * (pad // 2)
     return walk
 
@@ -512,3 +517,10 @@ def test_connector_walk_refuses_the_wrong_parity_on_a_bipartite_target():
     # 0 -> 1 takes an odd number of edges on the single edge, never two
     with pytest.raises(ValueError, match="no odd closed walk; target graph is bipartite"):
         connector_walk(EDGE, 0, 1, 2)
+
+
+def test_connector_walk_refuses_to_pad_at_an_isolated_color():
+    # 0 -> 0 is the empty walk; two more edges need an edge at color 0
+    lone = TargetGraph(((False,),))
+    with pytest.raises(ValueError, match="no edge at color 0 to pad the walk; target graph has an"):
+        connector_walk(lone, 0, 0, 2)

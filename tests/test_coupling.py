@@ -55,6 +55,7 @@ from scanmix.dynamics import (
 )
 from scanmix.kernels import build_kernel
 from scanmix.percolation import _switch_scan_sweep
+from test_kernels import entry
 
 
 def ham(a, b):
@@ -135,6 +136,78 @@ def test_dp_matches_brute_force_enumeration():
                 assert Fraction(int(num[0]), sc) == Fraction(acc, q ** k), kind
 
 
+def _reference_ham_batch_drift(sig, tau, start, q, coupling="q4_scan"):
+    """Row-by-row reference for ``_ham_batch_drift``: every row advances
+    its own pair distribution through all scanned vertices, one gather from
+    ``_step_table`` and one bincount per vertex."""
+    sig = np.asarray(sig, dtype=np.int64)
+    tau = np.asarray(tau, dtype=np.int64)
+    C, n = sig.shape
+    scale = q ** (n - start)
+    q1, L = q + 1, (q + 1) ** 2
+    table = _step_table(q, coupling)
+    pad = np.full((C, 1), q)
+    right = np.hstack([sig[:, 1:], pad]) * q1 + np.hstack([tau[:, 1:], pad])
+    rows_at = (right * q * q + sig * q + tau) * L
+    a, b = np.divmod(np.arange(L), q1)
+    off_diag = (a != b) & (a < q) & (b < q)
+    dist = np.zeros((C, L))
+    left = sig[:, start - 1] * q1 + tau[:, start - 1] if start else L - 1
+    dist[np.arange(C), left] = 1
+    expected = np.zeros(C, dtype=np.int64)
+    for v in range(start, n):
+        r, lp = np.nonzero(dist)
+        nxt = table[rows_at[r, v] + lp]
+        dist = np.bincount(
+            (nxt + (r * L)[:, None]).ravel(),
+            weights=np.repeat(dist[r, lp], q),
+            minlength=C * L,
+        ).reshape(C, L)
+        expected += dist[:, off_diag].sum(axis=1).astype(np.int64) * q ** (n - v - 1)
+    fixed = (sig[:, :start] != tau[:, :start]).sum(axis=1)
+    return fixed * scale + expected, scale
+
+
+def test_prefix_tree_dp_matches_the_row_by_row_reference(monkeypatch):
+    """The shared-prefix DP returns the reference's arrays (values, dtype,
+    shape, scale) on every batch the Hamming ledger sends it at small (n, q),
+    and on seeded random batches with improper pairs, for every start and
+    every scan coupling."""
+    import scanmix.coupling as coupling_mod
+
+    batches = []
+
+    def record(sig, tau, start, q, coupling="q4_scan"):
+        batches.append((sig, tau, start, q))
+        return _ham_batch_drift(sig, tau, start, q, coupling)
+
+    monkeypatch.setattr(coupling_mod, "_ham_batch_drift", record)
+    for n, q in ((2, 5), (3, 4), (5, 6), (6, 4)):
+        hamming_contraction_rows(n, q)
+    rng = np.random.default_rng(16)
+    for q in range(3, 7):
+        for n in range(1, 7):
+            for C in (0, 1, 2, 50):
+                sig = rng.integers(q, size=(C, n))
+                tau = np.where(rng.random((C, n)) < 0.3, rng.integers(q, size=(C, n)), sig)
+                batches += [(sig, tau, start, q) for start in range(n + 1)]
+    for sig, tau, start, q in batches:
+        for kind in ("q4_scan", "identity_scan", "switch_scan"):
+            num, scale = _ham_batch_drift(sig, tau, start, q, kind)
+            ref, ref_scale = _reference_ham_batch_drift(sig, tau, start, q, kind)
+            assert scale == ref_scale
+            assert num.dtype == ref.dtype and num.shape == ref.shape
+            assert np.array_equal(num, ref), (sig.shape, start, q, kind)
+
+
+def test_dp_refuses_other_couplings_and_inexact_scales():
+    sig = np.zeros((1, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="no Hamming DP"):
+        _ham_batch_drift(sig, sig, 0, 4, "q4_glauber")
+    with pytest.raises(ValueError, match="2\\^53"):
+        _ham_batch_drift(np.zeros((1, 27)), np.zeros((1, 27)), 0, 4)
+
+
 @pytest.mark.parametrize("kind", ["identity_scan", "q4_scan", "switch_scan"])
 def test_marginal_law_is_the_chain_law(kind):
     """Each coupled copy, viewed alone, moves exactly like the plain sweep."""
@@ -154,9 +227,9 @@ def test_marginal_law_is_the_chain_law(kind):
             law1[a] += 1
             law2[b] += 1
         for state, cnt in law1.items():
-            assert kernel.entry(kernel.index[sigma], kernel.index[state]) == Fraction(cnt, q ** n)
+            assert entry(kernel, kernel.index[sigma], kernel.index[state]) == Fraction(cnt, q ** n)
         for state, cnt in law2.items():
-            assert kernel.entry(kernel.index[tau], kernel.index[state]) == Fraction(cnt, q ** n)
+            assert entry(kernel, kernel.index[tau], kernel.index[state]) == Fraction(cnt, q ** n)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -802,9 +875,9 @@ def test_single_site_swap_coupling_marginals():
             law1[metropolis_update(sigma, v, c, spec)] += 1
             law2[metropolis_update(tau, v, c2, spec)] += 1
     for state, cnt in law1.items():
-        assert kernel.entry(kernel.index[sigma], kernel.index[state]) == Fraction(cnt, n * q)
+        assert entry(kernel, kernel.index[sigma], kernel.index[state]) == Fraction(cnt, n * q)
     for state, cnt in law2.items():
-        assert kernel.entry(kernel.index[tau], kernel.index[state]) == Fraction(cnt, n * q)
+        assert entry(kernel, kernel.index[tau], kernel.index[state]) == Fraction(cnt, n * q)
 
 
 def test_switch_coupling_with_clamped_copy():

@@ -27,6 +27,7 @@ from scanmix.kernels import (
     communicating_classes,
     _combine,
     _gather,
+    _int64_denominator,
     _orbit_representatives,
     _state_space,
     max_tv_to_uniform,
@@ -49,6 +50,34 @@ def dirichlet_form(kernel, f):
 
 def variance_uniform(f):
     return float(np.mean((f - np.mean(f)) ** 2))
+
+
+def entry(kernel, i, j):
+    """Transition probability of the kernel from state i to j, as a Fraction."""
+    return Fraction(kernel.rows[i].get(j, 0), kernel.denom)
+
+
+def reversal(kernel):
+    """Time reversal with respect to the uniform distribution (transpose)."""
+    n = len(kernel)
+    csr = _combine(kernel.indices, kernel._row_ids(), kernel.data, n, n)
+    return ChainKernel(list(kernel.states), *csr, kernel.denom, kernel.spec)
+
+
+def compose(kernel, other):
+    """Exact product kernel: one step of ``kernel`` followed by one of ``other``."""
+    if kernel.states != other.states:
+        raise ValueError("composition requires identical state spaces")
+    denom = _int64_denominator(kernel.denom * other.denom)
+    other_csr = (other.indptr, other.indices, other.data)
+    csr = _gather(other_csr, kernel.indices, kernel.data, kernel._row_ids(), len(kernel))
+    return ChainKernel(list(kernel.states), *csr, denom, kernel.spec)
+
+
+def to_triplets(kernel):
+    """Sparse text: one 'i j num den' line per nonzero entry."""
+    triplets = zip(kernel._row_ids().tolist(), kernel.indices.tolist(), kernel.data.tolist())
+    return "\n".join(f"{i} {j} {num} {kernel.denom}" for i, j, num in triplets)
 
 
 def lump_kernel(kernel, projection):
@@ -78,14 +107,14 @@ def test_glauber_kernel_shape():
     K = build_kernel(ChainSpec(graph=Graph.path(4), q=3))
     assert len(K.states) == 24
     assert K.row_sums_exact() and K.uniform_is_stationary()
-    offdiag = {K.entry(i, j) for i, row in enumerate(K.rows) for j in row if j != i}
+    offdiag = {entry(K, i, j) for i, row in enumerate(K.rows) for j in row if j != i}
     assert offdiag == {Fraction(1, 12)}
 
 
 def test_single_vertex_kernel_uniform():
     K = build_kernel(ChainSpec(graph=Graph.path(1), q=3))
     assert len(K.states) == 3
-    assert all(K.entry(i, j) == Fraction(1, 3) for i in range(3) for j in range(3))
+    assert all(entry(K, i, j) == Fraction(1, 3) for i in range(3) for j in range(3))
 
 
 @pytest.mark.parametrize("q,n", [(3, 4), (3, 6), (4, 4), (4, 6)])
@@ -258,7 +287,7 @@ def test_sign_chain_is_exact_lumping(base, n):
 def test_communicating_classes_and_triplets():
     K = build_kernel(ChainSpec(graph=Graph.path(4), q=3))
     assert len(communicating_classes(K)) == 1
-    text = K.to_triplets()
+    text = to_triplets(K)
     first = text.splitlines()[0].split()
     assert len(first) == 4 and int(first[3]) == K.denom
 
@@ -266,7 +295,7 @@ def test_communicating_classes_and_triplets():
 def reference_communicating_classes(kernel):
     """Kosaraju over the row mappings of the kernel and of its reversal."""
     succ = [list(row) for row in kernel.rows]
-    pred = [list(row) for row in kernel.reversal().rows]
+    pred = [list(row) for row in reversal(kernel).rows]
     order = []
     seen = [False] * len(kernel)
     for s in range(len(kernel)):
@@ -578,21 +607,21 @@ def test_reversal_method_gives_the_reverse_sweep():
     g = Graph.path(4)
     F = build_kernel(ChainSpec(graph=g, q=3, base="scan"))
     R = build_kernel(ChainSpec(graph=g, q=3, base="reverse_scan"))
-    rev = F.reversal()
+    rev = reversal(F)
     for i in range(len(F.states)):
         for j in range(len(F.states)):
-            assert rev.entry(i, j) == R.entry(i, j)
+            assert entry(rev, i, j) == entry(R, i, j)
 
 
 def test_kernel_composition_matches_two_steps():
     g = Graph.path(4)
     K = build_kernel(ChainSpec(graph=g, q=3))
-    K2 = K.compose(K)
+    K2 = compose(K, K)
     assert K2.row_sums_exact() and K2.uniform_is_stationary()
     P2 = np.linalg.matrix_power(K.dense(), 2)
     assert np.allclose(K2.dense(), P2, atol=1e-14)
     with pytest.raises(ValueError):
-        K.compose(build_kernel(ChainSpec(graph=Graph.path(3), q=3)))
+        compose(K, build_kernel(ChainSpec(graph=Graph.path(3), q=3)))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +753,7 @@ def test_lump_kernel_refuses_an_ill_defined_projection():
     K = build_kernel(ChainSpec(graph=Graph.path(4), q=3, base="scan"))
     assert lump_kernel(K, lambda s: s[0]) is None  # first colour alone is not Markov
     whole = lump_kernel(K, lambda s: 0)
-    assert whole.states == [0] and whole.entry(0, 0) == 1
+    assert whole.states == [0] and entry(whole, 0, 0) == 1
 
 
 def test_accepted_move_leaving_the_state_space_is_refused():
@@ -742,4 +771,4 @@ def test_int64_overflow_is_refused():
         with pytest.raises(ValueError, match="int64"):
             build_kernel(ChainSpec(graph=Graph.path(63), q=2, base=base))
     with pytest.raises(ValueError, match="int64"):
-        K.compose(K)
+        compose(K, K)
