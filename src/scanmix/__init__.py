@@ -12,30 +12,14 @@ __version__ = "0.1.0"
 
 from .domain import (
     BudgetExceededError,
-    Coloring,
     Graph,
-    HeightFunction,
     ImproperColoringError,
-    SignConfig,
     TargetGraph,
     VertexWeights,
-    d1,
-    d2,
     enumerate_colorings,
     enumerate_h_colorings,
-    from_signs,
-    geodesic,
-    height_of,
-    to_signs,
 )
-from .dynamics import (
-    ChainSpec,
-    RandomTape,
-    glauber_step,
-    metropolis_update,
-    scan_sweep,
-    sign_step,
-)
+from .dynamics import ChainSpec, RandomTape, metropolis_update
 from .kernels import (
     ChainKernel,
     NonErgodicError,
@@ -47,17 +31,6 @@ from .kernels import (
     verify_comparison,
 )
 from .congestion import canonical_congestion, ergodicity_report
-from .coupling import (
-    coupled_sweep,
-    coupling_time,
-    exact_drift,
-    variance_floor_witness,
-)
-from .percolation import (
-    lb_experiment,
-    mid_color_prob,
-    sample_pi0,
-    segment_layout,
-    transfer_count,
-)
-from .wilson import closed_form_eigen, estimate_rho, expectation_matrix, wilson_bounds
+from .coupling import coupled_sweep, coupling_time
+from .percolation import lb_experiment, sample_pi0, segment_layout, transfer_count
+from .wilson import closed_form_eigen, estimate_rho, wilson_bounds

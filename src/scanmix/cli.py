@@ -254,8 +254,8 @@ def cmd_couple(args, report: Report) -> int:
     tape = RandomTape(args.seed)
     stats = coupling_time(spec, kind, args.replicates, tape)
     body = ["replicate,time,censored"]
-    for i, t in enumerate(stats.times):
-        body.append(f"{i},{t},{int(t >= stats.horizon)}")
+    for i, (t, apart) in enumerate(zip(stats.times, stats.apart)):
+        body.append(f"{i},{t},{int(apart)}")
     report.write("couple.csv", "\n".join(body) + "\n")
     report.write(
         "couple.txt",
@@ -277,7 +277,7 @@ def cmd_couple(args, report: Report) -> int:
 
 def cmd_percolate(args, report: Report) -> int:
     layout = segment_layout(
-        args.n, args.q, override=(args.r, args.ell) if args.r else None
+        args.n, args.q, override=(args.r, args.ell) if args.r is not None else None
     )
     base = args.chain
     if base not in ("glauber", "scan"):
@@ -508,6 +508,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: --r and --ell must be given together", file=sys.stderr)
         return 2
     _fill_defaults(args)
+    if not args.eps > 0:
+        print(f"error: --eps must be positive, not {args.eps}", file=sys.stderr)
+        return 2
     config = {
         k: v
         for k, v in vars(args).items()

@@ -2,17 +2,16 @@
 
 Provides the coupling rules used in the path analyses (identity, the
 swap-on-adjacent-disagreement rule for q >= 4, and the two switch couplings
-driven by a neighbor's colors), an exact expected-drift oracle (dynamic
-programming / exhaustive enumeration over proposal draws, never sampling),
-the contraction-bound ledger quantified over canonical color classes, the
-variance-floor witnesses for the two q = 3 settings, and empirical
-coalescence-time experiments driven by one coupled step, ``coupled_sweep``.
+driven by a neighbor's colors), the contraction-bound ledger of exact
+expected drifts (dynamic programming over the joint pair at the frontier
+vertex, or all-pairs metric tables; never sampling) quantified over
+canonical color classes, and empirical coalescence-time experiments driven
+by one coupled step, ``coupled_sweep``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,6 @@ from .domain import (
     VertexWeights,
     enumerate_colorings,
     heights,
-    optimal_height_pair,
     pad,
     path_accepts,
     weighted_height_distance,
@@ -104,22 +102,6 @@ def coupled_update(s, t, v, c, kind: str, w=None, frozen=np.False_) -> None:
     t[v] = np.where(path_accepts(t, v, c2) & ~frozen, c2, t[v])
 
 
-def _coupled_moves(sigma: Coloring, tau: Coloring, kind: str, vertices, props):
-    """The pair and its images under K coupled move sequences, as (sig, tau)
-    arrays of K + 1 rows, row 0 the pair itself.
-
-    Column k of ``props`` (m, K) is sequence k: copy one tries props[j, k]
-    at 1-based vertex vertices[j, k], j = 0..m-1 in order, and copy two
-    follows by ``coupled_update``; ``vertices`` is (m, K) or (m, 1).
-    """
-    rows, width = props.shape[1] + 1, len(sigma) + 2
-    # padded rows, flattened; column k moves row k + 1
-    s, t = np.array(pad(sigma) * rows), np.array(pad(tau) * rows)
-    for f, c in zip(vertices + width * np.arange(1, rows), props):
-        coupled_update(s, t, f, c, kind)
-    return s.reshape(rows, width)[:, 1:-1], t.reshape(rows, width)[:, 1:-1]
-
-
 def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
     """The coupling must drive the spec's chain; neighbor-indexed couplings
     assume the path; q4 rules need q >= 4."""
@@ -174,8 +156,8 @@ def coupled_sweep(
     two copies of the spec's chain.
 
     Copy one tries the tape's proposals, copy two their partner proposals.
-    A step consumes the draw block of ``glauber_step``, so copy one
-    coincides with the plain chain under one tape.  A sweep of an unclamped
+    A step reads the ``CH_GLAUBER`` block [lazy coin, vertex, color] and a
+    sweep one ``CH_SCAN`` draw per vertex, the draws of the plain chain.  A sweep of an unclamped
     clique-model spec on the path with at most ``TABLE_MAX_Q`` colors, every
     color in range(q), is one lookup in ``_step_table`` per vertex; H-coloring
     models, other graphs and clamped specs run ``_site_update`` vertex by
@@ -226,88 +208,6 @@ def _table_scan_sweep(
         out.append(x)
     a, b = np.divmod(out[::-1] if reverse else out, q1)
     return tuple(a.tolist()), tuple(b.tolist())
-
-
-# ---------------------------------------------------------------------------
-# Exact drift: per-pair reference oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DriftReport:
-    """Exact expected metric value after one coupled step or sweep.
-
-    ``expected_after`` is computed by exhaustive enumeration or dynamic
-    programming with exact rational probabilities, never by sampling.
-    """
-
-    pair: tuple[Coloring, Coloring]
-    metric: str
-    coupling: str
-    start_vertex: int
-    before: Fraction
-    expected_after: Fraction
-
-    @property
-    def drift(self) -> Fraction:
-        return self.expected_after - self.before
-
-
-def _pair_metric(sig, tau, metric, weights) -> tuple[np.ndarray, int]:
-    """The metric of the pairs (sig[k], tau[k]) as integers over one
-    denominator: (numerators, denominator).  d2 counts units of
-    1/(2 * weights.denominator) and raises ImproperColoringError unless every
-    coloring is a proper 3-coloring, as ``domain.d2`` does."""
-    if metric == "hamming":
-        return (np.asarray(sig) != np.asarray(tau)).sum(axis=-1), 1
-    if metric == "d2":
-        value, _ = weighted_height_distance(heights(sig), heights(tau), weights.numerators)
-        return value, 2 * weights.denominator
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def exact_drift(
-    sigma: Coloring,
-    tau: Coloring,
-    coupling: str,
-    metric: str,
-    q: int,
-    start_vertex: int = 1,
-    weights: Optional[VertexWeights] = None,
-) -> DriftReport:
-    """Exact expected metric after one coupled sweep (scan kinds) or one
-    coupled single-site update (glauber kinds) on the path.
-
-    Scan drift with the Hamming metric runs a dynamic program over the joint
-    color pair at the frontier vertex (the joint process is Markov there);
-    other combinations enumerate the q^k proposal draws directly.
-    """
-    if coupling == "switch_glauber_important_neighbor":
-        raise ValueError("the important-neighbor coupling needs a segment layout")
-    n = len(sigma)
-    if coupling.endswith("glauber"):
-        v, c = np.divmod(np.arange(n * q), q)  # one single-site move per (v, c)
-        pairs = _coupled_moves(sigma, tau, coupling, v[None] + 1, c[None])
-    elif metric == "hamming":
-        pairs = np.array([sigma]), np.array([tau])
-    else:
-        m = n - start_vertex + 1  # one sweep per proposal vector
-        props = np.indices((q,) * m).reshape(m, q ** m)
-        pairs = _coupled_moves(sigma, tau, coupling, np.arange(start_vertex, n + 1)[:, None], props)
-    values, den = _pair_metric(*pairs, metric, weights)
-    before = Fraction(int(values[0]), den)
-    if len(values) > 1:
-        expected = Fraction(int(values[1:].sum()), den * (len(values) - 1))
-    else:
-        num, scale = _ham_batch_drift(*pairs, start_vertex - 1, q, coupling)
-        expected = Fraction(int(num[0]), scale)
-    return DriftReport(
-        pair=(sigma, tau),
-        metric=metric,
-        coupling=coupling,
-        start_vertex=start_vertex,
-        before=before,
-        expected_after=expected,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -847,230 +747,21 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
 
 
 # ---------------------------------------------------------------------------
-# Variance-floor witnesses (q = 3)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SiteWitness:
-    """A (vertex, color) choice that contracts the weighted metric.
-
-    Trying ``color`` at ``vertex`` (1-based) in both copies lowers the metric
-    by at least ``guaranteed_drop``; the single-site chain picks this choice
-    with probability 1/(3n), which yields the squared-increment floor
-    guaranteed_drop^2 / (3n).
-    """
-
-    vertex: int
-    color: int
-    guaranteed_drop: Fraction
-    achieved_drop: Fraction
-
-
-@dataclass
-class SweepWitness:
-    """Freeze-window witness giving the sweep a conditional variance floor.
-
-    Conditioned on the freeze color ``c_left`` being drawn at vertex z-1 and
-    ``c_right[c]`` at vertex z+1 (whatever color c the sweep draws at z), the
-    rest of the sweep is independent of c and, for every realization, some
-    choice of c moves the metric by at least w/2 in absolute value.  The
-    freeze color ``c_freeze`` keeps z unchanged in both copies.
-    """
-
-    vertex: int
-    c_left: Optional[int]
-    c_right: Optional[tuple[int, int, int]]
-    c_freeze: int
-    event_probability: Fraction
-    min_shift: Fraction
-
-
-def _unused_window_color(coloring: Coloring, z: int) -> Optional[int]:
-    n = len(coloring)
-    used = {coloring[z]} | {coloring[j] for j in (z - 1, z + 1) if 0 <= j < n}
-    free = [c for c in range(3) if c not in used]
-    return free[0] if free else None
-
-
-def _is_local_max(h: Sequence[int], v: int) -> bool:
-    return all(h[u] < h[v] for u in (v - 1, v + 1) if 0 <= u < len(h))
-
-
-def _drop_choice(sigma: Coloring, tau: Coloring, weights: VertexWeights):
-    """(z, color) from the height case analysis; drop >= weights[z] guaranteed.
-
-    Works on an optimal height pair (h, h*): on the region R where h - h*
-    is maximal, a local maximum of h (or, symmetrically, a minimum of h*) can
-    be pushed toward the other profile by trying the window's unused color in
-    both copies.  When h <= h* everywhere the roles swap.
-    """
-    h, hstar, _ = optimal_height_pair(sigma, tau, weights)
-    n = len(sigma)
-    m = max(a - b for a, b in zip(h, hstar))
-    if m <= 0:
-        return _drop_choice(tau, sigma, weights)
-    R = {v for v in range(n) if h[v] - hstar[v] == m}
-    if len(R) == n:
-        z = next(v for v in range(n) if _is_local_max(h, v))
-        return z, _unused_window_color(sigma, z)
-    for z in sorted(R):
-        nbrs = [u for u in (z - 1, z + 1) if 0 <= u < n]
-        if all(u not in R for u in nbrs):
-            return z, _unused_window_color(sigma, z)
-    for z in sorted(R):
-        nbrs = [u for u in (z - 1, z + 1) if 0 <= u < n]
-        in_r = [u for u in nbrs if u in R]
-        out_r = [u for u in nbrs if u not in R]
-        if in_r and out_r:
-            if h[in_r[0]] < h[z]:
-                return z, _unused_window_color(sigma, z)
-            return z, _unused_window_color(tau, z)
-    raise AssertionError("height case analysis matched no case")
-
-
-def site_variance_witness(sigma: Coloring, tau: Coloring) -> SiteWitness:
-    """Verified single-site variance witness for an unequal proper pair,
-    under the glauber q = 3 weights."""
-    if sigma == tau:
-        raise ValueError("pair must be unequal")
-    n = len(sigma)
-    weights = VertexWeights.glauber_q3(n)
-    tries = [(z, c) for z in range(n) for c in range(3)]
-    z, c = np.divmod(np.arange(3 * n), 3)
-    pairs = _coupled_moves(sigma, tau, "identity_glauber", z[None] + 1, c[None])
-    values, den = _pair_metric(*pairs, "d2", weights)
-    drop = dict(zip(tries, (values[0] - values[1:]).tolist()))
-    w = 2 * int(weights.numerators.min())  # w_min in units of 1/den
-    # the case analysis's choice first; an exhaustive search backs it up,
-    # and reaching it means the primary construction missed
-    for z, c in [_drop_choice(sigma, tau, weights), *tries]:
-        if c is not None and drop[z, c] >= w:
-            return SiteWitness(z + 1, c, weights.w_min, Fraction(drop[z, c], den))
-    raise AssertionError(f"no variance witness for pair {sigma} / {tau}")
-
-
-def _freeze_colors(cur1: int, cur2: int, nb1: set[int], nb2: set[int]) -> list[int]:
-    """Colors whose trial changes neither copy (current color or a neighbor's)."""
-    return sorted(({cur1} | nb1) & ({cur2} | nb2))
-
-
-def _verify_sweep_witness(
-    sigma: Coloring,
-    tau: Coloring,
-    weights: VertexWeights,
-    z: int,
-    c_left: Optional[int],
-    c_right: Optional[tuple[int, int, int]],
-) -> Optional[Fraction]:
-    """Minimal |metric shift| over all free draws, maximized over the z color.
-
-    Returns None when some realization admits no color at z shifting the
-    metric by at least w/2; otherwise the worst-case achieved shift.
-    """
-    n = len(sigma)
-    free = [v for v in range(n) if v not in (z - 1, z, z + 1)]
-    # draws[k, cz, v]: the color tried at 0-based v in the realization with
-    # free draws k and z color cz; one padded batch column per realization
-    draws = np.empty((3 ** len(free), 3, n), dtype=np.int64)
-    draws[:, :, free] = np.array(list(itertools.product(range(3), repeat=len(free))))[:, None]
-    draws[:, :, z] = np.arange(3)
-    if z > 0:
-        draws[:, :, z - 1] = c_left
-    if z < n - 1:
-        draws[:, :, z + 1] = c_right
-    pairs = _coupled_moves(
-        sigma, tau, "identity_scan", np.arange(1, n + 1)[:, None], draws.reshape(-1, n).T
-    )
-    values, den = _pair_metric(*pairs, "d2", weights)
-    shift = np.abs(values[1:] - values[0]).reshape(-1, 3)
-    # each realization takes its first z color shifting by w/2 or more
-    ok = shift >= weights.numerators.min()
-    if not ok.any(axis=1).all():
-        return None
-    return Fraction(int(shift[np.arange(len(shift)), ok.argmax(axis=1)].min()), den)
-
-
-def sweep_variance_witness(sigma: Coloring, tau: Coloring) -> SweepWitness:
-    """Verified sweep variance witness for an unequal proper pair, under the
-    scan q = 3 weights.
-
-    Construction: take the single-site drop choice (z, C); freeze z-1 with a
-    shared color of both windows and z+1 with a per-color freeze choice, so
-    that conditioned on those draws the z color can be chosen after the rest
-    of the sweep.  Every realization then admits a z color shifting the
-    metric by at least w/2: either freezing z (the shift already happened)
-    or applying the drop color.  When the first-choice freeze colors fail
-    the exhaustive verification, the remaining freeze-color combinations and
-    window positions are searched; a pair with no verifiable witness raises.
-    """
-    if sigma == tau:
-        raise ValueError("pair must be unequal")
-    n = len(sigma)
-    weights = VertexWeights.scan_q3(n)
-
-    def candidates_at(z: int):
-        lefts: list[Optional[int]] = [None]
-        if z > 0:
-            lefts = _freeze_colors(sigma[z - 1], tau[z - 1], {sigma[z]}, {tau[z]})
-        rights: list[Optional[tuple[int, int, int]]] = [None]
-        if z < n - 1:
-            after_s, after_t = _coupled_moves(
-                sigma, tau, "identity_glauber", np.array([[z + 1]]), np.arange(3)[None]
-            )
-            per_c = [
-                _freeze_colors(sigma[z + 1], tau[z + 1], {a}, {b})
-                for a, b in zip(after_s[1:, z].tolist(), after_t[1:, z].tolist())
-            ]
-            rights = list(itertools.product(*per_c))
-        return lefts, rights
-
-    def freeze_color(z: int) -> int:
-        nb1 = {sigma[j] for j in (z - 1, z + 1) if 0 <= j < n}
-        nb2 = {tau[j] for j in (z - 1, z + 1) if 0 <= j < n}
-        return _freeze_colors(sigma[z], tau[z], nb1, nb2)[0]
-
-    z0, _ = _drop_choice(sigma, tau, weights)
-    order = [z0] + [z for z in range(n) if z != z0]
-    for z in order:
-        lefts, rights = candidates_at(z)
-        for c_left in lefts:
-            for c_right in rights:
-                shift = _verify_sweep_witness(sigma, tau, weights, z, c_left, c_right)
-                if shift is not None:
-                    return SweepWitness(
-                        vertex=z + 1,
-                        c_left=c_left,
-                        c_right=c_right,
-                        c_freeze=freeze_color(z),
-                        event_probability=Fraction(1, 3 if z in (0, n - 1) else 9),
-                        min_shift=shift,
-                    )
-    raise AssertionError(f"no sweep variance witness for pair {sigma} / {tau}")
-
-
-def variance_floor_witness(sigma: Coloring, tau: Coloring, setting: str):
-    """Dispatch on the two q = 3 settings.
-
-    'glauber_q3' returns a SiteWitness under the (1/2, ..., 1/2) weights
-    (floor w^2/(3n) per step); 'scan_q3' a SweepWitness under the
-    (1/4, ..., 3/4) weights (floor from the 1/27-probability event).
-    """
-    if setting == "glauber_q3":
-        return site_variance_witness(sigma, tau)
-    if setting == "scan_q3":
-        return sweep_variance_witness(sigma, tau)
-    raise ValueError(f"unknown setting {setting!r}")
-
-
-# ---------------------------------------------------------------------------
 # Coalescence experiments
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CouplingStats:
+    """Coalescence times, one per replicate; ``apart[r]`` marks a replicate
+    still apart at the horizon, whose time is censored there."""
+
     times: list[int]
-    censored: int
+    apart: list[bool]
     horizon: int
+
+    @property
+    def censored(self) -> int:
+        return sum(self.apart)
 
     @property
     def median(self) -> float:
@@ -1120,8 +811,7 @@ def coupling_time(
     if horizon is None:
         scale = n if kind.endswith("glauber") else 1
         horizon = max(64, 64 * scale * (int(math.log2(n)) + 4))
-    times: list[int] = []
-    censored = 0
+    times, apart = [], []
     for r in range(replicates):
         sigma = uniform_proper_coloring(n, q, tape, r, 0)
         tau = uniform_proper_coloring(n, q, tape, r, 1)
@@ -1129,7 +819,6 @@ def coupling_time(
         while sigma != tau and t < horizon:
             sigma, tau = coupled_sweep(sigma, tau, kind, spec, tape, r, t)
             t += 1
-        if sigma != tau:
-            censored += 1
         times.append(t)
-    return CouplingStats(times=times, censored=censored, horizon=horizon)
+        apart.append(sigma != tau)
+    return CouplingStats(times=times, apart=apart, horizon=horizon)

@@ -1,4 +1,4 @@
-"""Graphs, target graphs, colorings, and the path distance metrics.
+"""Graphs, target graphs, colorings, and the weighted path metric.
 
 Conventions
 -----------
@@ -7,19 +7,15 @@ tuple indexed ``0..n-1``, so vertex ``v`` carries color ``coloring[v-1]``.
 Colors are ints: ``0..q-1`` for clique models, or vertex indices ``0..h-1``
 of a target graph.
 
-A proper 3-coloring of the path is equivalently encoded by its successive
-color differences mod 3, mapped to signs (+1 for difference 1, -1 for
-difference 2).  The map is exactly 3-to-1: the fibers are the cyclic color
-shifts.  An integer height profile with unit increments refines the sign
-encoding; it is unique up to adding a multiple of 6, and we fix the anchor
+A proper 3-coloring of the path has an integer height profile with unit
+increments: +1 where the color steps up by 1 (mod 3), -1 where it steps
+down.  It is unique up to adding a multiple of 6, and we fix the anchor
 ``h_1`` as the unique value in ``{0..5}`` with ``h_1`` odd and
 ``h_1 = coloring[0] (mod 3)``.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -30,8 +26,6 @@ from typing import Optional
 import numpy as np
 
 Coloring = tuple[int, ...]
-SignConfig = tuple[int, ...]
-HeightFunction = tuple[int, ...]
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -83,11 +77,6 @@ class Graph:
         return Graph(n, frozenset((i, i + 1) for i in range(1, n)), kind="path")
 
     @staticmethod
-    def star(n: int) -> "Graph":
-        """Star with center 1 and leaves 2..n."""
-        return Graph(n, frozenset((1, v) for v in range(2, n + 1)))
-
-    @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         g = Graph(n, frozenset(tuple(e) for e in edges))
         expected = frozenset((i, i + 1) for i in range(1, n))
@@ -112,10 +101,6 @@ class Graph:
     def small_n_caveat(self) -> bool:
         """Reports should flag n <= 3 instances (boundary effects dominate)."""
         return self.n <= 3
-
-    def to_text(self) -> str:
-        """Edge-list serialization: one 'u v' pair per line."""
-        return "\n".join(f"{u} {v}" for u, v in sorted(self.edges))
 
     @staticmethod
     def from_text(text: str, n: Optional[int] = None) -> "Graph":
@@ -168,19 +153,6 @@ class TargetGraph:
         """K_q without self-loops; the proper q-coloring constraint."""
         return TargetGraph(tuple(tuple(i != j for j in range(q)) for i in range(q)))
 
-    @staticmethod
-    def cycle(h: int) -> "TargetGraph":
-        return TargetGraph(
-            tuple(
-                tuple((abs(i - j) % h in (1, h - 1)) and i != j for j in range(h))
-                for i in range(h)
-            )
-        )
-
-    @staticmethod
-    def single_edge() -> "TargetGraph":
-        return TargetGraph(((False, True), (True, False)))
-
     def parity_bfs(self, a: int) -> dict[tuple[int, int], Optional[tuple[int, int]]]:
         """Breadth-first search of H's parity double cover from (a, 0).
 
@@ -231,10 +203,6 @@ class TargetGraph:
     @property
     def is_bipartite(self) -> bool:
         return self.bipartition is not None
-
-    def to_text(self) -> str:
-        """Adjacency-matrix block of 0/1 rows."""
-        return "\n".join("".join("1" if x else "0" for x in row) for row in self.adjacency)
 
     @staticmethod
     def from_text(text: str, directed: bool = False) -> "TargetGraph":
@@ -367,55 +335,16 @@ def _component_palette(g: Graph, target: TargetGraph, component: str) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Sign and height encodings (q = 3 paths)
+# Heights, vertex weights and the weighted path metric
 # ---------------------------------------------------------------------------
 
-def _require_proper3(coloring: Coloring) -> None:
-    if any(not (0 <= c < 3) for c in coloring):
-        raise ImproperColoringError("colors must lie in {0,1,2}")
-    if any(a == b for a, b in zip(coloring, coloring[1:])):
-        raise ImproperColoringError("coloring is not proper on the path")
-
-
-def to_signs(coloring: Coloring) -> SignConfig:
-    """Successive-difference sign encoding of a proper path 3-coloring.
-
-    signs[i] = +1 iff coloring[i+1] - coloring[i] = 1 (mod 3).
-    """
-    _require_proper3(coloring)
-    return tuple(
-        1 if (b - a) % 3 == 1 else -1 for a, b in zip(coloring, coloring[1:])
-    )
-
-
-def from_signs(signs: SignConfig, first_color: int) -> Coloring:
-    """Inverse of to_signs given the first vertex color."""
-    if not 0 <= first_color < 3:
-        raise ValueError("first_color must lie in {0,1,2}")
-    out = [first_color]
-    for s in signs:
-        if s not in (-1, 1):
-            raise ValueError("signs must be +-1")
-        out.append((out[-1] + (1 if s == 1 else 2)) % 3)
-    return tuple(out)
-
-
-def height_of(coloring: Coloring) -> HeightFunction:
-    """Canonical height profile of a proper path 3-coloring.
-
-    Anchored at the unique h_1 in {0..5} with h_1 odd and h_1 = color mod 3;
-    increments equal the sign encoding, so |h_i - h_{i+1}| = 1 along edges
-    and h_i = i (mod 2), h_i = coloring[i-1] (mod 3) for every vertex.
-    """
-    return tuple(heights(coloring).tolist())
-
-
 def heights(colorings) -> np.ndarray:
-    """``height_of`` for an array of proper path 3-colorings.
+    """Height profiles (see the module docstring) of proper path 3-colorings.
 
-    The vertex is the last axis.  The anchor (3 - 2c) mod 6 is the odd value
-    congruent to c mod 3; a color difference of 1 (mod 3) steps up, 2 down.
-    Raises ImproperColoringError unless every coloring is proper.
+    The vertex is the last axis; each row has unit increments, h_i = i
+    (mod 2) and h_i = color (mod 3).  The anchor (3 - 2c) mod 6 is the odd
+    value congruent to c mod 3; a color difference of 1 (mod 3) steps up, 2
+    down.  Raises ImproperColoringError unless every coloring is proper.
     """
     X = np.asarray(colorings, dtype=np.int64)
     if X.min() < 0 or X.max() > 2:
@@ -428,10 +357,6 @@ def heights(colorings) -> np.ndarray:
     steps[..., 1:] = 3 - 2 * diff
     return steps.cumsum(axis=-1)
 
-
-# ---------------------------------------------------------------------------
-# Vertex weights and the two path metrics
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VertexWeights:
@@ -451,10 +376,6 @@ class VertexWeights:
     def __getitem__(self, i: int) -> Fraction:
         return self.weights[i]
 
-    @property
-    def w_min(self) -> Fraction:
-        return min(self.weights)
-
     @cached_property
     def denominator(self) -> int:
         """The lcm D of the weights' denominators."""
@@ -467,10 +388,6 @@ class VertexWeights:
         out = np.array([w.numerator * (D // w.denominator) for w in self.weights], dtype=np.int64)
         out.flags.writeable = False
         return out
-
-    @staticmethod
-    def uniform(n: int) -> "VertexWeights":
-        return VertexWeights((Fraction(1),) * n)
 
     @staticmethod
     @cache
@@ -495,13 +412,6 @@ class VertexWeights:
         )
 
 
-def d1(sigma: Coloring, tau: Coloring) -> int:
-    """Hamming distance between the sign encodings of two proper 3-colorings."""
-    if len(sigma) != len(tau):
-        raise ValueError("length mismatch")
-    return sum(a != b for a, b in zip(to_signs(sigma), to_signs(tau)))
-
-
 def weighted_height_distance(H, Hstar, w) -> tuple[np.ndarray, np.ndarray]:
     """The weighted height metric of integer height arrays, in the units of w.
 
@@ -523,86 +433,3 @@ def weighted_height_distance(H, Hstar, w) -> tuple[np.ndarray, np.ndarray]:
             shift[val < value] = s
             value = np.minimum(value, val)
     return value, shift
-
-
-def optimal_height_pair(
-    sigma: Coloring, tau: Coloring, weights: VertexWeights
-) -> tuple[HeightFunction, HeightFunction, Fraction]:
-    """Height profiles (h, h*) attaining the weighted height distance.
-
-    Minimizes sum_i weights[i] * |h_i - h*_i| / 2 over the anchor freedom,
-    which is exactly a shift of one profile by a multiple of 6; the smallest
-    minimizing shift is applied to h*.  ``weighted_height_distance`` computes
-    it in units of 1/(2 * weights.denominator).
-    """
-    if len(sigma) != len(tau) or len(sigma) != len(weights):
-        raise ValueError("length mismatch")
-    H = heights((sigma, tau))
-    val, s = weighted_height_distance(H[0], H[1], weights.numerators)
-    h, hstar = H.tolist()
-    return tuple(h), tuple(x + int(s) for x in hstar), Fraction(int(val), 2 * weights.denominator)
-
-
-def d2(sigma: Coloring, tau: Coloring, weights: VertexWeights) -> Fraction:
-    """Minimal weighted single-vertex move cost between two proper 3-colorings.
-
-    Equals the minimum over height representatives of
-    sum_i weights[i] * |h_i - h*_i| / 2, computed in integers by
-    ``weighted_height_distance``; only the returned value is a Fraction.
-    """
-    return optimal_height_pair(sigma, tau, weights)[2]
-
-
-def geodesic(
-    sigma: Coloring,
-    tau: Coloring,
-    weights: VertexWeights,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[Coloring]:
-    """A minimum-cost single-vertex move path from sigma to tau inside the
-    proper colorings, realizing d2; Dijkstra over the weighted move graph,
-    with integer costs in units of 1/weights.denominator.  The budget bounds
-    the 3 * 2^(n-1) proper colorings the search may visit.
-
-    Returns the state sequence [sigma, ..., tau]; empty moves list when
-    sigma == tau (the returned sequence is then just [sigma]).
-    """
-    n = len(sigma)
-    if 3 * 2 ** (n - 1) > budget:
-        raise BudgetExceededError(f"3*2**{n - 1} states exceed budget {budget}")
-    _require_proper3(sigma)
-    _require_proper3(tau)
-
-    target_cost = d2(sigma, tau, weights)
-    step = weights.numerators.tolist()
-    dist: dict[Coloring, int] = {sigma: 0}
-    prev: dict[Coloring, Coloring] = {}
-    counter = itertools.count()
-    pq: list[tuple[int, int, Coloring]] = [(0, next(counter), sigma)]
-    while pq:
-        d, _, u = heapq.heappop(pq)
-        if u == tau:
-            break
-        if d > dist[u]:
-            continue
-        x = pad(u)
-        for v in range(1, n + 1):
-            for c in range(3):
-                if c == x[v] or not path_accepts(x, v, c):
-                    continue
-                nxt = u[:v - 1] + (c,) + u[v:]
-                nd = d + step[v - 1]
-                if nxt not in dist or nd < dist[nxt]:
-                    dist[nxt] = nd
-                    prev[nxt] = u
-                    heapq.heappush(pq, (nd, next(counter), nxt))
-    if tau not in dist:
-        raise RuntimeError("move graph is disconnected; cannot happen on a path")
-    cost = Fraction(dist[tau], weights.denominator)
-    if cost != target_cost:
-        raise AssertionError(f"geodesic cost {cost} does not match metric value {target_cost}")
-    path = [tau]
-    while path[-1] != sigma:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path

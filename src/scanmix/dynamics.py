@@ -1,9 +1,10 @@
-"""Single-site update kernels and chain drivers.
+"""Chain specifications, the single-site update, and the random tape.
 
-Implements the Metropolis(v) primitive for clique and target-graph
-constraint models, the random single-site chain ("glauber"), forward and
-reverse deterministic sweeps ("scan"/"reverse_scan"), lazy and clamped
-variants, and the auxiliary sign-vector chains for 3-colorings of a path.
+Implements the chain specification (random single-site updates "glauber",
+forward and reverse deterministic sweeps "scan"/"reverse_scan", lazy and
+clamped variants), the Metropolis(v) primitive for clique and target-graph
+constraint models, and the move of the auxiliary sign-vector chains for
+3-colorings of a path.
 
 Randomness comes from a :class:`RandomTape`: a counter-based source where
 every draw is a pure function of ``(seed, replicate, time index, channel,
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .domain import Coloring, Graph, SignConfig, TargetGraph
+from .domain import Coloring, Graph, TargetGraph
 
 DEFAULT_SEED = 1729
 
@@ -77,9 +78,6 @@ class RandomTape:
         """
         flat = self.uniforms(rep0, t, channel, 4 * max(reps - 1, 0) + size)
         return np.lib.stride_tricks.sliding_window_view(flat, size)[: 4 * reps : 4].copy()
-
-    def uniform(self, rep: int, t: int, channel: int, position: int = 0) -> float:
-        return float(self.uniforms(rep, t, channel, position + 1)[position])
 
 
 def color_from_uniform(u: float, q: int) -> int:
@@ -169,45 +167,12 @@ def metropolis_update(sigma: Coloring, v: int, c: int, spec: ChainSpec) -> Color
     return sigma
 
 
-def glauber_step(
-    sigma: Coloring, spec: ChainSpec, tape: RandomTape, rep: int = 0, step: int = 0
-) -> Coloring:
-    """One random single-site update: uniform vertex, uniform color, Metropolis.
-
-    With ``spec.lazy`` a fair coin decides "stay" before the vertex draw.
-    """
-    if spec.base != "glauber":
-        raise ValueError("glauber_step requires base='glauber'")
-    u = tape.uniforms(rep, step, CH_GLAUBER, 3)
-    if spec.lazy and u[0] < 0.5:
-        return sigma
-    v = vertex_from_uniform(u[1], spec.graph.n)
-    c = color_from_uniform(u[2], spec.n_colors)
-    return metropolis_update(sigma, v, c, spec)
-
-
 def scan_order(spec: ChainSpec) -> range:
     if spec.base == "scan":
         return range(1, spec.graph.n + 1)
     if spec.base == "reverse_scan":
         return range(spec.graph.n, 0, -1)
     raise ValueError("scan_order requires a scan base")
-
-
-def scan_sweep(
-    sigma: Coloring, spec: ChainSpec, tape: RandomTape, rep: int = 0, sweep: int = 0
-) -> Coloring:
-    """One full sweep of Metropolis updates in scan order.
-
-    Color draws are indexed by vertex id, so clamped vertices consume their
-    draw without acting and the remaining vertices see identical randomness.
-    """
-    u = tape.uniforms(rep, sweep, CH_SCAN, spec.graph.n)
-    out = sigma
-    for v in scan_order(spec):
-        c = color_from_uniform(u[v - 1], spec.n_colors)
-        out = metropolis_update(out, v, c, spec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,39 +194,3 @@ def sign_move(x: np.ndarray, v: int) -> None:
         x[..., n - 2] *= -1
     else:
         x[..., v - 2:v] = x[..., v - 2:v][..., ::-1]
-
-
-def sign_step(
-    x: SignConfig,
-    base: str,
-    tape: RandomTape,
-    rep: int = 0,
-    t: int = 0,
-) -> SignConfig:
-    """One step of the auxiliary sign chain on {-1,+1}^(n-1).
-
-    base='scan': the sweep applies the vertex-1 flip, the interior swaps in
-    order, then the vertex-n flip, each independently with probability 1/3.
-    base='glauber': a single uniformly random vertex move with probability 1/3.
-    """
-    n = len(x) + 1
-    if any(s not in (-1, 1) for s in x):
-        raise ValueError("sign vector must lie in {-1,+1}^(n-1)")
-    if base == "scan":
-        return sign_sweep_from_decisions(x, tape.uniforms(rep, t, CH_SIGN, n) < 1 / 3)
-    if base != "glauber":
-        raise ValueError(f"unknown base {base!r}")
-    u = tape.uniforms(rep, t, CH_SIGN, 2)
-    out = np.array(x)
-    if u[1] < 1 / 3:
-        sign_move(out, vertex_from_uniform(u[0], n))
-    return tuple(out.tolist())
-
-
-def sign_sweep_from_decisions(x: SignConfig, decisions: Sequence[bool]) -> SignConfig:
-    """Apply one deterministic sweep of the sign chain given the n move bits."""
-    out = np.array(x)
-    for v in range(1, len(x) + 2):
-        if decisions[v - 1]:
-            sign_move(out, v)
-    return tuple(out.tolist())

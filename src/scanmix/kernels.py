@@ -278,7 +278,8 @@ def sign_states(n: int) -> list[tuple[int, ...]]:
 def build_sign_kernel(base: str, n: int) -> ChainKernel:
     """Exact kernel of the auxiliary sign chain on {-1,+1}^(n-1); each vertex
     move applies with probability 1/3, so its table is [i, i, move_v(i)].
-    It equals the q = 3 path kernel of the same base lumped by ``to_signs``."""
+    It equals the q = 3 path kernel of the same base lumped by the sign
+    projection, a coloring's height increments."""
     if base not in ("glauber", "scan"):
         raise ValueError(f"unknown base {base!r}")
     states = sign_states(n)

@@ -38,40 +38,14 @@ from .kernels import build_kernel
 def transfer_count(q: int, s: int, i: int, j: int) -> int:
     """Number of proper q-colorings of an s-edge path with endpoint colors i, j.
 
-    Even s has the closed forms ((q-1)^s - 1)/q off the diagonal and
-    ((q-1)^s + q - 1)/q on it; odd s falls back to an integer matrix power.
+    The entry (i, j) of (J - I)^s, J the all-ones q x q matrix: J - I has
+    eigenvalue q - 1 on the all-ones vector and -1 on its complement, so the
+    diagonal entries are ((q-1)^s + (q-1)(-1)^s)/q and the others
+    ((q-1)^s - (-1)^s)/q, for every s >= 0.
     """
     if s < 0 or q < 2 or not (0 <= i < q and 0 <= j < q):
         raise ValueError("bad transfer-count arguments")
-    if s == 0:
-        return 1 if i == j else 0
-    if s % 2 == 0:
-        if i == j:
-            return ((q - 1) ** s + q - 1) // q
-        return ((q - 1) ** s - 1) // q
-    A = np.ones((q, q), dtype=object) - np.eye(q, dtype=object)
-    M = np.linalg.matrix_power(A, s)
-    return int(M[i, j])
-
-
-def mid_color_prob(q: int, ell: int, r: int) -> Fraction:
-    """Probability the split vertex of an anchored segment repeats the anchor color.
-
-    A path of ell + r edges with both endpoints colored j: the vertex at
-    distance ell from the left end carries color j with probability
-    count(ell, j, j) * count(r, j, j) / count(ell + r, j, j), which is at
-    least (1/q)(1 + (q-1)^-(r-1)).
-    """
-    if ell <= 0 or r <= 0 or ell % 2 or r % 2:
-        raise ValueError("ell and r must be positive even integers")
-    p = Fraction(
-        transfer_count(q, ell, 0, 0) * transfer_count(q, r, 0, 0),
-        transfer_count(q, ell + r, 0, 0),
-    )
-    floor = Fraction(1, q) * (1 + Fraction(1, (q - 1) ** (r - 1)))
-    if p < floor:
-        raise ValueError(f"anchored midpoint probability {p} fell below its floor {floor}")
-    return p
+    return ((q - 1) ** s + (q - 1 if i == j else -1) * (-1) ** s) // q
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .dynamics import CH_SIGN, RandomTape, sign_move
 PROBE_STATES = 24
 
 # ---------------------------------------------------------------------------
-# Expectation matrices
+# Per-move expectation maps
 # ---------------------------------------------------------------------------
 
 def move_expectation_map(v: int, n: int) -> np.ndarray:
@@ -44,29 +44,6 @@ def move_expectation_map(v: int, n: int) -> np.ndarray:
     P = np.eye(n - 1)
     sign_move(P, v)
     return (2 * np.eye(n - 1) + P) / 3
-
-
-def expectation_matrix(kind: str, n: int) -> np.ndarray:
-    """A with E[X(1) | X(0)] = A X(0) for the sign chain of the given kind.
-
-    kind='glauber': average of the per-vertex maps (symmetric).
-    kind='scan': ordered product of the per-vertex maps, vertex n applied
-    last (not symmetric; the sweep is not time reversible).
-    """
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    if kind == "glauber":
-        m = n - 1
-        A = np.zeros((m, m))
-        for v in range(1, n + 1):
-            A += move_expectation_map(v, n)
-        return A / n
-    if kind == "scan":
-        A = np.eye(n - 1)
-        for v in range(1, n + 1):
-            A = move_expectation_map(v, n) @ A
-        return A
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,24 @@ def test_mismatched_layout_override_fails(tmp_path, capsys):
     assert "--ell" in capsys.readouterr().err
 
 
+def test_percolate_refuses_a_zero_r_override(tmp_path, capsys):
+    """--r 0 is an override that the layout refuses, not a request for the
+    recipe layout."""
+    out = tmp_path / "o"
+    assert main(["percolate", "--r", "0", "--ell", "10", "--out", str(out)]) == 2
+    assert "positive even" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["mix", "wilson", "compare"])
+def test_non_positive_eps_exits_2(tmp_path, capsys, sub):
+    for eps in ("0", "-0.5", "nan"):
+        out = tmp_path / eps
+        assert main([sub, f"--eps={eps}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --eps must be positive")
+        assert not out.exists()
+
+
 def test_mix_nonergodic_writes_classes(tmp_path):
     hfile = tmp_path / "h.txt"
     hfile.write_text("010\n001\n100\n")

@@ -21,11 +21,12 @@ from scanmix.congestion import (
 )
 from scanmix.domain import Graph, TargetGraph, enumerate_h_colorings
 from scanmix.dynamics import ChainSpec, proposal_accepted
+from reference import cycle, single_edge, star
 from test_kernels import entry
 
 
 K3 = TargetGraph.clique(3)
-EDGE = TargetGraph.single_edge()
+EDGE = single_edge()
 
 
 def canonical_path(sigma, tau, target, n):
@@ -79,7 +80,7 @@ def test_connector_length_table(target, n, expected):
     assert (n + t) % 2 == 1
 
 
-@pytest.mark.parametrize("target", [K3, TargetGraph.cycle(5), TargetGraph.clique(4)])
+@pytest.mark.parametrize("target", [K3, cycle(5), TargetGraph.clique(4)])
 @pytest.mark.parametrize("n", [3, 4])
 def test_connector_walks_exact_length_and_adjacency(target, n):
     t = connector_length(target, n)
@@ -173,9 +174,9 @@ REFERENCE_CASES = (
     + [(n, TargetGraph.clique(4)) for n in range(1, 6)]
     # bipartite: side0 of the edge is one state, so there is no pair to route
     + [(n, EDGE) for n in range(1, 7)]
-    + [(n, TargetGraph.cycle(5)) for n in range(1, 5)]
+    + [(n, cycle(5)) for n in range(1, 5)]
     + [(n, K3_LOOP) for n in range(1, 5)]
-    + [(5, TargetGraph.cycle(4))]
+    + [(5, cycle(4))]
     + [(n, TargetGraph.from_text("001\n110\n010\n", directed=True)) for n in (3, 4, 5)]
 )
 
@@ -259,7 +260,7 @@ DIRECTED_H3 = [
 
 @pytest.mark.parametrize(
     "g",
-    [Graph.path(n) for n in range(1, 6)] + [Graph.star(n) for n in range(2, 5)],
+    [Graph.path(n) for n in range(1, 6)] + [star(n) for n in range(2, 5)],
     ids=lambda g: f"{g.kind}{g.n}",
 )
 def test_classes_match_the_depth_first_search(g):

@@ -1,5 +1,6 @@
 """Coupled evolutions: drift oracles, ledger, witnesses, coalescence."""
 
+import functools
 import hashlib
 import itertools
 from collections import Counter
@@ -19,14 +20,10 @@ from scanmix.coupling import (
     _step_table,
     coupled_sweep,
     coupling_time,
-    exact_drift,
     partner_proposal,
     hamming_contraction_rows,
-    site_variance_witness,
-    sweep_variance_witness,
     transpose_color,
     uniform_proper_coloring,
-    variance_floor_witness,
     weighted_metric_contraction_rows,
 )
 from scanmix.domain import (
@@ -36,10 +33,9 @@ from scanmix.domain import (
     ImproperColoringError,
     TargetGraph,
     VertexWeights,
-    d2,
     enumerate_colorings,
     enumerate_h_colorings,
-    height_of,
+    heights,
     pad,
     path_accepts,
 )
@@ -55,6 +51,16 @@ from scanmix.dynamics import (
 )
 from scanmix.kernels import build_kernel
 from scanmix.percolation import _switch_scan_sweep
+from reference import (
+    WITNESS_DIGEST,
+    cycle,
+    d2,
+    drop_choice,
+    exact_drift,
+    site_variance_witness,
+    star,
+    sweep_variance_witness,
+)
 from test_kernels import entry
 
 
@@ -272,7 +278,7 @@ def test_enumerated_drift_matches_the_scalar_reference(kind, metric, q):
 
 
 def test_d2_drift_refuses_improper_pairs():
-    """exact_drift's d2 refuses what domain.d2 refuses, where it used to read
+    """exact_drift's d2 refuses what d2 refuses, where it used to read
     the unequal pair (0,1,2,3) / (0,1,2,0) as distance 0."""
     wg, ws = VertexWeights.glauber_q3(4), VertexWeights.scan_q3(4)
     for sigma, tau in (((0, 1, 2, 3), (0, 1, 2, 0)), ((0, 1, 2, 0), (0, 1, 1, 0))):
@@ -378,8 +384,8 @@ def _reference_coupled_sweep(sigma, tau, kind, spec, tape, rep, t):
 
 
 @pytest.mark.parametrize("model,kinds", [
-    (dict(graph=Graph.star(4), q=3), ("identity_scan", "identity_glauber")),
-    (dict(graph=Graph.path(5), target=TargetGraph.cycle(5)), ("identity_scan", "identity_glauber")),
+    (dict(graph=star(4), q=3), ("identity_scan", "identity_glauber")),
+    (dict(graph=Graph.path(5), target=cycle(5)), ("identity_scan", "identity_glauber")),
     (dict(graph=Graph.path(6), q=4, clamp={2, 5}),
      ("identity_scan", "q4_scan", "switch_scan", "identity_glauber", "q4_glauber")),
 ])
@@ -537,7 +543,7 @@ def _reference_metric_table(tables):
     """The all-pairs table PathMetricTables computed before it called the
     shared metric routine: the minimum over a fixed range of shifts."""
     w8 = np.array([int(4 * w) for w in tables.weights.weights], dtype=np.float32)
-    H = np.array([height_of(s) for s in tables.states], dtype=np.float32)
+    H = heights(tables.states).astype(np.float32)
     lo, hi = int(H.min() - H.max()) - 6, int(H.max() - H.min()) + 6
     delta = H[:, None, :] - H[None, :, :]
     return np.min([np.abs(delta - s) @ w8 for s in range(6 * (lo // 6), hi + 1, 6)], axis=0)
@@ -611,41 +617,51 @@ def test_site_witness_whole_line_case():
     sigma = tuple(i % 3 for i in range(n))
     tau = tuple((c + 1) % 3 for c in sigma)
     wit = site_variance_witness(sigma, tau)
-    assert wit.achieved_drop >= w.w_min
+    assert wit.achieved_drop >= min(w.weights)
     # the move drops the metric by exactly the chosen vertex weight
     assert wit.achieved_drop == w[wit.vertex - 1]
 
 
-def test_witnesses_exhaustive_n4():
-    n = 4
+@functools.cache
+def witnesses(n):
+    """(sigma, tau, site witness, sweep witness) of every ordered unequal
+    pair of proper 3-colorings of the n-path."""
     states = enumerate_colorings(Graph.path(n), 3)
-    wg = VertexWeights.glauber_q3(n)
-    ws = VertexWeights.scan_q3(n)
-    for sigma in states:
-        for tau in states:
-            if sigma == tau:
-                continue
-            site = variance_floor_witness(sigma, tau, "glauber_q3")
-            assert site.achieved_drop >= wg.w_min
-            sweep = variance_floor_witness(sigma, tau, "scan_q3")
-            assert sweep.min_shift >= Fraction(ws.w_min, 2)
-    with pytest.raises(ValueError):
-        variance_floor_witness(states[0], states[0], "glauber_q3")
+    return [(sigma, tau, site_variance_witness(sigma, tau), sweep_variance_witness(sigma, tau))
+            for sigma, tau in itertools.permutations(states, 2)]
 
 
-# sha256 over the reprs of the site and sweep witnesses of every unequal pair
-# at n = 4 and 5, recorded with the Fraction metric
-WITNESS_DIGEST = "aa9321f0111a4651cea112f04bcbd72184cc85b9fe391bc5d8318fa020d329d6"
+def test_witnesses_exhaustive_n4():
+    w_site, w_sweep = min(VertexWeights.glauber_q3(4).weights), min(VertexWeights.scan_q3(4).weights)
+    for sigma, tau, site, sweep in witnesses(4):
+        assert site.achieved_drop >= w_site
+        assert sweep.min_shift >= w_sweep / 2
+    for witness in (site_variance_witness, sweep_variance_witness):
+        with pytest.raises(ValueError):
+            witness((0, 1, 0, 1), (0, 1, 0, 1))
 
 
 def test_witnesses_match_golden_digest():
     digest = hashlib.sha256()
     for n in (4, 5):
-        states = enumerate_colorings(Graph.path(n), 3)
-        for sigma, tau in itertools.permutations(states, 2):
-            digest.update((repr(site_variance_witness(sigma, tau)) + "\n").encode())
-            digest.update((repr(sweep_variance_witness(sigma, tau)) + "\n").encode())
+        for _, _, site, sweep in witnesses(n):
+            digest.update((repr(site) + "\n").encode())
+            digest.update((repr(sweep) + "\n").encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def test_witness_fallbacks_are_counted():
+    """The site witness is always the case analysis's (vertex, color); the
+    sweep witness leaves its drop vertex on 0 of 552 pairs at n = 4 and on
+    24 of 2,256 at n = 5, where the search over other windows finds one."""
+    for n, pairs, sweep_misses in ((4, 552, 0), (5, 2256, 24)):
+        wg, ws = VertexWeights.glauber_q3(n), VertexWeights.scan_q3(n)
+        site_off = sweep_off = 0
+        for sigma, tau, site, sweep in witnesses(n):
+            z, c = drop_choice(sigma, tau, wg)
+            site_off += (site.vertex, site.color) != (z + 1, c)
+            sweep_off += sweep.vertex != drop_choice(sigma, tau, ws)[0] + 1
+        assert (len(witnesses(n)), site_off, sweep_off) == (pairs, 0, sweep_misses)
 
 
 def test_window_freeze_table_row():
@@ -784,6 +800,18 @@ def test_coupling_time_refuses_zero_replicates():
         coupling_time(spec, "q4_scan", 0, RandomTape(1))
 
 
+def test_only_replicates_apart_at_the_horizon_are_censored():
+    """A replicate that coalesces on the horizon's last sweep reads the
+    horizon as its time but is not censored: replicate 3 at horizon 12,
+    replicates 2, 5 and 7 at horizon 4."""
+    spec = ChainSpec(graph=Graph.path(8), q=4, base="scan")
+    full = coupling_time(spec, "q4_scan", 8, RandomTape(1729), horizon=12)
+    assert full.times == [3, 2, 4, 12, 5, 4, 9, 4] and full.censored == 0
+    cut = coupling_time(spec, "q4_scan", 8, RandomTape(1729), horizon=4)
+    assert cut.times == [min(t, 4) for t in full.times]
+    assert cut.apart == [t > 4 for t in full.times] and cut.censored == 3
+
+
 def test_transpose_color():
     assert transpose_color(0, 0, 1) == 1
     assert transpose_color(1, 0, 1) == 0
@@ -914,7 +942,7 @@ def test_supermartingale_over_all_pairs(chain, n):
 
 def test_coupling_kind_model_mismatch_raises():
     tape = RandomTape(0)
-    star_spec = ChainSpec(graph=Graph.star(4), q=4, base="scan")
+    star_spec = ChainSpec(graph=star(4), q=4, base="scan")
     with pytest.raises(ValueError):
         coupled_sweep((0, 1, 2, 3), (0, 1, 2, 2), "q4_scan", star_spec, tape)
     q3_spec = ChainSpec(graph=Graph.path(4), q=3, base="scan")

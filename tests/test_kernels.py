@@ -15,7 +15,6 @@ from scanmix.domain import (
     TargetGraph,
     enumerate_colorings,
     enumerate_h_colorings,
-    to_signs,
 )
 from scanmix.dynamics import ChainSpec, proposal_accepted, scan_order, sign_move
 from scanmix.kernels import (
@@ -36,6 +35,7 @@ from scanmix.kernels import (
     tv_mixing_time,
     verify_comparison,
 )
+from reference import cycle, single_edge, star, to_signs
 
 MIX_GLAUBER_N4_Q3_QUARTER = 36  # frozen regression value from exact powering
 
@@ -126,7 +126,7 @@ def test_stationarity_exact(q, n):
         assert K.uniform_is_stationary()
 
 
-@pytest.mark.parametrize("target", [TargetGraph.clique(3), TargetGraph.cycle(5)])
+@pytest.mark.parametrize("target", [TargetGraph.clique(3), cycle(5)])
 def test_stationarity_target_models(target):
     g = Graph.path(4)
     for base in ("glauber", "scan"):
@@ -172,10 +172,10 @@ def filtered_fiber(spec, fiber_of, component="auto", proper_only=True):
     (dict(graph=Graph.path(6), q=3, clamp={1, 5}), {}),
     (dict(graph=Graph.path(5), q=3, clamp={2, 3}), {}),
     (dict(graph=Graph.path(4), q=3, clamp={2}), dict(proper_only=False)),
-    (dict(graph=Graph.star(5), q=3, clamp={1, 4}), {}),
-    (dict(graph=Graph.path(5), target=TargetGraph.cycle(4), clamp={2}), {}),
-    (dict(graph=Graph.path(4), target=TargetGraph.cycle(6), clamp={1, 3}), dict(component="side1")),
-    (dict(graph=Graph.path(4), target=TargetGraph.cycle(5), clamp={1, 4}), {}),
+    (dict(graph=star(5), q=3, clamp={1, 4}), {}),
+    (dict(graph=Graph.path(5), target=cycle(4), clamp={2}), {}),
+    (dict(graph=Graph.path(4), target=cycle(6), clamp={1, 3}), dict(component="side1")),
+    (dict(graph=Graph.path(4), target=cycle(5), clamp={1, 4}), {}),
     (dict(graph=Graph.path(4), target=directed_cycle(3), clamp={3}), {}),
 ])
 def test_fibers_equal_the_filtered_state_space(kw, build):
@@ -337,7 +337,7 @@ def test_communicating_classes_match_reference_on_directed_triangles():
         for n, base in itertools.product((3, 4), ("glauber", "scan")):
             K = build_kernel(ChainSpec(graph=Graph.path(n), target=H, base=base))
             classes = communicating_classes(K)
-            assert classes == reference_communicating_classes(K), (H.to_text(), n, base)
+            assert classes == reference_communicating_classes(K), (bits, n, base)
             n_split += len(classes) > 1
     assert n_split > 0  # the family includes reducible chains
 
@@ -390,7 +390,7 @@ def test_communicating_classes_backward_sweep_decides():
     [
         ChainSpec(graph=Graph.path(4), q=3),
         ChainSpec(graph=Graph.path(4), q=3, base="scan"),
-        ChainSpec(graph=Graph.path(5), target=TargetGraph.cycle(5), base="reverse_scan"),
+        ChainSpec(graph=Graph.path(5), target=cycle(5), base="reverse_scan"),
     ],
     ids=["glauber", "scan", "c5_reverse"],
 )
@@ -435,7 +435,7 @@ LOOPED_DIRECTED_CYCLE = TargetGraph(
 ROTATION_MODELS = {
     "K3": ({"q": 3}, range(2, 8)),
     "K4": ({"q": 4}, range(2, 6)),
-    "C5": ({"target": TargetGraph.cycle(5)}, range(2, 6)),
+    "C5": ({"target": cycle(5)}, range(2, 6)),
     "dicycle3": ({"target": directed_cycle(3)}, range(1, 2)),
     "dicycle3_loops": ({"target": LOOPED_DIRECTED_CYCLE}, range(2, 8)),
 }
@@ -496,7 +496,7 @@ def perturbed(K):
             ChainSpec(graph=Graph.path(5), q=3, clamp={1}), fiber_of=(0, 1, 0, 1, 0)
         ),
         lambda: build_sign_kernel("scan", 5),
-        lambda: build_kernel(ChainSpec(graph=Graph.path(5), target=TargetGraph.cycle(4))),
+        lambda: build_kernel(ChainSpec(graph=Graph.path(5), target=cycle(4))),
         lambda: build_kernel(ChainSpec(graph=Graph.path(4), target=TRIANGLE_WITH_PENDANT)),
         lambda: perturbed(build_kernel(ChainSpec(graph=Graph.path(3), q=3))),
     ],
@@ -529,7 +529,7 @@ class ShapeRecordingArray(np.ndarray):
     [
         ChainSpec(graph=Graph.path(6), q=3),
         ChainSpec(graph=Graph.path(4), q=4, base="scan"),
-        ChainSpec(graph=Graph.path(5), target=TargetGraph.cycle(5), lazy=True),
+        ChainSpec(graph=Graph.path(5), target=cycle(5), lazy=True),
     ],
     ids=["k3_glauber", "k4_scan", "c5_lazy"],
 )
@@ -564,13 +564,13 @@ def test_comparison_path_and_star():
     assert rep.site_le_sweep_ok and rep.sweep_le_site_ok
     assert rep.site_slack > 0 and rep.sweep_slack > 0
     assert rep.mix_square_bound_ok
-    star = verify_comparison(Graph.star(4), TargetGraph.clique(4))
-    assert star.max_degree == 3 and star.site_factor == 4 * 4 ** 4
-    assert star.site_le_sweep_ok and star.sweep_le_site_ok
+    hub = verify_comparison(star(4), TargetGraph.clique(4))
+    assert hub.max_degree == 3 and hub.site_factor == 4 * 4 ** 4
+    assert hub.site_le_sweep_ok and hub.sweep_le_site_ok
 
 
 def test_comparison_trivial_space():
-    rep = verify_comparison(Graph.path(4), TargetGraph.single_edge())
+    rep = verify_comparison(Graph.path(4), single_edge())
     assert rep.trivial and rep.n_states == 1
     assert rep.site_le_sweep_ok and rep.sweep_le_site_ok
 
@@ -719,17 +719,17 @@ REFERENCE_CASES = [
     dict(graph=Graph.path(6), q=3, base="glauber", clamp={1, 5}, fiber_of=ANCHOR6),
     dict(graph=Graph.path(6), q=3, base="glauber", lazy=True, clamp={2}, fiber_of=ANCHOR6),
     dict(graph=Graph.path(5), q=4, base="reverse_scan", clamp={3}),
-    dict(graph=Graph.star(5), q=3, base="glauber"),
-    dict(graph=Graph.star(5), q=3, base="scan"),
-    dict(graph=Graph.star(4), q=4, base="reverse_scan", clamp={1}),
-    dict(graph=Graph.path(5), target=TargetGraph.cycle(4), base="glauber"),
-    dict(graph=Graph.path(5), target=TargetGraph.cycle(4), base="scan"),
-    dict(graph=Graph.path(4), target=TargetGraph.cycle(6), base="scan", component="side1"),
-    dict(graph=Graph.path(4), target=TargetGraph.cycle(5), base="scan"),
+    dict(graph=star(5), q=3, base="glauber"),
+    dict(graph=star(5), q=3, base="scan"),
+    dict(graph=star(4), q=4, base="reverse_scan", clamp={1}),
+    dict(graph=Graph.path(5), target=cycle(4), base="glauber"),
+    dict(graph=Graph.path(5), target=cycle(4), base="scan"),
+    dict(graph=Graph.path(4), target=cycle(6), base="scan", component="side1"),
+    dict(graph=Graph.path(4), target=cycle(5), base="scan"),
     dict(graph=Graph.path(4), target=directed_cycle(3), base="glauber"),
     dict(graph=Graph.path(4), target=bottleneck_target(2), base="scan"),
     dict(graph=Graph.path(4), target=bottleneck_target(1), base="glauber", lazy=True),
-    dict(graph=Graph.star(4), target=bottleneck_target(1), base="scan"),
+    dict(graph=star(4), target=bottleneck_target(1), base="scan"),
     dict(graph=Graph.path(3), q=3, base="scan", proper_only=False),
     dict(graph=Graph.path(3), q=3, base="glauber", lazy=True, proper_only=False),
 ]
@@ -758,7 +758,7 @@ def test_lump_kernel_refuses_an_ill_defined_projection():
 
 def test_accepted_move_leaving_the_state_space_is_refused():
     # one vertex, bipartite H: the side-0 space excludes colors the move reaches
-    spec = ChainSpec(graph=Graph.path(1), target=TargetGraph.cycle(4))
+    spec = ChainSpec(graph=Graph.path(1), target=cycle(4))
     with pytest.raises(ValueError, match="leaves the enumerated states"):
         build_kernel(spec)
 

@@ -21,13 +21,13 @@ from scanmix.percolation import (
     enumerate_anchor_fiber,
     exact_free_tail,
     lb_experiment,
-    mid_color_prob,
     sample_pi0,
     segment_layout,
     stationary_z_tail_exact,
     transfer_count,
     z_statistic,
 )
+from reference import mid_color_prob
 
 DESK = segment_layout(10_000, 4, override=(2, 10))
 

@@ -1,11 +1,14 @@
-"""Every module-level function and class of the package is reachable from
-the program: the CLI entry point, the package exports, module-level
-statements, or a name the benchmark harness uses.
+"""Every module-level function and class of the package, and every method
+of such a class, is reachable from the program: the CLI entry point,
+module-level statements, or a name the benchmark harness uses.  The package
+exports only reachable definitions.
 
 Reachability is read from the source, not from a run: a definition reaches
 every name it mentions, resolved through the package's own
-``from .module import name`` statements.  Code that only tests call belongs
-in the test module that uses it.
+``from .module import name`` statements.  A method is reached when its class
+is and some reached code or the harness names it as an attribute (``x.m``);
+special methods (``__len__``) count with their class.  Code that only tests
+call belongs in the tests: the module that uses it, or ``reference.py``.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "scanmix"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 # Definitions reached only from tests that stay in the package, with why.
 # D10 in ROADMAP.md computes the exact law of the threshold statistic.
@@ -32,14 +36,18 @@ ALLOWED = {
 
 def _package():
     """(definitions, imports, statements): module-level functions and
-    classes by (module, name); relative imports as (module, alias) ->
-    (module, name); every other module-level statement by module."""
+    classes by (module, name) and their methods by (module, "Class.name");
+    relative imports as (module, alias) -> (module, name); every other
+    module-level statement by module."""
     defs, imports, statements = {}, {}, defaultdict(list)
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 defs[module, node.name] = node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, FUNCTIONS):
+                        defs[module, f"{node.name}.{item.name}"] = item
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     imports[module, alias.asname or alias.name] = (
@@ -49,8 +57,19 @@ def _package():
     return defs, imports, statements
 
 
-def _names(node) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+def _own_nodes(node):
+    """The nodes of a definition, less the bodies of a class's methods,
+    which are definitions of their own."""
+    if not isinstance(node, ast.ClassDef):
+        return list(ast.walk(node))
+    parts = node.bases + node.keywords + node.decorator_list
+    for item in node.body:
+        parts += item.decorator_list if isinstance(item, FUNCTIONS) else [item]
+    return [n for part in parts for n in ast.walk(part)]
+
+
+def _names(nodes) -> set[str]:
+    return {n.id for n in nodes if isinstance(n, ast.Name)}
 
 
 def _bench_names() -> set[str]:
@@ -69,7 +88,8 @@ def _bench_names() -> set[str]:
 
 
 def reachable():
-    """(definitions, the keys of those reachable from the roots)."""
+    """(definitions, the keys of those reachable from the roots, a resolver
+    of (module, name) to the key of the definition it names)."""
     defs, imports, statements = _package()
 
     def resolve(module, name):
@@ -77,29 +97,48 @@ def reachable():
             module, name = imports[module, name]
         return (module, name) if (module, name) in defs else None
 
-    roots = [("cli", "main")]
-    roots += [imports[key] for key in imports if key[0] == "__init__"]
-    roots += [resolve(m, name) for m, body in statements.items() for s in body for name in _names(s)]
     bench = _bench_names()
+    roots = [("cli", "main")]
+    roots += [resolve(m, name) for m, body in statements.items() for s in body
+              for name in _names(ast.walk(s))]
     roots += [key for key in defs if key[1] in bench]
+    attributes = set(bench)
     seen, todo = set(), [key for key in roots if key in defs]
     while todo:
         key = todo.pop()
-        if key not in seen:
-            seen.add(key)
-            todo += [r for r in (resolve(key[0], n) for n in _names(defs[key])) if r]
-    return defs, seen
+        if key in seen:
+            continue
+        seen.add(key)
+        nodes = _own_nodes(defs[key])
+        todo += [r for r in (resolve(key[0], n) for n in _names(nodes)) if r]
+        attributes |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        # the methods of every reached class that reached code names
+        todo += [
+            (module, name) for module, name in defs
+            if "." in name and (module, name.split(".")[0]) in seen
+            and (name.split(".")[1] in attributes or name.split(".")[1].startswith("__"))
+        ]
+    return defs, seen, resolve
 
 
 def test_every_definition_is_reachable_from_the_program():
-    defs, seen = reachable()
+    defs, seen, _ = reachable()
     unreached = sorted(set(defs) - seen - set(ALLOWED))
     assert unreached == [], "reached only from tests: " + ", ".join(".".join(k) for k in unreached)
 
 
 def test_the_allowlist_names_only_unreached_definitions():
-    defs, seen = reachable()
+    defs, seen, _ = reachable()
     assert set(ALLOWED) <= set(defs) - seen
+
+
+def test_every_export_is_reached():
+    """``__init__`` re-exports only definitions that the program reaches."""
+    defs, seen, resolve = reachable()
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = [a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert exports and all(resolve("__init__", name) in seen for name in exports), [
+        name for name in exports if resolve("__init__", name) not in seen]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -107,7 +146,7 @@ def _unused_imports(path: Path) -> list[str]:
     imports and any import statement marked ``# noqa: F401``."""
     source = path.read_text()
     tree, lines = ast.parse(source), source.splitlines()
-    used = _names(tree)
+    used = _names(ast.walk(tree))
     out = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):

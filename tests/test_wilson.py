@@ -12,10 +12,10 @@ from scanmix.kernels import build_sign_kernel, poincare_constant
 from scanmix.wilson import (
     closed_form_eigen,
     estimate_rho,
-    expectation_matrix,
     move_expectation_map,
     wilson_bounds,
 )
+from reference import expectation_matrix
 
 
 def test_move_expectation_map_equals_hand_set_entries():
