@@ -16,6 +16,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .congestion import (
     bottleneck_report,
@@ -25,6 +27,7 @@ from .congestion import (
 )
 from .coupling import (
     LEMMA_IDS,
+    Ledger,
     coupling_time,
     hamming_contraction_rows,
     weighted_metric_contraction_rows,
@@ -76,12 +79,17 @@ class Report:
                 lines.append(f"# {k}: {_fmt(v)}")
         return "\n".join(lines) + "\n"
 
-    def write(self, name: str, body: str) -> str:
+    def write(self, name: str, body: str | bytes) -> str:
+        """Write the header, then ``body``: text, or bytes written as they are."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         with open(path, "w") as fh:
             fh.write(self.header())
-            fh.write(body)
+            if isinstance(body, bytes):
+                fh.flush()
+                fh.buffer.write(body)
+            else:
+                fh.write(body)
         return path
 
 
@@ -224,19 +232,58 @@ def cmd_wilson(args, report: Report) -> int:
     return 0
 
 
+def _decimal(col: np.ndarray) -> np.ndarray:
+    """Decimal text of an integer column as a (width, rows) uint8 matrix: row
+    r's text reads down column r, right-aligned, NUL-padded, with '-' before
+    negatives."""
+    neg = col < 0
+    mag = np.abs(col)
+    top = int(mag.max(initial=0))
+    mag = mag.astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    digits = len(str(top))
+    width = digits + int(neg.any())
+    out = np.zeros((width, len(col)), dtype=np.uint8)
+    length = np.zeros(len(col), dtype=np.intp)
+    for j in range(width - 1, width - 1 - digits, -1):
+        # the units digit is always written, so a lone 0 stays
+        live = mag > 0 if j < width - 1 else True
+        mag, digit = np.divmod(mag, 10)
+        out[j] = (digit + ord("0")) * live
+        length += live
+    rows = np.flatnonzero(neg)
+    out[width - 1 - length[rows], rows] = ord("-")
+    return out
+
+
+def _drift_csv(ledger: Ledger) -> bytes:
+    """drift.csv's body.  Every field of every row is written NUL-padded into
+    one uint8 matrix, one matrix row per CSV row; dropping the NULs (which
+    the CSV never contains) joins the fields."""
+    prefixes = [f"{lemma},{ledger.n},".encode() for lemma in LEMMA_IDS]
+    table = np.zeros((max(map(len, prefixes)), len(prefixes)), dtype=np.uint8)
+    for k, prefix in enumerate(prefixes):
+        table[: len(prefix), k] = np.frombuffer(prefix, dtype=np.uint8)
+    a, b, c, d = ledger.lowest_terms()
+
+    def byte(ch: str) -> np.ndarray:
+        return np.full((1, len(ledger)), ord(ch), dtype=np.uint8)
+
+    m = np.vstack([
+        table[:, ledger.lemma], _decimal(ledger.pair_index), byte(","),
+        _decimal(a), byte(","), _decimal(b), byte(","),
+        _decimal(c), byte("/"), _decimal(d), byte(","),
+        ledger.passed.view(np.uint8)[None] + np.uint8(ord("0")), byte("\n"),
+    ]).T.copy()
+    header = b"lemma_id,n,pair_index,exact_drift_num,exact_drift_den,bound,pass\n"
+    return header + m[m != 0].tobytes()
+
+
 def cmd_drift(args, report: Report) -> int:
     if args.q == 3:
         ledger = weighted_metric_contraction_rows(args.n)
     else:
         ledger = hamming_contraction_rows(args.n, args.q)
-    prefix = [f"{lemma},{ledger.n}," for lemma in LEMMA_IDS]
-    cols = (ledger.lemma, ledger.pair_index, *ledger.lowest_terms(), ledger.passed.view("u1"))
-    lines = ["lemma_id,n,pair_index,exact_drift_num,exact_drift_den,bound,pass"]
-    lines += [
-        f"{prefix[k]}{i},{a},{b},{c}/{d},{ok}"
-        for k, i, a, b, c, d, ok in zip(*(col.tolist() for col in cols))
-    ]
-    report.write("drift.csv", "\n".join(lines) + "\n")
+    report.write("drift.csv", _drift_csv(ledger))
     n_fail = len(ledger) - int(ledger.passed.sum())
     report.write(
         "drift.txt",

@@ -581,11 +581,13 @@ def hamming_contraction_rows(n: int, q: int) -> Ledger:
       ceilings 11/16, 47/48, 191/192.
 
     q = 3 has its own family (``weighted_metric_contraction_rows``); q < 3
-    raises ValueError.  Raises BudgetExceededError when canonical classes
-    times vertices exceed ``LEDGER_BUDGET``, before enumerating.
+    or n < 1 raises ValueError.  Raises BudgetExceededError when canonical
+    classes times vertices exceed ``LEDGER_BUDGET``, before enumerating.
     """
     if q < 3:
         raise ValueError("the Hamming ledger needs q >= 3")
+    if n < 1:
+        raise ValueError("vertex count must be positive")
     work = _class_count(n + 2, q) * n
     if work > LEDGER_BUDGET:
         raise BudgetExceededError(

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from scanmix.coupling import _ham_batch_drift, coupled_update
+from scanmix.coupling import LEMMA_IDS, Ledger, _ham_batch_drift, coupled_update
 from scanmix.domain import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -290,6 +290,22 @@ def exact_drift(
         num, scale = _ham_batch_drift(*pairs, start_vertex - 1, q, coupling)
         expected = Fraction(int(num[0]), scale)
     return DriftReport((sigma, tau), metric, coupling, start_vertex, before, expected)
+
+
+# ---------------------------------------------------------------------------
+# drift.csv, one f-string per row
+# ---------------------------------------------------------------------------
+
+def drift_csv_body(ledger: Ledger) -> str:
+    """drift.csv's body (column header and one line per ledger row)."""
+    prefix = [f"{lemma},{ledger.n}," for lemma in LEMMA_IDS]
+    cols = (ledger.lemma, ledger.pair_index, *ledger.lowest_terms(), ledger.passed.view("u1"))
+    lines = ["lemma_id,n,pair_index,exact_drift_num,exact_drift_den,bound,pass"]
+    lines += [
+        f"{prefix[k]}{i},{a},{b},{c}/{d},{ok}"
+        for k, i, a, b, c, d, ok in zip(*(col.tolist() for col in cols))
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

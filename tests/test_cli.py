@@ -3,12 +3,21 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
-from scanmix.cli import main
+from scanmix.cli import _drift_csv, main
+from scanmix.coupling import (
+    LEMMA_IDS,
+    Ledger,
+    hamming_contraction_rows,
+    weighted_metric_contraction_rows,
+)
 from scanmix.domain import Graph, TargetGraph
 from scanmix.dynamics import ChainSpec
 from scanmix.kernels import build_kernel, communicating_classes, max_tv_to_uniform
+
+from reference import drift_csv_body
 
 
 def read(path):
@@ -70,7 +79,8 @@ def test_drift_csv_schema(tmp_path):
 
 
 # sha256 of the drift.csv body (header lines dropped); the ledger is exact
-# integer arithmetic, so these digests hold on any platform
+# integer arithmetic, so these digests hold on any platform.  All were
+# recorded with the per-row formatter that reference.drift_csv_body keeps.
 DRIFT_BODY_SHA256 = {
     (4, 3): "3391f73dfca944cf8afd04d6772f4c6aa974444cdee91631e24c0a943e208a4d",
     (5, 3): "23f65e4c40e94f29a366d926fda48a54b60b374ec3a713eddd664dccb49954e4",
@@ -81,6 +91,8 @@ DRIFT_BODY_SHA256 = {
     (4, 5): "7f389f1ac07e3a1869f1ac533d0fba3994fecdeab96ed6bce5006b772be390dc",
     (5, 5): "744841d2923addc68270a9f934a4ac179c4f2f4bd4ee31d9eee0aa4afb2b5818",
     (6, 5): "993ac6b27620ad777d841bddbd46ed5dbd5a8f4d29ac8d18151fe3c83e20f9fc",
+    (4, 6): "0f65fbfae0f9a1a5249d70db87b2aec6ee03decb4331f8260cbd34a6b72e165a",
+    (5, 6): "5f97b8dbc1ea34aa6c56ca7900702b3047cf1b0337b64aa7ee76266bd1a8c02e",
 }
 
 
@@ -90,6 +102,47 @@ def test_drift_csv_golden_digests(tmp_path):
         assert main(["drift", "--n", str(n), "--q", str(q), "--out", str(out)]) == 0
         body = "".join(line + "\n" for line in body_lines(out / "drift.csv"))
         assert hashlib.sha256(body.encode()).hexdigest() == digest, (n, q)
+
+
+def test_drift_csv_matches_the_row_formatter():
+    for q in range(3, 7):
+        for n in range(2 if q == 3 else 1, 7):
+            if q == 3:
+                ledger = weighted_metric_contraction_rows(n)
+            else:
+                ledger = hamming_contraction_rows(n, q)
+            assert _drift_csv(ledger) == drift_csv_body(ledger).encode(), (n, q)
+
+
+def _synthetic_ledger(num, scale, bound_num, bound_den, passed, pair_index=None) -> Ledger:
+    rows = len(num)
+    lemma = np.arange(rows, dtype=np.int64) % len(LEMMA_IDS)
+    if pair_index is None:
+        pair_index = np.arange(rows, dtype=np.int64)
+    cols = (pair_index, num, scale, bound_num, bound_den)
+    return Ledger(7, 4, lemma, *(np.array(c, dtype=np.int64) for c in cols),
+                  np.array(passed, dtype=bool))
+
+
+SYNTHETIC_LEDGERS = {
+    "failing row": _synthetic_ledger([1, 5], [2, 4], [1, 1], [3, 1], [True, False]),
+    "zeros and negatives": _synthetic_ledger(
+        [0, -1, 7, -12, 0], [5, 3, 1, 8, 1], [-1, 0, 2, -30, 0], [1, 4, 3, 9, 7],
+        [True] * 5),
+    "beyond 2**32": _synthetic_ledger(
+        [2 ** 52 - 1, -(2 ** 40 + 1), 3, 0], [2 ** 33, 3 ** 33, 2 ** 32 + 1, 9],
+        [2 ** 32, -(2 ** 52 + 1), 10 ** 15, 1], [1, 2 ** 35, 7, 1],
+        [False, True, True, False], pair_index=[2 ** 32, 0, 2 ** 53 - 1, 9]),
+    "zero rows": _synthetic_ledger([], [], [], [], []),
+}
+
+
+@pytest.mark.parametrize("case", SYNTHETIC_LEDGERS)
+def test_drift_csv_matches_the_row_formatter_on_synthetic_ledgers(case):
+    """Columns that no shipped ledger has: a failing row, zeros and
+    negatives in both numerators, values past 2**32, no rows at all."""
+    ledger = SYNTHETIC_LEDGERS[case]
+    assert _drift_csv(ledger) == drift_csv_body(ledger).encode()
 
 
 # sha256 of output bodies (header lines dropped) per job and file.  The CSV
@@ -258,6 +311,14 @@ def test_drift_refuses_q_below_3(tmp_path, capsys):
     # the ledger's lemmas are stated for q >= 3
     assert main(["drift", "--n", "4", "--q", "2", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n, q", [(0, 4), (-3, 5)])
+def test_drift_refuses_a_non_positive_n(tmp_path, capsys, n, q):
+    out = tmp_path / "o"
+    assert main(["drift", "--n", str(n), "--q", str(q), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: vertex count must be positive\n"
+    assert not out.exists()
 
 
 def test_mix_subcommand(tmp_path):
