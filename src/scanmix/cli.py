@@ -97,14 +97,6 @@ def _kv_block(pairs) -> str:
     return "".join(f"{k} = {_fmt(v)}\n" for k, v in pairs)
 
 
-def _chain_fields(args) -> tuple[str, bool]:
-    if args.chain == "lazy":
-        return "glauber", True
-    if args.chain == "reverse":
-        return "reverse_scan", False
-    return args.chain, False
-
-
 def _target_from_args(args) -> Optional[TargetGraph]:
     if args.h_file:
         with open(args.h_file) as fh:
@@ -119,22 +111,24 @@ def _graph_from_args(args) -> Graph:
     return Graph.path(args.n)
 
 
+def _spec_from_args(args) -> ChainSpec:
+    """The --chain chain on --graph-file (else the path of --n), colored by
+    --h-file (else --q colors), with the --clamp vertices clamped."""
+    g = _graph_from_args(args)
+    target = _target_from_args(args)
+    base, lazy = {"lazy": ("glauber", True), "reverse": ("reverse_scan", False)}.get(
+        args.chain, (args.chain, False))
+    return ChainSpec(graph=g, q=None if target else args.q, target=target,
+                     base=base, lazy=lazy, clamp=args.clamp)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args, report: Report) -> int:
-    g = _graph_from_args(args)
-    base, lazy = _chain_fields(args)
-    target = _target_from_args(args)
-    spec = ChainSpec(
-        graph=g,
-        q=None if target else args.q,
-        target=target,
-        base=base,
-        lazy=lazy,
-        clamp=frozenset(args.clamp),
-    )
+    spec = _spec_from_args(args)
+    g = spec.graph
     kernel = build_kernel(spec)
     rep = poincare_constant(kernel)
     lines = [f"{v:.15g}" for v in rep.eigenvalues]
@@ -150,12 +144,12 @@ def cmd_spectrum(args, report: Report) -> int:
     if (
         spec.q == 3
         and g.kind == "path"
-        and base in ("glauber", "scan")
-        and not lazy
+        and spec.base in ("glauber", "scan")
+        and not spec.lazy
         and not spec.clamp
     ):
         # the sign chain: the exact lumping of this kernel by the sign projection
-        lumped = build_sign_kernel(base, g.n)
+        lumped = build_sign_kernel(spec.base, g.n)
         pairs += [
             ("sign_lumped_states", len(lumped.states)),
             ("sign_lumped_poincare", poincare_constant(lumped).poincare),
@@ -166,13 +160,7 @@ def cmd_spectrum(args, report: Report) -> int:
 
 
 def cmd_mix(args, report: Report) -> int:
-    g = _graph_from_args(args)
-    base, lazy = _chain_fields(args)
-    target = _target_from_args(args)
-    spec = ChainSpec(
-        graph=g, q=None if target else args.q, target=target, base=base, lazy=lazy
-    )
-    kernel = build_kernel(spec)
+    kernel = build_kernel(_spec_from_args(args))
     ladder: list[tuple[int, float]] = []
     try:
         t_mix = tv_mixing_time(kernel, args.eps, ladder=ladder)
@@ -294,12 +282,8 @@ def cmd_drift(args, report: Report) -> int:
 
 
 def cmd_couple(args, report: Report) -> int:
-    base, lazy = _chain_fields(args)
-    g = Graph.path(args.n)
-    spec = ChainSpec(graph=g, q=args.q, base=base, lazy=lazy)
     kind = args.coupling
-    tape = RandomTape(args.seed)
-    stats = coupling_time(spec, kind, args.replicates, tape)
+    stats = coupling_time(_spec_from_args(args), kind, args.replicates, RandomTape(args.seed))
     body = ["replicate,time,censored"]
     for i, (t, apart) in enumerate(zip(stats.times, stats.apart)):
         body.append(f"{i},{t},{int(apart)}")
@@ -512,31 +496,38 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         return argv
     valid = {a.dest for a in parser._actions}
     overrides = {}
-    with open(known.config) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SystemExit(f"config: malformed line {line!r}")
-            key, val = (x.strip() for x in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in valid:
-                raise SystemExit(f"config: unknown field {key!r}")
-            overrides[dest] = val
+    try:
+        with open(known.config) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise SystemExit(f"config: cannot read {known.config!r}: {exc.strerror}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SystemExit(f"config: malformed line {line!r}")
+        key, val = (x.strip() for x in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest not in valid:
+            raise SystemExit(f"config: unknown field {key!r}")
+        overrides[dest] = val
     for action in parser._actions:
         if action.dest in overrides:
             raw = overrides[action.dest]
-            if action.type is int:
-                action.default = int(raw)
-            elif action.type is float:
-                action.default = float(raw)
-            elif action.nargs == "*":
-                action.default = [int(x) for x in raw.split()]
-            elif isinstance(action, argparse._StoreTrueAction):
-                action.default = raw.lower() in ("1", "true", "yes")
-            else:
-                action.default = raw
+            try:
+                if action.type is int:
+                    action.default = int(raw)
+                elif action.type is float:
+                    action.default = float(raw)
+                elif action.nargs == "*":
+                    action.default = [int(x) for x in raw.split()]
+                elif isinstance(action, argparse._StoreTrueAction):
+                    action.default = raw.lower() in ("1", "true", "yes")
+                else:
+                    action.default = raw
+            except ValueError:
+                raise SystemExit(f"config: invalid value {raw!r} for field {action.dest!r}")
     return argv
 
 

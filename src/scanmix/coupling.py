@@ -5,8 +5,10 @@ swap-on-adjacent-disagreement rule for q >= 4, and the two switch couplings
 driven by a neighbor's colors), the contraction-bound ledger of exact
 expected drifts (dynamic programming over the joint pair at the frontier
 vertex, or all-pairs metric tables; never sampling) quantified over
-canonical color classes, and empirical coalescence-time experiments driven
-by one coupled step, ``coupled_sweep``.
+canonical color classes, and empirical coalescence-time experiments on
+q-colorings of the path driven by one coupled step, ``coupled_sweep``.
+Every coupled vertex move is ``coupled_update``, run directly or through
+the step table it builds.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .dynamics import (
     ChainSpec,
     RandomTape,
     color_from_uniform,
-    metropolis_update,
     scan_order,
     vertex_from_uniform,
 )
@@ -89,22 +90,27 @@ def partner_proposal(kind: str, v, c, s, t, w=None):
     return transpose_color(c, a, b)
 
 
-def coupled_update(s, t, v, c, kind: str, w=None, frozen=np.False_) -> None:
-    """One coupled Metropolis(v) move on padded batches, in place.
+def coupled_update(s, t, v, c, kind: str, w=None, frozen=False) -> None:
+    """One coupled Metropolis(v) move on padded copies, in place.
 
     Copy one tries c, copy two the partner proposal of ``kind`` (``w`` as in
     ``partner_proposal``); a ``frozen`` copy two rejects.  ``s`` and ``t``
-    are indexed like ``path_accepts``: int v on position-major arrays, or
-    flat indices into flattened (R, n + 2) arrays.
+    are indexed like ``path_accepts``: padded lists with int v and c, int v
+    on position-major arrays, or flat indices into flattened (R, n + 2)
+    arrays.  The assignments are arithmetic, so lists keep Python ints and
+    broadcast operands give broadcast results.
     """
     c2 = partner_proposal(kind, v, c, s, t, w)
-    s[v] = np.where(path_accepts(s, v, c), c, s[v])
-    t[v] = np.where(path_accepts(t, v, c2) & ~frozen, c2, t[v])
+    # on booleans a > b is "a and not b"
+    ok1, ok2 = path_accepts(s, v, c), path_accepts(t, v, c2) > frozen
+    s[v] = s[v] + ok1 * (c - s[v])
+    t[v] = t[v] + ok2 * (c2 - t[v])
 
 
 def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
-    """The coupling must drive the spec's chain; neighbor-indexed couplings
-    assume the path; q4 rules need q >= 4."""
+    """The coupling must drive the spec's chain on an unclamped clique model
+    on the path, where its starts (proper path colorings) lie; q4 rules
+    need q >= 4."""
     if kind not in COUPLING_KINDS:
         raise ValueError(f"unknown coupling kind {kind!r}")
     if kind == "switch_glauber_important_neighbor":
@@ -116,32 +122,18 @@ def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
     if not fits:
         chain = ("lazy " if spec.lazy else "") + spec.base
         raise ValueError(f"coupling {kind!r} does not drive the {chain} chain")
-    if kind.startswith("identity"):
-        return
-    if spec.graph.kind != "path":
-        raise ValueError(f"coupling {kind!r} is defined on the path only")
-    if kind.startswith("q4") and spec.n_colors < 4:
+    if spec.q is None or spec.graph.kind != "path" or spec.clamp:
+        raise ValueError(
+            f"coupling {kind!r} runs on unclamped q-colorings of the path only: "
+            "its starts are proper colorings of the path"
+        )
+    if kind.startswith("q4") and spec.q < 4:
         raise ValueError(f"coupling {kind!r} needs at least 4 colors")
 
 
 # ---------------------------------------------------------------------------
 # Coupled simulation drivers
 # ---------------------------------------------------------------------------
-
-def _site_update(spec: ChainSpec):
-    """Metropolis(v) on a padded list, in place: the path rule for a clique
-    model on the path, ``metropolis_update`` for any other model."""
-    if spec.q is not None and spec.graph.kind == "path":
-        clamp = spec.clamp
-
-        def update(x: list[int], v: int, c: int) -> None:
-            if v not in clamp and path_accepts(x, v, c):
-                x[v] = c
-    else:
-        def update(x: list[int], v: int, c: int) -> None:
-            x[v] = metropolis_update(tuple(x[1:-1]), v, c, spec)[v - 1]
-    return update
-
 
 def coupled_sweep(
     sigma: Coloring,
@@ -153,21 +145,20 @@ def coupled_sweep(
     t: int = 0,
 ) -> tuple[Coloring, Coloring]:
     """One coupled sweep (scan kinds) or single-site step (glauber kinds) of
-    two copies of the spec's chain.
+    two copies of the spec's chain, which ``_check_kind_fits`` admits.
 
     Copy one tries the tape's proposals, copy two their partner proposals.
     A step reads the ``CH_GLAUBER`` block [lazy coin, vertex, color] and a
-    sweep one ``CH_SCAN`` draw per vertex, the draws of the plain chain.  A sweep of an unclamped
-    clique-model spec on the path with at most ``TABLE_MAX_Q`` colors, every
-    color in range(q), is one lookup in ``_step_table`` per vertex; H-coloring
-    models, other graphs and clamped specs run ``_site_update`` vertex by
-    vertex.
+    sweep one ``CH_SCAN`` draw per vertex, the draws of the plain chain.  A
+    sweep with at most ``TABLE_MAX_Q`` colors, every color in range(q), is
+    one lookup in ``_step_table`` per vertex; any other sweep or step runs
+    ``coupled_update`` vertex by vertex.
     """
     _check_kind_fits(kind, spec)
-    q = spec.n_colors
+    q = spec.q
     if kind.endswith("_scan"):
         u = tape.uniforms(rep, t, CH_SCAN, spec.graph.n)
-        if spec.q is not None and q <= TABLE_MAX_Q and spec.graph.kind == "path" and not spec.clamp:
+        if q <= TABLE_MAX_Q:
             X = np.array((sigma, tau), dtype=np.int64)
             if X.min() >= 0 and X.max() < q:
                 return _table_scan_sweep(X, kind, q, u, spec.base == "reverse_scan")
@@ -176,11 +167,8 @@ def coupled_sweep(
         u = tape.uniforms(rep, t, CH_GLAUBER, 3)
         moves = [(vertex_from_uniform(u[1], spec.graph.n), color_from_uniform(u[2], q))]
     x, y = pad(sigma), pad(tau)
-    update = _site_update(spec)
     for v, c in moves:
-        c2 = partner_proposal(kind, v, c, x, y)
-        update(x, v, c)
-        update(y, v, c2)
+        coupled_update(x, y, v, c, kind)
     return tuple(x[1:-1]), tuple(y[1:-1])
 
 
@@ -218,9 +206,9 @@ def _table_scan_sweep(
 def _step_table(q: int, coupling: str) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
-    The one definition of the coupled vertex move, built by
-    ``coupled_update``: the Hamming DP, the ``switch_scan_contained``
-    certificate, ``coupled_sweep`` and the scan sweeps of
+    Built by ``coupled_update``, the one definition of the coupled vertex
+    move: the Hamming DP, the ``switch_scan_contained`` certificate,
+    ``coupled_sweep``'s table sweeps and the scan sweeps of
     ``percolation.lb_experiment`` all read it.  Pairs (a, b)
     of the two copies' colors are coded a * (q + 1) + b, with color q
     standing for a missing neighbor.  Row (right * q^2 + old) * L + left,
@@ -802,14 +790,16 @@ def coupling_time(
 ) -> CouplingStats:
     """First-coalescence times of coupled copies from independent uniform starts.
 
-    Scan kinds count sweeps, glauber kinds single-site steps.  Runs that do
-    not coalesce within the horizon are recorded at the horizon and counted
-    as censored.
+    The starts are uniform proper colorings of the path, so the spec must be
+    an unclamped clique model on the path; ``_check_kind_fits`` refuses any
+    other before a replicate runs.  Scan kinds count sweeps, glauber kinds
+    single-site steps.  Runs that do not coalesce within the horizon are
+    recorded at the horizon and counted as censored.
     """
     if replicates < 1:
         raise ValueError("replicates >= 1 required")
     _check_kind_fits(kind, spec)
-    n, q = spec.graph.n, spec.n_colors
+    n, q = spec.graph.n, spec.q
     if horizon is None:
         scale = n if kind.endswith("glauber") else 1
         horizon = max(64, 64 * scale * (int(math.log2(n)) + 4))

@@ -328,6 +328,41 @@ def test_mix_subcommand(tmp_path):
     assert kv["mixing_time"] == "36"
 
 
+def test_mix_honours_clamp(tmp_path):
+    """A clamped middle vertex splits the 3-colorings of the 4-path into
+    three closed classes, one per color it holds."""
+    out = tmp_path / "o"
+    assert main(["mix", "--n", "4", "--q", "3", "--clamp", "2", "--out", str(out)]) == 0
+    kv = dict(l.split(" = ") for l in body_lines(out / "mix.txt"))
+    assert kv["ergodic"] == "False" and kv["n_classes"] == "3"
+    assert [kv[f"class_{i}_size"] for i in range(3)] == ["8", "8", "8"]
+
+
+@pytest.mark.parametrize("flag", ["--h-file", "--clamp", "--graph-file"])
+def test_couple_refuses_models_outside_the_path(tmp_path, capsys, flag):
+    """couple builds its spec from every model flag, and the coalescence
+    runs, which start from proper colorings of the path, refuse an
+    H-coloring model, a clamped path and a star."""
+    (tmp_path / "h.txt").write_text(H_FILES["c5.h"])
+    (tmp_path / "star.g").write_text("1 2\n1 3\n1 4\n")
+    value = {"--h-file": str(tmp_path / "h.txt"), "--clamp": "2",
+             "--graph-file": str(tmp_path / "star.g")}[flag]
+    out = tmp_path / "o"
+    assert main(["couple", "--n", "4", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "proper colorings of the path" in err, err
+    assert not out.exists()
+
+
+def test_couple_reads_a_path_graph_file(tmp_path):
+    """A --graph-file listing the path's edges runs the path of --n."""
+    (tmp_path / "path.g").write_text("1 2\n2 3\n3 4\n4 5\n")
+    for name, extra in (("n", []), ("file", ["--graph-file", str(tmp_path / "path.g")])):
+        argv = ["couple", "--n", "5", *extra, "--replicates", "6", "--out", str(tmp_path / name)]
+        assert main(argv) == 0
+    assert body_lines(tmp_path / "n" / "couple.csv") == body_lines(tmp_path / "file" / "couple.csv")
+
+
 def test_percolate_small(tmp_path):
     out = tmp_path / "o"
     rc = main([
@@ -380,6 +415,24 @@ def test_invalid_config_field_fails(tmp_path, capsys):
     cfg.write_text("no_such_field = 3\n")
     assert main(["spectrum", "--config", str(cfg)]) == 2
     assert "no_such_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("n = abc\n", "'abc'"),
+    ("clamp = 1 x\n", "'1 x'"),
+    (None, "cannot read"),
+], ids=["wrong type", "malformed list", "missing file"])
+def test_config_faults_exit_2(tmp_path, capsys, text, named):
+    """A config value of the wrong type, a malformed list and a missing
+    config file each exit 2 with a config: message, not a traceback."""
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and named in err, err
+    assert not out.exists()
 
 
 def test_mismatched_layout_override_fails(tmp_path, capsys):

@@ -19,6 +19,7 @@ from scanmix.coupling import (
     _restricted_growth_array,
     _step_table,
     coupled_sweep,
+    coupled_update,
     coupling_time,
     partner_proposal,
     hamming_contraction_rows,
@@ -34,7 +35,6 @@ from scanmix.domain import (
     TargetGraph,
     VertexWeights,
     enumerate_colorings,
-    enumerate_h_colorings,
     heights,
     pad,
     path_accepts,
@@ -384,28 +384,65 @@ def _reference_coupled_sweep(sigma, tau, kind, spec, tape, rep, t):
 
 
 @pytest.mark.parametrize("model,kinds", [
-    (dict(graph=star(4), q=3), ("identity_scan", "identity_glauber")),
-    (dict(graph=Graph.path(5), target=cycle(5)), ("identity_scan", "identity_glauber")),
-    (dict(graph=Graph.path(6), q=4, clamp={2, 5}),
-     ("identity_scan", "q4_scan", "switch_scan", "identity_glauber", "q4_glauber")),
+    (dict(graph=Graph.path(6), q=7), ("identity_scan", "q4_scan", "switch_scan")),
+    (dict(graph=Graph.path(6), q=4), ("identity_glauber", "q4_glauber")),
+    (dict(graph=Graph.path(6), q=7), ("identity_glauber", "q4_glauber")),
 ])
 def test_vertex_by_vertex_coupled_sweep_matches_the_reference(model, kinds):
-    """Off the table path (a star, an H-coloring model, a clamped path)
-    ``coupled_sweep`` runs ``_site_update`` vertex by vertex; five steps from
-    each of 12 random pairs follow the reference, in every scan order."""
+    """Off the table (sweeps beyond TABLE_MAX_Q colors, and every glauber
+    step) ``coupled_sweep`` runs ``coupled_update`` vertex by vertex; five
+    steps from each of 12 random pairs, improper ones included, follow the
+    reference, in every scan order."""
     rng = np.random.default_rng(5)
     tape = RandomTape(5)
     for kind in kinds:
         for base in ("glauber",) if kind.endswith("glauber") else ("scan", "reverse_scan"):
             spec = ChainSpec(base=base, **model)
-            states = enumerate_h_colorings(spec.graph, spec.model)
             for rep in range(12):
-                i, j = rng.integers(len(states), size=2)
-                pair = states[i], states[j]
+                pair = tuple(tuple(rng.integers(spec.q, size=spec.graph.n).tolist()) for _ in "st")
                 for t in range(5):
                     want = _reference_coupled_sweep(*pair, kind, spec, tape, rep, t)
                     pair = coupled_sweep(*pair, kind, spec, tape, rep, t)
                     assert pair == want, (kind, base, rep, t)
+
+
+@pytest.mark.parametrize("model", [
+    dict(graph=star(4), q=4),
+    dict(graph=Graph.path(5), target=cycle(5)),
+    dict(graph=Graph.path(6), q=4, clamp={2, 5}),
+], ids=["star", "C5 model", "clamped path"])
+def test_coupled_runs_refuse_models_their_starts_miss(model):
+    """The coalescence starts are proper colorings of the path, so every
+    coupling kind refuses a star, an H-coloring model and a clamped path,
+    in ``coupled_sweep`` and in ``coupling_time``, before any step runs."""
+    tape = RandomTape(0)
+    for kind in COUPLING_KINDS:
+        spec = ChainSpec(base="glauber" if kind.endswith("glauber") else "scan", **model)
+        start = (0,) * spec.graph.n
+        reason = "segment layout" if kind.endswith("neighbor") else "proper colorings of the path"
+        with pytest.raises(ValueError, match=reason):
+            coupled_sweep(start, start, kind, spec, tape)
+        with pytest.raises(ValueError, match=reason):
+            coupling_time(spec, kind, 4, tape)
+
+
+def test_coupled_update_on_padded_lists_keeps_python_ints():
+    """On padded lists with int v and c, ``coupled_update`` writes Python
+    ints (no numpy scalar reaches the list) and makes the reference's
+    move: each copy takes its proposal where no neighbor carries it."""
+    rng = np.random.default_rng(11)
+    q, n = 4, 5
+    for kind in COUPLING_KINDS:
+        for _ in range(40):
+            s, t = (pad(tuple(rng.integers(q, size=n).tolist())) for _ in "st")
+            v, c = int(rng.integers(1, n + 1)), int(rng.integers(q))
+            w = v - 1 if kind.endswith("neighbor") else None
+            c2 = partner_proposal(kind, v, c, s, t, w)
+            want_s = s[v] if (s[v - 1] == c or s[v + 1] == c) else c
+            want_t = t[v] if (t[v - 1] == c2 or t[v + 1] == c2) else c2
+            coupled_update(s, t, v, c, kind, w)
+            assert all(type(x) is int for x in s + t), kind
+            assert (s[v], t[v]) == (want_s, want_t), kind
 
 
 # ---------------------------------------------------------------------------

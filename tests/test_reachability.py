@@ -168,3 +168,19 @@ def test_every_imported_name_is_used():
     unused = [n for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
               for n in _unused_imports(path)]
     assert unused == [], "imported and unused: " + ", ".join(unused)
+
+
+def test_only_coupled_update_makes_the_coupled_move():
+    """Inside the package only ``coupled_update`` calls the path acceptance
+    rule or the partner proposal, so every coupled vertex move, looped or
+    tabled, is that one function's."""
+    defs, _, statements = _package()
+    scopes = [(key, _own_nodes(node)) for key, node in defs.items()]
+    scopes += [((m, "<module>"), [n for s in body for n in ast.walk(s)])
+               for m, body in statements.items()]
+    callers = {
+        key for key, nodes in scopes for n in nodes
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id in ("path_accepts", "partner_proposal")
+    }
+    assert callers == {("coupling", "coupled_update")}, sorted(callers)
