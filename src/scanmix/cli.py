@@ -14,7 +14,7 @@ import hashlib
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,12 +44,6 @@ from .kernels import (
 )
 from .percolation import lb_experiment, segment_layout
 from .wilson import wilson_bounds
-
-SUBCOMMANDS = (
-    "spectrum", "mix", "wilson", "drift", "couple",
-    "percolate", "compare", "congestion", "ergodic",
-)
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -116,10 +110,9 @@ def _spec_from_args(args) -> ChainSpec:
     --h-file (else --q colors), with the --clamp vertices clamped."""
     g = _graph_from_args(args)
     target = _target_from_args(args)
-    base, lazy = {"lazy": ("glauber", True), "reverse": ("reverse_scan", False)}.get(
-        args.chain, (args.chain, False))
+    base = "reverse_scan" if args.chain == "reverse" else args.chain
     return ChainSpec(graph=g, q=None if target else args.q, target=target,
-                     base=base, lazy=lazy, clamp=args.clamp)
+                     base=base, clamp=args.clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +134,7 @@ def cmd_spectrum(args, report: Report) -> int:
         ("uniform_stationary", kernel.uniform_is_stationary()),
         ("small_n_caveat", g.small_n_caveat),
     ]
-    if (
-        spec.q == 3
-        and g.kind == "path"
-        and spec.base in ("glauber", "scan")
-        and not spec.lazy
-        and not spec.clamp
-    ):
+    if spec.q == 3 and g.kind == "path" and spec.base in ("glauber", "scan") and not spec.clamp:
         # the sign chain: the exact lumping of this kernel by the sign projection
         lumped = build_sign_kernel(spec.base, g.n)
         pairs += [
@@ -432,123 +419,153 @@ def cmd_ergodic(args, report: Report) -> int:
 # Argument handling
 # ---------------------------------------------------------------------------
 
-# per-subcommand defaults, applied where neither a flag nor the config file
-# supplied a value; chosen so every subcommand runs in seconds out of the box
-SUBCOMMAND_DEFAULTS: dict[str, dict] = {
-    "spectrum": dict(n=4, q=3, chain="glauber"),
-    "mix": dict(n=4, q=3, chain="glauber", eps=0.25),
-    "wilson": dict(n=12, chain="glauber", replicates=512, eps=0.25),
-    "drift": dict(n=6, q=3),
-    "couple": dict(n=32, q=4, chain="scan", coupling="q4_scan", replicates=48),
-    "percolate": dict(n=10000, q=4, r=2, ell=10, t=1, replicates=200, chain="scan"),
-    "compare": dict(n=4, q=3, eps=0.25),
-    "congestion": dict(n=4, q=3),
-    "ergodic": dict(n=4, q=3, bottleneck_k=2),
-}
+class Subcommand(NamedTuple):
+    handler: Callable[[argparse.Namespace, Report], int]
+    reads: tuple[str, ...]  # the flags (argparse dests) the handler reads
+    # where neither a flag nor the config file set a value; chosen so every
+    # subcommand runs in seconds out of the box
+    defaults: dict
 
+
+MODEL_FLAGS = ("n", "q", "h_file", "directed", "graph_file", "chain", "clamp")
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "spectrum": Subcommand(cmd_spectrum, MODEL_FLAGS, dict(n=4, q=3, chain="glauber")),
+    "mix": Subcommand(cmd_mix, MODEL_FLAGS + ("eps",), dict(n=4, q=3, chain="glauber", eps=0.25)),
+    "wilson": Subcommand(
+        cmd_wilson, ("n", "chain", "replicates", "eps"),
+        dict(n=12, chain="glauber", replicates=512, eps=0.25),
+    ),
+    "drift": Subcommand(cmd_drift, ("n", "q"), dict(n=6, q=3)),
+    "couple": Subcommand(
+        cmd_couple, MODEL_FLAGS + ("coupling", "replicates"),
+        dict(n=32, q=4, chain="scan", coupling="q4_scan", replicates=48),
+    ),
+    "percolate": Subcommand(
+        cmd_percolate, ("n", "q", "r", "ell", "t", "replicates", "chain"),
+        dict(n=10000, q=4, r=2, ell=10, t=1, replicates=200, chain="scan"),
+    ),
+    "compare": Subcommand(
+        cmd_compare, ("n", "q", "h_file", "directed", "graph_file", "eps"),
+        dict(n=4, q=3, eps=0.25),
+    ),
+    "congestion": Subcommand(cmd_congestion, ("n", "q", "h_file", "directed"), dict(n=4, q=3)),
+    "ergodic": Subcommand(
+        cmd_ergodic, ("n", "h_file", "directed", "graph_file", "bottleneck_k"),
+        dict(n=4, bottleneck_k=2),
+    ),
+}
+# read by every subcommand: every header records the seed
+ALWAYS_READ = ("subcommand", "seed", "out", "config")
+
+# every flag's value where neither a flag, the config file nor the
+# subcommand's defaults set it; every header lists the ones that are not None
 GLOBAL_DEFAULTS: dict[str, object] = dict(
-    n=4, q=3, chain="glauber", replicates=64, eps=0.25, t=1,
-    coupling="q4_scan", bottleneck_k=None, r=None, ell=None,
+    n=4, q=3, h_file=None, directed=False, graph_file=None, chain="glauber", clamp=(),
+    seed=DEFAULT_SEED, replicates=64, eps=0.25, out="out", config=None,
+    coupling="q4_scan", t=1, r=None, ell=None, bottleneck_k=None,
 )
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Flags leave no attribute unless given, so the namespace holds exactly
+    the flags on the command line; ``GLOBAL_DEFAULTS`` lists their defaults."""
     p = argparse.ArgumentParser(
         prog="scanmix",
         description="exact and empirical mixing analysis for single-site coloring dynamics",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("subcommand", choices=SUBCOMMANDS)
-    p.add_argument("--n", type=int, default=None, help="path length / vertex count")
-    p.add_argument("--q", type=int, default=None, help="number of colors (clique model)")
-    p.add_argument("--h-file", default=None, help="target graph as 0/1 adjacency rows")
+    p.add_argument("--n", type=int, help="path length / vertex count")
+    p.add_argument("--q", type=int, help="number of colors (clique model)")
+    p.add_argument("--h-file", help="target graph as 0/1 adjacency rows")
     p.add_argument("--directed", action="store_true", help="read --h-file as directed")
-    p.add_argument("--graph-file", default=None, help="underlying graph as an edge list")
-    p.add_argument(
-        "--chain", choices=("glauber", "scan", "reverse", "lazy"), default=None
-    )
-    p.add_argument("--clamp", type=int, nargs="*", default=[], help="clamped vertex ids")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--coupling", default=None, help="coupling kind for couple")
-    p.add_argument("--t", type=int, default=None, help="time horizon (percolate)")
-    p.add_argument("--r", type=int, default=None, help="segment override r (percolate)")
-    p.add_argument("--ell", type=int, default=None, help="segment override ell (percolate)")
-    p.add_argument("--bottleneck-k", type=int, default=None, help="two-clique hub size")
+    p.add_argument("--graph-file", help="underlying graph as an edge list")
+    p.add_argument("--chain", choices=("glauber", "scan", "reverse", "lazy"))
+    p.add_argument("--clamp", type=int, nargs="*", help="clamped vertex ids")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--coupling", help="coupling kind for couple")
+    p.add_argument("--t", type=int, help="time horizon (percolate)")
+    p.add_argument("--r", type=int, help="segment override r (percolate)")
+    p.add_argument("--ell", type=int, help="segment override ell (percolate)")
+    p.add_argument("--bottleneck-k", type=int, help="two-clique hub size")
     return p
 
 
-def _fill_defaults(args: argparse.Namespace) -> None:
-    per = SUBCOMMAND_DEFAULTS.get(args.subcommand, {})
-    for key, val in {**GLOBAL_DEFAULTS, **per}.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold config-file values in as defaults; explicit flags still win."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return argv
-    valid = {a.dest for a in parser._actions}
-    overrides = {}
+def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The config file's values by flag dest, converted as the flag would be."""
+    actions = {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
     try:
-        with open(known.config) as fh:
+        with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise SystemExit(f"config: cannot read {known.config!r}: {exc.strerror}")
+        raise SystemExit(f"config: cannot read {path!r}: {exc.strerror}")
+    values = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise SystemExit(f"config: malformed line {line!r}")
-        key, val = (x.strip() for x in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in valid:
+        key, raw = (x.strip() for x in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise SystemExit(f"config: unknown field {key!r}")
-        overrides[dest] = val
-    for action in parser._actions:
-        if action.dest in overrides:
-            raw = overrides[action.dest]
-            try:
-                if action.type is int:
-                    action.default = int(raw)
-                elif action.type is float:
-                    action.default = float(raw)
-                elif action.nargs == "*":
-                    action.default = [int(x) for x in raw.split()]
-                elif isinstance(action, argparse._StoreTrueAction):
-                    action.default = raw.lower() in ("1", "true", "yes")
-                else:
-                    action.default = raw
-            except ValueError:
-                raise SystemExit(f"config: invalid value {raw!r} for field {action.dest!r}")
-    return argv
+        try:
+            if action.nargs == "*":
+                value = [action.type(x) for x in raw.split()]
+            elif isinstance(action, argparse._StoreTrueAction):
+                value = raw.lower() in ("1", "true", "yes")
+            else:
+                value = raw if action.type is None else action.type(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise SystemExit(f"config: invalid value {raw!r} for field {action.dest!r}")
+        values[action.dest] = value
+    return values
+
+
+def _refusal(given: dict) -> Optional[str]:
+    """Why the given flags and config keys describe no run that the
+    subcommand would do as written, or None."""
+    name = given["subcommand"]
+    reads = SUBCOMMANDS[name].reads
+    for dest in given:
+        if dest not in reads and dest not in ALWAYS_READ:
+            return f"{name} does not read --{dest.replace('_', '-')}"
+    if "q" in given and "h_file" in given:
+        return "--q and --h-file exclude each other: H sets the colors"
+    if given.get("directed") and "h_file" not in given:
+        return "--directed reads --h-file, which is not given"
+    if ("r" in given) != ("ell" in given):
+        return "--r and --ell must be given together"
+    if not given.get("eps", 1) > 0:
+        return f"--eps must be positive, not {given['eps']}"
+    return None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        given = vars(parser.parse_args(argv))
+        if "config" in given:
+            # explicit flags win over the file
+            given = {**_read_config(parser, given["config"]), **given}
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
             return 2
         return exc.code if exc.code is not None else 2
-    if (args.r is None) != (args.ell is None):
-        print("error: --r and --ell must be given together", file=sys.stderr)
+    refusal = _refusal(given)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
-    _fill_defaults(args)
-    if not args.eps > 0:
-        print(f"error: --eps must be positive, not {args.eps}", file=sys.stderr)
-        return 2
+    sub = SUBCOMMANDS[given["subcommand"]]
+    args = argparse.Namespace(**{**GLOBAL_DEFAULTS, **sub.defaults, **given})
     config = {
         k: v
         for k, v in vars(args).items()
@@ -556,19 +573,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     config["clamp"] = " ".join(map(str, args.clamp))
     report = Report(config, args.out)
-    handlers = {
-        "spectrum": cmd_spectrum,
-        "mix": cmd_mix,
-        "wilson": cmd_wilson,
-        "drift": cmd_drift,
-        "couple": cmd_couple,
-        "percolate": cmd_percolate,
-        "compare": cmd_compare,
-        "congestion": cmd_congestion,
-        "ergodic": cmd_ergodic,
-    }
     try:
-        return handlers[args.subcommand](args, report)
+        return sub.handler(args, report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -118,10 +118,9 @@ def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
     if kind.endswith("_scan"):
         fits = spec.base in ("scan", "reverse_scan")
     else:
-        fits = spec.base == "glauber" and not spec.lazy
+        fits = spec.base == "glauber"
     if not fits:
-        chain = ("lazy " if spec.lazy else "") + spec.base
-        raise ValueError(f"coupling {kind!r} does not drive the {chain} chain")
+        raise ValueError(f"coupling {kind!r} does not drive the {spec.base} chain")
     if spec.q is None or spec.graph.kind != "path" or spec.clamp:
         raise ValueError(
             f"coupling {kind!r} runs on unclamped q-colorings of the path only: "

@@ -46,13 +46,11 @@ class ImproperColoringError(ValueError):
 class Graph:
     """Finite simple undirected graph on vertices 1..n.
 
-    ``kind`` is "path" when the edge set is exactly {(i, i+1) : 1 <= i < n},
-    "general" otherwise.  Instances are immutable and safe to share.
+    Instances are immutable and safe to share.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    kind: str = "general"
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -65,24 +63,16 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) leaves 1..{self.n}")
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
-        if self.kind == "path":
-            expected = {(i, i + 1) for i in range(1, self.n)}
-            if set(self.edges) != expected:
-                raise ValueError("kind='path' requires exactly the path edges")
-        elif self.kind != "general":
-            raise ValueError(f"unknown graph kind {self.kind!r}")
 
     @staticmethod
     def path(n: int) -> "Graph":
-        return Graph(n, frozenset((i, i + 1) for i in range(1, n)), kind="path")
+        return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
 
-    @staticmethod
-    def from_edges(n: int, edges) -> "Graph":
-        g = Graph(n, frozenset(tuple(e) for e in edges))
-        expected = frozenset((i, i + 1) for i in range(1, n))
-        if g.edges == expected:
-            return Graph(n, expected, kind="path")
-        return g
+    @cached_property
+    def kind(self) -> str:
+        """The graph's kind: "path" when the edge set is exactly
+        {(i, i+1) : 1 <= i < n}, "general" otherwise."""
+        return "path" if self.edges == {(i, i + 1) for i in range(1, self.n)} else "general"
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -113,7 +103,7 @@ class Graph:
             edges.append((u, v))
         if n is None:
             n = max((max(e) for e in edges), default=1)
-        return Graph.from_edges(n, edges)
+        return Graph(n, edges)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Chain specifications, the single-site update, and the random tape.
 
-Implements the chain specification (random single-site updates "glauber",
-forward and reverse deterministic sweeps "scan"/"reverse_scan", lazy and
-clamped variants), the Metropolis(v) primitive for clique and target-graph
-constraint models, and the move of the auxiliary sign-vector chains for
-3-colorings of a path.
+Implements the chain specification (random single-site updates "glauber"
+and their lazy variant "lazy", forward and reverse deterministic sweeps
+"scan"/"reverse_scan", and clamped vertices), the Metropolis(v) primitive
+for clique and target-graph constraint models, and the move of the
+auxiliary sign-vector chains for 3-colorings of a path.
 
 Randomness comes from a :class:`RandomTape`: a counter-based source where
 every draw is a pure function of ``(seed, replicate, time index, channel,
@@ -99,16 +99,16 @@ class ChainSpec:
     """Which chain runs on which model.
 
     Exactly one of ``q`` (clique constraint) and ``target`` (constraint graph)
-    must be given.  ``clamp`` lists vertex ids whose color never changes; the
-    laziness device (fair stay/move coin before each update) combines with the
-    random single-site chain only.
+    must be given.  ``base`` is "glauber" (random single-site updates),
+    "lazy" (the same after a fair stay/move coin), "scan" or "reverse_scan"
+    (forward or reverse sweeps).  ``clamp`` lists vertex ids whose color
+    never changes.
     """
 
     graph: Graph
     q: Optional[int] = None
     target: Optional[TargetGraph] = None
     base: str = "glauber"
-    lazy: bool = False
     clamp: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
@@ -118,10 +118,8 @@ class ChainSpec:
             raise ValueError("q >= 2 required")
         if self.target is not None and not self.target.is_connected:
             raise ValueError("target graph must be connected")
-        if self.base not in ("glauber", "scan", "reverse_scan"):
+        if self.base not in ("glauber", "lazy", "scan", "reverse_scan"):
             raise ValueError(f"unknown base {self.base!r}")
-        if self.lazy and self.base != "glauber":
-            raise ValueError("lazy combines with glauber only")
         object.__setattr__(self, "clamp", frozenset(self.clamp))
         if any(not (1 <= v <= self.graph.n) for v in self.clamp):
             raise ValueError("clamp must be a subset of 1..n")

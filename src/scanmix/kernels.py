@@ -263,9 +263,9 @@ def build_kernel(
     states = _state_space(spec, budget, component, fiber_of, proper_only)
     _int64_denominator(spec.n_colors ** spec.graph.n)
     tables = _move_tables(spec, states)
-    if spec.base == "glauber":
-        if spec.lazy:
-            tables.append(np.tile(np.arange(len(states)), (spec.graph.n * spec.n_colors, 1)).T)
+    if spec.base == "lazy":
+        tables.append(np.tile(np.arange(len(states)), (spec.graph.n * spec.n_colors, 1)).T)
+    if spec.base in ("glauber", "lazy"):
         return _from_tables(states, tables, False, spec)
     return _from_tables(states, [tables[v - 1] for v in scan_order(spec)], True, spec)
 
@@ -405,7 +405,8 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
     computed: up to the first power of two at or above the mixing time.
     The search forms only the rows of one start per color-rotation orbit
     when the rotation is a symmetry of the chain (``_orbit_representatives``),
-    and all rows otherwise.
+    and all rows otherwise.  A ladder that passes ``MAX_MIX_T`` above eps
+    raises ValueError.
     """
     classes = communicating_classes(kernel)
     if len(classes) > 1:
@@ -418,10 +419,13 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
             ladder.append((t, tv))
         if tv <= eps:
             break
+        if 2 * t > MAX_MIX_T:
+            raise ValueError(
+                f"no mixing to eps={eps:g} by t={MAX_MIX_T}: max TV is still {tv:.6g} "
+                f"at t={t}; eps may be below the float64 floor of the distance"
+            )
         powers.append(powers[-1] @ powers[-1])
         t *= 2
-        if t > MAX_MIX_T:
-            raise RuntimeError(f"no mixing by t={MAX_MIX_T}; chain may be periodic")
     if t == 1:
         return 1
     # every midpoint is below t, so no search power reads the top rung P^t
@@ -512,7 +516,6 @@ class ComparisonReport:
     sweep_mix_at_1_over_e: Optional[int]
     mix_square_bound_ok: Optional[bool]
     trivial: bool = False
-    small_n_caveat: bool = False
 
 
 def verify_comparison(
@@ -536,8 +539,7 @@ def verify_comparison(
             site_factor=4 * q ** (delta + 1), site_le_sweep_ok=True, site_slack=math.inf,
             sweep_factor=n * n * q, sweep_le_site_ok=True, sweep_slack=math.inf,
             eps=eps, continuized_sweep_bound=0.0, lazy_site_bound=0.0,
-            sweep_mix_at_1_over_e=None, mix_square_bound_ok=None,
-            trivial=True, small_n_caveat=g.small_n_caveat,
+            sweep_mix_at_1_over_e=None, mix_square_bound_ok=None, trivial=True,
         )
 
     lam_site = poincare_constant(K_site).poincare
@@ -572,5 +574,4 @@ def verify_comparison(
         sweep_slack=sweep_rhs - lam_sweep,
         eps=eps, continuized_sweep_bound=cont_bound, lazy_site_bound=lazy_bound,
         sweep_mix_at_1_over_e=mix_e, mix_square_bound_ok=mix_ok,
-        trivial=False, small_n_caveat=g.small_n_caveat,
     )

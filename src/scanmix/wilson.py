@@ -57,9 +57,6 @@ class EigenData:
     lam: float
     w: np.ndarray           # scaled so min_i w_i = 1
     c_n: float
-    alpha: float
-    beta: float
-    gamma: float
 
 
 def _scan_beta(n: int) -> float:
@@ -91,14 +88,13 @@ def closed_form_eigen(kind: str, n: int) -> EigenData:
     """
     if n < 4:
         raise ValueError("n >= 4 required")
+    alpha = math.pi / (n - 1)
     if kind == "glauber":
-        alpha = math.pi / (n - 1)
         lam = 1 - 4 * math.sin(alpha / 2) ** 2 / (3 * n)
         c_n = 1 / math.sin(alpha / 2)
         w = c_n * np.sin(alpha * (np.arange(1, n) - 0.5))
-        return EigenData(kind, n, lam, w, c_n, alpha, -alpha / 2, 0.0)
+        return EigenData(kind, n, lam, w, c_n)
     if kind == "scan":
-        alpha = math.pi / (n - 1)
         eg = math.sqrt(3 + math.cos(alpha) ** 2) - math.cos(alpha)
         gamma = math.log(eg)
         lam = math.exp(-2 * gamma)
@@ -106,7 +102,7 @@ def closed_form_eigen(kind: str, n: int) -> EigenData:
         raw = np.exp(gamma * np.arange(1, n)) * np.sin(alpha * np.arange(1, n) + beta)
         c_n = 1 / raw.min()
         w = c_n * raw
-        return EigenData(kind, n, lam, w, c_n, alpha, beta, gamma)
+        return EigenData(kind, n, lam, w, c_n)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -240,7 +236,6 @@ class WilsonReport:
     lower_bound: float
     rho_is_empirical: bool
     asymptotic_reference: float
-    small_n_caveat: bool
     max_increment: Optional[float] = None
 
     def upper_bound(self, eps: float) -> float:
@@ -285,6 +280,5 @@ def wilson_bounds(
         lower_bound=lower,
         rho_is_empirical=empirical,
         asymptotic_reference=reference,
-        small_n_caveat=n <= 3,
         max_increment=max_increment,
     )

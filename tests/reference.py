@@ -70,10 +70,10 @@ def single_edge() -> TargetGraph:
 
 def glauber_step(sigma, spec, tape, rep: int = 0, step: int = 0) -> Coloring:
     """One random single-site update: uniform vertex, uniform color,
-    Metropolis, after a fair stay coin when ``spec.lazy``.  It reads the
+    Metropolis, after a fair stay coin for the lazy base.  It reads the
     draw block of a ``coupled_sweep`` glauber step."""
     u = tape.uniforms(rep, step, CH_GLAUBER, 3)
-    if spec.lazy and u[0] < 0.5:
+    if spec.base == "lazy" and u[0] < 0.5:
         return sigma
     v = vertex_from_uniform(u[1], spec.graph.n)
     return metropolis_update(sigma, v, color_from_uniform(u[2], spec.n_colors), spec)

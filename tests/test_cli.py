@@ -1,12 +1,15 @@
 """Driver subcommands: outputs, determinism, and config handling."""
 
+import ast
 import hashlib
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from scanmix.cli import _drift_csv, main
+from scanmix import cli
+from scanmix.cli import SUBCOMMANDS, _build_parser, _drift_csv, main
 from scanmix.coupling import (
     LEMMA_IDS,
     Ledger,
@@ -268,7 +271,7 @@ def test_zero_replicates_exit_2(tmp_path, capsys):
 def test_couple_refuses_chain_coupling_mismatch(tmp_path, capsys):
     for chain, coupling, named in (
         ("scan", "identity_glauber", "scan chain"),
-        ("lazy", "q4_glauber", "lazy glauber chain"),
+        ("lazy", "q4_glauber", "lazy chain"),
         ("glauber", "q4_scan", "glauber chain"),
         ("glauber", "switch_glauber_important_neighbor", "segment layout"),
         ("scan", "bogus", "unknown coupling"),
@@ -471,7 +474,7 @@ C5 = TargetGraph.from_text(H_FILES["c5.h"])
 MIX_LADDER_JOBS = {
     "mix --n 5": ChainSpec(graph=Graph.path(5), q=3),
     "mix --n 5 --chain scan": ChainSpec(graph=Graph.path(5), q=3, base="scan"),
-    "mix --n 4 --q 4 --chain lazy": ChainSpec(graph=Graph.path(4), q=4, lazy=True),
+    "mix --n 4 --q 4 --chain lazy": ChainSpec(graph=Graph.path(4), q=4, base="lazy"),
     "mix --n 5 --eps 1.0": ChainSpec(graph=Graph.path(5), q=3),
     "mix --n 4 --h-file c5.h --eps 0.1": ChainSpec(graph=Graph.path(4), target=C5),
 }
@@ -508,3 +511,136 @@ def test_mix_nonergodic_class_sizes_in_kosaraju_order(tmp_path):
     sizes = [int(kv[f"class_{i}_size"]) for i in range(int(kv["n_classes"]))]
     assert kv["ergodic"] == "False"
     assert sizes == [len(c) for c in classes] == [4, 2, 1, 2]
+
+
+def test_mix_refuses_an_eps_below_the_tv_floor(tmp_path, capsys):
+    """No float64 power of P reaches max TV 1e-300, so the doubling ladder
+    ends at its horizon with a clean error instead of a traceback."""
+    out = tmp_path / "o"
+    assert main(["mix", "--n", "4", "--eps", "1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no mixing to eps=1e-300") and "max TV" in err, err
+    assert not out.exists()
+
+
+# A value for each flag, and a target graph and a path for the file flags.
+FLAG_VALUES = {
+    "n": "4", "q": "3", "h_file": "c5.h", "graph_file": "path.g", "chain": "scan",
+    "clamp": "2", "replicates": "5", "eps": "0.1", "coupling": "q4_scan", "t": "2",
+    "r": "2", "ell": "4", "bottleneck_k": "2",
+}
+
+
+def flag_argv(tmp_path, dest):
+    (tmp_path / "c5.h").write_text(H_FILES["c5.h"])
+    (tmp_path / "path.g").write_text("1 2\n2 3\n3 4\n")
+    flag = "--" + dest.replace("_", "-")
+    if dest == "directed":
+        return [flag]
+    value = FLAG_VALUES[dest]
+    return [flag, str(tmp_path / value) if value.endswith((".h", ".g")) else value]
+
+
+@pytest.mark.parametrize("sub, dest", [
+    ("drift", "clamp"), ("congestion", "graph_file"), ("ergodic", "q"),
+    ("compare", "chain"), ("wilson", "q"), ("spectrum", "replicates"),
+    ("mix", "coupling"), ("couple", "eps"), ("percolate", "h_file"),
+])
+def test_unread_flag_is_refused(tmp_path, capsys, sub, dest):
+    """A flag that the subcommand does not read would be written into every
+    header and then ignored; it exits 2 before any file is written."""
+    out = tmp_path / "o"
+    assert main([sub, *flag_argv(tmp_path, dest), "--out", str(out)]) == 2
+    flag = dest.replace("_", "-")
+    assert capsys.readouterr().err == f"error: {sub} does not read --{flag}\n"
+    assert not out.exists()
+
+
+def test_every_unread_flag_is_refused(tmp_path, capsys):
+    dests = [a.dest for a in _build_parser()._actions
+             if a.option_strings and a.dest not in ("help", "seed", "out", "config")]
+    refused = 0
+    for sub, entry in SUBCOMMANDS.items():
+        for dest in dests:
+            if dest in entry.reads:
+                continue
+            out = tmp_path / f"{sub}-{dest}"
+            assert main([sub, *flag_argv(tmp_path, dest), "--out", str(out)]) == 2, (sub, dest)
+            flag = dest.replace("_", "-")
+            assert capsys.readouterr().err == f"error: {sub} does not read --{flag}\n"
+            assert not out.exists()
+            refused += 1
+    assert refused == 74
+
+
+def test_unread_config_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 5\neps = 0.1\n")
+    out = tmp_path / "o"
+    assert main(["drift", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: drift does not read --eps\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--q", "5", "--h-file"], "--q and --h-file"),
+    (["--directed"], "--directed"),
+], ids=["q with h-file", "directed without h-file"])
+def test_conflicting_model_flags_are_refused(tmp_path, capsys, extra, named):
+    """H sets the colors, so --q beside --h-file would be ignored, and so
+    would --directed with no H to read."""
+    (tmp_path / "c5.h").write_text(H_FILES["c5.h"])
+    if extra[-1] == "--h-file":
+        extra = extra + [str(tmp_path / "c5.h")]
+    out = tmp_path / "o"
+    assert main(["spectrum", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clamp", ["2", "1 2"])
+def test_config_clamp_matches_the_flag(tmp_path, clamp):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"clamp = {clamp}\n")
+    a, b = tmp_path / "file", tmp_path / "flag"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["spectrum", "--clamp", *clamp.split(), "--out", str(b)]) == 0
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b)) == ["spectrum.csv", "spectrum.txt"]
+    for name in os.listdir(a):
+        assert read(a / name) == read(b / name), name
+
+
+# helpers whose args reads count as the reads of the handler that calls them
+ARGS_HELPERS = ("_spec_from_args", "_graph_from_args", "_target_from_args")
+
+
+def args_reads(name, seen=()):
+    """The ``args.*`` attributes that function ``name`` of the cli module
+    reads, itself or through the helpers it calls."""
+    tree = ast.parse(inspect.getsource(getattr(cli, name)))
+    reads = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ARGS_HELPERS and node.func.id not in seen):
+            reads |= args_reads(node.func.id, seen + (name,))
+    return reads
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_subcommand_table_lists_the_handler_reads(sub):
+    """The table's flags are exactly those the handler reads (the seed is
+    read by every subcommand), and its defaults set only those."""
+    entry = SUBCOMMANDS[sub]
+    assert entry.handler.__name__ == f"cmd_{sub}"
+    assert args_reads(entry.handler.__name__) - {"seed"} == set(entry.reads)
+    assert set(entry.defaults) <= set(entry.reads)
+
+
+def test_every_flag_is_read_by_some_subcommand():
+    dests = {a.dest for a in _build_parser()._actions} - {
+        "help", "subcommand", "out", "config", "seed"}
+    assert dests == set().union(*(entry.reads for entry in SUBCOMMANDS.values()))

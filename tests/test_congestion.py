@@ -260,7 +260,8 @@ DIRECTED_H3 = [
 
 @pytest.mark.parametrize(
     "g",
-    [Graph.path(n) for n in range(1, 6)] + [star(n) for n in range(2, 5)],
+    # star(2) is the path on two vertices
+    [Graph.path(n) for n in range(1, 6)] + [star(n) for n in range(3, 5)],
     ids=lambda g: f"{g.kind}{g.n}",
 )
 def test_classes_match_the_depth_first_search(g):

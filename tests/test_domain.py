@@ -20,6 +20,8 @@ from scanmix.domain import (
     heights,
     weighted_height_distance,
 )
+from scanmix.dynamics import ChainSpec
+from scanmix.kernels import build_kernel
 from reference import cycle, d2, geodesic, optimal_height_pair, single_edge, star, to_signs
 
 
@@ -48,8 +50,6 @@ def test_graph_validation():
         Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         Graph(3, frozenset({(1, 4)}))
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 3)}), kind="path")
     g = Graph.path(5)
     assert g.kind == "path"
     assert g.adjacency[1] == (2,) and g.adjacency[3] == (2, 4)
@@ -60,8 +60,20 @@ def test_graph_validation():
 def test_graph_text_roundtrip():
     g = star(4)
     assert Graph.from_text("# a star\n1 2\n1 3\n\n1 4\n", n=4) == g
-    # path detection from edges
-    assert Graph.from_edges(3, [(2, 3), (1, 2)]).kind == "path"
+    assert Graph.from_text("2 3\n1 2\n") == Graph.path(3)
+
+
+def test_kind_is_read_from_the_edges():
+    """A graph given by its edges is the path exactly when the edges are
+    {(i, i+1)}: equal to Graph.path, with the same kernels."""
+    g = Graph(3, {(1, 2), (2, 3)})
+    assert g == Graph.path(3) and g.kind == "path"
+    assert Graph(3, {(1, 2), (1, 3)}).kind == "general"
+    assert Graph(1, frozenset()).kind == "path"
+    a = build_kernel(ChainSpec(graph=g, target=cycle(4)))
+    b = build_kernel(ChainSpec(graph=Graph.path(3), target=cycle(4)))
+    assert len(a.states) == len(b.states) == 8
+    assert a.states == b.states and a.rows == b.rows
 
 
 def test_target_graph_basics():
@@ -174,7 +186,7 @@ def reference_h_colorings(g, target, component="all"):
 REFERENCE_GRAPHS = (
     [Graph.path(n) for n in range(1, 9)]
     + [star(n) for n in range(2, 7)]
-    + [Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])]
+    + [Graph(5, {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})]
 )
 
 
@@ -206,7 +218,7 @@ def test_builder_matches_the_recursive_h_enumerator():
                     reference_h_colorings(g, target, component)
                 ), (g, target, component)
                 cases += 1
-    assert cases == 7270
+    assert cases == 7274
 
 
 def test_budget_bounds_the_largest_level():

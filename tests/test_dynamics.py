@@ -43,8 +43,8 @@ def test_chain_spec_validation():
         ChainSpec(graph=g)  # neither model
     with pytest.raises(ValueError):
         ChainSpec(graph=g, q=3, target=TargetGraph.clique(3))
-    with pytest.raises(ValueError):
-        ChainSpec(graph=g, q=3, base="scan", lazy=True)
+    with pytest.raises(ValueError, match="unknown base"):
+        ChainSpec(graph=g, q=3, base="lazy_scan")
     with pytest.raises(ValueError):
         ChainSpec(graph=g, q=3, clamp=frozenset({9}))
     with pytest.raises(ValueError):
@@ -132,7 +132,7 @@ def _rules_agree(spec):
 
 
 RULE_GRAPHS = [
-    Graph.path(4), star(4), Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    Graph.path(4), star(4), Graph(5, {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
 ]
 K3_LOOP = TargetGraph(((True, True, True), (True, False, True), (True, True, False)))
 
@@ -206,7 +206,7 @@ def test_scan_one_sweep_brute_force():
 
 def test_lazy_glauber_halves_movement():
     g = Graph.path(3)
-    lazy = build_kernel(ChainSpec(graph=g, q=3, lazy=True))
+    lazy = build_kernel(ChainSpec(graph=g, q=3, base="lazy"))
     plain = build_kernel(ChainSpec(graph=g, q=3))
     for i in range(len(plain.states)):
         for j in range(len(plain.states)):

@@ -404,7 +404,7 @@ def test_irreducible_kernel_is_one_ascending_class(spec):
     [
         ChainSpec(graph=Graph.path(5), q=3),
         ChainSpec(graph=Graph.path(5), q=3, base="scan"),
-        ChainSpec(graph=Graph.path(4), q=4, lazy=True),
+        ChainSpec(graph=Graph.path(4), q=4, base="lazy"),
     ],
     ids=["glauber", "scan", "lazy"],
 )
@@ -426,6 +426,17 @@ def test_tv_ladder_records_each_rung(spec, eps):
         assert t_mix == 1 and len(ladder) == 1
 
 
+def test_tv_ladder_past_its_horizon_names_eps_and_the_last_distance():
+    """Every kernel built here has self-loops, so a ladder that never gets
+    below eps has hit float64's floor, not a periodic chain."""
+    K = build_kernel(ChainSpec(graph=Graph.path(3), q=3))
+    ladder = []
+    with pytest.raises(ValueError, match=r"eps=1e-300 by t=1000000000: max TV is still") as exc:
+        tv_mixing_time(K, 1e-300, ladder=ladder)
+    t, tv = ladder[-1]
+    assert t == 2 ** 29 and f"{tv:.6g} at t={t};" in str(exc.value)
+
+
 # The color rotation c -> c + 1 mod h is an automorphism of each of these
 # models; the directed 3-cycle is ergodic on a single vertex only, and with
 # self-loops on every path.
@@ -441,7 +452,7 @@ ROTATION_MODELS = {
 }
 CHAINS = {
     "glauber": {},
-    "lazy": {"lazy": True},
+    "lazy": {"base": "lazy"},
     "scan": {"base": "scan"},
     "reverse_scan": {"base": "reverse_scan"},
 }
@@ -529,7 +540,7 @@ class ShapeRecordingArray(np.ndarray):
     [
         ChainSpec(graph=Graph.path(6), q=3),
         ChainSpec(graph=Graph.path(4), q=4, base="scan"),
-        ChainSpec(graph=Graph.path(5), target=cycle(5), lazy=True),
+        ChainSpec(graph=Graph.path(5), target=cycle(5), base="lazy"),
     ],
     ids=["k3_glauber", "k4_scan", "c5_lazy"],
 )
@@ -635,11 +646,11 @@ def reference_kernel(spec, component="auto", fiber_of=None, proper_only=True):
     index = {s: i for i, s in enumerate(states)}
     n, q = spec.graph.n, spec.n_colors
     rows = []
-    if spec.base == "glauber":
-        denom = n * q * (2 if spec.lazy else 1)
+    if spec.base in ("glauber", "lazy"):
+        denom = n * q * (2 if spec.base == "lazy" else 1)
         for s in states:
             row = {}
-            diag = n * q if spec.lazy else 0
+            diag = n * q if spec.base == "lazy" else 0
             for v in range(1, n + 1):
                 if v in spec.clamp:
                     diag += q
@@ -711,13 +722,12 @@ def assert_matches(K, reference):
 
 ANCHOR6 = (0, 1, 2, 0, 1, 0)
 REFERENCE_CASES = [
-    *(dict(graph=Graph.path(n), q=q, base=base, lazy=lazy)
+    *(dict(graph=Graph.path(n), q=q, base=base)
       for n, q in ((1, 3), (4, 3), (5, 3), (4, 4), (3, 5))
-      for base, lazy in (("glauber", False), ("glauber", True), ("scan", False),
-                         ("reverse_scan", False))),
+      for base in ("glauber", "lazy", "scan", "reverse_scan")),
     dict(graph=Graph.path(6), q=3, base="scan", clamp={1, 5}, fiber_of=ANCHOR6),
     dict(graph=Graph.path(6), q=3, base="glauber", clamp={1, 5}, fiber_of=ANCHOR6),
-    dict(graph=Graph.path(6), q=3, base="glauber", lazy=True, clamp={2}, fiber_of=ANCHOR6),
+    dict(graph=Graph.path(6), q=3, base="lazy", clamp={2}, fiber_of=ANCHOR6),
     dict(graph=Graph.path(5), q=4, base="reverse_scan", clamp={3}),
     dict(graph=star(5), q=3, base="glauber"),
     dict(graph=star(5), q=3, base="scan"),
@@ -728,10 +738,10 @@ REFERENCE_CASES = [
     dict(graph=Graph.path(4), target=cycle(5), base="scan"),
     dict(graph=Graph.path(4), target=directed_cycle(3), base="glauber"),
     dict(graph=Graph.path(4), target=bottleneck_target(2), base="scan"),
-    dict(graph=Graph.path(4), target=bottleneck_target(1), base="glauber", lazy=True),
+    dict(graph=Graph.path(4), target=bottleneck_target(1), base="lazy"),
     dict(graph=star(4), target=bottleneck_target(1), base="scan"),
     dict(graph=Graph.path(3), q=3, base="scan", proper_only=False),
-    dict(graph=Graph.path(3), q=3, base="glauber", lazy=True, proper_only=False),
+    dict(graph=Graph.path(3), q=3, base="lazy", proper_only=False),
 ]
 
 
