@@ -115,6 +115,18 @@ def _spec_from_args(args) -> ChainSpec:
                      base=base, clamp=args.clamp)
 
 
+def _refuse_empty(n_states: int, g: Graph, target: Optional[TargetGraph], q: Optional[int]) -> None:
+    """Refuse a model with no coloring (colored by ``target``, else by q
+    colors): no exact command has a chain to report on.  The library keeps
+    returning empty kernels and reports."""
+    if n_states:
+        return
+    coloring = f"proper {q}-coloring" if target is None else (
+        f"H-coloring (H: {target.h} colors{', directed' if target.directed else ''})")
+    graph = f"{g.n}-vertex {'path' if g.kind == 'path' else 'graph'}"
+    raise ValueError(f"the {graph} has no {coloring}, so the chain has no states")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -123,6 +135,7 @@ def cmd_spectrum(args, report: Report) -> int:
     spec = _spec_from_args(args)
     g = spec.graph
     kernel = build_kernel(spec)
+    _refuse_empty(len(kernel.states), g, spec.target, spec.q)
     rep = poincare_constant(kernel)
     lines = [f"{v:.15g}" for v in rep.eigenvalues]
     report.write("spectrum.csv", "\n".join(lines) + "\n")
@@ -147,7 +160,9 @@ def cmd_spectrum(args, report: Report) -> int:
 
 
 def cmd_mix(args, report: Report) -> int:
-    kernel = build_kernel(_spec_from_args(args))
+    spec = _spec_from_args(args)
+    kernel = build_kernel(spec)
+    _refuse_empty(len(kernel.states), spec.graph, spec.target, spec.q)
     ladder: list[tuple[int, float]] = []
     try:
         t_mix = tv_mixing_time(kernel, args.eps, ladder=ladder)
@@ -331,8 +346,9 @@ def cmd_percolate(args, report: Report) -> int:
 
 def cmd_compare(args, report: Report) -> int:
     g = _graph_from_args(args)
-    target = _target_from_args(args) or TargetGraph.clique(args.q)
-    rep = verify_comparison(g, target, eps=args.eps)
+    given = _target_from_args(args)
+    rep = verify_comparison(g, given or TargetGraph.clique(args.q), eps=args.eps)
+    _refuse_empty(rep.n_states, g, given, args.q)
     report.write(
         "compare.txt",
         _kv_block(
@@ -396,6 +412,7 @@ def cmd_ergodic(args, report: Report) -> int:
         target = directed_cycle(3)
         pairs.append(("target", "directed-3-cycle"))
     rep = ergodicity_report(g, target)
+    _refuse_empty(rep.n_states, g, target, None)
     pairs += [
         ("n_states", rep.n_states),
         ("n_classes", rep.n_classes),

@@ -66,18 +66,31 @@ class RandomTape:
         }
         return self._gen.random(size)
 
-    def block(self, rep0: int, reps: int, t: int, channel: int, size: int) -> np.ndarray:
-        """Row r is ``uniforms(rep0 + r, t, channel, size)``; shape (reps, size).
+    def block(
+        self, rep0: int, reps: int, t: int, channel: int, size: int, start: int = 0
+    ) -> np.ndarray:
+        """Row r is ``uniforms(rep0 + r, t, channel, size)[start:]``: the
+        column window start..size - 1 of ``reps`` replicates' draws, shape
+        (reps, max(size - start, 0)).
 
         One draw serves every row: the replicate sits in the counter's low
         word, which Philox increments every 4 outputs, so the block of
-        replicate rep + 1 is the block of rep shifted by 4 positions.  That
-        overlap makes replicates dependent; the counter layout that removes
-        it will change only ``uniforms`` and ``block``.  The rows are a
-        fresh array.
+        replicate rep + 1 is the block of rep shifted by 4 positions, and
+        the window starts at replicate rep0 + start // 4, offset start % 4.
+        That overlap makes replicates dependent; the counter layout that
+        removes it will change only ``uniforms`` and ``block``, and must keep
+        the column window, so callers draw bounded windows and never hold
+        every column of every replicate.  The rows are a fresh array.
         """
-        flat = self.uniforms(rep0, t, channel, 4 * max(reps - 1, 0) + size)
-        return np.lib.stride_tricks.sliding_window_view(flat, size)[: 4 * reps : 4].copy()
+        if start < 0:
+            raise ValueError(f"window start {start} is negative")
+        start = min(start, size)
+        skip, width = start % 4, size - start
+        flat = self.uniforms(rep0 + start // 4, t, channel, skip + 4 * max(reps - 1, 0) + width)
+        rows = np.lib.stride_tricks.as_strided(
+            flat[skip:], shape=(reps, width), strides=(4 * flat.itemsize, flat.itemsize)
+        )
+        return rows.copy()
 
 
 def color_from_uniform(u: float, q: int) -> int:

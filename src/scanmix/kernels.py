@@ -524,7 +524,11 @@ def verify_comparison(
     eps: float = 0.25,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> ComparisonReport:
-    """Audit the two Poincare-constant comparison inequalities on (g, H)."""
+    """Audit the two Poincare-constant comparison inequalities on (g, H).
+
+    A scan chain with more than one communicating class has Poincare
+    constant 0, so no bound follows: it is refused with a ValueError, decided
+    on the exact kernel rather than on the rounded constant."""
     spec_site = ChainSpec(graph=g, target=target, base="glauber")
     spec_sweep = ChainSpec(graph=g, target=target, base="scan")
     K_site = build_kernel(spec_site, budget=budget)
@@ -551,19 +555,19 @@ def verify_comparison(
     site_ok = lam_site <= site_rhs * (1 + RTOL) + RTOL
     sweep_ok = lam_sweep <= sweep_rhs * (1 + RTOL) + RTOL
 
+    try:
+        mix_e = tv_mixing_time(K_sweep, 1 / math.e)
+    except NonErgodicError as exc:
+        raise ValueError(
+            f"the scan sweep chain is not ergodic ({len(exc.classes)} communicating "
+            "classes): its Poincare constant is 0, so no comparison bound follows"
+        ) from exc
     log_inv_pi = math.log(nstates)
     cont_bound = (2 * math.log(1 / eps) + log_inv_pi) / lam_sweep
     lazy_bound = sweep_factor * (math.log(1 / eps) + log_inv_pi) / lam_sweep
-
-    mix_e: Optional[int] = None
-    mix_ok: Optional[bool] = None
-    try:
-        mix_e = tv_mixing_time(K_sweep, 1 / math.e)
-        lhs = 1.0 / lam_sweep
-        rhs = 2.0 * mix_e ** 2 / (0.5 - 1 / math.e) ** 2
-        mix_ok = lhs <= rhs * (1 + RTOL)
-    except NonErgodicError:
-        pass
+    lhs = 1.0 / lam_sweep
+    rhs = 2.0 * mix_e ** 2 / (0.5 - 1 / math.e) ** 2
+    mix_ok = lhs <= rhs * (1 + RTOL)
 
     return ComparisonReport(
         n_states=nstates, n=n, q=q, max_degree=delta,

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -167,10 +168,17 @@ def _draw_next(prev: np.ndarray, u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     is the number over all q capped at q - 1 (the row total may round below 1).
     """
     q = cum.shape[0]
+    prev = prev.astype(np.intp)  # one index conversion serves all q - 1 gathers
     out = (u >= cum[:, 0][prev]).astype(np.int8)
     for c in range(1, q - 1):
         out += u >= cum[:, c][prev]
     return out
+
+
+# Draws sample_pi0 holds at once: 512 kB of float64, far below the (R, n)
+# draws of a large run (16 MB at n = 10^4, R = 200), and wide enough that
+# its numpy calls, which do little work per cell, cost little per chunk.
+PI0_CHUNK_CELLS = 2 ** 16
 
 
 def sample_pi0(
@@ -183,23 +191,30 @@ def sample_pi0(
     uniformly among the colors differing from the left neighbor.  Returns an
     (replicates, n) int8 array.
 
-    Every anchor is colored 0, so all m segments advance together: offset j
-    of every segment draws from conditional matrix k - j + 1, the distance
-    from its left neighbor to the next anchor.
+    Every anchor is colored 0, so the segments are independent and a chunk
+    of them advances together, drawing only its own columns of the tape:
+    offset j of every segment draws from conditional matrix k - j + 1, the
+    distance from its left neighbor to the next anchor.
     """
     n, q, k, m = layout.n, layout.q, layout.k, layout.m
     cums = [np.cumsum(M, axis=1) for M in _conditional_matrices(layout)]
     out = np.zeros((replicates, n), dtype=np.int8)
-    U = tape.block(rep0, replicates, 0, CH_INIT, n)
-    # views (R, m, k) of the segments; offset 0 is the anchor, left at 0
-    seg = out[:, : m * k].reshape(replicates, m, k)
-    useg = U[:, : m * k].reshape(replicates, m, k)
-    for j in range(1, k):
-        seg[:, :, j] = _draw_next(seg[:, :, j - 1], useg[:, :, j], cums[k - j + 1])
+    # views (R, segments, k) of a chunk's segments; offset 0 is the anchor, left at 0
+    segs = max(1, PI0_CHUNK_CELLS // (replicates * k))
+    for s0 in range(0, m, segs):
+        s1 = min(s0 + segs, m)
+        shape = (replicates, s1 - s0, k)
+        useg = tape.block(rep0, replicates, 0, CH_INIT, s1 * k, s0 * k).reshape(shape)
+        seg = out[:, s0 * k : s1 * k].reshape(shape)
+        for j in range(1, k):
+            seg[:, :, j] = _draw_next(seg[:, :, j - 1], useg[:, :, j], cums[k - j + 1])
     uniform_next = (1 - np.eye(q)) / (q - 1)
     cum = np.cumsum(uniform_next, axis=1)
-    for col in range(m * k + 1, n):
-        out[:, col] = _draw_next(out[:, col - 1], U[:, col], cum)
+    tail = m * k + 1  # the first column past the last anchor
+    if tail < n:
+        U = tape.block(rep0, replicates, 0, CH_INIT, n, tail)
+        for col in range(tail, n):
+            out[:, col] = _draw_next(out[:, col - 1], U[:, col - tail], cum)
     return out
 
 
@@ -296,18 +311,24 @@ def _padded(X: np.ndarray) -> np.ndarray:
     return np.pad(X, ((0, 0), (1, 1)), constant_values=PAD)
 
 
-# Table positions computed at once, as (vertices, replicates) int64 cells:
-# the block stays near 128 kB, where an (n, R) one would outweigh the codes.
+# Table positions computed at once, as (vertices, replicates) int64 cells,
+# and as many float64 draws: the block stays near 128 kB, where an (n, R)
+# one would outweigh the codes.
 CHUNK_CELLS = 2 ** 14
 
 
-def _switch_scan_sweep(P: np.ndarray, U: np.ndarray, q: int, frozen: np.ndarray) -> None:
+def _switch_scan_sweep(
+    P: np.ndarray, draw: Callable[[int, int], np.ndarray], q: int, frozen: np.ndarray
+) -> None:
     """One switch-coupled scan sweep of the pair codes P (n + 2, R), in place.
 
-    Copy one tries the colors of U (R, n); copy two keeps its color at
-    ``frozen`` positions.  Each vertex is one gather from ``_step_table``:
-    the positions less the updated left pair's term come a chunk of vertices
-    at a time from the old codes, so only the chase along the sweep remains.
+    Copy one tries the colors of the sweep's (R, n) uniforms, of which
+    ``draw(stop, start)`` returns the columns start..stop - 1, as
+    ``functools.partial(tape.block, rep0, R, t, CH_SCAN)`` does; copy two
+    keeps its color at ``frozen`` positions.  Each vertex is one gather from
+    ``_step_table``: the draws and the positions less the updated left
+    pair's term come a chunk of vertices at a time, the positions from the
+    old codes, so only the chase along the sweep remains.
     """
     q1, n = q + 1, len(P) - 2
     table = _step_table(q, "switch_scan").reshape(-1)
@@ -317,7 +338,7 @@ def _switch_scan_sweep(P: np.ndarray, U: np.ndarray, q: int, frozen: np.ndarray)
     for v0 in range(1, n + 1, rows):
         v1 = min(v0 + rows, n + 1)
         old = P[v0:v1 + 1].astype(np.int64)
-        c = np.minimum((U[:, v0 - 1:v1 - 1].T * q).astype(np.int64), q - 1)
+        c = np.minimum((draw(v1 - 1, v0 - 1).T * q).astype(np.int64), q - 1)
         base = _table_index(q, 0, old[:-1], old[1:], c)
         for v, b in zip(range(v0, v1), base):
             x = table[b + x * stride]
@@ -361,7 +382,8 @@ def lb_experiment(
         P[1:-1] = sample_pi0(layout, tape, replicates).T
         P[1:-1] *= q + 2
         for sweep in range(t):
-            _switch_scan_sweep(P, tape.block(0, replicates, 1 + sweep, CH_SCAN, n), q, anchor_mask)
+            draw = partial(tape.block, 0, replicates, 1 + sweep, CH_SCAN)
+            _switch_scan_sweep(P, draw, q, anchor_mask)
         mid_free, mid_clamped = np.divmod(P[mids], q + 1)
     elif base == "glauber":
         S = _padded(sample_pi0(layout, tape, replicates))

@@ -644,3 +644,52 @@ def test_every_flag_is_read_by_some_subcommand():
     dests = {a.dest for a in _build_parser()._actions} - {
         "help", "subcommand", "out", "config", "seed"}
     assert dests == set().union(*(entry.reads for entry in SUBCOMMANDS.values()))
+
+
+# argv tails and file texts of models with no coloring; "MODEL" names the file
+EMPTY_MODELS = {
+    # no proper 2-coloring of an odd cycle, and none by the directed 3-cycle
+    "triangle": (["--graph-file", "MODEL", "--q", "2"], "1 2\n2 3\n1 3\n"),
+    # the only arc is 1 -> 0, so no 3-path has an H-coloring
+    "directed": (["--n", "3", "--directed", "--h-file", "MODEL"], "00\n10\n"),
+}
+
+
+def model_argv(tmp_path, flags, text):
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    return [str(model) if a == "MODEL" else a for a in flags]
+
+
+@pytest.mark.parametrize("model", EMPTY_MODELS)
+@pytest.mark.parametrize("sub", [
+    ["spectrum"], ["spectrum", "--chain", "scan"], ["mix"], ["compare"], ["ergodic"],
+])
+def test_exact_commands_refuse_an_empty_model(tmp_path, capsys, sub, model):
+    """A model with no state exits 2 with an error naming it and writes
+    nothing, in every exact command (ergodic reads no --q: it colors the
+    triangle by its directed 3-cycle, which has no coloring of it either)."""
+    flags, text = EMPTY_MODELS[model]
+    if sub == ["ergodic"] and "--q" in flags:
+        flags = flags[:-2]
+    out = tmp_path / "o"
+    assert main(sub + model_argv(tmp_path, flags, text) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the 3-vertex ") and "so the chain has no states" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--graph-file", "MODEL", "--q", "2"], "1 2\n2 3\n3 4\n1 4\n"),  # C4: both 2-colorings frozen
+    (["--n", "2", "--directed", "--h-file", "MODEL"], "000\n001\n100\n"),
+    # reducible too, though its sweep constant rounds to 2.2e-16 rather than 0
+    (["--n", "2", "--directed", "--h-file", "MODEL"], "001\n100\n001\n"),
+])
+def test_compare_refuses_a_non_ergodic_sweep_chain(tmp_path, capsys, flags, text):
+    """A scan chain with several communicating classes has Poincare
+    constant 0, so no comparison bound follows: exit 2, naming the chain."""
+    out = tmp_path / "o"
+    assert main(["compare"] + model_argv(tmp_path, flags, text) + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the scan sweep chain is not ergodic"), err
+    assert not out.exists()

@@ -958,7 +958,7 @@ def test_switch_coupling_with_clamped_copy():
     P = np.array([[end, *(c * (q + 2) for c in s), end]], dtype=np.uint8).T
     moved_anchor = False
     for sweep in range(12):
-        _switch_scan_sweep(P, tape.uniforms(0, sweep, CH_SCAN, n)[None], q, frozen)
+        _switch_scan_sweep(P, functools.partial(tape.block, 0, 1, sweep, CH_SCAN), q, frozen)
         free, clamped = np.divmod(P[1:-1, 0], q + 1)
         for a in anchors:
             assert clamped[a - 1] == s[a - 1]  # clamped copy holds its anchors

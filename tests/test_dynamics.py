@@ -378,6 +378,25 @@ def test_tape_block_is_the_stacked_replicate_draws(rep0, size):
     assert tape.block(rep0, 0, 5, CH_SCAN, size).shape == (0, size)
 
 
+@pytest.mark.parametrize("rep0", [0, 1, 6, 300])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 10, 128, 4099, 10_000])
+def test_tape_block_window_is_the_stacked_replicate_draws_from_start(rep0, size):
+    """Row r of ``block(rep0, reps, t, ch, size, start)`` is
+    ``uniforms(rep0 + r, t, ch, size)[start:]``, for starts that are not
+    multiples of 4 and for empty windows (start = size, or past it)."""
+    tape = RandomTape(1729)
+    stacked = np.array([tape.uniforms(rep0 + r, 5, CH_SCAN, size) for r in range(6)])
+    for start in sorted({0, 1, 2, 3, 4, 5, size - 1, size}):
+        W = tape.block(rep0, 6, 5, CH_SCAN, size, start)
+        assert np.array_equal(W, stacked[:, start:]), start
+        assert W.shape == (6, max(size - start, 0))
+        if W.size:  # rows own their memory
+            W[0] = -1.0
+            assert np.array_equal(W[1:], stacked[1:, start:]), start
+    with pytest.raises(ValueError, match="negative"):
+        tape.block(rep0, 6, 5, CH_SCAN, size, -1)
+
+
 def fresh_generator_uniforms(seed, rep, t, channel, size):
     """The reference tape: a new Philox generator at every coordinate."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B97F4A7C15], dtype=np.uint64)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -303,7 +304,7 @@ def switch_scan_table_sweep(S, T, U, q, anchor_mask):
     """``lb_experiment``'s table sweep on the pair codes of S and T, decoded
     back into them."""
     P = (np.where(S == PAD, q, S) * (q + 1) + np.where(T == PAD, q, T)).T.astype(np.uint8)
-    _switch_scan_sweep(P, U, q, anchor_mask)
+    _switch_scan_sweep(P, lambda stop, start: U[:, start:stop], q, anchor_mask)
     S.T[1:-1], T.T[1:-1] = np.divmod(P[1:-1], q + 1)
 
 
@@ -394,3 +395,18 @@ def test_switch_scan_certificate_refuses_the_identity_partner(monkeypatch, fresh
     left pair spreads without the option-B event, and the certificate says so."""
     monkeypatch.setattr(coupling, "partner_proposal", lambda kind, v, c, s, t, w=None: c)
     assert switch_scan_contained(4) is False
+
+
+@pytest.mark.parametrize("base, t", [("scan", 1), ("glauber", 5)])
+def test_lb_experiment_holds_no_replicates_by_vertices_draws(base, t):
+    """At n = 10^4 with 200 replicates the draws come in bounded column
+    windows: the (R, n) float64 draws alone would take 16 MB, and the
+    experiment's traced peak stays below 8 MB."""
+    lay = segment_layout(10_000, 4, override=(2, 10))
+    tracemalloc.start()
+    try:
+        lb_experiment(lay, t, 200, RandomTape(1729), base=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
