@@ -558,6 +558,11 @@ def _refusal(given: dict) -> Optional[str]:
         return "--q and --h-file exclude each other: H sets the colors"
     if given.get("directed") and "h_file" not in given:
         return "--directed reads --h-file, which is not given"
+    if "n" in given and "graph_file" in given:
+        return "--n and --graph-file exclude each other: the graph file sets n"
+    if name == "wilson" and "replicates" in given:
+        if given.get("chain", SUBCOMMANDS[name].defaults["chain"]) == "glauber":
+            return "wilson --chain glauber reads no --replicates: its rho is exact, not sampled"
     if ("r" in given) != ("ell" in given):
         return "--r and --ell must be given together"
     if not given.get("eps", 1) > 0:

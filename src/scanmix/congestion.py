@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import Coloring, Graph, TargetGraph, enumerate_h_colorings
+from .domain import BudgetExceededError, Coloring, Graph, TargetGraph, enumerate_h_colorings
 from .dynamics import ChainSpec, proposal_accepted
 from .kernels import _from_tables, _move_tables, _state_codes, _tally, communicating_classes
 
@@ -131,7 +131,9 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
     and each window step runs over the whole block.  Loads are tallied per
     distinct single-site transition, and every distinct transition is
     checked once against ``proposal_accepted``, since a step's validity
-    depends on nothing else.
+    depends on nothing else.  Raises BudgetExceededError after enumerating
+    and before routing when the routed steps, N(N - 1) pairs of n
+    ceil((n + t - 1)/2) steps each, exceed ``CONGESTION_BUDGET``.
     """
     if not target.is_connected:
         raise ValueError("target graph must be connected")
@@ -144,11 +146,14 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
         raise ValueError(f"the {n}-path has no H-coloring; there is nothing to route")
     t = connector_length(target, n)
     n_states = len(states)
+    shifts = range(0, n + t - 1, 2)
+    n_steps = n * len(shifts)
+    work = n_states * (n_states - 1) * n_steps
+    if work > CONGESTION_BUDGET:
+        raise BudgetExceededError(f"{work} routed steps exceed budget {CONGESTION_BUDGET}")
     # base-h state codes; a move (code, vertex j, color c) is keyed
     # code * n * h + j * h + c, below h^n * n * h < 2^63
     X, place, codes = _state_codes(spec, states)
-    shifts = range(0, n + t - 1, 2)
-    n_steps = n * len(shifts)
     # connector-walk interiors by endpoint pair sigma[-1] * h + tau[0], built on first use
     interiors = np.zeros((h * h, t - 1), dtype=np.int64)
     built = np.zeros(h * h, dtype=bool)
@@ -219,6 +224,9 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
 
 
 _BLOCK_STEPS = 1 << 17  # routed steps per block of sigmas (pairs x steps per path)
+# Routed steps admitted by canonical_congestion: n = 10 at q = 3 routes
+# 2.4e8 steps and is admitted, n = 11 routes 1.1e9 and is refused.
+CONGESTION_BUDGET = 2 ** 28
 
 
 # ---------------------------------------------------------------------------

@@ -228,10 +228,10 @@ def path_accepts(x, v, c):
     return (x[v - 1] != c) & (x[v + 1] != c)
 
 
-def _build_states(g: Graph, allows: np.ndarray, budget: int, palette=None) -> list[Coloring]:
+def _build_states(g: Graph, allows: np.ndarray, budget: int, palette) -> list[Coloring]:
     """Colorings of g with allows[color(u), color(v)] on every edge (u, v),
     u < v, and each vertex v colored from the true entries of the boolean
-    row palette[v - 1] (any color when ``palette`` is None).
+    row palette[v - 1].
 
     Grows an (N, v) color array one vertex at a time: each partial coloring is
     extended by every color its row and its earlier neighbours allow, in color
@@ -244,17 +244,15 @@ def _build_states(g: Graph, allows: np.ndarray, budget: int, palette=None) -> li
     already rules out; the colorings returned are the same.
     """
     h = len(allows)
-    if palette is not None:
-        palette = np.array(palette, dtype=bool)
-        for v in range(g.n, 0, -1):
-            for u in g.adjacency[v]:
-                if u > v:
-                    palette[v - 1] &= (allows & palette[u - 1]).any(axis=1)
+    palette = np.array(palette, dtype=bool)
+    for v in range(g.n, 0, -1):
+        for u in g.adjacency[v]:
+            if u > v:
+                palette[v - 1] &= (allows & palette[u - 1]).any(axis=1)
     X = np.zeros((1, 0), dtype=np.min_scalar_type(h - 1))
     for v in range(1, g.n + 1):
         ok = np.ones((len(X), h), dtype=bool)
-        if palette is not None:
-            ok &= palette[v - 1]
+        ok &= palette[v - 1]
         for u in g.adjacency[v]:
             if u < v:
                 ok &= allows[X[:, u - 1]]
@@ -278,14 +276,15 @@ def enumerate_colorings(
     """All q-colorings of g in lexicographic order, optionally proper only.
 
     Built by ``_build_states`` with the allows matrix ~eye(q) (all ones when
-    not proper_only); raises BudgetExceededError when the colorings of some
-    prefix 1..v exceed the budget.  On a path the largest level is the last,
-    so proper colorings are refused exactly when q(q-1)^(n-1) > budget.
+    not proper_only) and every color at every vertex; raises
+    BudgetExceededError when the colorings of some prefix 1..v exceed the
+    budget.  On a path the largest level is the last, so proper colorings
+    are refused exactly when q(q-1)^(n-1) > budget.
     """
     if q < 2:
         raise ValueError("q >= 2 required")
     allows = ~np.eye(q, dtype=bool) if proper_only else np.ones((q, q), dtype=bool)
-    return _build_states(g, allows, budget)
+    return _build_states(g, allows, budget, np.ones((g.n, q), dtype=bool))
 
 
 def enumerate_h_colorings(

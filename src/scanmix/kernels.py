@@ -18,15 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import (
-    Coloring,
-    Graph,
-    TargetGraph,
-    _build_states,
-    _component_palette,
-    enumerate_colorings,
-    enumerate_h_colorings,
-)
+from .domain import Coloring, Graph, TargetGraph, _build_states, _component_palette
 # proposal_accepted is the scalar rule that the move tables vectorize
 from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
 
@@ -222,23 +214,21 @@ def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
 def _state_space(
     spec: ChainSpec, budget: int, component: str, fiber_of: Optional[Coloring], proper_only: bool
 ) -> list:
-    """The chain's states in lexicographic order.  The enumerator refuses any
-    vertex prefix with more than ``budget`` colorings; a clamped fiber is
-    enumerated with each clamped vertex held at its ``fiber_of`` color, so
-    the budget counts the fiber's own colorings."""
+    """The chain's states in lexicographic order, from one ``_build_states``
+    call: the model's allows matrix (all ones for a clique when not
+    ``proper_only``) and a palette of every color for a clique or the
+    ``component`` class of H, each clamped vertex held at its ``fiber_of``
+    color when a fiber is asked for.  The enumerator refuses any vertex
+    prefix with more than ``budget`` colorings, so a clamped fiber is
+    budgeted by its own colorings."""
     g, h = spec.graph, spec.n_colors
-    if spec.target is not None and component == "auto":
+    component = "all" if spec.target is None else component
+    if component == "auto":
         component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
-    if fiber_of is None or not spec.clamp:
-        if spec.q is not None:
-            return enumerate_colorings(g, spec.q, proper_only=proper_only, budget=budget)
-        return enumerate_h_colorings(g, spec.target, component=component, budget=budget)
-    if spec.q is not None:
-        palette = np.ones((g.n, h), dtype=bool)
-    else:
-        palette = _component_palette(g, spec.target, component)
-    for v in spec.clamp:
-        palette[v - 1] &= np.arange(h) == fiber_of[v - 1]
+    palette = _component_palette(g, spec.model, component)
+    if fiber_of is not None:
+        for v in spec.clamp:
+            palette[v - 1] &= np.arange(h) == fiber_of[v - 1]
     allows = np.array(spec.model.adjacency)
     if spec.q is not None and not proper_only:
         allows[:] = True
@@ -522,7 +512,6 @@ def verify_comparison(
     g: Graph,
     target: TargetGraph,
     eps: float = 0.25,
-    budget: int = DEFAULT_STATE_BUDGET,
 ) -> ComparisonReport:
     """Audit the two Poincare-constant comparison inequalities on (g, H).
 
@@ -531,8 +520,8 @@ def verify_comparison(
     on the exact kernel rather than on the rounded constant."""
     spec_site = ChainSpec(graph=g, target=target, base="glauber")
     spec_sweep = ChainSpec(graph=g, target=target, base="scan")
-    K_site = build_kernel(spec_site, budget=budget)
-    K_sweep = build_kernel(spec_sweep, budget=budget)
+    K_site = build_kernel(spec_site)
+    K_sweep = build_kernel(spec_sweep)
     nstates = len(K_site.states)
     n, q, delta = g.n, target.h, g.max_degree
 

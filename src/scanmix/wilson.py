@@ -159,8 +159,22 @@ def estimate_rho(
 ) -> RhoEstimate:
     """Bound/estimate for rho = max_x E[var(Phi_t | X(t-1) = x)].
 
-    kind='glauber': the exact closed form 2 (w_2 - w_1)^2 (with w_0 = w_n = 0
-    the largest square increment of w sits at the boundary), not a sample.
+    kind='glauber': the exact maximum, not a sample,
+
+        rho = (4/(3n)) sum_{i=0}^{n-1} (w_{i+1} - w_i)^2,   w_0 = w_n = 0,
+
+    which is (8/3)(1 - 2/n) for the shipped w.  Proof: one step picks v
+    uniformly and applies its sign move with probability 1/3, changing Phi
+    by d_v(x) = (w_{v-1} - w_v)(x_v - x_{v-1}), where x_0 = -x_1 and
+    x_n = -x_{n-1} (the boundary moves flip x_1 and x_{n-1}).  So
+    var(Phi_t | x) = (1/(3n)) sum_v d_v^2 - m(x)^2 with m(x) = (1/(3n))
+    sum_v d_v, and d_v^2 is 4 (w_{v-1} - w_v)^2 when x_{v-1} != x_v and 0
+    otherwise: var <= rho for every x.  The alternating x_v = (-1)^v
+    disagrees at every v, so its first term is rho.  Its mean change is
+    m = -4 Phi(x) / (3n) by summing d_v, and m = (lam - 1) Phi(x) because w
+    is a left eigenvector; as 1 - lam = 4 sin^2(pi/(2n-2)) / (3n) < 4/(3n),
+    Phi(x) = 0 and m = 0, so the alternating vector attains rho.
+    ``max_increment`` is max_i |w_{i+1} - w_i|.
     kind='scan': Monte Carlo.  Visited states are collected along a
     trajectory from the all-ones configuration; for each probe state the
     conditional variance is estimated by averaging the summed squared
@@ -169,9 +183,8 @@ def estimate_rho(
     """
     eigen = closed_form_eigen(kind, n)
     if kind == "glauber":
-        ext = np.concatenate(([0.0], eigen.w, [0.0]))
-        incs = np.abs(np.diff(ext))
-        rho = 2 * float(incs.max()) ** 2
+        incs = np.abs(np.diff(np.concatenate(([0.0], eigen.w, [0.0]))))
+        rho = 4 / (3 * n) * float(incs @ incs)
         return RhoEstimate(rho=rho, max_increment=float(incs.max()), empirical=False)
 
     if tape is None:

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import inspect
+import itertools
 import os
 
 import numpy as np
@@ -65,8 +66,9 @@ def test_byte_identical_reruns(tmp_path):
 def test_couple_and_wilson_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for sub in ("couple", "wilson"):
-        assert main([sub, "--n", "16", "--out", str(a), "--replicates", "16"]) == 0
-        assert main([sub, "--n", "16", "--out", str(b), "--replicates", "16"]) == 0
+        argv = [sub, "--n", "16", "--chain", "scan", "--replicates", "16"]
+        assert main(argv + ["--out", str(a)]) == 0
+        assert main(argv + ["--out", str(b)]) == 0
         for name in os.listdir(a):
             assert read(a / name) == read(b / name), name
 
@@ -154,7 +156,8 @@ def test_drift_csv_matches_the_row_formatter_on_synthetic_ledgers(case):
 # percolate.txt and wilson digests were recorded before the tape kept one
 # generator per tape and pi0 sampling advanced all segments together;
 # percolate.txt carries percolation_contained, and the scan wilson job reads
-# an empirical rho from the tape.
+# an empirical rho from the tape.  The default (glauber) wilson.txt was
+# re-recorded when its rho became the exact maximum (4/(3n)) sum (dw)^2.
 SIM_BODY_SHA256 = {
     "couple": {
         "couple.csv": "e035215463a985904512f4ba5bc59a6cc9a8eba111880a5e34460c273de9cfe3",
@@ -172,7 +175,7 @@ SIM_BODY_SHA256 = {
     },
     "wilson": {
         "wilson_w.csv": "f907928f6bcff2ac6a0f15526ceb170f6053c93fea22f55cf8fdd578b33f16b8",
-        "wilson.txt": "1428e71cb02c698149d8ed60027abe99a479f54cb509eb93aa22778aec010e00",
+        "wilson.txt": "950cc6347f39feea551b628bc75ff5c18b4a4247bd2c72dd41e2762eb85f4cfc",
     },
     "wilson --chain scan --n 16 --replicates 256": {
         "wilson_w.csv": "3e2f27841b5f33e4a1e3678ef3bc77a33c0f5c16c2640cf818f120719391e884",
@@ -247,6 +250,37 @@ def test_wilson_refuses_lazy_and_reverse(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and chain in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--replicates", "5"], ""),
+    (["--chain", "glauber", "--replicates", "512"], ""),
+    ([], "replicates = 5\n"),
+    (["--replicates", "5"], "chain = glauber\n"),
+], ids=["default chain", "glauber flag", "config replicates", "config chain"])
+def test_glauber_wilson_refuses_replicates(tmp_path, capsys, argv, config):
+    """The glauber report's rho is exact: it reads neither --replicates nor
+    the tape, so the flag is refused, not written into the header."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert main(["wilson", *argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: wilson --chain glauber reads no --replicates")
+    assert not out.exists()
+    # the scan report samples rho from the tape, so it reads the flag
+    scan = ["wilson", "--n", "8", *argv, "--chain", "scan", "--config", str(cfg)]
+    assert main(scan + ["--out", str(out)]) == 0
+
+
+def test_config_n_beside_graph_file_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 7\n")
+    (tmp_path / "p3.g").write_text("1 2\n2 3\n")
+    out = tmp_path / "o"
+    argv = ["spectrum", "--graph-file", str(tmp_path / "p3.g"), "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --n and --graph-file exclude each other")
+    assert not out.exists()
 
 
 def test_percolate_refuses_lazy_and_reverse(tmp_path, capsys):
@@ -351,7 +385,9 @@ def test_couple_refuses_models_outside_the_path(tmp_path, capsys, flag):
     value = {"--h-file": str(tmp_path / "h.txt"), "--clamp": "2",
              "--graph-file": str(tmp_path / "star.g")}[flag]
     out = tmp_path / "o"
-    assert main(["couple", "--n", "4", flag, value, "--out", str(out)]) == 2
+    # the star file sets n
+    n = [] if flag == "--graph-file" else ["--n", "4"]
+    assert main(["couple", *n, flag, value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "proper colorings of the path" in err, err
     assert not out.exists()
@@ -360,8 +396,8 @@ def test_couple_refuses_models_outside_the_path(tmp_path, capsys, flag):
 def test_couple_reads_a_path_graph_file(tmp_path):
     """A --graph-file listing the path's edges runs the path of --n."""
     (tmp_path / "path.g").write_text("1 2\n2 3\n3 4\n4 5\n")
-    for name, extra in (("n", []), ("file", ["--graph-file", str(tmp_path / "path.g")])):
-        argv = ["couple", "--n", "5", *extra, "--replicates", "6", "--out", str(tmp_path / name)]
+    for name, model in (("n", ["--n", "5"]), ("file", ["--graph-file", str(tmp_path / "path.g")])):
+        argv = ["couple", *model, "--replicates", "6", "--out", str(tmp_path / name)]
         assert main(argv) == 0
     assert body_lines(tmp_path / "n" / "couple.csv") == body_lines(tmp_path / "file" / "couple.csv")
 
@@ -585,13 +621,18 @@ def test_unread_config_key_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("extra, named", [
     (["--q", "5", "--h-file"], "--q and --h-file"),
     (["--directed"], "--directed"),
-], ids=["q with h-file", "directed without h-file"])
+    (["--n", "7", "--graph-file"], "--n and --graph-file"),
+], ids=["q with h-file", "directed without h-file", "n with graph-file"])
 def test_conflicting_model_flags_are_refused(tmp_path, capsys, extra, named):
     """H sets the colors, so --q beside --h-file would be ignored, and so
-    would --directed with no H to read."""
+    would --directed with no H to read; the graph file sets n, so --n beside
+    it would be written into the header and ignored."""
     (tmp_path / "c5.h").write_text(H_FILES["c5.h"])
+    (tmp_path / "p3.g").write_text("1 2\n2 3\n")
     if extra[-1] == "--h-file":
         extra = extra + [str(tmp_path / "c5.h")]
+    if extra[-1] == "--graph-file":
+        extra = extra + [str(tmp_path / "p3.g")]
     out = tmp_path / "o"
     assert main(["spectrum", *extra, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -693,3 +734,63 @@ def test_compare_refuses_a_non_ergodic_sweep_chain(tmp_path, capsys, flags, text
     err = capsys.readouterr().err
     assert err.startswith("error: the scan sweep chain is not ergodic"), err
     assert not out.exists()
+
+
+def small_targets():
+    """Every 0/1 matrix on 1-3 colors, one per class under color relabelling
+    (one permutation applied to rows and columns alike), as (file text,
+    whether the matrix is asymmetric)."""
+    for h in (1, 2, 3):
+        perms = list(itertools.permutations(range(h)))
+        seen = set()
+        for bits in itertools.product((0, 1), repeat=h * h):
+            A = np.array(bits).reshape(h, h)
+            key = min(A[np.ix_(p, p)].tobytes() for p in perms)
+            if key not in seen:
+                seen.add(key)
+                yield "".join("".join(map(str, row)) + "\n" for row in A), bool((A != A.T).any())
+
+
+EXACT_RUNS = (["spectrum"], ["spectrum", "--chain", "scan"], ["mix"], ["compare"])
+SWEEP_GRAPHS = {
+    "C4": "1 2\n2 3\n3 4\n1 4\n",
+    "triangle": "1 2\n2 3\n1 3\n",
+    "star": "1 2\n1 3\n1 4\n",
+    "K4": "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+    "edge": "1 2\n",
+}
+
+
+def test_exact_commands_answer_or_refuse_every_small_model(tmp_path, capsys):
+    """Each exact command on every H on 1-3 colors (up to relabelling; read
+    undirected, and directed too when asymmetric) for n = 1..3, and on small
+    graph files with 2-4 colors: exit 0, 1 where the command documents it
+    (compare, when an inequality fails) or 2 with an error, never an
+    uncaught exception."""
+    model, out = tmp_path / "model.txt", str(tmp_path / "o")
+    runs = []
+    for text, asymmetric in small_targets():
+        for directed in ([], ["--directed"]) if asymmetric else ([],):
+            for n in ("1", "2", "3"):
+                tail = ["--n", n, "--h-file", str(model), *directed]
+                runs += [(text, sub + tail) for sub in EXACT_RUNS + (["congestion"], ["ergodic"])]
+    for text in SWEEP_GRAPHS.values():
+        tail = ["--graph-file", str(model)]
+        runs += [(text, sub + tail + ["--q", q]) for sub in EXACT_RUNS for q in ("2", "3", "4")]
+        runs.append((text, ["ergodic", *tail]))
+    faults = []
+    for text, argv in runs:
+        model.write_text(text)
+        try:
+            rc = main(argv + ["--out", out])
+        except Exception as exc:  # any escape is a finding; collect them all
+            faults.append((text, argv[:3], repr(exc)))
+            continue
+        err = capsys.readouterr().err
+        if not (rc == 0 or (rc == 1 and argv[0] == "compare")
+                or (rc == 2 and err.startswith("error: "))):
+            faults.append((text, argv[:3], rc, err))
+    # 2 + 10 + 104 classes of H (88 of them asymmetric), 3 lengths, 6 runs;
+    # 5 graph files with 4 runs at 3 color counts and one ergodic run
+    assert len(runs) == (116 + 88) * 3 * 6 + 5 * 13
+    assert not faults, faults[:5]

@@ -19,7 +19,7 @@ from scanmix.congestion import (
     directed_cycle,
     ergodicity_report,
 )
-from scanmix.domain import Graph, TargetGraph, enumerate_h_colorings
+from scanmix.domain import BudgetExceededError, Graph, TargetGraph, enumerate_h_colorings
 from scanmix.dynamics import ChainSpec, proposal_accepted
 from reference import cycle, single_edge, star
 from test_kernels import entry
@@ -335,6 +335,23 @@ def test_move_keys_must_fit_int64():
     # one side-0 state, but the keys code * n * h + j * h + c need 2^60 * 120
     with pytest.raises(ValueError, match="int64"):
         canonical_congestion(60, EDGE)
+
+
+class Routed(Exception):
+    """Raised by the patched connector walk: routing has begun."""
+
+
+@pytest.mark.parametrize("n, admitted", [(10, True), (11, False)])
+def test_congestion_budget_refuses_before_routing(monkeypatch, n, admitted):
+    """The 3-colorings of the 10-path route 2.4e8 steps and are admitted;
+    those of the 11-path route 1.1e9 and are refused after enumerating,
+    before the first connector walk is built."""
+    def walk(*args, **kwargs):
+        raise Routed
+
+    monkeypatch.setattr(congestion, "connector_walk", walk)
+    with pytest.raises(Routed if admitted else BudgetExceededError):
+        canonical_congestion(n, TargetGraph.clique(3))
 
 
 # ---------------------------------------------------------------------------

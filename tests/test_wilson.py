@@ -125,10 +125,33 @@ def test_rho_glauber_closed_form():
     est = estimate_rho("glauber", 4)
     assert not est.empirical
     e = closed_form_eigen("glauber", 4)
-    assert est.rho == pytest.approx(2 * (e.w[1] - e.w[0]) ** 2)
-    # large n: the squared boundary increment approaches 8
+    dw = np.diff(np.concatenate(([0.0], e.w, [0.0])))
+    assert est.rho == pytest.approx(4 / (3 * 4) * float(dw @ dw))
+    for n in (4, 6, 8, 12, 48):
+        assert estimate_rho("glauber", n).rho == pytest.approx(8 / 3 * (1 - 2 / n), rel=1e-12)
+    # large n: (8/3)(1 - 2/n) approaches 8/3
     big = estimate_rho("glauber", 2000)
-    assert abs(big.rho - 8.0) < 0.01
+    assert abs(big.rho - 8 / 3) < 0.01
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_rho_glauber_is_the_max_conditional_variance(n):
+    """var(Phi_t | X_{t-1} = x) over every sign vector x, from the sign
+    move: one step moves vertex v with probability 1/(3n).  Its maximum is
+    the shipped rho, attained at the alternating vector."""
+    w = closed_form_eigen("glauber", n).w
+    X = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+    d = np.empty((n, len(X)))
+    for v in range(1, n + 1):
+        Y = X.copy()
+        sign_move(Y, v)
+        d[v - 1] = (Y - X) @ w
+    var = (d ** 2).sum(axis=0) / (3 * n) - (d.sum(axis=0) / (3 * n)) ** 2
+    rho = estimate_rho("glauber", n).rho
+    assert var.max() == pytest.approx(rho, rel=1e-12)
+    assert var.max() <= rho * (1 + 1e-12)
+    alternating = np.array([(-1.0) ** i for i in range(n - 1)])
+    assert var[np.flatnonzero((X == alternating).all(axis=1))[0]] == pytest.approx(rho, rel=1e-12)
 
 
 def test_wilson_report_consistency():
