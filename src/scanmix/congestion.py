@@ -18,8 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import BudgetExceededError, Coloring, Graph, TargetGraph, enumerate_h_colorings
-from .dynamics import ChainSpec, proposal_accepted
+from .domain import (
+    BudgetExceededError, Coloring, Graph, TargetGraph, accepted_colors, enumerate_h_colorings,
+)
+from .dynamics import ChainSpec
 from .kernels import _from_tables, _move_tables, _state_codes, _tally, communicating_classes
 
 
@@ -129,11 +131,11 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
     right, dropping no-op updates.  All (sigma, tau) pairs of a block of
     sigmas are routed at once: the spliced words are columns of one array,
     and each window step runs over the whole block.  Loads are tallied per
-    distinct single-site transition, and every distinct transition is
-    checked once against ``proposal_accepted``, since a step's validity
-    depends on nothing else.  Raises BudgetExceededError after enumerating
-    and before routing when the routed steps, N(N - 1) pairs of n
-    ceil((n + t - 1)/2) steps each, exceed ``CONGESTION_BUDGET``.
+    distinct single-site transition, and the distinct transitions are
+    checked by one ``accepted_colors`` call per vertex, since a step's
+    validity depends on nothing else.  Raises BudgetExceededError after
+    enumerating and before routing when the routed steps, N(N - 1) pairs of
+    n ceil((n + t - 1)/2) steps each, exceed ``CONGESTION_BUDGET``.
     """
     if not target.is_connected:
         raise ValueError("target graph must be connected")
@@ -199,11 +201,9 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
     else:
         moves = loads = paths = np.zeros(0, dtype=np.int64)
     before = (moves // (n * h))[:, None] // place % h
-    vertex, color = (moves % (n * h) // h).tolist(), (moves % h).tolist()
-    valid = all(
-        proposal_accepted(spec, tuple(a), v + 1, c)
-        for a, v, c in zip(before.tolist(), vertex, color)
-    )
+    allows = np.array(target.adjacency)
+    ok = np.array([accepted_colors(spec.graph, allows, before, v) for v in range(1, n + 1)])
+    valid = bool(ok[moves % (n * h) // h, np.arange(len(moves)), moves % h].all())
 
     max_load = int(loads.max(initial=0))
     max_paths = int(paths.max(initial=0))

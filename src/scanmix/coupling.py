@@ -56,6 +56,9 @@ COUPLING_KINDS = (
 # Largest q whose scan sweeps run by table lookup: the step table has
 # (q + 1)^4 q^3 entries (0.5M at q = 6), built through int64 temporaries.
 TABLE_MAX_Q = 6
+# Cells admitted in one step table, so q <= 10 (14.6M cells).  A fresh-process
+# build peaks near 36 MB + 24 B per cell: 117 MB at q = 8, 387 MB at q = 10.
+STEP_TABLE_BUDGET = 2 ** 24
 
 
 def transpose_color(c, a, b):
@@ -216,9 +219,13 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     pair, ``old`` = a * q + b the vertex's own pair and L = (q + 1)^2
     (``_table_index`` gives the flat position).  In a left-to-right sweep
     the left pair is already updated and the right one old.  Built on first
-    use and cached per (q, coupling), as uint8.
+    use and cached per (q, coupling), as uint8; a table of more than
+    ``STEP_TABLE_BUDGET`` cells is refused before anything is allocated.
     """
     _check_byte_codes(q)
+    cells = (q + 1) ** 4 * q ** 3
+    if cells > STEP_TABLE_BUDGET:
+        raise ValueError(f"{cells} step-table cells (q = {q}) exceed budget {STEP_TABLE_BUDGET}")
     q1, L = q + 1, (q + 1) ** 2
     pa, pb = np.divmod(np.arange(L), q1)
     oa, ob = np.divmod(np.arange(q * q), q)

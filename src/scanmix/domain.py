@@ -196,12 +196,16 @@ class TargetGraph:
 
     @staticmethod
     def from_text(text: str, directed: bool = False) -> "TargetGraph":
+        """H from rows of 0/1 entries, whitespace ignored; any other
+        character raises ValueError naming its line."""
         rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for k, line in enumerate(text.splitlines(), 1):
+            row = "".join(line.split())
+            if not row or row.startswith("#"):
                 continue
-            rows.append(tuple(ch == "1" for ch in line.replace(" ", "")))
+            if set(row) - {"0", "1"}:
+                raise ValueError(f"H line {k} holds more than 0, 1 and whitespace: {line!r}")
+            rows.append(tuple(ch == "1" for ch in row))
         return TargetGraph(tuple(rows), directed=directed)
 
 
@@ -228,13 +232,28 @@ def path_accepts(x, v, c):
     return (x[v - 1] != c) & (x[v + 1] != c)
 
 
+def accepted_colors(g: Graph, allows: np.ndarray, x, v: int) -> np.ndarray:
+    """Metropolis(v) acceptance: the (..., h) mask of the colors c vertex v
+    may take beside the neighbours that ``x`` colors, the vertex its last
+    axis.  One coloring, a batch, or a prefix of vertices 1..k (neighbours
+    beyond k are not read).  An earlier neighbour u < v must allow
+    (color[u], c) in the boolean matrix ``allows``, a later one (c, color[u]);
+    for a clique or an undirected H it is symmetric."""
+    x = np.asarray(x)
+    ok = np.ones(x.shape[:-1] + (len(allows),), dtype=bool)
+    for u in g.adjacency[v]:
+        if u <= x.shape[-1]:
+            ok &= (allows if u < v else allows.T)[x[..., u - 1]]
+    return ok
+
+
 def _build_states(g: Graph, allows: np.ndarray, budget: int, palette) -> list[Coloring]:
     """Colorings of g with allows[color(u), color(v)] on every edge (u, v),
     u < v, and each vertex v colored from the true entries of the boolean
     row palette[v - 1].
 
     Grows an (N, v) color array one vertex at a time: each partial coloring is
-    extended by every color its row and its earlier neighbours allow, in color
+    extended by every color its row and ``accepted_colors`` allow, in color
     order, so the rows stay in lexicographic order.  Raises
     BudgetExceededError as soon as one level keeps more than ``budget``
     partial colorings; the palette prunes every level, so a restricted space
@@ -251,12 +270,7 @@ def _build_states(g: Graph, allows: np.ndarray, budget: int, palette) -> list[Co
                 palette[v - 1] &= (allows & palette[u - 1]).any(axis=1)
     X = np.zeros((1, 0), dtype=np.min_scalar_type(h - 1))
     for v in range(1, g.n + 1):
-        ok = np.ones((len(X), h), dtype=bool)
-        ok &= palette[v - 1]
-        for u in g.adjacency[v]:
-            if u < v:
-                ok &= allows[X[:, u - 1]]
-        rows, colors = np.nonzero(ok)
+        rows, colors = np.nonzero(accepted_colors(g, allows, X, v) & palette[v - 1])
         if len(rows) > budget:
             raise BudgetExceededError(
                 f"{len(rows)} colorings of vertices 1..{v} exceed budget {budget}"
@@ -268,23 +282,18 @@ def _build_states(g: Graph, allows: np.ndarray, budget: int, palette) -> list[Co
 
 
 def enumerate_colorings(
-    g: Graph,
-    q: int,
-    proper_only: bool = True,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    g: Graph, q: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> list[Coloring]:
-    """All q-colorings of g in lexicographic order, optionally proper only.
+    """All proper q-colorings of g in lexicographic order.
 
-    Built by ``_build_states`` with the allows matrix ~eye(q) (all ones when
-    not proper_only) and every color at every vertex; raises
-    BudgetExceededError when the colorings of some prefix 1..v exceed the
-    budget.  On a path the largest level is the last, so proper colorings
-    are refused exactly when q(q-1)^(n-1) > budget.
+    Built by ``_build_states`` with the allows matrix ~eye(q) and every
+    color at every vertex; raises BudgetExceededError when the colorings of
+    some prefix 1..v exceed the budget.  On a path the largest level is the
+    last, so they are refused exactly when q(q-1)^(n-1) > budget.
     """
     if q < 2:
         raise ValueError("q >= 2 required")
-    allows = ~np.eye(q, dtype=bool) if proper_only else np.ones((q, q), dtype=bool)
-    return _build_states(g, allows, budget, np.ones((g.n, q), dtype=bool))
+    return _build_states(g, ~np.eye(q, dtype=bool), budget, np.ones((g.n, q), dtype=bool))
 
 
 def enumerate_h_colorings(

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .domain import Coloring, Graph, TargetGraph
+from .domain import Coloring, Graph, TargetGraph, accepted_colors
 
 DEFAULT_SEED = 1729
 
@@ -148,18 +148,9 @@ class ChainSpec:
 
 
 def proposal_accepted(spec: ChainSpec, sigma: Coloring, v: int, c: int) -> bool:
-    """Acceptance rule of Metropolis(v) for proposed color c.
-
-    One orientation rule for every model: an earlier neighbour u < v must
-    allow (color[u], c) and a later one must allow (c, color[u]) in
-    ``spec.model``.  For a clique or an undirected H the matrix is symmetric,
-    so this is "every neighbour's color is compatible with c".
-    """
-    allows = spec.model.adjacency
-    for u in spec.graph.adjacency[v]:
-        if not (allows[sigma[u - 1]][c] if u < v else allows[c][sigma[u - 1]]):
-            return False
-    return True
+    """Acceptance rule of Metropolis(v) for proposed color c: entry c of
+    ``accepted_colors`` under ``spec.model``."""
+    return bool(accepted_colors(spec.graph, np.array(spec.model.adjacency), sigma, v)[c])
 
 
 def metropolis_update(sigma: Coloring, v: int, c: int, spec: ChainSpec) -> Coloring:

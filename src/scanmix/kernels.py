@@ -18,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import Coloring, Graph, TargetGraph, _build_states, _component_palette
-# proposal_accepted is the scalar rule that the move tables vectorize
+from .domain import Coloring, Graph, TargetGraph, _build_states, _component_palette, accepted_colors
+# unused here: the benchmark harness reads scanmix.kernels.proposal_accepted
+# to check that its probes are removed after a traced pass
 from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
 
 DEFAULT_STATE_BUDGET = 20_000
@@ -192,17 +193,14 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray) -> Optional[np.ndarray]:
 def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
     """J_v for v = 1..n, each (N, q): ``J_v[i, c]`` is the state proposal c at
     vertex v leads to from state i (i itself when rejected or v is clamped),
-    found by ``searchsorted`` on the sorted state codes.  Acceptance reads
-    ``spec.model``'s adjacency at each neighbour's color, transposed for a
-    later neighbour u > v: the rule of ``proposal_accepted``."""
+    found by ``searchsorted`` on the sorted state codes.  Acceptance is
+    ``accepted_colors`` under ``spec.model``."""
     g, q = spec.graph, spec.n_colors
     X, place, codes = _state_codes(spec, states)
     allows = np.array(spec.model.adjacency)
     tables = []
     for v in range(1, g.n + 1):
-        ok = np.full((len(states), q), v not in spec.clamp)
-        for u in g.adjacency[v]:
-            ok &= (allows if u < v else allows.T)[X[:, u - 1]]
+        ok = accepted_colors(g, allows, X, v) & (v not in spec.clamp)
         step = (ok * (np.arange(q) - X[:, [v - 1]])).astype(codes.dtype, copy=False)
         pos = _lookup(codes, codes[:, None] + step * place[v - 1])
         if pos is None:
@@ -212,15 +210,14 @@ def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
 
 
 def _state_space(
-    spec: ChainSpec, budget: int, component: str, fiber_of: Optional[Coloring], proper_only: bool
+    spec: ChainSpec, budget: int, component: str, fiber_of: Optional[Coloring]
 ) -> list:
     """The chain's states in lexicographic order, from one ``_build_states``
-    call: the model's allows matrix (all ones for a clique when not
-    ``proper_only``) and a palette of every color for a clique or the
-    ``component`` class of H, each clamped vertex held at its ``fiber_of``
-    color when a fiber is asked for.  The enumerator refuses any vertex
-    prefix with more than ``budget`` colorings, so a clamped fiber is
-    budgeted by its own colorings."""
+    call: the model's allows matrix, the one its moves read, and a palette
+    of every color for a clique or the ``component`` class of H, each
+    clamped vertex held at its ``fiber_of`` color when a fiber is asked
+    for.  The enumerator refuses any vertex prefix with more than ``budget``
+    colorings, so a clamped fiber is budgeted by its own colorings."""
     g, h = spec.graph, spec.n_colors
     component = "all" if spec.target is None else component
     if component == "auto":
@@ -229,10 +226,7 @@ def _state_space(
     if fiber_of is not None:
         for v in spec.clamp:
             palette[v - 1] &= np.arange(h) == fiber_of[v - 1]
-    allows = np.array(spec.model.adjacency)
-    if spec.q is not None and not proper_only:
-        allows[:] = True
-    return _build_states(g, allows, budget, palette)
+    return _build_states(g, np.array(spec.model.adjacency), budget, palette)
 
 
 def build_kernel(
@@ -240,7 +234,6 @@ def build_kernel(
     budget: int = DEFAULT_STATE_BUDGET,
     component: str = "auto",
     fiber_of: Optional[Coloring] = None,
-    proper_only: bool = True,
 ) -> ChainKernel:
     """Exact transition matrix of the specified chain, from its n move
     tables: their average (lazy adds nq stay columns) or their ordered
@@ -250,7 +243,7 @@ def build_kernel(
     given coloring on the clamped vertices.  Every base refuses q^n >= 2^63,
     the scan kernel's denominator, so the int64 numerators always fit.
     """
-    states = _state_space(spec, budget, component, fiber_of, proper_only)
+    states = _state_space(spec, budget, component, fiber_of)
     _int64_denominator(spec.n_colors ** spec.graph.n)
     tables = _move_tables(spec, states)
     if spec.base == "lazy":
@@ -389,14 +382,16 @@ def _orbit_representatives(kernel: ChainKernel) -> Optional[np.ndarray]:
 def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = None) -> int:
     """min { t > 0 : max_x TV(P^t(x, .), uniform) <= eps }.
 
-    Doubling ladder then binary search; the worst-start distance is
-    nonincreasing in t, so the search is valid.  ``ladder``, when given,
-    receives (t, max_tv) for each rung P^t, t = 1, 2, 4, ..., as it is
-    computed: up to the first power of two at or above the mixing time.
-    The search forms only the rows of one start per color-rotation orbit
-    when the rotation is a symmetry of the chain (``_orbit_representatives``),
-    and all rows otherwise.  A ladder that passes ``MAX_MIX_T`` above eps
-    raises ValueError.
+    Doubling ladder then binary search, valid because the worst-start
+    distance is nonincreasing in t.  The float powers keep that only above
+    their rounding floor (about 3e-14), below which the rounded TV can grow
+    again; ROADMAP D14 will certify the decisions against that error.
+    ``ladder``, when given, receives (t, max_tv) for each rung P^t, t = 1,
+    2, 4, ..., as it is computed: up to the first power of two at or above
+    the mixing time.  The search forms only the rows of one start per
+    color-rotation orbit when the rotation is a symmetry of the chain
+    (``_orbit_representatives``), and all rows otherwise.  A ladder that
+    passes ``MAX_MIX_T`` above eps raises ValueError.
     """
     classes = communicating_classes(kernel)
     if len(classes) > 1:

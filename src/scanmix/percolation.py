@@ -20,13 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import (
-    _check_byte_codes,
-    _step_table,
-    _table_index,
-    coupled_update,
-    switch_scan_contained,
-)
+from .coupling import _step_table, _table_index, coupled_update, switch_scan_contained
 from .domain import PAD, Coloring, Graph, _build_states, enumerate_colorings
 from .dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from .kernels import build_kernel
@@ -376,7 +370,7 @@ def lb_experiment(
     anchor_mask[list(layout.anchors)] = True
     mids = np.array(layout.mids)
     if base == "scan":
-        _check_byte_codes(q)
+        _step_table(q, "switch_scan")  # refuses q whose codes or table do not fit, before sampling
         # position-major pair codes; both copies start at one sample x: x * (q + 2)
         P = np.full((n + 2, replicates), (q + 1) ** 2 - 1, dtype=np.uint8)
         P[1:-1] = sample_pi0(layout, tape, replicates).T

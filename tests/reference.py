@@ -1,10 +1,11 @@
 """Reference definitions that the tests compare the program against.
 
 No command runs these.  They are the plain forms of what the package
-computes another way: the exact drift oracle, one chain step at a time, the
-sign encoding and sign chain, the sign-chain expectation matrices, the
-anchored midpoint probability, the weighted path metric with a move path
-realizing it, and the variance-floor witnesses of the paper's case analysis.
+computes another way: the exact drift oracle, one chain step at a time, a
+chain's kernel over every coloring, the sign encoding and sign chain, the
+sign-chain expectation matrices, the anchored midpoint probability, the
+weighted path metric with a move path realizing it, and the variance-floor
+witnesses of the paper's case analysis.
 The test modules import them as ``from reference import ...``.
 """
 
@@ -41,6 +42,7 @@ from scanmix.dynamics import (
     sign_move,
     vertex_from_uniform,
 )
+from scanmix.kernels import ChainKernel, _from_tables, _move_tables
 from scanmix.percolation import transfer_count
 from scanmix.wilson import move_expectation_map
 
@@ -86,6 +88,18 @@ def scan_sweep(sigma, spec, tape, rep: int = 0, sweep: int = 0) -> Coloring:
     for v in scan_order(spec):
         sigma = metropolis_update(sigma, v, color_from_uniform(u[v - 1], spec.n_colors), spec)
     return sigma
+
+
+def all_colorings_kernel(spec) -> ChainKernel:
+    """The kernel of the spec's glauber or sweep chain over all n_colors^n
+    colorings, improper ones included, in lexicographic order: the moves
+    are the chain's own (``_move_tables``), so a coupled copy started
+    anywhere can be read against it."""
+    states = list(itertools.product(range(spec.n_colors), repeat=spec.graph.n))
+    tables = _move_tables(spec, states)
+    if spec.base == "glauber":
+        return _from_tables(states, tables, False, spec)
+    return _from_tables(states, [tables[v - 1] for v in scan_order(spec)], True, spec)
 
 
 # ---------------------------------------------------------------------------

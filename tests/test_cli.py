@@ -358,6 +358,27 @@ def test_drift_refuses_a_non_positive_n(tmp_path, capsys, n, q):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["drift", "--n", "1", "--q", "15"], ["percolate", "--q", "15"]])
+def test_step_table_over_budget_exits_2(tmp_path, capsys, argv):
+    """Both readers of the q = 15 step table (221M cells) are refused
+    before it is built, with no file written."""
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed budget" in err, err
+    assert not out.exists()
+
+
+def test_h_file_with_another_character_exits_2(tmp_path, capsys):
+    """An entry 2 used to read as 0, and spectrum answered on another H."""
+    hfile, out = tmp_path / "h.txt", tmp_path / "o"
+    hfile.write_text("0 1 1\n1 0 2\n1 2 0\n")
+    assert main(["spectrum", "--n", "3", "--h-file", str(hfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: H line 2 "), err
+    assert not out.exists()
+
+
 def test_mix_subcommand(tmp_path):
     out = tmp_path / "o"
     assert main(["mix", "--n", "4", "--q", "3", "--eps", "0.25", "--out", str(out)]) == 0

@@ -22,6 +22,7 @@ from scanmix.congestion import (
 from scanmix.domain import BudgetExceededError, Graph, TargetGraph, enumerate_h_colorings
 from scanmix.dynamics import ChainSpec, proposal_accepted
 from reference import cycle, single_edge, star
+from test_dynamics import reference_proposal_accepted
 from test_kernels import entry
 
 
@@ -56,11 +57,12 @@ def route(sigma, tau, walk, n):
 
 
 def is_valid_move_path(states, g, target):
-    """Consecutive states differ at exactly one vertex by an accepted move."""
+    """Consecutive states differ at exactly one vertex by a move the
+    three-branch reference rule accepts."""
     spec = ChainSpec(graph=g, target=target, base="glauber")
     for a, b in zip(states, states[1:]):
         diffs = [v for v in range(g.n) if a[v] != b[v]]
-        if len(diffs) != 1 or not proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]]):
+        if len(diffs) != 1 or not reference_proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]]):
             return False
     return True
 

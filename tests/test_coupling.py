@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 
 from scanmix.coupling import (
     COUPLING_KINDS,
+    STEP_TABLE_BUDGET,
     TABLE_MAX_Q,
     CouplingStats,
     PathMetricTables,
@@ -49,10 +51,10 @@ from scanmix.dynamics import (
     scan_order,
     vertex_from_uniform,
 )
-from scanmix.kernels import build_kernel
 from scanmix.percolation import _switch_scan_sweep
 from reference import (
     WITNESS_DIGEST,
+    all_colorings_kernel,
     cycle,
     d2,
     drop_choice,
@@ -220,7 +222,7 @@ def test_marginal_law_is_the_chain_law(kind):
     q, n = 4, 3
     g = Graph.path(n)
     spec = ChainSpec(graph=g, q=q, base="scan")
-    kernel = build_kernel(spec, proper_only=False)
+    kernel = all_colorings_kernel(spec)
     rng = np.random.default_rng(0)
     for _ in range(6):
         sigma = tuple(rng.integers(q, size=n).tolist())
@@ -354,6 +356,18 @@ def test_byte_codes_refuse_more_than_15_colors():
         _check_byte_codes(16)
     with pytest.raises(ValueError, match="byte"):
         _step_table(16, "q4_scan")
+
+
+def test_step_table_refuses_tables_over_its_cell_budget():
+    """The budget admits q <= 10; q = 15, whose 221M cells pass the byte
+    check, is refused before any allocation."""
+    assert 11 ** 4 * 10 ** 3 <= STEP_TABLE_BUDGET < 12 ** 4 * 11 ** 3
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="exceed budget"):
+        _step_table(15, "q4_scan")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_identity_coupling_diagonal_absorbs():
@@ -924,7 +938,7 @@ def test_single_site_swap_coupling_marginals():
     q, n = 4, 3
     g = Graph.path(n)
     spec = ChainSpec(graph=g, q=q)
-    kernel = build_kernel(spec, proper_only=False)
+    kernel = all_colorings_kernel(spec)
     sigma = (0, 1, 0)
     tau = (0, 2, 0)
     law1, law2 = Counter(), Counter()

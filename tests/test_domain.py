@@ -92,6 +92,18 @@ def test_target_graph_basics():
     assert TargetGraph.from_text("011\n1 0 1\n# comment\n110") == K3
 
 
+@pytest.mark.parametrize("text,line", [
+    ("0 1 1\n1 0 2\n1 2 0\n", 2), ("011\n1O1\n110\n", 2), ("# H\n0,1\n1,0\n", 2),
+    ("011\n101\n110 # K3\n", 3),
+])
+def test_h_text_refuses_characters_other_than_0_1_and_whitespace(text, line):
+    """A character other than 0, 1 or whitespace used to read as 0, giving
+    another H; it is refused, naming its line.  Tabs separate like spaces."""
+    with pytest.raises(ValueError, match=f"H line {line} "):
+        TargetGraph.from_text(text)
+    assert TargetGraph.from_text("0\t1\t1\n1 0\t1\n 1 1 0 \n") == TargetGraph.clique(3)
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -143,9 +155,7 @@ def test_enumerate_h_brute_force_cross_check():
 # The two recursive enumerators the vertex-by-vertex builder replaced, kept
 # as references (without their a-priori budgets).
 
-def reference_colorings(g, q, proper_only=True):
-    if not proper_only:
-        return [tuple(c) for c in itertools.product(range(q), repeat=g.n)]
+def reference_colorings(g, q):
     out = []
     partial = [0] * g.n
 
@@ -193,10 +203,7 @@ REFERENCE_GRAPHS = (
 def test_builder_matches_the_recursive_clique_enumerator():
     for g in REFERENCE_GRAPHS:
         for q in (2, 3, 4):
-            for proper_only in (True, False):
-                assert enumerate_colorings(g, q, proper_only=proper_only) == (
-                    reference_colorings(g, q, proper_only)
-                ), (g, q, proper_only)
+            assert enumerate_colorings(g, q) == reference_colorings(g, q), (g, q)
 
 
 def test_builder_matches_the_recursive_h_enumerator():

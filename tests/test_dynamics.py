@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from scanmix.congestion import bottleneck_target, directed_cycle
 from scanmix.domain import (
     PAD,
     Graph,
     TargetGraph,
+    accepted_colors,
     enumerate_colorings,
     pad,
     path_accepts,
@@ -156,6 +158,29 @@ def test_one_rule_matches_the_three_branch_rule_on_directed_h(g):
             assert _rules_agree(ChainSpec(graph=g, target=target)), text
             checked += 1
     assert checked == 432
+
+
+C4 = Graph(4, {(1, 2), (2, 3), (3, 4), (1, 4)})
+MASK_MODELS = [dict(q=3), dict(q=4), dict(target=cycle(5)), dict(target=directed_cycle(3)),
+               dict(target=bottleneck_target(1))]
+
+
+@pytest.mark.parametrize("model", MASK_MODELS, ids=["K3", "K4", "C5", "directed_C3", "bottleneck"])
+@pytest.mark.parametrize("g", [Graph.path(4), star(4), C4], ids=["path4", "star4", "C4"])
+def test_batch_mask_matches_the_scalar_reference(g, model):
+    """On the batch of every coloring, proper or not, ``accepted_colors`` is
+    the three-branch rule at every vertex and color; on the batch of every
+    prefix 1..v - 1 it is the earlier-neighbour filter the enumerator used."""
+    spec = ChainSpec(graph=g, **model)
+    h, allows = spec.n_colors, np.array(spec.model.adjacency)
+    X = np.array(list(itertools.product(range(h), repeat=g.n)))
+    for v in range(1, g.n + 1):
+        want = [[reference_proposal_accepted(spec, s, v, c) for c in range(h)] for s in X.tolist()]
+        assert accepted_colors(g, allows, X, v).tolist() == want, v
+        prefixes = np.unique(X[:, :v - 1], axis=0)
+        want = [[all(allows[p[u - 1], c] for u in g.adjacency[v] if u < v) for c in range(h)]
+                for p in prefixes.tolist()]
+        assert accepted_colors(g, allows, prefixes, v).tolist() == want, v
 
 
 def test_glauber_empirical_matches_kernel_row():

@@ -155,12 +155,12 @@ def test_clamped_sweep_preserves_fiber_uniform():
         assert K.row_sums_exact() and K.uniform_is_stationary()
 
 
-def filtered_fiber(spec, fiber_of, component="auto", proper_only=True):
+def filtered_fiber(spec, fiber_of, component="auto"):
     """The fiber as the kernels found it before they enumerated fibers
     directly: the whole state space, filtered to the clamped colors."""
     g = spec.graph
     if spec.q is not None:
-        states = enumerate_colorings(g, spec.q, proper_only=proper_only)
+        states = enumerate_colorings(g, spec.q)
     else:
         if component == "auto":
             component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
@@ -171,7 +171,6 @@ def filtered_fiber(spec, fiber_of, component="auto", proper_only=True):
 @pytest.mark.parametrize("kw,build", [
     (dict(graph=Graph.path(6), q=3, clamp={1, 5}), {}),
     (dict(graph=Graph.path(5), q=3, clamp={2, 3}), {}),
-    (dict(graph=Graph.path(4), q=3, clamp={2}), dict(proper_only=False)),
     (dict(graph=star(5), q=3, clamp={1, 4}), {}),
     (dict(graph=Graph.path(5), target=cycle(4), clamp={2}), {}),
     (dict(graph=Graph.path(4), target=cycle(6), clamp={1, 3}), dict(component="side1")),
@@ -188,7 +187,7 @@ def test_fibers_equal_the_filtered_state_space(kw, build):
         for v, c in zip(clamp, colors):
             fiber_of[v - 1] = c
         got = _state_space(spec, DEFAULT_STATE_BUDGET, build.get("component", "auto"),
-                           tuple(fiber_of), build.get("proper_only", True))
+                           tuple(fiber_of))
         assert got == filtered_fiber(spec, fiber_of, **build), colors
 
 
@@ -639,10 +638,10 @@ def test_kernel_composition_matches_two_steps():
 # The move-table builders against the state-by-state reference
 # ---------------------------------------------------------------------------
 
-def reference_kernel(spec, component="auto", fiber_of=None, proper_only=True):
+def reference_kernel(spec, component="auto", fiber_of=None):
     """(states, denom, rows) from the state-by-state builder: a dict per row,
     sweep rows propagated as sparse distributions scaled by q per vertex."""
-    states = _state_space(spec, DEFAULT_STATE_BUDGET, component, fiber_of, proper_only)
+    states = _state_space(spec, DEFAULT_STATE_BUDGET, component, fiber_of)
     index = {s: i for i, s in enumerate(states)}
     n, q = spec.graph.n, spec.n_colors
     rows = []
@@ -740,15 +739,13 @@ REFERENCE_CASES = [
     dict(graph=Graph.path(4), target=bottleneck_target(2), base="scan"),
     dict(graph=Graph.path(4), target=bottleneck_target(1), base="lazy"),
     dict(graph=star(4), target=bottleneck_target(1), base="scan"),
-    dict(graph=Graph.path(3), q=3, base="scan", proper_only=False),
-    dict(graph=Graph.path(3), q=3, base="lazy", proper_only=False),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
 def test_kernel_matches_the_state_by_state_reference(case):
     kw = dict(REFERENCE_CASES[case])
-    build = {k: kw.pop(k) for k in ("component", "fiber_of", "proper_only") if k in kw}
+    build = {k: kw.pop(k) for k in ("component", "fiber_of") if k in kw}
     spec = ChainSpec(**kw)
     assert_matches(build_kernel(spec, **build), reference_kernel(spec, **build))
 

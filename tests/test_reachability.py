@@ -170,17 +170,46 @@ def test_every_imported_name_is_used():
     assert unused == [], "imported and unused: " + ", ".join(unused)
 
 
+def _scopes():
+    """(key, nodes) of every definition and of each module's other statements."""
+    defs, _, statements = _package()
+    scopes = [(key, _own_nodes(node)) for key, node in defs.items()]
+    return scopes + [((m, "<module>"), [n for s in body for n in ast.walk(s)])
+                     for m, body in statements.items()]
+
+
 def test_only_coupled_update_makes_the_coupled_move():
     """Inside the package only ``coupled_update`` calls the path acceptance
     rule or the partner proposal, so every coupled vertex move, looped or
     tabled, is that one function's."""
-    defs, _, statements = _package()
-    scopes = [(key, _own_nodes(node)) for key, node in defs.items()]
-    scopes += [((m, "<module>"), [n for s in body for n in ast.walk(s)])
-               for m, body in statements.items()]
     callers = {
-        key for key, nodes in scopes for n in nodes
+        key for key, nodes in _scopes() for n in nodes
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
         and n.func.id in ("path_accepts", "partner_proposal")
     }
     assert callers == {("coupling", "coupled_update")}, sorted(callers)
+
+
+def _is_constraint_matrix(node) -> bool:
+    """``allows``, an ``adjacency`` attribute, the ``.T`` of one, a choice
+    between them, or a row of one."""
+    if isinstance(node, ast.Name):
+        return node.id == "allows"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "adjacency" or node.attr == "T" and _is_constraint_matrix(node.value)
+    if isinstance(node, ast.IfExp):
+        return _is_constraint_matrix(node.body) or _is_constraint_matrix(node.orelse)
+    return isinstance(node, ast.Subscript) and _is_constraint_matrix(node.value)
+
+
+def test_only_accepted_colors_reads_a_constraint_matrix_by_color():
+    """Inside the package only ``accepted_colors`` subscripts a constraint
+    matrix by a neighbour's color (an index that itself reads a coloring),
+    so the orientation rule of Metropolis(v) has one definition, which the
+    enumerator, the move tables and the congestion check share."""
+    readers = {
+        key for key, nodes in _scopes() for n in nodes
+        if isinstance(n, ast.Subscript) and _is_constraint_matrix(n.value)
+        and any(isinstance(m, ast.Subscript) for m in ast.walk(n.slice))
+    }
+    assert readers == {("domain", "accepted_colors")}, sorted(readers)
