@@ -201,7 +201,7 @@ def canonical_congestion(n: int, target: TargetGraph) -> CongestionReport:
     else:
         moves = loads = paths = np.zeros(0, dtype=np.int64)
     before = (moves // (n * h))[:, None] // place % h
-    allows = np.array(target.adjacency)
+    allows = target.allows_matrix
     ok = np.array([accepted_colors(spec.graph, allows, before, v) for v in range(1, n + 1)])
     valid = bool(ok[moves % (n * h) // h, np.arange(len(moves)), moves % h].all())
 

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -289,6 +289,13 @@ def _last_vertex_off(q: int, coupling: str) -> np.ndarray:
     return (a != b).sum(axis=2).astype(np.float64)
 
 
+# Sorted rows the Hamming DP advances at once.  A chunk's pair distributions
+# are one (runs, L) float64 table, and its gather, bincount and last-vertex
+# temporaries stay within a few of those: about 1 MB at q = 5 (L = 36),
+# where one pass over a 11,167-window batch took 12 MB.
+DP_CHUNK_ROWS = 2 ** 11
+
+
 def _ham_batch_drift(
     sig: np.ndarray, tau: np.ndarray, start: int, q: int, coupling: str = "q4_scan"
 ) -> tuple[np.ndarray, int]:
@@ -300,12 +307,8 @@ def _ham_batch_drift(
     counts are integers at scale q^(number of scanned vertices).  After
     vertex v the state depends only on the pair codes from the left
     neighbour of ``start`` through v + 1, so the rows are sorted by those
-    codes and each shared prefix is advanced once: one gather from
-    ``_step_table`` and one bincount per vertex over the prefix runs, each
-    run starting from its parent run's distribution.  The last vertex needs
-    only its off-diagonal mass, read per row from ``_last_vertex_off``.
-    Every count and partial sum is an integer at most ``scale`` < 2^53, so
-    float64 holds them exactly in any summation order.
+    codes and ``_sorted_drift`` advances each chunk of ``DP_CHUNK_ROWS``
+    sorted rows, sharing their prefixes.
     """
     if coupling not in ("q4_scan", "identity_scan", "switch_scan"):
         raise ValueError(f"no Hamming DP for coupling {coupling!r}")
@@ -320,10 +323,6 @@ def _ham_batch_drift(
     if not (m and C):
         return fixed * scale, scale
     q1, L = q + 1, (q + 1) ** 2
-    table = _step_table(q, coupling)
-    a, b = np.divmod(np.arange(L), q1)
-    off_diag = (a != b) & (a < q) & (b < q)
-
     # pair codes of the left neighbour of start (the sentinel if there is
     # none) and of the scanned vertices; the last one's right pair is the
     # sentinel, which _last_vertex_off assumes
@@ -332,8 +331,31 @@ def _ham_batch_drift(
     if start:
         P[:, 0] = sig[:, start - 1] * q1 + tau[:, start - 1]
     order = np.lexsort(P.T[::-1])
-    P = P[order]
-    # new[i, k]: sorted row i differs from row i - 1 in columns 0..k
+    out = np.empty(C, dtype=np.int64)
+    for lo in range(0, C, DP_CHUNK_ROWS):
+        rows = order[lo:lo + DP_CHUNK_ROWS]
+        out[rows] = _sorted_drift(P[rows], q, coupling)
+    return fixed * scale + out, scale
+
+
+def _sorted_drift(P: np.ndarray, q: int, coupling: str) -> np.ndarray:
+    """Scaled expected Hamming of the scanned vertices after the sweep, for
+    rows P of pair codes (left neighbour, then the scanned vertices) in
+    lexicographic order.
+
+    Each shared prefix is advanced once: one gather from ``_step_table``
+    and one bincount per vertex over the prefix runs, each run starting from
+    its parent run's distribution.  The last vertex needs only its
+    off-diagonal mass, read per row from ``_last_vertex_off``.  Every count
+    and partial sum is an integer at most q^m < 2^53, so float64 holds them
+    exactly in any summation order.
+    """
+    C, m = P.shape[0], P.shape[1] - 1
+    q1, L = q + 1, (q + 1) ** 2
+    table = _step_table(q, coupling)
+    a, b = np.divmod(np.arange(L), q1)
+    off_diag = (a != b) & (a < q) & (b < q)
+    # new[i, k]: row i differs from row i - 1 in columns 0..k
     new = np.ones((C, m + 1), dtype=bool)
     new[1:] = np.logical_or.accumulate(P[1:] != P[:-1], axis=1)
     own = P - P // q1  # a * q + b, the table's own-pair code
@@ -356,12 +378,10 @@ def _ham_batch_drift(
         ).reshape(-1, L)
         expected = expected[parent] + dist[:, off_diag].sum(axis=1).astype(np.int64) * q ** (m - k)
         run = np.cumsum(new[:, k + 1]) - 1
-    # per row, not one product over all q^2 own pairs: a BLAS product here
-    # raised the drift jobs' peak RSS by 6 MB
+    # per row, not one product over all q^2 own pairs: even on 2,048-row
+    # chunks a BLAS product here raised the drift jobs' peak RSS by 1-1.6 MB
     last = (dist[run] * _last_vertex_off(q, coupling)[own[:, m]]).sum(axis=1)
-    out = np.empty(C, dtype=np.int64)
-    out[order] = expected[run] + last.astype(np.int64)
-    return fixed * scale + out, scale
+    return expected[run] + last.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +420,22 @@ def _disagreement_classes(
     """Canonical pairs of length-``length`` tuples disagreeing exactly at
     ``positions``, as (sig, tau) arrays in representative order."""
     reps = _restricted_growth_array(length + len(positions), q)
+    reps = reps[(reps[:, length:] != reps[:, positions]).all(axis=1)]
     sig = reps[:, :length]
     tau = sig.copy()
     tau[:, positions] = reps[:, length:]
-    keep = (tau[:, positions] != sig[:, positions]).all(axis=1)
-    return sig[keep], tau[keep]
+    return sig, tau
 
 
-def _s_pair_classes(n: int, q: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def _s_pair_classes(n: int, q: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
     """Canonical single-disagreement pairs, grouped by disagreement position.
 
-    Returns one (sig, tau, i) batch per 0-based position i, with sig/tau of
-    shape (C, n); all single-disagreement pairs over all colorings arise from
-    these by color permutation.
+    Yields one (sig, tau, i) batch per 0-based position i, with sig/tau of
+    shape (C, n), each built when asked for; all single-disagreement pairs
+    over all colorings arise from these by color permutation.
     """
-    return [(*_disagreement_classes(n, q, [i]), i) for i in range(n)]
+    for i in range(n):
+        yield (*_disagreement_classes(n, q, [i]), i)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +455,9 @@ _CODE = {lemma: k for k, lemma in enumerate(LEMMA_IDS)}
 
 # A priori work admitted by the ledger families: canonical classes times
 # vertices (Hamming), cells of one all-pairs table (weighted metric).  Admits
-# n <= 9 for q = 4, 5 and n <= 10 for q = 3, each within about 0.6 GB.
+# n <= 9 for q = 4, 5 and n <= 10 for q = 3; the largest of these, `drift`
+# end to end in a fresh process, peak at 249 MB (n = 9, q = 5), 200 MB
+# (n = 9, q = 4) and 127 MB (n = 10, q = 3).
 LEDGER_BUDGET = 2 ** 22
 
 
@@ -460,8 +483,16 @@ class Ledger:
     passed: np.ndarray
 
     @classmethod
-    def from_blocks(cls, n: int, q: int, blocks) -> "Ledger":
-        cols = [np.concatenate(col) for col in zip(*blocks)]
+    def from_blocks(cls, n: int, q: int, blocks: list[list]) -> "Ledger":
+        """The ledger of ``blocks``, each the list of its rows' six columns
+        (lemma, pair_index, num, scale, bound_num, bound_den).  Columns are
+        joined one at a time and each block's part dropped once joined, so
+        the blocks and the ledger share all but one column."""
+        cols = []
+        for j in range(6):
+            cols.append(np.concatenate([block[j] for block in blocks]))
+            for block in blocks:
+                block[j] = None
         lemma, _, num, scale, bound_num, bound_den = cols
         lhs, rhs = num * bound_den, bound_num * scale
         passed = np.where(lemma == _CODE["site_break_even"], lhs == rhs, lhs <= rhs)
@@ -469,6 +500,12 @@ class Ledger:
 
     def __len__(self) -> int:
         return len(self.lemma)
+
+    def __getitem__(self, rows: slice) -> "Ledger":
+        """The ledger of the rows ``rows``, its columns views of these."""
+        cols = (self.lemma, self.pair_index, self.num, self.scale,
+                self.bound_num, self.bound_den, self.passed)
+        return Ledger(self.n, self.q, *(col[rows] for col in cols))
 
     def __iter__(self):
         cols = zip(self.lemma.tolist(), self.pair_index.tolist(), self.passed.tolist())
@@ -504,7 +541,7 @@ class LedgerRow:
         return Fraction(int(self.ledger.bound_num[self.row]), int(self.ledger.bound_den[self.row]))
 
 
-def _slot_block(mask, lemma, num, scale, bound_num, bound_den) -> tuple[np.ndarray, ...]:
+def _slot_block(mask, lemma, num, scale, bound_num, bound_den) -> list[np.ndarray]:
     """Ledger columns for the true cells of ``mask`` (pairs x slots), in
     pair-major order; the other arguments broadcast to its shape."""
     pair, slot = np.nonzero(mask)
@@ -512,10 +549,10 @@ def _slot_block(mask, lemma, num, scale, bound_num, bound_den) -> tuple[np.ndarr
         np.asarray(c, dtype=np.int64)[pair, slot]
         for c in np.broadcast_arrays(mask, lemma, num, scale, bound_num, bound_den)[1:]
     )
-    return (lemma, pair, *values)
+    return [lemma, pair, *values]
 
 
-def _single_site_block(sig: np.ndarray, tau: np.ndarray, i: int, q: int) -> tuple:
+def _single_site_block(sig: np.ndarray, tau: np.ndarray, i: int, q: int) -> list[np.ndarray]:
     """Ledger columns of the single-disagreement batch at 0-based i."""
     C, n = sig.shape
     starts = {i, max(0, i - 1)} | ({0} if q == 4 else set())
@@ -653,20 +690,27 @@ class PathMetricTables:
             out[i:i + rows], _ = weighted_height_distance(H[i:i + rows, None, :], H[None], w8)
         return out
 
-    def sweep_sums(self) -> list[np.ndarray]:
-        """F with F[start][s, t] the sum, over the 3^(n-start) proposal
-        vectors, of the metric (1/8 units) after the identity-coupled sweep
-        over 0-based vertices start..n-1 from (s, t); F[n] is the metric.
+    def sweep_sums(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (start, F) for start = n, n - 1, ..., 0, with F[s, t] the
+        sum, over the 3^(n-start) proposal vectors, of the metric (1/8
+        units) after the identity-coupled sweep over 0-based vertices
+        start..n-1 from (s, t); the table of start n is the metric.
 
         The sweep from ``start`` first tries the shared proposal d at
         ``start``, then sweeps from start+1, so
-        F[start][s, t] = sum_d F[start+1][M[s, start, d], M[t, start, d]].
+        F_start[s, t] = sum_d F_(start+1)[M[s, start, d], M[t, start, d]].
+        Each table is formed from the one before alone, so a caller that
+        consumes them as they come holds two (S, S) tables and a gather.
         """
         M = self.move_table
-        F = [self.d2_int.astype(np.int64)]
+        F = self.d2_int.astype(np.int64)
+        yield self.n, F
         for v in range(self.n - 1, -1, -1):
-            F.append(sum(F[-1][np.ix_(M[:, v, d], M[:, v, d])] for d in range(3)))
-        return F[::-1]
+            nxt = F[np.ix_(M[:, v, 0], M[:, v, 0])]
+            for d in (1, 2):
+                nxt += F[np.ix_(M[:, v, d], M[:, v, d])]
+            F = nxt
+            yield v, F
 
 
 def weighted_metric_contraction_rows(n: int) -> Ledger:
@@ -704,18 +748,32 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
     site_sum = sum(
         weighted_height_distance(H[M[si, u]], H[M[ti, u]], w8)[0].sum(axis=1) for u in range(n)
     )
-    # sweep_suffix pairs, ordered (s, i, t): agree right of i, differ at i
-    eq = X[:, None, :] == X[None, :, :]
-    agree_from = np.logical_and.accumulate(eq[..., ::-1], axis=-1)[..., ::-1]
-    suffix = agree_from[..., 1:] & ~eq[..., :-1]         # (s, t, i)
-    s2, i2, t2 = np.nonzero(suffix.transpose(0, 2, 1))
-
-    F = sweep.sweep_sums()
-    suffix_sum = np.empty(len(s2), dtype=np.int64)
+    # sweep_suffix rows, ordered (s, i, t): the pairs whose last
+    # disagreement is at i < n - 1, swept from i + 1.  last[s, t] is that
+    # vertex (-1 for s = t); the rows of (s, i) begin at first[s, i].
+    last = np.full((S, S), -1, dtype=np.int8)
+    for i in range(n):
+        last[X[:, i, None] != X[None, :, i]] = i
+    count = np.zeros((S, n - 1), dtype=np.int64)
     for i in range(n - 1):
-        sel = i2 == i
-        suffix_sum[sel] = F[i + 1][s2[sel], t2[sel]]
-    sweep_sum = F[0][si, ti]
+        count[:, i] = (last == i).sum(axis=1)
+    first = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+    rows = int(count.sum())
+    num, scale = np.empty(rows, dtype=np.int64), np.empty(rows, dtype=np.int64)
+    for start, F in sweep.sweep_sums():
+        if 0 < start < n:
+            # the drift num/den - before <= 1/2, den = 3^(n - start); a
+            # boolean index reads the pairs s-major, so each (s, i) run of
+            # rows lands at first[s, i] on
+            at, k = last == start - 1, count[:, start - 1]
+            pos = np.repeat(first[:, start - 1] - (np.cumsum(k) - k), k) + np.arange(k.sum())
+            den = 3 ** (n - start)
+            num[pos] = F[at] - den * sweep.d2_int[at].astype(np.int64)
+            scale[pos] = 8 * den
+    sweep_sum = F[si, ti]  # F is the table of start 0
+    suffix_rows = [np.full(rows, _CODE["sweep_suffix"]), np.arange(rows), num, scale,
+                   np.ones(rows, dtype=np.int64), np.full(rows, 2)]
+    del num, scale  # from_blocks frees each column once it is joined
 
     where = [v == 0, v == 1, v == n - 1]
     lemma = np.select(
@@ -731,13 +789,6 @@ def weighted_metric_contraction_rows(n: int) -> Ledger:
         np.array([3 * n * 8, 3 ** n * 8]),
         np.stack([before_site, bound_num], axis=1),
         np.stack([np.full(len(si), 8), bound_den], axis=1),
-    )
-    # sweep_suffix: the drift num/den - before <= 1/2, den = 3^(n-i-1)
-    den = 3 ** (n - 1 - i2)
-    before = sweep.d2_int[s2, t2].astype(np.int64)
-    suffix_rows = _slot_block(
-        np.ones((len(s2), 1), dtype=bool), _CODE["sweep_suffix"],
-        (suffix_sum - den * before)[:, None], (8 * den)[:, None], 1, 2,
     )
     return Ledger.from_blocks(n, 3, [pairs, suffix_rows])
 

@@ -134,6 +134,14 @@ class TargetGraph:
     def h(self) -> int:
         return len(self.adjacency)
 
+    @cached_property
+    def allows_matrix(self) -> np.ndarray:
+        """``adjacency`` as a read-only boolean array, built once: the allows
+        matrix that ``accepted_colors`` and ``_build_states`` read."""
+        out = np.array(self.adjacency, dtype=bool)
+        out.flags.writeable = False
+        return out
+
     def allows(self, c: int, d: int) -> bool:
         """True iff (c, d) is an edge/arc of H."""
         return self.adjacency[c][d]
@@ -313,7 +321,7 @@ def enumerate_h_colorings(
     budget.
     """
     palette = _component_palette(g, target, component)
-    return _build_states(g, np.array(target.adjacency), budget, palette)
+    return _build_states(g, target.allows_matrix, budget, palette)
 
 
 def _component_palette(g: Graph, target: TargetGraph, component: str) -> np.ndarray:

@@ -150,7 +150,7 @@ class ChainSpec:
 def proposal_accepted(spec: ChainSpec, sigma: Coloring, v: int, c: int) -> bool:
     """Acceptance rule of Metropolis(v) for proposed color c: entry c of
     ``accepted_colors`` under ``spec.model``."""
-    return bool(accepted_colors(spec.graph, np.array(spec.model.adjacency), sigma, v)[c])
+    return bool(accepted_colors(spec.graph, spec.model.allows_matrix, sigma, v)[c])
 
 
 def metropolis_update(sigma: Coloring, v: int, c: int, spec: ChainSpec) -> Coloring:

@@ -197,7 +197,7 @@ def _move_tables(spec: ChainSpec, states: list) -> list[np.ndarray]:
     ``accepted_colors`` under ``spec.model``."""
     g, q = spec.graph, spec.n_colors
     X, place, codes = _state_codes(spec, states)
-    allows = np.array(spec.model.adjacency)
+    allows = spec.model.allows_matrix
     tables = []
     for v in range(1, g.n + 1):
         ok = accepted_colors(g, allows, X, v) & (v not in spec.clamp)
@@ -226,7 +226,7 @@ def _state_space(
     if fiber_of is not None:
         for v in spec.clamp:
             palette[v - 1] &= np.arange(h) == fiber_of[v - 1]
-    return _build_states(g, np.array(spec.model.adjacency), budget, palette)
+    return _build_states(g, spec.model.allows_matrix, budget, palette)
 
 
 def build_kernel(
@@ -363,7 +363,7 @@ def _orbit_representatives(kernel: ChainKernel) -> Optional[np.ndarray]:
     spec = kernel.spec
     if spec is None:
         return None
-    allows = np.array(spec.model.adjacency)
+    allows = spec.model.allows_matrix
     if not np.array_equal(np.roll(allows, (1, 1), axis=(0, 1)), allows):
         return None
     X, place, codes = _state_codes(spec, kernel.states)
@@ -457,8 +457,13 @@ class SpectralReport:
 
 
 def poincare_constant(kernel: ChainKernel) -> SpectralReport:
-    P = kernel.dense()
-    S = (P + P.T) / 2.0
+    # S = (P + P^T) / 2 in one buffer, filled from the CSR arrays as dense()
+    # fills P, so the eigensolve's copy of S is the only other dense matrix
+    # alive: with P kept beside S the spectrum job's peak held one more
+    S = np.zeros((len(kernel), len(kernel)))
+    S[kernel._row_ids(), kernel.indices] = kernel.data / kernel.denom
+    S += S.T
+    S /= 2.0
     eig = np.linalg.eigvalsh(S)[::-1]
     if len(eig) < 2:
         return SpectralReport(eigenvalues=eig, poincare=math.inf, beta_min=float(eig[-1]))

@@ -240,7 +240,7 @@ def test_criterion_6_variance_floors():
                 F2 = D ** 2
                 for v in range(n - 1, -1, -1):
                     F2 = sum(F2[np.ix_(M[:, v, c], M[:, v, c])] for c in range(3))
-                F1, draws = tables.sweep_sums()[0], 3 ** n
+                F1, draws = dict(tables.sweep_sums())[0], 3 ** n
                 squares = F2[si, ti] - 2 * before * F1[si, ti] + draws * before ** 2
                 floor = Fraction(1, 27) * (w_min / 2) ** 2
             least = Fraction(int(squares.min()), 64 * draws)

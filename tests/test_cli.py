@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,12 +102,24 @@ DRIFT_BODY_SHA256 = {
 }
 
 
-def test_drift_csv_golden_digests(tmp_path):
+def assert_golden_digests(tmp_path):
     for (n, q), digest in DRIFT_BODY_SHA256.items():
         out = tmp_path / f"n{n}q{q}"
         assert main(["drift", "--n", str(n), "--q", str(q), "--out", str(out)]) == 0
         body = "".join(line + "\n" for line in body_lines(out / "drift.csv"))
         assert hashlib.sha256(body.encode()).hexdigest() == digest, (n, q)
+
+
+def test_drift_csv_golden_digests(tmp_path):
+    assert_golden_digests(tmp_path)
+
+
+def test_drift_csv_golden_digests_hold_at_7_row_chunks(monkeypatch, tmp_path):
+    """Chunks of 7 rows, in the DP and in the render, cut every ledger and
+    batch of the digested jobs many times and change no byte."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr("scanmix.coupling.DP_CHUNK_ROWS", 7)
+    assert_golden_digests(tmp_path)
 
 
 def test_drift_csv_matches_the_row_formatter():
@@ -116,7 +129,7 @@ def test_drift_csv_matches_the_row_formatter():
                 ledger = weighted_metric_contraction_rows(n)
             else:
                 ledger = hamming_contraction_rows(n, q)
-            assert _drift_csv(ledger) == drift_csv_body(ledger).encode(), (n, q)
+            assert b"".join(_drift_csv(ledger)) == drift_csv_body(ledger).encode(), (n, q)
 
 
 def _synthetic_ledger(num, scale, bound_num, bound_den, passed, pair_index=None) -> Ledger:
@@ -147,7 +160,40 @@ def test_drift_csv_matches_the_row_formatter_on_synthetic_ledgers(case):
     """Columns that no shipped ledger has: a failing row, zeros and
     negatives in both numerators, values past 2**32, no rows at all."""
     ledger = SYNTHETIC_LEDGERS[case]
-    assert _drift_csv(ledger) == drift_csv_body(ledger).encode()
+    assert b"".join(_drift_csv(ledger)) == drift_csv_body(ledger).encode()
+
+
+def test_drift_csv_chunks_match_the_row_formatter_at_7_rows(monkeypatch):
+    """With 7-row chunks the render yields the column names, then one piece
+    per chunk, and joins to the row formatter's body: every ledger at
+    n = 2..6 and q = 3..6, and every synthetic ledger."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+    ledgers = list(SYNTHETIC_LEDGERS.values()) + [
+        weighted_metric_contraction_rows(n) if q == 3 else hamming_contraction_rows(n, q)
+        for q in range(3, 7) for n in range(2, 7)
+    ]
+    for ledger in ledgers:
+        pieces = list(_drift_csv(ledger))
+        assert len(pieces) == 1 + -(-len(ledger) // 7)
+        assert b"".join(pieces) == drift_csv_body(ledger).encode(), (ledger.n, ledger.q)
+
+
+@pytest.mark.parametrize("n, q", [(7, 4), (7, 5), (8, 3)])
+def test_drift_holds_chunks_not_copies_of_the_ledger(tmp_path, n, q):
+    """The benchmark's drift jobs, warm: the DP advances bounded row chunks,
+    the weighted ledger takes its sweep sums one table at a time, the
+    columns are joined one at a time and the CSV is streamed in chunks, so
+    the traced peak stays below 10 MB.  Whole-batch DP passes, all n + 1
+    sweep tables and a byte matrix of the whole CSV took 15-24 MB."""
+    argv = ["drift", "--n", str(n), "--q", str(q), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 # sha256 of output bodies (header lines dropped) per job and file.  The CSV

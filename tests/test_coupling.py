@@ -208,6 +208,36 @@ def test_prefix_tree_dp_matches_the_row_by_row_reference(monkeypatch):
             assert np.array_equal(num, ref), (sig.shape, start, q, kind)
 
 
+def test_dp_matches_the_references_across_7_row_chunks(monkeypatch):
+    """With 7-row chunks the DP equals the row-by-row reference on every
+    batch the Hamming ledger sends it at n = 2..6, q = 3..6, and the scalar
+    enumeration reference on spread rows of each batch that spans chunks
+    and needs at most 4^4 sweeps per row."""
+    import scanmix.coupling as coupling_mod
+
+    batches = []
+
+    def record(sig, tau, start, q, coupling="q4_scan"):
+        batches.append((sig, tau, start, q))
+        return _ham_batch_drift(sig, tau, start, q, coupling)
+
+    monkeypatch.setattr(coupling_mod, "_ham_batch_drift", record)
+    for q in range(3, 7):
+        for n in range(2, 7):
+            hamming_contraction_rows(n, q)
+    monkeypatch.setattr(coupling_mod, "DP_CHUNK_ROWS", 7)
+    for sig, tau, start, q in batches:
+        num, scale = _ham_batch_drift(sig, tau, start, q)
+        ref, ref_scale = _reference_ham_batch_drift(sig, tau, start, q)
+        assert scale == ref_scale and np.array_equal(num, ref), (sig.shape, start, q)
+        C, n = sig.shape
+        if C > 7 and scale <= 4 ** 4:
+            for i in np.linspace(0, C - 1, 5).astype(int):
+                want = _reference_drift(tuple(sig[i].tolist()), tuple(tau[i].tolist()),
+                                        "q4_scan", "hamming", q, start + 1, None)
+                assert Fraction(int(num[i]), scale) == want, (sig.shape, start, q, i)
+
+
 def test_dp_refuses_other_couplings_and_inexact_scales():
     sig = np.zeros((1, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="no Hamming DP"):
@@ -246,7 +276,7 @@ def test_scan_d2_drift_equals_the_sweep_sums(n):
     every ordered pair and every start vertex."""
     w = VertexWeights.scan_q3(n)
     tables = PathMetricTables(n, w)
-    F = tables.sweep_sums()
+    F = dict(tables.sweep_sums())
     for start in range(1, n + 1):
         for i, sigma in enumerate(tables.states):
             for j, tau in enumerate(tables.states):
@@ -516,7 +546,7 @@ def test_ledger_agrees_with_reference_oracle():
     n, q = 4, 4
     all_rows = hamming_contraction_rows(n, q)
     rows = [r for r in all_rows if r.lemma_id == "full_last"]
-    sig, tau, i = _s_pair_classes(n, q)[n - 1]
+    sig, tau, i = list(_s_pair_classes(n, q))[n - 1]
     assert len(rows) == sig.shape[0]
     for idx in (0, len(rows) // 2, len(rows) - 1):
         r = exact_drift(tuple(sig[idx]), tuple(tau[idx]), "q4_scan", "hamming", q=q)
@@ -566,8 +596,8 @@ def test_sweep_sums_match_simulated_sweeps(n):
     simulated sweeps, for every start vertex."""
     tables = PathMetricTables(n, VertexWeights.scan_q3(n))
     D = tables.d2_int.astype(np.int64)
-    sums = tables.sweep_sums()
-    assert len(sums) == n + 1 and (sums[n] == D).all()
+    sums = dict(tables.sweep_sums())
+    assert list(sums) == list(range(n, -1, -1)) and (sums[n] == D).all()
     for start in range(n):
         R = _simulated_sweep_table(tables, start)
         for si in range(len(R)):
@@ -647,7 +677,7 @@ def supermartingale_rows(n, chain):
     if chain == "glauber":
         after, den = site_sums(tables, si, ti), 3 * n
     else:
-        after, den = tables.sweep_sums()[0][si, ti], 3 ** n
+        after, den = dict(tables.sweep_sums())[0][si, ti], 3 ** n
     drift = after - den * tables.d2_int[si, ti].astype(np.int64)
     return Fraction(int(drift.max()), 8 * den), len(si)
 

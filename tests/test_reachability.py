@@ -191,12 +191,13 @@ def test_only_coupled_update_makes_the_coupled_move():
 
 
 def _is_constraint_matrix(node) -> bool:
-    """``allows``, an ``adjacency`` attribute, the ``.T`` of one, a choice
-    between them, or a row of one."""
+    """``allows``, an ``adjacency`` or ``allows_matrix`` attribute, the
+    ``.T`` of one, a choice between them, or a row of one."""
     if isinstance(node, ast.Name):
         return node.id == "allows"
     if isinstance(node, ast.Attribute):
-        return node.attr == "adjacency" or node.attr == "T" and _is_constraint_matrix(node.value)
+        return (node.attr in ("adjacency", "allows_matrix")
+                or node.attr == "T" and _is_constraint_matrix(node.value))
     if isinstance(node, ast.IfExp):
         return _is_constraint_matrix(node.body) or _is_constraint_matrix(node.orelse)
     return isinstance(node, ast.Subscript) and _is_constraint_matrix(node.value)
