@@ -549,7 +549,8 @@ def _read_config(parser: argparse.ArgumentParser, path: str) -> dict:
             if action.nargs == "*":
                 value = [action.type(x) for x in raw.split()]
             elif isinstance(action, argparse._StoreTrueAction):
-                value = raw.lower() in ("1", "true", "yes")
+                # an on/off value is one of three false spellings or three true ones
+                value = ("0", "false", "no", "1", "true", "yes").index(raw.lower()) >= 3
             else:
                 value = raw if action.type is None else action.type(raw)
             if action.choices is not None and value not in action.choices:

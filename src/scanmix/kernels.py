@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -38,35 +37,13 @@ class NonErgodicError(RuntimeError):
         self.classes = classes
 
 
-class _Row(Mapping):
-    """One CSR row as a read-only mapping: column index -> numerator."""
-
-    def __init__(self, cols: np.ndarray, vals: np.ndarray):
-        self._cols, self._vals = cols, vals
-
-    def __getitem__(self, j):
-        k = int(np.searchsorted(self._cols, j))
-        if k == len(self._cols) or self._cols[k] != j:
-            raise KeyError(j)
-        return self._vals[k].item()
-
-    def __iter__(self):
-        return iter(self._cols.tolist())
-
-    def __len__(self) -> int:
-        return len(self._cols)
-
-    def items(self):
-        return list(zip(self._cols.tolist(), self._vals.tolist()))
-
-
 @dataclass
 class ChainKernel:
     """Row-stochastic matrix over an enumerated, lexicographically ordered space.
 
     CSR store: row i holds ``data[indptr[i]:indptr[i + 1]]`` at the sorted
     columns ``indices[...]``, int64 numerators over ``denom``.  ``rows[i]``
-    views row i as a mapping; ``spec`` records which chain this is.
+    is row i as a dict {column: numerator}; ``spec`` records the chain.
     """
 
     states: list
@@ -77,16 +54,13 @@ class ChainKernel:
     spec: Optional[ChainSpec] = None
     _dense: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        self.index = {s: i for i, s in enumerate(self.states)}
-
     def __len__(self) -> int:
         return len(self.states)
 
     @cached_property
-    def rows(self) -> list[_Row]:
-        ptr = self.indptr.tolist()
-        return [_Row(self.indices[a:b], self.data[a:b]) for a, b in zip(ptr, ptr[1:])]
+    def rows(self) -> list[dict[int, int]]:
+        ptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(ptr, ptr[1:])]
 
     def _row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.states)), np.diff(self.indptr))

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coupling import _step_table, _table_index, coupled_update, switch_scan_contained
-from .domain import PAD, Coloring, Graph, _build_states, enumerate_colorings
-from .dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
-from .kernels import build_kernel
+from .domain import PAD
+from .dynamics import CH_INIT, CH_SCAN, RandomTape
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +120,6 @@ def segment_layout(
     return SegmentLayout(n=n, q=q, r=r, ell=ell, overridden=False)
 
 
-def z_statistic(coloring, layout: SegmentLayout) -> int:
-    """Number of midpoints colored 0."""
-    return int(sum(coloring[mid - 1] == 0 for mid in layout.mids))
-
-
 # ---------------------------------------------------------------------------
 # Sampling the anchored distribution
 # ---------------------------------------------------------------------------
@@ -210,57 +203,6 @@ def sample_pi0(
         for col in range(tail, n):
             out[:, col] = _draw_next(out[:, col - 1], U[:, col - tail], cum)
     return out
-
-
-def enumerate_anchor_fiber(layout: SegmentLayout, budget: int = 200_000) -> list[Coloring]:
-    """All proper colorings with anchors colored 0, budgeted by their own
-    count (small layouts only)."""
-    palette = np.ones((layout.n, layout.q), dtype=bool)
-    palette[np.array(layout.anchors) - 1, 1:] = False
-    return _build_states(Graph.path(layout.n), ~np.eye(layout.q, dtype=bool), budget, palette)
-
-
-def stationary_z_tail_exact(layout: SegmentLayout, budget: int = 200_000) -> Fraction:
-    """Pr_uniform(Z >= threshold), by enumeration (small layouts only)."""
-    g = Graph.path(layout.n)
-    states = enumerate_colorings(g, layout.q, budget=budget)
-    thr = layout.threshold
-    hits = sum(1 for s in states if z_statistic(s, layout) >= thr)
-    return Fraction(hits, len(states))
-
-
-def anchored_z_tail_exact(layout: SegmentLayout, budget: int = 200_000) -> Fraction:
-    """Pr_pi0(Z >= threshold), by fiber enumeration (small layouts only)."""
-    fiber = enumerate_anchor_fiber(layout, budget=budget)
-    thr = layout.threshold
-    hits = sum(1 for s in fiber if z_statistic(s, layout) >= thr)
-    return Fraction(hits, len(fiber))
-
-
-def exact_free_tail(
-    layout: SegmentLayout, t: int, budget: int = 20_000
-) -> Fraction:
-    """Exact Pr(Z >= threshold) after t sweeps from the anchored distribution.
-
-    Small layouts only: evolves the anchored fiber's uniform distribution
-    through the exact sweep kernel.
-    """
-    g = Graph.path(layout.n)
-    spec = ChainSpec(graph=g, q=layout.q, base="scan")
-    kernel = build_kernel(spec, budget=budget)
-    fiber = set(enumerate_anchor_fiber(layout))
-    dist = {kernel.index[s]: Fraction(1, len(fiber)) for s in fiber}
-    for _ in range(t):
-        nxt: dict[int, Fraction] = {}
-        for i, p in dist.items():
-            for j, num in kernel.rows[i].items():
-                nxt[j] = nxt.get(j, Fraction(0)) + p * Fraction(num, kernel.denom)
-        dist = nxt
-    thr = layout.threshold
-    return sum(
-        (p for i, p in dist.items() if z_statistic(kernel.states[i], layout) >= thr),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------

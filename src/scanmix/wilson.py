@@ -187,6 +187,8 @@ def estimate_rho(
         rho = 4 / (3 * n) * float(incs @ incs)
         return RhoEstimate(rho=rho, max_increment=float(incs.max()), empirical=False)
 
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
     if tape is None:
         tape = RandomTape()
     rows = _sweep_statistic_rows(eigen)

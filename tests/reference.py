@@ -4,7 +4,8 @@ No command runs these.  They are the plain forms of what the package
 computes another way: the exact drift oracle, one chain step at a time, a
 chain's kernel over every coloring, the sign encoding and sign chain, the
 sign-chain expectation matrices, the anchored midpoint probability, the
-weighted path metric with a move path realizing it, and the variance-floor
+exact tails of the threshold statistic Z on small layouts, the weighted
+path metric with a move path realizing it, and the variance-floor
 witnesses of the paper's case analysis.
 The test modules import them as ``from reference import ...``.
 """
@@ -27,6 +28,8 @@ from scanmix.domain import (
     Graph,
     TargetGraph,
     VertexWeights,
+    _build_states,
+    enumerate_colorings,
     heights,
     pad,
     path_accepts,
@@ -36,14 +39,15 @@ from scanmix.dynamics import (
     CH_GLAUBER,
     CH_SCAN,
     CH_SIGN,
+    ChainSpec,
     color_from_uniform,
     metropolis_update,
     scan_order,
     sign_move,
     vertex_from_uniform,
 )
-from scanmix.kernels import ChainKernel, _from_tables, _move_tables
-from scanmix.percolation import transfer_count
+from scanmix.kernels import ChainKernel, _from_tables, _move_tables, build_kernel
+from scanmix.percolation import SegmentLayout, transfer_count
 from scanmix.wilson import move_expectation_map
 
 
@@ -163,6 +167,67 @@ def mid_color_prob(q: int, ell: int, r: int) -> Fraction:
     if p < floor:
         raise ValueError(f"anchored midpoint probability {p} fell below its floor {floor}")
     return p
+
+
+# ---------------------------------------------------------------------------
+# Tails of the threshold statistic Z, by enumeration (small layouts only)
+# ---------------------------------------------------------------------------
+
+def z_statistic(coloring, layout: SegmentLayout) -> int:
+    """Number of midpoints colored 0."""
+    return int(sum(coloring[mid - 1] == 0 for mid in layout.mids))
+
+
+def enumerate_anchor_fiber(layout: SegmentLayout, budget: int = 200_000) -> list[Coloring]:
+    """All proper colorings with anchors colored 0, budgeted by their own
+    count (small layouts only)."""
+    palette = np.ones((layout.n, layout.q), dtype=bool)
+    palette[np.array(layout.anchors) - 1, 1:] = False
+    return _build_states(Graph.path(layout.n), ~np.eye(layout.q, dtype=bool), budget, palette)
+
+
+def stationary_z_tail_exact(layout: SegmentLayout, budget: int = 200_000) -> Fraction:
+    """Pr_uniform(Z >= threshold), by enumeration (small layouts only)."""
+    g = Graph.path(layout.n)
+    states = enumerate_colorings(g, layout.q, budget=budget)
+    thr = layout.threshold
+    hits = sum(1 for s in states if z_statistic(s, layout) >= thr)
+    return Fraction(hits, len(states))
+
+
+def anchored_z_tail_exact(layout: SegmentLayout, budget: int = 200_000) -> Fraction:
+    """Pr_pi0(Z >= threshold), by fiber enumeration (small layouts only)."""
+    fiber = enumerate_anchor_fiber(layout, budget=budget)
+    thr = layout.threshold
+    hits = sum(1 for s in fiber if z_statistic(s, layout) >= thr)
+    return Fraction(hits, len(fiber))
+
+
+def exact_free_tail(
+    layout: SegmentLayout, t: int, budget: int = 20_000
+) -> Fraction:
+    """Exact Pr(Z >= threshold) after t sweeps from the anchored distribution.
+
+    Small layouts only: evolves the anchored fiber's uniform distribution
+    through the exact sweep kernel.
+    """
+    g = Graph.path(layout.n)
+    spec = ChainSpec(graph=g, q=layout.q, base="scan")
+    kernel = build_kernel(spec, budget=budget)
+    index = {s: i for i, s in enumerate(kernel.states)}
+    fiber = set(enumerate_anchor_fiber(layout))
+    dist = {index[s]: Fraction(1, len(fiber)) for s in fiber}
+    for _ in range(t):
+        nxt: dict[int, Fraction] = {}
+        for i, p in dist.items():
+            for j, num in kernel.rows[i].items():
+                nxt[j] = nxt.get(j, Fraction(0)) + p * Fraction(num, kernel.denom)
+        dist = nxt
+    thr = layout.threshold
+    return sum(
+        (p for i, p in dist.items() if z_statistic(kernel.states[i], layout) >= thr),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------

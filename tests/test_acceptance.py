@@ -31,15 +31,17 @@ from scanmix.kernels import (
     tv_mixing_time,
     verify_comparison,
 )
-from scanmix.percolation import (
-    anchored_z_tail_exact,
-    lb_experiment,
-    segment_layout,
-    stationary_z_tail_exact,
-    transfer_count,
-)
+from scanmix.percolation import lb_experiment, segment_layout, transfer_count
 from scanmix.wilson import closed_form_eigen, estimate_rho
-from reference import cycle, expectation_matrix, mid_color_prob, single_edge, star
+from reference import (
+    anchored_z_tail_exact,
+    cycle,
+    expectation_matrix,
+    mid_color_prob,
+    single_edge,
+    star,
+    stationary_z_tail_exact,
+)
 
 
 def report(line: str) -> None:

@@ -341,10 +341,13 @@ def test_percolate_refuses_lazy_and_reverse(tmp_path, capsys):
 
 
 def test_zero_replicates_exit_2(tmp_path, capsys):
-    for sub in ("couple", "percolate"):
-        out = tmp_path / sub
-        assert main([sub, "--replicates", "0", "--out", str(out)]) == 2
-        assert "replicates" in capsys.readouterr().err
+    """Zero replicates is refused, the scan rho's trials included, which are
+    not run as a floor of 8 sweeps per probe state."""
+    for argv, named in ((["couple"], "replicates"), (["percolate"], "replicates"),
+                        (["wilson", "--chain", "scan"], "trials")):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--replicates", "0", "--out", str(out)]) == 2
+        assert f"{named} >= 1 required" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -527,10 +530,12 @@ def test_invalid_config_field_fails(tmp_path, capsys):
     ("n = abc\n", "'abc'"),
     ("clamp = 1 x\n", "'1 x'"),
     (None, "cannot read"),
-], ids=["wrong type", "malformed list", "missing file"])
+    ("directed = flase\n", "config: invalid value 'flase' for field 'directed'"),
+], ids=["wrong type", "malformed list", "missing file", "misspelt boolean"])
 def test_config_faults_exit_2(tmp_path, capsys, text, named):
-    """A config value of the wrong type, a malformed list and a missing
-    config file each exit 2 with a config: message, not a traceback."""
+    """A config value of the wrong type, a malformed list, a missing config
+    file and an on/off value other than 1/0, true/false or yes/no each exit
+    2 with a config: message, not a traceback or a silent False."""
     cfg = tmp_path / "run.cfg"
     if text is not None:
         cfg.write_text(text)

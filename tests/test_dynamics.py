@@ -193,9 +193,9 @@ def test_glauber_empirical_matches_kernel_row():
     counts = Counter()
     for t in range(draws):
         counts[glauber_step(sigma, spec, tape, rep=0, step=t)] += 1
-    i = kernel.index[sigma]
+    i = kernel.states.index(sigma)
     for tau, cnt in counts.items():
-        p = float(entry(kernel, i, kernel.index[tau]))
+        p = float(entry(kernel, i, kernel.states.index(tau)))
         se = (p * (1 - p) / draws) ** 0.5
         assert abs(cnt / draws - p) <= 3 * se + 1e-9
 
@@ -224,9 +224,9 @@ def test_scan_one_sweep_brute_force():
             out = metropolis_update(sigma, 1, c1, spec)
             out = metropolis_update(out, 2, c2, spec)
             dist[out] += 1
-    i = kernel.index[sigma]
+    i = kernel.states.index(sigma)
     for tau, cnt in dist.items():
-        assert entry(kernel, i, kernel.index[tau]) == Fraction(cnt, 9)
+        assert entry(kernel, i, kernel.states.index(tau)) == Fraction(cnt, 9)
 
 
 def test_lazy_glauber_halves_movement():

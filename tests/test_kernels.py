@@ -715,8 +715,13 @@ def assert_matches(K, reference):
     states, denom, rows = reference
     assert K.states == states
     assert K.denom == denom
-    assert [dict(row.items()) for row in K.rows] == rows
+    assert K.rows == rows
     assert all(np.all(np.diff(row_cols) > 0) for row_cols in np.split(K.indices, K.indptr[1:-1]))
+    # rows[i] is CSR row i with Python ints, and the rows hold every stored entry
+    for row, a, b in zip(K.rows, K.indptr[:-1], K.indptr[1:]):
+        assert row == dict(zip(K.indices[a:b].tolist(), K.data[a:b].tolist()))
+        assert all(type(x) is int for x in (*row, *row.values()))
+    assert sum(map(len, K.rows)) == len(K.indices)
 
 
 ANCHOR6 = (0, 1, 2, 0, 1, 0)

@@ -18,17 +18,19 @@ from scanmix.percolation import (
     _conditional_matrices,
     _padded,
     _switch_scan_sweep,
-    anchored_z_tail_exact,
-    enumerate_anchor_fiber,
-    exact_free_tail,
     lb_experiment,
     sample_pi0,
     segment_layout,
-    stationary_z_tail_exact,
     transfer_count,
+)
+from reference import (
+    anchored_z_tail_exact,
+    enumerate_anchor_fiber,
+    exact_free_tail,
+    mid_color_prob,
+    stationary_z_tail_exact,
     z_statistic,
 )
-from reference import mid_color_prob
 
 DESK = segment_layout(10_000, 4, override=(2, 10))
 

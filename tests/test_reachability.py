@@ -9,6 +9,8 @@ every name it mentions, resolved through the package's own
 is and some reached code or the harness names it as an attribute (``x.m``);
 special methods (``__len__``) count with their class.  Code that only tests
 call belongs in the tests: the module that uses it, or ``reference.py``.
+Every definition that the program does not reach fails the check, with no
+exceptions.
 """
 
 import ast
@@ -19,19 +21,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "scanmix"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-# Definitions reached only from tests that stay in the package, with why.
-# D10 in ROADMAP.md computes the exact law of the threshold statistic.
-ALLOWED = {
-    ("percolation", name): "D10 replaces them"
-    for name in (
-        "stationary_z_tail_exact",
-        "anchored_z_tail_exact",
-        "exact_free_tail",
-        "enumerate_anchor_fiber",
-        "z_statistic",
-    )
-}
 
 
 def _package():
@@ -123,13 +112,8 @@ def reachable():
 
 def test_every_definition_is_reachable_from_the_program():
     defs, seen, _ = reachable()
-    unreached = sorted(set(defs) - seen - set(ALLOWED))
+    unreached = sorted(set(defs) - seen)
     assert unreached == [], "reached only from tests: " + ", ".join(".".join(k) for k in unreached)
-
-
-def test_the_allowlist_names_only_unreached_definitions():
-    defs, seen, _ = reachable()
-    assert set(ALLOWED) <= set(defs) - seen
 
 
 def test_every_export_is_reached():
