@@ -582,6 +582,8 @@ def _refusal(given: dict) -> Optional[str]:
         return "--r and --ell must be given together"
     if not given.get("eps", 1) > 0:
         return f"--eps must be positive, not {given['eps']}"
+    if given.get("eps", 1) > 1:
+        return f"--eps above 1 exceeds every TV distance, not {given['eps']}"
     return None
 
 

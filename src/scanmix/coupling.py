@@ -394,14 +394,20 @@ def _restricted_growth_array(length: int, q: int) -> np.ndarray:
     tuples under color permutation.  Each entry is at most one larger than
     the running maximum (first occurrences appear in order), capped at
     q - 1.  The coupled dynamics and the Hamming metric are equivariant
-    under global color relabeling, so drifts are class functions."""
-    out = np.zeros((1, 0), dtype=np.int64)
+    under global color relabeling, so drifts are class functions.
+
+    The strings of each length fill the leading rows of one preallocated
+    array, a column at a time (a column's gather is the only copy), rather
+    than gathering every row and stacking them into a new array."""
+    out = np.zeros((_class_count(length, q), length), dtype=np.int64)
     top = np.full(1, -1)
-    for _ in range(length):
+    for k in range(length):
         kids = np.minimum(top + 1, q - 1) + 1
-        parent = np.repeat(np.arange(len(out)), kids)
+        parent = np.repeat(np.arange(len(top)), kids)
         c = np.arange(len(parent)) - np.repeat(np.cumsum(kids) - kids, kids)
-        out = np.column_stack([out[parent], c])
+        for j in range(k):
+            out[: len(parent), j] = out[: len(top), j][parent]
+        out[: len(parent), k] = c
         top = np.maximum(top[parent], c)
     return out
 

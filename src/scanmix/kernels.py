@@ -27,6 +27,8 @@ DEFAULT_STATE_BUDGET = 20_000
 RTOL = 1e-9
 # doubling steps of tv_mixing_time stop beyond this power
 MAX_MIX_T = 10 ** 9
+# rows of |P^t - 1/N| that max_tv_to_uniform forms at a time
+TV_BLOCK_ROWS = 64
 
 
 class NonErgodicError(RuntimeError):
@@ -254,17 +256,34 @@ def build_sign_kernel(base: str, n: int) -> ChainKernel:
 # Ergodicity, mixing times, spectra
 # ---------------------------------------------------------------------------
 
-def _reaches_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """State 0 reaches every state of the CSR digraph: a breadth-first sweep
-    whose frontiers are gathered in numpy."""
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
+def _covers(n: int, step) -> bool:
+    """State 0 and the states found from it level after level are all n;
+    ``step`` maps a frontier mask to the states the frontier leads to."""
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        reached = indices[_row_positions(indptr, frontier)[0]]
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
+    frontier = seen.copy()
+    while frontier.any():
+        reached = np.zeros(n, dtype=bool)
+        reached[step(frontier)] = True
+        frontier = reached & ~seen
+        seen |= frontier
     return bool(seen.all())
+
+
+def _is_one_class(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """State 0 reaches every state of the CSR digraph and every state
+    reaches 0.  The forward sweep gathers the frontier rows' columns; the
+    backward sweep reads the frontier mask at every entry's column and
+    finds the rows of the hits in ``indptr``, so neither sorts."""
+    n = len(indptr) - 1
+
+    def forward(frontier):
+        return indices[_row_positions(indptr, np.flatnonzero(frontier))[0]]
+
+    def backward(frontier):
+        return np.searchsorted(indptr, np.flatnonzero(frontier[indices]), side="right") - 1
+
+    return _covers(n, forward) and _covers(n, backward)
 
 
 def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
@@ -272,14 +291,14 @@ def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
 
     A single class when state 0 reaches every state and every state
     reaches 0, decided by a forward and a backward sweep over the CSR
-    arrays; only a reducible kernel goes on to Kosaraju's two depth-first
-    passes, which list its classes."""
+    arrays; only a reducible kernel builds its predecessor lists and goes
+    on to Kosaraju's two depth-first passes, which list its classes."""
     n = len(kernel)
+    if n and _is_one_class(kernel.indptr, kernel.indices):
+        return [list(range(n))]
     # predecessors: the rows of each column, ascending, by one stable sort on the column
     rows = kernel._row_ids()[np.argsort(kernel.indices, kind="stable")]
     col_ptr = np.concatenate(([0], np.cumsum(np.bincount(kernel.indices, minlength=n))))
-    if n and _reaches_all(kernel.indptr, kernel.indices) and _reaches_all(col_ptr, rows):
-        return [list(range(n))]
     ptr, cols = kernel.indptr.tolist(), kernel.indices.tolist()
     succ = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
     rows, col_ptr = rows.tolist(), col_ptr.tolist()
@@ -318,9 +337,20 @@ def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
 
 def max_tv_to_uniform(P_t: np.ndarray) -> float:
     """Largest TV distance from uniform over the rows of P_t, which may be
-    any block of rows of an N-column power."""
-    n = P_t.shape[1]
-    return 0.5 * float(np.max(np.abs(P_t - 1.0 / n).sum(axis=1)))
+    any block of rows of an N-column power.
+
+    |P_t - 1/N| is formed ``TV_BLOCK_ROWS`` rows at a time in one scratch
+    block, so the extra memory is one block, not two N-column temporaries;
+    each row is summed by the same pairwise sum either way."""
+    rows, n = P_t.shape
+    sums = np.empty(rows)
+    scratch = np.empty((min(rows, TV_BLOCK_ROWS), n))
+    for a in range(0, rows, TV_BLOCK_ROWS):
+        block = scratch[: min(TV_BLOCK_ROWS, rows - a)]
+        np.subtract(P_t[a : a + TV_BLOCK_ROWS], 1.0 / n, out=block)
+        np.abs(block, out=block)
+        block.sum(axis=1, out=sums[a : a + len(block)])
+    return 0.5 * float(np.max(sums))
 
 
 def _orbit_representatives(kernel: ChainKernel) -> Optional[np.ndarray]:
@@ -366,6 +396,11 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
     color-rotation orbit when the rotation is a symmetry of the chain
     (``_orbit_representatives``), and all rows otherwise.  A ladder that
     passes ``MAX_MIX_T`` above eps raises ValueError.
+
+    Memory: every rung stays alive for the search, so the peak is the
+    rung count times N^2 floats; each distance is read by
+    ``max_tv_to_uniform`` through one row-block scratch, so no N x N
+    temporary joins them.
     """
     classes = communicating_classes(kernel)
     if len(classes) > 1:
@@ -430,15 +465,23 @@ class SpectralReport:
     beta_min: float
 
 
-def poincare_constant(kernel: ChainKernel) -> SpectralReport:
-    # S = (P + P^T) / 2 in one buffer, filled from the CSR arrays as dense()
-    # fills P, so the eigensolve's copy of S is the only other dense matrix
-    # alive: with P kept beside S the spectrum job's peak held one more
+def _symmetrized(kernel: ChainKernel) -> np.ndarray:
+    """(P + P^T) / 2, dense, scattered from the CSR arrays into its one
+    buffer: each entry's half P(r, c) / 2 lands at (r, c) and is added at
+    (c, r).  The (r, c) pairs are distinct, halving an entry (>= 1 / denom,
+    far from subnormal) is exact and the addition commutes, so this equals
+    (P + P^T) / 2 from ``dense()`` bit for bit, with only O(nnz) scratch."""
     S = np.zeros((len(kernel), len(kernel)))
-    S[kernel._row_ids(), kernel.indices] = kernel.data / kernel.denom
-    S += S.T
-    S /= 2.0
-    eig = np.linalg.eigvalsh(S)[::-1]
+    rows, cols = kernel._row_ids(), kernel.indices
+    half = kernel.data / kernel.denom / 2
+    S[rows, cols] = half
+    S[cols, rows] += half
+    return S
+
+
+def poincare_constant(kernel: ChainKernel) -> SpectralReport:
+    # the eigensolve's copy of S is the only other dense matrix alive
+    eig = np.linalg.eigvalsh(_symmetrized(kernel))[::-1]
     if len(eig) < 2:
         return SpectralReport(eigenvalues=eig, poincare=math.inf, beta_min=float(eig[-1]))
     return SpectralReport(

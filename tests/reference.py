@@ -5,8 +5,9 @@ computes another way: the exact drift oracle, one chain step at a time, a
 chain's kernel over every coloring, the sign encoding and sign chain, the
 sign-chain expectation matrices, the anchored midpoint probability, the
 exact tails of the threshold statistic Z on small layouts, the weighted
-path metric with a move path realizing it, and the variance-floor
-witnesses of the paper's case analysis.
+path metric with a move path realizing it, the one-expression forms of
+the max TV distance and the restricted-growth strings, and the
+variance-floor witnesses of the paper's case analysis.
 The test modules import them as ``from reference import ...``.
 """
 
@@ -283,6 +284,32 @@ def geodesic(sigma, tau, weights: VertexWeights, budget: int = DEFAULT_ENUMERATI
     while path[-1] != sigma:
         path.append(prev[path[-1]])
     return path[::-1]
+
+
+# ---------------------------------------------------------------------------
+# Whole-array forms of helpers the package forms in blocks or in place
+# ---------------------------------------------------------------------------
+
+def one_shot_max_tv(P_t: np.ndarray) -> float:
+    """Largest TV distance from uniform over the rows of P_t, from the whole
+    |P_t - 1/N| at once."""
+    n = P_t.shape[1]
+    return 0.5 * float(np.max(np.abs(P_t - 1.0 / n).sum(axis=1)))
+
+
+def restricted_growth_by_stacking(length: int, q: int) -> np.ndarray:
+    """Restricted-growth strings of ``length`` over q colors, lexicographic,
+    each length's rows gathered from the last and stacked beside their new
+    color."""
+    out = np.zeros((1, 0), dtype=np.int64)
+    top = np.full(1, -1)
+    for _ in range(length):
+        kids = np.minimum(top + 1, q - 1) + 1
+        parent = np.repeat(np.arange(len(out)), kids)
+        c = np.arange(len(parent)) - np.repeat(np.cumsum(kids) - kids, kids)
+        out = np.column_stack([out[parent], c])
+        top = np.maximum(top[parent], c)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -569,6 +569,17 @@ def test_non_positive_eps_exits_2(tmp_path, capsys, sub):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["mix", "wilson", "compare"])
+def test_eps_above_1_exits_2(tmp_path, capsys, sub):
+    # TV is at most 1, so such an eps mixes at t = 1 and turns compare's
+    # ln(1 / eps) bounds negative
+    for eps in ("1.5", "100", "inf"):
+        out = tmp_path / eps
+        assert main([sub, "--n", "3", f"--eps={eps}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --eps above 1 ")
+        assert not out.exists()
+
+
 def test_mix_nonergodic_writes_classes(tmp_path):
     hfile = tmp_path / "h.txt"
     hfile.write_text("010\n001\n100\n")

@@ -59,6 +59,7 @@ from reference import (
     d2,
     drop_choice,
     exact_drift,
+    restricted_growth_by_stacking,
     site_variance_witness,
     star,
     sweep_variance_witness,
@@ -515,6 +516,12 @@ def test_restricted_growth_tuples_are_canonical():
 
     all_tuples = set(itertools.product(range(3), repeat=4))
     assert {canon(t) for t in all_tuples} == set(reps)
+
+
+def test_restricted_growth_array_equals_the_stacked_construction():
+    for length, q in itertools.product(range(10), range(3, 7)):
+        got, expected = _restricted_growth_array(length, q), restricted_growth_by_stacking(length, q)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), (length, q)
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from scanmix.domain import (
 from scanmix.dynamics import ChainSpec, proposal_accepted, scan_order, sign_move
 from scanmix.kernels import (
     DEFAULT_STATE_BUDGET,
+    TV_BLOCK_ROWS,
     ChainKernel,
     NonErgodicError,
     build_kernel,
@@ -29,13 +31,14 @@ from scanmix.kernels import (
     _int64_denominator,
     _orbit_representatives,
     _state_space,
+    _symmetrized,
     max_tv_to_uniform,
     poincare_constant,
     sign_states,
     tv_mixing_time,
     verify_comparison,
 )
-from reference import cycle, single_edge, star, to_signs
+from reference import cycle, one_shot_max_tv, single_edge, star, to_signs
 
 MIX_GLAUBER_N4_Q3_QUARTER = 36  # frozen regression value from exact powering
 
@@ -569,6 +572,45 @@ def test_max_tv_reads_a_row_block_against_its_columns():
     assert max_tv_to_uniform(P4[rows]) == expected
 
 
+def test_max_tv_blocks_equal_the_one_shot_formula():
+    K = build_kernel(ChainSpec(graph=Graph.path(8), q=3))
+    P = K.dense()
+    P8 = np.linalg.matrix_power(P, 8)
+    assert len(P) > TV_BLOCK_ROWS + 1
+    for M in (P, P8):
+        for rows in (1, TV_BLOCK_ROWS - 1, TV_BLOCK_ROWS, TV_BLOCK_ROWS + 1, len(M)):
+            assert max_tv_to_uniform(M[:rows]) == one_shot_max_tv(M[:rows]), rows
+    reps = _orbit_representatives(K)
+    assert len(reps) == len(P) // 3
+    assert max_tv_to_uniform(P8[reps]) == one_shot_max_tv(P8[reps])
+    with pytest.raises(ValueError):
+        max_tv_to_uniform(P[:0])
+
+
+def traced_peak(f, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees allocated during one call."""
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tv_mixing_time_holds_its_rungs_and_row_blocks():
+    """The ladder's rungs are alive together; beyond them only row blocks."""
+    K = build_kernel(ChainSpec(graph=Graph.path(8), q=3))
+    ladder = []
+    peak = traced_peak(tv_mixing_time, K, 0.25, ladder=ladder)
+    assert (len(K), len(ladder)) == (384, 9)
+    assert peak <= (len(ladder) + 0.5) * len(K) ** 2 * 8
+
+
+def test_poincare_constant_holds_s_and_the_eigensolve_copy():
+    K = build_kernel(ChainSpec(graph=Graph.path(8), q=3))
+    assert traced_peak(poincare_constant, K) <= 1.5 * len(K) ** 2 * 8
+
+
 def test_comparison_path_and_star():
     rep = verify_comparison(Graph.path(4), TargetGraph.clique(3))
     assert rep.site_le_sweep_ok and rep.sweep_le_site_ok
@@ -759,6 +801,31 @@ def test_kernel_matches_the_state_by_state_reference(case):
 def test_sign_kernel_matches_the_reference(base):
     for n in range(2, 9):
         assert_matches(build_sign_kernel(base, n), reference_sign_kernel(base, n))
+
+
+def exact_layer_kernels():
+    for kw in REFERENCE_CASES:
+        kw = dict(kw)
+        build = {k: kw.pop(k) for k in ("component", "fiber_of") if k in kw}
+        yield build_kernel(ChainSpec(**kw), **build)
+    for base, n in itertools.product(("glauber", "scan"), range(2, 9)):
+        yield build_sign_kernel(base, n)
+
+
+def test_symmetrized_kernel_is_the_dense_average_bit_for_bit():
+    for K in exact_layer_kernels():
+        P = K.dense()
+        S = _symmetrized(K)
+        assert S.dtype == P.dtype and np.array_equal(S, (P + P.T) / 2)
+
+
+def test_communicating_classes_match_kosaraju_on_the_reference_kernels():
+    sizes = set()
+    for K in exact_layer_kernels():
+        classes = communicating_classes(K)
+        assert classes == reference_communicating_classes(K)
+        sizes.add(len(classes) > 1)
+    assert sizes == {False, True}  # ergodic and reducible kernels both
 
 
 def test_lump_kernel_refuses_an_ill_defined_projection():
