@@ -177,20 +177,11 @@ def coupled_sweep(
 def _table_scan_sweep(
     X: np.ndarray, kind: str, q: int, u: np.ndarray, reverse: bool
 ) -> tuple[Coloring, Coloring]:
-    """The coupled sweep of the (2, n) copies X under draws u, by table.
-
-    Everything but the already-updated neighbour pair is an old value, so
-    the table positions less that pair's term come in one numpy pass; the
-    chase then adds the pair each lookup returned, scaled by its stride.
-    """
+    """The coupled sweep of the (2, n) copies X under draws u, by table."""
     q1, L = q + 1, (q + 1) ** 2
     P = np.full(X.shape[1] + 2, L - 1)
     P[1:-1] = X[0] * q1 + X[1]
-    c = np.minimum((u * q).astype(np.int64), q - 1)
-    if reverse:
-        base, stride = _table_index(q, P[:-2], P[1:-1], 0, c)[::-1], _table_index(q, 0, 0, 1, 0)
-    else:
-        base, stride = _table_index(q, 0, P[1:-1], P[2:], c), _table_index(q, 1, 0, 0, 0)
+    base, stride = _sweep_positions(P, u, q, reverse)
     table = _step_table(q, kind).reshape(-1).data  # indexing gives Python ints
     x, out = L - 1, []
     for pos in base.tolist():
@@ -200,18 +191,68 @@ def _table_scan_sweep(
     return tuple(a.tolist()), tuple(b.tolist())
 
 
+def _sweep_positions(P: np.ndarray, u: np.ndarray, q: int, reverse: bool):
+    """``_step_table`` positions of a sweep's vertices in sweep order, less
+    the already-updated neighbour's term, and that term's stride.  ``P``
+    holds pair codes, vertices along axis 0 with a neighbour row on each
+    side, ``u`` the vertices' draws.  Every other term is an old code, so a
+    chase adds only the pair each lookup returned, times the stride."""
+    P = P.astype(np.int64, copy=False)
+    c = np.minimum((u * q).astype(np.int64), q - 1)
+    if reverse:
+        return _table_index(q, P[:-2], P[1:-1], 0, c)[::-1], _table_index(q, 0, 0, 1, 0)
+    return _table_index(q, 0, P[1:-1], P[2:], c), _table_index(q, 1, 0, 0, 0)
+
+
+# Table positions a switch sweep computes at once, as (vertices, replicates)
+# int64 cells, and as many float64 draws: the block stays near 128 kB, where
+# an (n, R) one would outweigh the codes.
+CHUNK_CELLS = 2 ** 14
+
+
+def switch_scan_sweeps(
+    S: np.ndarray, T: np.ndarray, q: int, frozen: np.ndarray, sweeps: int,
+    tape: RandomTape, read,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Colors at padded positions ``read`` of two copies after ``sweeps``
+    switch-coupled scan sweeps from the (R, n) colorings S and T, as two
+    (len(read), R) arrays.  Sweep s draws at tape coordinate (r, 1 + s,
+    CH_SCAN) for replicate r; copy two keeps its color where the padded mask
+    ``frozen`` is set.  The copies advance as position-major byte pair
+    codes, one ``_step_table`` gather per vertex (the frozen table at frozen
+    vertices), with draws and positions a chunk of vertices at a time."""
+    (R, n), q1 = S.shape, q + 1
+    tables = [_step_table(q, "switch_scan").reshape(-1),
+              _step_table(q, "switch_scan", frozen=True).reshape(-1)]
+    P = np.full((n + 2, R), q1 * q1 - 1, dtype=np.uint8)
+    P[1:-1] = S.T
+    P[1:-1] *= q1
+    np.add(P[1:-1], T.T, out=P[1:-1], casting="unsafe")
+    picks, rows = frozen.tolist(), max(1, CHUNK_CELLS // R)
+    for s in range(sweeps):
+        x = P[0]
+        for v0 in range(1, n + 1, rows):
+            v1 = min(v0 + rows, n + 1)
+            u = tape.block(0, R, 1 + s, CH_SCAN, v1 - 1, v0 - 1).T
+            base, stride = _sweep_positions(P[v0 - 1:v1 + 1], u, q, False)
+            stride = np.int64(stride)  # x * stride promotes to int64
+            for v, b in zip(range(v0, v1), base):
+                x = P[v] = tables[picks[v]][b + x * stride]
+    return np.divmod(P[read], q1)
+
+
 # ---------------------------------------------------------------------------
 # Exact drift: vectorized Hamming DP over class batches
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _step_table(q: int, coupling: str) -> np.ndarray:
+def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
     Built by ``coupled_update``, the one definition of the coupled vertex
-    move: the Hamming DP, the ``switch_scan_contained`` certificate,
-    ``coupled_sweep``'s table sweeps and the scan sweeps of
-    ``percolation.lb_experiment`` all read it.  Pairs (a, b)
+    move: the Hamming DP, the ``switch_scan_contained`` certificate and
+    the table sweeps of ``coupled_sweep`` and ``switch_scan_sweeps`` all
+    read it; a ``frozen`` table is that of a frozen copy two.  Pairs (a, b)
     of the two copies' colors are coded a * (q + 1) + b, with color q
     standing for a missing neighbor.  Row (right * q^2 + old) * L + left,
     column c holds the pair code at the vertex after copy one proposes c,
@@ -219,7 +260,7 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     pair, ``old`` = a * q + b the vertex's own pair and L = (q + 1)^2
     (``_table_index`` gives the flat position).  In a left-to-right sweep
     the left pair is already updated and the right one old.  Built on first
-    use and cached per (q, coupling), as uint8; a table of more than
+    use and cached per (q, coupling, frozen), as uint8; a table of more than
     ``STEP_TABLE_BUDGET`` cells is refused before anything is allocated.
     """
     _check_byte_codes(q)
@@ -233,7 +274,7 @@ def _step_table(q: int, coupling: str) -> np.ndarray:
     rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
     # the engine's move on the padded window (left, vertex, right)
     s, t = [la, oa, ra], [lb, ob, rb]
-    coupled_update(s, t, 1, c, coupling)
+    coupled_update(s, t, 1, c, coupling, frozen=frozen)
     table = (s[1] * q1 + t[1]).astype(np.uint8).reshape(-1, q)
     table.flags.writeable = False
     return table
@@ -433,17 +474,6 @@ def _disagreement_classes(
     return sig, tau
 
 
-def _s_pair_classes(n: int, q: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Canonical single-disagreement pairs, grouped by disagreement position.
-
-    Yields one (sig, tau, i) batch per 0-based position i, with sig/tau of
-    shape (C, n), each built when asked for; all single-disagreement pairs
-    over all colorings arise from these by color permutation.
-    """
-    for i in range(n):
-        yield (*_disagreement_classes(n, q, [i]), i)
-
-
 # ---------------------------------------------------------------------------
 # The contraction ledger
 # ---------------------------------------------------------------------------
@@ -630,7 +660,7 @@ def hamming_contraction_rows(n: int, q: int) -> Ledger:
         raise BudgetExceededError(
             f"{work} class-vertex cells exceed budget {LEDGER_BUDGET}"
         )
-    blocks = [_single_site_block(sig, tau, i, q) for sig, tau, i in _s_pair_classes(n, q)]
+    blocks = [_single_site_block(*_disagreement_classes(n, q, [i]), i, q) for i in range(n)]
     # suffix_fresh: disagreement at window position 0, sweep starts one right;
     # adjacent_pair: disagreements at window positions 0 and 1, sweep from 1.
     # The sweep never looks left of the disagreement, so quantify over

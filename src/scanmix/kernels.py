@@ -394,8 +394,10 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
     2, 4, ..., as it is computed: up to the first power of two at or above
     the mixing time.  The search forms only the rows of one start per
     color-rotation orbit when the rotation is a symmetry of the chain
-    (``_orbit_representatives``), and all rows otherwise.  A ladder that
-    passes ``MAX_MIX_T`` above eps raises ValueError.
+    (``_orbit_representatives``), and all rows otherwise.  A rung whose
+    distance, still above eps, rises over the previous rung's has met the
+    floor, and a ladder that passes ``MAX_MIX_T`` above eps: both raise
+    ValueError.
 
     Memory: every rung stays alive for the search, so the peak is the
     rung count times N^2 floats; each distance is read by
@@ -406,13 +408,19 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
     if len(classes) > 1:
         raise NonErgodicError(classes)
     powers = [kernel.dense()]
-    t = 1
+    t, last = 1, math.inf
     while True:
         tv = max_tv_to_uniform(powers[-1])
         if ladder is not None:
             ladder.append((t, tv))
         if tv <= eps:
             break
+        if tv > last:  # exact powers never rise: rounding has taken over
+            raise ValueError(
+                f"no mixing to eps={eps:g}: max TV rose from {last:.6g} at t={t // 2} "
+                f"to {tv:.6g} at t={t}, so eps is below the float64 floor of the distance"
+            )
+        last = tv
         if 2 * t > MAX_MIX_T:
             raise ValueError(
                 f"no mixing to eps={eps:g} by t={MAX_MIX_T}: max TV is still {tv:.6g} "

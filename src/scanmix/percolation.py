@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .coupling import _step_table, _table_index, coupled_update, switch_scan_contained
+from .coupling import coupled_update, switch_scan_contained, switch_scan_sweeps
 from .domain import PAD
 from .dynamics import CH_INIT, CH_SCAN, RandomTape
 
@@ -247,42 +246,6 @@ def _padded(X: np.ndarray) -> np.ndarray:
     return np.pad(X, ((0, 0), (1, 1)), constant_values=PAD)
 
 
-# Table positions computed at once, as (vertices, replicates) int64 cells,
-# and as many float64 draws: the block stays near 128 kB, where an (n, R)
-# one would outweigh the codes.
-CHUNK_CELLS = 2 ** 14
-
-
-def _switch_scan_sweep(
-    P: np.ndarray, draw: Callable[[int, int], np.ndarray], q: int, frozen: np.ndarray
-) -> None:
-    """One switch-coupled scan sweep of the pair codes P (n + 2, R), in place.
-
-    Copy one tries the colors of the sweep's (R, n) uniforms, of which
-    ``draw(stop, start)`` returns the columns start..stop - 1, as
-    ``functools.partial(tape.block, rep0, R, t, CH_SCAN)`` does; copy two
-    keeps its color at ``frozen`` positions.  Each vertex is one gather from
-    ``_step_table``: the draws and the positions less the updated left
-    pair's term come a chunk of vertices at a time, the positions from the
-    old codes, so only the chase along the sweep remains.
-    """
-    q1, n = q + 1, len(P) - 2
-    table = _step_table(q, "switch_scan").reshape(-1)
-    stride = np.int64(_table_index(q, 1, 0, 0, 0))  # x * stride promotes to int64
-    x = P[0]
-    rows = max(1, CHUNK_CELLS // P.shape[1])
-    for v0 in range(1, n + 1, rows):
-        v1 = min(v0 + rows, n + 1)
-        old = P[v0:v1 + 1].astype(np.int64)
-        c = np.minimum((draw(v1 - 1, v0 - 1).T * q).astype(np.int64), q - 1)
-        base = _table_index(q, 0, old[:-1], old[1:], c)
-        for v, b in zip(range(v0, v1), base):
-            x = table[b + x * stride]
-            if frozen[v]:
-                x = x - x % q1 + P[v] % q1
-            P[v] = x
-
-
 def _site_draws(tape: RandomTape, R: int, step: int, n: int, q: int):
     """Per-replicate vertex (1-based) and color of one single-site step."""
     U = tape.block(0, R, step, CH_SCAN, 2)
@@ -308,19 +271,14 @@ def lb_experiment(
     if replicates < 1:
         raise ValueError("replicates >= 1 required")
     n, q = layout.n, layout.q
+    # reads the switch table: refuses q whose codes or table do not fit, before sampling
+    percolation_contained = switch_scan_contained(q) if base == "scan" else True
     anchor_mask = np.zeros(n + 2, dtype=bool)
     anchor_mask[list(layout.anchors)] = True
     mids = np.array(layout.mids)
     if base == "scan":
-        _step_table(q, "switch_scan")  # refuses q whose codes or table do not fit, before sampling
-        # position-major pair codes; both copies start at one sample x: x * (q + 2)
-        P = np.full((n + 2, replicates), (q + 1) ** 2 - 1, dtype=np.uint8)
-        P[1:-1] = sample_pi0(layout, tape, replicates).T
-        P[1:-1] *= q + 2
-        for sweep in range(t):
-            draw = partial(tape.block, 0, replicates, 1 + sweep, CH_SCAN)
-            _switch_scan_sweep(P, draw, q, anchor_mask)
-        mid_free, mid_clamped = np.divmod(P[mids], q + 1)
+        X = sample_pi0(layout, tape, replicates)
+        mid_free, mid_clamped = switch_scan_sweeps(X, X, q, anchor_mask, t, tape, mids)
     elif base == "glauber":
         S = _padded(sample_pi0(layout, tape, replicates))
         T = S.copy()
@@ -352,5 +310,5 @@ def lb_experiment(
         clamped_tail=float(np.mean(z_clamped >= thr)),
         disagreement_rate=float(np.mean(mid_dis > 0)),
         mean_mid_disagreements=float(np.mean(mid_dis)),
-        percolation_contained=switch_scan_contained(q) if base == "scan" else True,
+        percolation_contained=percolation_contained,
     )

@@ -236,8 +236,7 @@ class WilsonReport:
     ln n for single-site updates, pi^-2 n^2 ln n for sweeps (in the chain's
     own time unit).  ``rho_is_empirical`` flags that the sweep variance
     budget is a Monte Carlo constant rather than a proved one.
-    ``max_increment`` is the estimate's largest martingale increment, None
-    when the caller supplied rho.
+    ``max_increment`` is the estimate's largest martingale increment.
     """
 
     kind: str
@@ -251,29 +250,21 @@ class WilsonReport:
     lower_bound: float
     rho_is_empirical: bool
     asymptotic_reference: float
-    max_increment: Optional[float] = None
+    max_increment: float
 
     def upper_bound(self, eps: float) -> float:
         return math.log(2 * self.phi0 / eps) / (1 - self.lam)
 
 
 def wilson_bounds(
-    kind: str,
-    n: int,
-    rho: Optional[float] = None,
-    tape: Optional[RandomTape] = None,
-    trials: int = 512,
+    kind: str, n: int, tape: Optional[RandomTape] = None, trials: int = 512
 ) -> WilsonReport:
-    """Assemble the full report; rho defaults to the closed form / an estimate."""
+    """Assemble the full report; rho is the closed form or an estimate."""
     eigen = closed_form_eigen(kind, n)
     if not 0 < eigen.lam < 1:
         raise ValueError(f"leading eigenvalue {eigen.lam} must sit in (0, 1)")
-    # the sweep variance budget is empirical no matter who supplies it
-    empirical = kind == "scan"
-    max_increment = None
-    if rho is None:
-        est = estimate_rho(kind, n, trials=trials, tape=tape)
-        rho, empirical, max_increment = est.rho, est.empirical, est.max_increment
+    est = estimate_rho(kind, n, trials=trials, tape=tape)
+    rho = est.rho
     if rho <= 0:
         raise ValueError("rho must be positive")
     phi0 = float(np.sum(eigen.w))
@@ -293,7 +284,7 @@ def wilson_bounds(
         rho=rho,
         nu=nu,
         lower_bound=lower,
-        rho_is_empirical=empirical,
+        rho_is_empirical=est.empirical,
         asymptotic_reference=reference,
-        max_increment=max_increment,
+        max_increment=est.max_increment,
     )

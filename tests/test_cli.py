@@ -634,11 +634,12 @@ def test_mix_nonergodic_class_sizes_in_kosaraju_order(tmp_path):
 
 def test_mix_refuses_an_eps_below_the_tv_floor(tmp_path, capsys):
     """No float64 power of P reaches max TV 1e-300, so the doubling ladder
-    ends at its horizon with a clean error instead of a traceback."""
+    stops at the first rung whose distance rises with a clean error instead
+    of a traceback."""
     out = tmp_path / "o"
     assert main(["mix", "--n", "4", "--eps", "1e-300", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no mixing to eps=1e-300") and "max TV" in err, err
+    assert err.startswith("error: no mixing to eps=1e-300: max TV rose from"), err
     assert not out.exists()
 
 

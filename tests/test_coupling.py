@@ -25,6 +25,7 @@ from scanmix.coupling import (
     coupling_time,
     partner_proposal,
     hamming_contraction_rows,
+    switch_scan_sweeps,
     transpose_color,
     uniform_proper_coloring,
     weighted_metric_contraction_rows,
@@ -51,7 +52,6 @@ from scanmix.dynamics import (
     scan_order,
     vertex_from_uniform,
 )
-from scanmix.percolation import _switch_scan_sweep
 from reference import (
     WITNESS_DIGEST,
     all_colorings_kernel,
@@ -549,12 +549,12 @@ def test_hamming_ledger_passes(n, q):
 
 def test_ledger_agrees_with_reference_oracle():
     """Vectorized class rows equal per-pair reference drifts (spot checks)."""
-    from scanmix.coupling import _s_pair_classes
+    from scanmix.coupling import _disagreement_classes
 
     n, q = 4, 4
     all_rows = hamming_contraction_rows(n, q)
     rows = [r for r in all_rows if r.lemma_id == "full_last"]
-    sig, tau, i = list(_s_pair_classes(n, q))[n - 1]
+    sig, tau = _disagreement_classes(n, q, [n - 1])
     assert len(rows) == sig.shape[0]
     for idx in (0, len(rows) // 2, len(rows) - 1):
         r = exact_drift(tuple(sig[idx]), tuple(tau[idx]), "q4_scan", "hamming", q=q)
@@ -1001,22 +1001,31 @@ def test_single_site_swap_coupling_marginals():
 def test_switch_coupling_with_clamped_copy():
     """The clamped copy never moves its anchors; the free copy does."""
     n, q = 12, 4
-    anchors = frozenset({1, 5, 9})
+    anchors = [1, 5, 9]
     frozen = np.zeros(n + 2, dtype=bool)
-    frozen[list(anchors)] = True
+    frozen[anchors] = True
     tape = RandomTape(31)
-    s = uniform_proper_coloring(n, q, tape, 0, 0)
-    # pair codes a * (q + 1) + b of one replicate, equal copies, sentinel ends
-    end = (q + 1) ** 2 - 1
-    P = np.array([[end, *(c * (q + 2) for c in s), end]], dtype=np.uint8).T
+    s = np.array([uniform_proper_coloring(n, q, tape, 0, 0)])
+    held = s[0, np.array(anchors) - 1][:, None]
     moved_anchor = False
-    for sweep in range(12):
-        _switch_scan_sweep(P, functools.partial(tape.block, 0, 1, sweep, CH_SCAN), q, frozen)
-        free, clamped = np.divmod(P[1:-1, 0], q + 1)
-        for a in anchors:
-            assert clamped[a - 1] == s[a - 1]  # clamped copy holds its anchors
-        moved_anchor = moved_anchor or any(free[a - 1] != s[a - 1] for a in anchors)
+    for sweeps in range(1, 13):
+        free, clamped = switch_scan_sweeps(s, s, q, frozen, sweeps, tape, anchors)
+        assert np.array_equal(clamped, held)  # clamped copy holds its anchors
+        moved_anchor = moved_anchor or bool((free != held).any())
     assert moved_anchor
+
+
+@pytest.mark.parametrize("kind", [k for k in COUPLING_KINDS if k.endswith("_scan")])
+@pytest.mark.parametrize("q", range(3, 7))
+def test_frozen_step_table_keeps_copy_twos_own_color(kind, q):
+    """The frozen table is the unfrozen one with copy two's color kept at
+    its own: copy one's move never reads whether copy two is frozen."""
+    q1, L = q + 1, (q + 1) ** 2
+    free = _step_table(q, kind).reshape(L, q * q, L, q).astype(np.int64)
+    own_b = (np.arange(q * q) % q)[:, None, None]  # axis 1 is the own pair a * q + b
+    frozen = _step_table(q, kind, frozen=True).reshape(L, q * q, L, q)
+    assert np.array_equal(frozen, free - free % q1 + own_b)
+    assert not np.array_equal(frozen, free)
 
 
 @pytest.mark.parametrize("chain", ["glauber", "scan"])

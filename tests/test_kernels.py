@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import scanmix.kernels as kernels
 from scanmix.congestion import bottleneck_target, directed_cycle
 from scanmix.domain import (
     BudgetExceededError,
@@ -429,14 +430,29 @@ def test_tv_ladder_records_each_rung(spec, eps):
 
 
 def test_tv_ladder_past_its_horizon_names_eps_and_the_last_distance():
-    """Every kernel built here has self-loops, so a ladder that never gets
-    below eps has hit float64's floor, not a periodic chain."""
+    """On the glauber 3-path the float64 max TV bottoms out at t = 1024 and
+    rises on the next rung, which exact powers never do: the ladder stops
+    there and names eps and both distances."""
     K = build_kernel(ChainSpec(graph=Graph.path(3), q=3))
     ladder = []
-    with pytest.raises(ValueError, match=r"eps=1e-300 by t=1000000000: max TV is still") as exc:
+    with pytest.raises(ValueError, match=r"no mixing to eps=1e-300: max TV rose from") as exc:
+        tv_mixing_time(K, 1e-300, ladder=ladder)
+    (s, low), (t, tv) = ladder[-2:]
+    assert (s, t) == (1024, 2048) and tv > low
+    assert f"from {low:.6g} at t={s} to {tv:.6g} at t={t}," in str(exc.value)
+    assert [b for _, b in ladder[:-1]] == sorted((b for _, b in ladder[:-1]), reverse=True)
+
+
+def test_tv_ladder_stops_at_max_mix_t(monkeypatch):
+    """A ladder still falling but above eps at ``MAX_MIX_T`` raises, naming
+    the horizon and the last distance."""
+    monkeypatch.setattr(kernels, "MAX_MIX_T", 8)
+    K = build_kernel(ChainSpec(graph=Graph.path(3), q=3))
+    ladder = []
+    with pytest.raises(ValueError, match=r"eps=1e-300 by t=8: max TV is still") as exc:
         tv_mixing_time(K, 1e-300, ladder=ladder)
     t, tv = ladder[-1]
-    assert t == 2 ** 29 and f"{tv:.6g} at t={t};" in str(exc.value)
+    assert t == 8 and f"{tv:.6g} at t={t};" in str(exc.value)
 
 
 # The color rotation c -> c + 1 mod h is an automorphism of each of these

@@ -1,5 +1,6 @@
 """Transfer counts, segment layouts, anchored sampling, and the experiment."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -10,14 +11,18 @@ import pytest
 import scipy.stats
 
 import scanmix.coupling as coupling
-from scanmix.coupling import coupled_update, partner_proposal, switch_scan_contained
-from scanmix.domain import PAD, BudgetExceededError, Graph, enumerate_colorings, path_accepts
+from scanmix.coupling import (
+    coupled_update,
+    partner_proposal,
+    switch_scan_contained,
+    switch_scan_sweeps,
+)
+from scanmix.domain import BudgetExceededError, Graph, enumerate_colorings, path_accepts
 from scanmix.dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 from scanmix.percolation import (
     _conditional_matrices,
     _padded,
-    _switch_scan_sweep,
     lb_experiment,
     sample_pi0,
     segment_layout,
@@ -35,15 +40,13 @@ from reference import (
 DESK = segment_layout(10_000, 4, override=(2, 10))
 
 
-def brute_count(q, s, i, j):
-    if s == 0:
-        return 1 if i == j else 0
-    cnt = 0
-    for mid in itertools.product(range(q), repeat=s - 1):
-        seq = (i,) + mid + (j,)
-        if all(a != b for a, b in zip(seq, seq[1:])):
-            cnt += 1
-    return cnt
+def brute_counts(q, s):
+    """counts[i, j]: proper colorings of an s-edge path with endpoint colors
+    i and j, tallied over one enumeration of all q^(s + 1) color sequences."""
+    seq = np.indices((q,) * (s + 1), dtype=np.int8).reshape(s + 1, -1)
+    proper = (seq[1:] != seq[:-1]).all(axis=0)
+    ends = seq[0, proper].astype(np.int64) * q + seq[-1, proper]
+    return np.bincount(ends, minlength=q * q).reshape(q, q)
 
 
 def test_transfer_count_closed_forms():
@@ -52,9 +55,10 @@ def test_transfer_count_closed_forms():
     assert transfer_count(3, 0, 0, 0) == 1 and transfer_count(3, 0, 0, 1) == 0
     for q in (3, 4, 5, 6):
         for s in range(0, 8):
+            counts = brute_counts(q, s)
             for i in range(q):
                 for j in range(q):
-                    assert transfer_count(q, s, i, j) == brute_count(q, s, i, j)
+                    assert transfer_count(q, s, i, j) == counts[i, j]
 
 
 def test_transfer_matrix_eigenvectors_exact():
@@ -302,32 +306,38 @@ def switch_scan_sweep(S, T, U, q, anchor_mask):
         coupled_update(S.T, T.T, v, c, "switch_scan", frozen=anchor_mask[v])
 
 
-def switch_scan_table_sweep(S, T, U, q, anchor_mask):
-    """``lb_experiment``'s table sweep on the pair codes of S and T, decoded
-    back into them."""
-    P = (np.where(S == PAD, q, S) * (q + 1) + np.where(T == PAD, q, T)).T.astype(np.uint8)
-    _switch_scan_sweep(P, lambda stop, start: U[:, start:stop], q, anchor_mask)
-    S.T[1:-1], T.T[1:-1] = np.divmod(P[1:-1], q + 1)
+def _anchor_mask(lay):
+    anchor_mask = np.zeros(lay.n + 2, dtype=bool)
+    anchor_mask[list(lay.anchors)] = True
+    return anchor_mask
 
 
 def _sweep_pairs(sweep, lay, S, T, sweeps):
-    anchor_mask = np.zeros(lay.n + 2, dtype=bool)
-    anchor_mask[list(lay.anchors)] = True
     tape = RandomTape(77)
     flags = []
     for k in range(sweeps):
         U = tape.block(0, len(S), 1 + k, CH_SCAN, lay.n)
-        flags.append(sweep(S, T, U, lay.q, anchor_mask))
+        flags.append(sweep(S, T, U, lay.q, _anchor_mask(lay)))
     return flags
 
 
-def _check_against_the_reference(sweep, q, start):
+def switch_scan_table_sweeps(lay, S, T, sweeps):
+    """``lb_experiment``'s table sweeps from the colorings of the padded S
+    and T, at the reference's tape coordinates, read back into them."""
+    read = np.arange(1, lay.n + 1)
+    free, clamped = switch_scan_sweeps(
+        S[:, 1:-1], T[:, 1:-1], lay.q, _anchor_mask(lay), sweeps, RandomTape(77), read
+    )
+    S[:, 1:-1], T[:, 1:-1] = free.T, clamped.T
+
+
+def _check_against_the_reference(sweeps, q, start):
     lay = segment_layout(400, q, override=(2, 4))
     S = _padded(sample_pi0(lay, RandomTape(3), 25))
     T = S.copy() if start == "equal" else _padded(sample_pi0(lay, RandomTape(4), 25))
     assert (start == "equal") == np.array_equal(S, T)
     S_ref, T_ref = S.copy(), T.copy()
-    _sweep_pairs(sweep, lay, S, T, 5)
+    sweeps(lay, S, T, 5)
     assert _sweep_pairs(switch_scan_sweep_by_vertex, lay, S_ref, T_ref, 5) == [True] * 5
     assert np.array_equal(S, S_ref) and np.array_equal(T, T_ref)
 
@@ -337,7 +347,7 @@ def _check_against_the_reference(sweep, q, start):
 def test_switch_sweep_matches_the_vertex_by_vertex_reference(q, start):
     """coupled_update sweeps give the reference's arrays, and the
     reference's own containment check never fires."""
-    _check_against_the_reference(switch_scan_sweep, q, start)
+    _check_against_the_reference(functools.partial(_sweep_pairs, switch_scan_sweep), q, start)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 6])
@@ -345,7 +355,7 @@ def test_switch_sweep_matches_the_vertex_by_vertex_reference(q, start):
 def test_table_sweep_matches_the_vertex_by_vertex_reference(q, start):
     """``lb_experiment``'s table sweeps give the reference's arrays, frozen
     anchors included."""
-    _check_against_the_reference(switch_scan_table_sweep, q, start)
+    _check_against_the_reference(switch_scan_table_sweeps, q, start)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])

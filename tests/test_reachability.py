@@ -198,3 +198,15 @@ def test_only_accepted_colors_reads_a_constraint_matrix_by_color():
         and any(isinstance(m, ast.Subscript) for m in ast.walk(n.slice))
     }
     assert readers == {("domain", "accepted_colors")}, sorted(readers)
+
+
+def test_only_the_coupling_module_reads_the_step_table():
+    """Inside the package only ``coupling`` calls ``_step_table`` or
+    ``_table_index``, so the pair-code format a * (q + 1) + b and the table's
+    layout are that one module's."""
+    callers = {
+        key[0] for key, nodes in _scopes() for n in nodes
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id in ("_step_table", "_table_index")
+    }
+    assert callers == {"coupling"}, sorted(callers)
