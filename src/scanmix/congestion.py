@@ -22,7 +22,7 @@ from .domain import (
     BudgetExceededError, Coloring, Graph, TargetGraph, accepted_colors, enumerate_h_colorings,
 )
 from .dynamics import ChainSpec
-from .kernels import _from_tables, _move_tables, _state_codes, _tally, communicating_classes
+from .kernels import _move_tables, _state_codes, _tally, communicating_classes
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +250,16 @@ class ErgodicityReport:
 def ergodicity_report(g: Graph, target: TargetGraph) -> ErgodicityReport:
     """Communicating classes of the single-site move graph on hom(g, H).
 
-    The classes are ``communicating_classes`` of the glauber kernel built
-    from the move tables, so a move is read exactly as the kernels read it.
-    Classes come in the order of their first state, each in lexicographic
-    order.
+    The move graph is the glauber move tables read as a CSR digraph, an arc
+    from each state to every entry of its rows, so a move is read exactly as
+    the kernels read it, but no transition probability is formed.  Classes
+    come in the order of their first state, each in lexicographic order.
     """
     states = enumerate_h_colorings(g, target)
     spec = ChainSpec(graph=g, target=target, base="glauber")
-    kernel = _from_tables(states, _move_tables(spec, states), False, spec)
-    classes = sorted(communicating_classes(kernel))
+    moves = np.hstack(_move_tables(spec, states))
+    indptr = np.arange(0, moves.size + 1, moves.shape[1])
+    classes = sorted(communicating_classes(indptr, moves.ravel()))
     return ErgodicityReport(len(states), [[states[i] for i in c] for c in classes])
 
 

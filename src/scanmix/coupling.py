@@ -178,25 +178,33 @@ def _table_scan_sweep(
     X: np.ndarray, kind: str, q: int, u: np.ndarray, reverse: bool
 ) -> tuple[Coloring, Coloring]:
     """The coupled sweep of the (2, n) copies X under draws u, by table."""
-    q1, L = q + 1, (q + 1) ** 2
-    P = np.full(X.shape[1] + 2, L - 1)
-    P[1:-1] = X[0] * q1 + X[1]
+    P = _pair_codes(X[0], X[1], q, np.int64)
     base, stride = _sweep_positions(P, u, q, reverse)
     table = _step_table(q, kind).reshape(-1).data  # indexing gives Python ints
-    x, out = L - 1, []
+    x, out = int(P[0]), []  # the sentinel pair
     for pos in base.tolist():
         x = table[pos + x * stride]
         out.append(x)
-    a, b = np.divmod(out[::-1] if reverse else out, q1)
+    a, b = np.divmod(out[::-1] if reverse else out, q + 1)
     return tuple(a.tolist()), tuple(b.tolist())
+
+
+def _pair_codes(S, T, q: int, dtype) -> np.ndarray:
+    """Codes a * (q + 1) + b of the color pairs of S and T, vertices along
+    axis 0, with a sentinel row, the pair (q, q), on each side; the sum is
+    formed in the inputs' integer type, which must hold it."""
+    P = np.empty((len(S) + 2, *S.shape[1:]), dtype)
+    P[0] = P[-1] = (q + 1) ** 2 - 1
+    P[1:-1] = S * (q + 1) + T
+    return P
 
 
 def _sweep_positions(P: np.ndarray, u: np.ndarray, q: int, reverse: bool):
     """``_step_table`` positions of a sweep's vertices in sweep order, less
     the already-updated neighbour's term, and that term's stride.  ``P``
-    holds pair codes, vertices along axis 0 with a neighbour row on each
-    side, ``u`` the vertices' draws.  Every other term is an old code, so a
-    chase adds only the pair each lookup returned, times the stride."""
+    holds ``_pair_codes``, ``u`` the vertices' draws.  Every other term is
+    an old code, so a chase adds only the pair each lookup returned, times
+    the stride."""
     P = P.astype(np.int64, copy=False)
     c = np.minimum((u * q).astype(np.int64), q - 1)
     if reverse:
@@ -221,13 +229,10 @@ def switch_scan_sweeps(
     ``frozen`` is set.  The copies advance as position-major byte pair
     codes, one ``_step_table`` gather per vertex (the frozen table at frozen
     vertices), with draws and positions a chunk of vertices at a time."""
-    (R, n), q1 = S.shape, q + 1
+    R, n = S.shape
     tables = [_step_table(q, "switch_scan").reshape(-1),
               _step_table(q, "switch_scan", frozen=True).reshape(-1)]
-    P = np.full((n + 2, R), q1 * q1 - 1, dtype=np.uint8)
-    P[1:-1] = S.T
-    P[1:-1] *= q1
-    np.add(P[1:-1], T.T, out=P[1:-1], casting="unsafe")
+    P = _pair_codes(S.T, T.T, q, np.uint8)
     picks, rows = frozen.tolist(), max(1, CHUNK_CELLS // R)
     for s in range(sweeps):
         x = P[0]
@@ -238,7 +243,7 @@ def switch_scan_sweeps(
             stride = np.int64(stride)  # x * stride promotes to int64
             for v, b in zip(range(v0, v1), base):
                 x = P[v] = tables[picks[v]][b + x * stride]
-    return np.divmod(P[read], q1)
+    return np.divmod(P[read], q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +258,16 @@ def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     move: the Hamming DP, the ``switch_scan_contained`` certificate and
     the table sweeps of ``coupled_sweep`` and ``switch_scan_sweeps`` all
     read it; a ``frozen`` table is that of a frozen copy two.  Pairs (a, b)
-    of the two copies' colors are coded a * (q + 1) + b, with color q
-    standing for a missing neighbor.  Row (right * q^2 + old) * L + left,
-    column c holds the pair code at the vertex after copy one proposes c,
-    where ``left`` is the left neighbor pair, ``right`` the right neighbor
-    pair, ``old`` = a * q + b the vertex's own pair and L = (q + 1)^2
+    of the two copies' colors are ``_pair_codes``, color q standing for a
+    missing neighbor.  Entry [right, old, left, c] is the vertex's pair
+    code after copy one proposes c, where ``right`` and ``left`` are the
+    neighbor pair codes and ``old`` = a * q + b the vertex's own pair
     (``_table_index`` gives the flat position).  In a left-to-right sweep
-    the left pair is already updated and the right one old.  Built on first
-    use and cached per (q, coupling, frozen), as uint8; a table of more than
-    ``STEP_TABLE_BUDGET`` cells is refused before anything is allocated.
+    the left pair is already updated and the right one old.  Cached per
+    (q, coupling, frozen), as uint8: the ``STEP_TABLE_BUDGET`` admits only
+    q <= 10, whose codes fit a byte; a larger table is refused before
+    anything is allocated.
     """
-    _check_byte_codes(q)
     cells = (q + 1) ** 4 * q ** 3
     if cells > STEP_TABLE_BUDGET:
         raise ValueError(f"{cells} step-table cells (q = {q}) exceed budget {STEP_TABLE_BUDGET}")
@@ -275,7 +279,7 @@ def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     # the engine's move on the padded window (left, vertex, right)
     s, t = [la, oa, ra], [lb, ob, rb]
     coupled_update(s, t, 1, c, coupling, frozen=frozen)
-    table = (s[1] * q1 + t[1]).astype(np.uint8).reshape(-1, q)
+    table = (s[1] * q1 + t[1]).astype(np.uint8)
     table.flags.writeable = False
     return table
 
@@ -290,12 +294,6 @@ def _table_index(q: int, left, own, right, c):
     return ((right * q * q + own - own // (q + 1)) * L + left) * q + c
 
 
-def _check_byte_codes(q: int) -> None:
-    """Raise ValueError unless every pair code of q colors fits in a byte."""
-    if (q + 1) ** 2 > 256:
-        raise ValueError(f"pair codes of {q} colors do not fit in a byte: q <= 15 required")
-
-
 @functools.cache
 def switch_scan_contained(q: int) -> bool:
     """Whether the switch_scan coupling contains disagreements on q colors.
@@ -308,7 +306,7 @@ def switch_scan_contained(q: int) -> bool:
     have percolated from a frozen vertex.
     """
     q1, L = q + 1, (q + 1) ** 2
-    a, b = np.divmod(_step_table(q, "switch_scan").reshape(L, q * q, L, q), q1)
+    a, b = np.divmod(_step_table(q, "switch_scan"), q1)
     pa, pb = np.divmod(np.arange(L), q1)
     oa, ob = np.divmod(np.arange(q * q), q)
     differs = pa != pb
@@ -320,13 +318,10 @@ def switch_scan_contained(q: int) -> bool:
 
 @functools.cache
 def _last_vertex_off(q: int, coupling: str) -> np.ndarray:
-    """Proposals that leave the last vertex's pair off-diagonal, from
-    ``_step_table``: entry [own, left] counts them for the vertex's own pair
-    a * q + b and its updated left pair code, the right pair being the
-    sentinel.  Cached per (q, coupling), as float64 for the DP's sums."""
-    q1, L = q + 1, (q + 1) ** 2
-    last = _step_table(q, coupling)[(L - 1) * q * q * L:]
-    a, b = np.divmod(last.reshape(q * q, L, q), q1)
+    """Proposals that leave the last vertex's pair off-diagonal: entry
+    [own, left] counts them in ``_step_table``'s block of the sentinel right
+    pair.  Cached per (q, coupling), as float64 for the DP's sums."""
+    a, b = np.divmod(_step_table(q, coupling)[-1], q + 1)
     return (a != b).sum(axis=2).astype(np.float64)
 
 
@@ -363,14 +358,10 @@ def _ham_batch_drift(
     m = n - start
     if not (m and C):
         return fixed * scale, scale
-    q1, L = q + 1, (q + 1) ** 2
     # pair codes of the left neighbour of start (the sentinel if there is
     # none) and of the scanned vertices; the last one's right pair is the
     # sentinel, which _last_vertex_off assumes
-    P = np.full((C, m + 1), L - 1)
-    P[:, 1:] = sig[:, start:] * q1 + tau[:, start:]
-    if start:
-        P[:, 0] = sig[:, start - 1] * q1 + tau[:, start - 1]
+    P = _pair_codes(sig.T, tau.T, q, np.int64)[start:-1].T
     order = np.lexsort(P.T[::-1])
     out = np.empty(C, dtype=np.int64)
     for lo in range(0, C, DP_CHUNK_ROWS):
@@ -393,13 +384,15 @@ def _sorted_drift(P: np.ndarray, q: int, coupling: str) -> np.ndarray:
     """
     C, m = P.shape[0], P.shape[1] - 1
     q1, L = q + 1, (q + 1) ** 2
-    table = _step_table(q, coupling)
+    table = _step_table(q, coupling).reshape(-1, q)
     a, b = np.divmod(np.arange(L), q1)
-    off_diag = (a != b) & (a < q) & (b < q)
+    off_diag = ((a != b) & (a < q) & (b < q)).astype(np.float64)
     # new[i, k]: row i differs from row i - 1 in columns 0..k
     new = np.ones((C, m + 1), dtype=bool)
     new[1:] = np.logical_or.accumulate(P[1:] != P[:-1], axis=1)
-    own = P - P // q1  # a * q + b, the table's own-pair code
+    # rows[own, right]: the table row of left pair 0 at a vertex of pair
+    # codes own and right; rows[own, 0] // L indexes _last_vertex_off
+    rows = _table_index(q, 0, np.arange(L)[:, None], np.arange(L), 0) // q
 
     # runs before any update share the left pair; after the k-th scanned
     # vertex (column k) they share columns 0..k+1
@@ -411,17 +404,17 @@ def _sorted_drift(P: np.ndarray, q: int, coupling: str) -> np.ndarray:
         heads = np.flatnonzero(new[:, k + 1])
         parent = run[heads]
         r, lp = np.nonzero(dist[parent])
-        nxt = table[(P[heads, k + 1] * q * q + own[heads, k])[r] * L + lp]
+        nxt = table[rows[P[heads, k], P[heads, k + 1]][r] + lp]
         dist = np.bincount(
             (nxt + (r * L)[:, None]).ravel(),
             weights=np.repeat(dist[parent[r], lp], q),
             minlength=len(heads) * L,
         ).reshape(-1, L)
-        expected = expected[parent] + dist[:, off_diag].sum(axis=1).astype(np.int64) * q ** (m - k)
+        expected = expected[parent] + (dist @ off_diag).astype(np.int64) * q ** (m - k)
         run = np.cumsum(new[:, k + 1]) - 1
     # per row, not one product over all q^2 own pairs: even on 2,048-row
     # chunks a BLAS product here raised the drift jobs' peak RSS by 1-1.6 MB
-    last = (dist[run] * _last_vertex_off(q, coupling)[own[:, m]]).sum(axis=1)
+    last = (dist[run] * _last_vertex_off(q, coupling)[rows[P[:, m], 0] // L]).sum(axis=1)
     return expected[run] + last.astype(np.int64)
 
 

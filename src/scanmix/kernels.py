@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domain import Coloring, Graph, TargetGraph, _build_states, _component_palette, accepted_colors
+from .domain import (BudgetExceededError, Coloring, Graph, TargetGraph, _build_states,
+                     _component_palette, accepted_colors)
 # unused here: the benchmark harness reads scanmix.kernels.proposal_accepted
 # to check that its probes are removed after a traced pass
 from .dynamics import ChainSpec, proposal_accepted, scan_order, sign_move  # noqa: F401
@@ -286,20 +287,20 @@ def _is_one_class(indptr: np.ndarray, indices: np.ndarray) -> bool:
     return _covers(n, forward) and _covers(n, backward)
 
 
-def communicating_classes(kernel: ChainKernel) -> list[list[int]]:
-    """Strongly connected components of the positive-transition digraph.
+def communicating_classes(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Strongly connected components of the CSR digraph (indptr, indices).
 
     A single class when state 0 reaches every state and every state
     reaches 0, decided by a forward and a backward sweep over the CSR
-    arrays; only a reducible kernel builds its predecessor lists and goes
+    arrays; only a reducible digraph builds its predecessor lists and goes
     on to Kosaraju's two depth-first passes, which list its classes."""
-    n = len(kernel)
-    if n and _is_one_class(kernel.indptr, kernel.indices):
+    n = len(indptr) - 1
+    if n and _is_one_class(indptr, indices):
         return [list(range(n))]
     # predecessors: the rows of each column, ascending, by one stable sort on the column
-    rows = kernel._row_ids()[np.argsort(kernel.indices, kind="stable")]
-    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(kernel.indices, minlength=n))))
-    ptr, cols = kernel.indptr.tolist(), kernel.indices.tolist()
+    rows = np.repeat(np.arange(n), np.diff(indptr))[np.argsort(indices, kind="stable")]
+    col_ptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
+    ptr, cols = indptr.tolist(), indices.tolist()
     succ = [cols[a:b] for a, b in zip(ptr, ptr[1:])]
     rows, col_ptr = rows.tolist(), col_ptr.tolist()
     pred = [rows[a:b] for a, b in zip(col_ptr, col_ptr[1:])]
@@ -402,9 +403,10 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
     Memory: every rung stays alive for the search, so the peak is the
     rung count times N^2 floats; each distance is read by
     ``max_tv_to_uniform`` through one row-block scratch, so no N x N
-    temporary joins them.
+    temporary joins them.  A rung that would take them past one matrix at
+    the state budget, ``DEFAULT_STATE_BUDGET``^2 floats, raises BudgetExceededError.
     """
-    classes = communicating_classes(kernel)
+    classes = communicating_classes(kernel.indptr, kernel.indices)
     if len(classes) > 1:
         raise NonErgodicError(classes)
     powers = [kernel.dense()]
@@ -426,6 +428,9 @@ def tv_mixing_time(kernel: ChainKernel, eps: float, *, ladder: Optional[list] = 
                 f"no mixing to eps={eps:g} by t={MAX_MIX_T}: max TV is still {tv:.6g} "
                 f"at t={t}; eps may be below the float64 floor of the distance"
             )
+        if (len(powers) + 1) * len(kernel) ** 2 > DEFAULT_STATE_BUDGET ** 2:
+            raise BudgetExceededError(f"TV ladder of {len(kernel)} states: rung {len(powers) + 1} "
+                                      f"and those before it exceed {DEFAULT_STATE_BUDGET}^2 floats")
         powers.append(powers[-1] @ powers[-1])
         t *= 2
     if t == 1:

@@ -626,7 +626,8 @@ def test_mix_nonergodic_class_sizes_in_kosaraju_order(tmp_path):
     assert main(["mix", "--n", "4", "--h-file", str(hfile), "--directed", "--out", str(out)]) == 0
     kv = dict(l.split(" = ") for l in body_lines(out / "mix.txt"))
     H = TargetGraph.from_text(DIRECTED_H, directed=True)
-    classes = communicating_classes(build_kernel(ChainSpec(graph=Graph.path(4), target=H)))
+    K = build_kernel(ChainSpec(graph=Graph.path(4), target=H))
+    classes = communicating_classes(K.indptr, K.indices)
     sizes = [int(kv[f"class_{i}_size"]) for i in range(int(kv["n_classes"]))]
     assert kv["ergodic"] == "False"
     assert sizes == [len(c) for c in classes] == [4, 2, 1, 2]

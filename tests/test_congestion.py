@@ -56,15 +56,17 @@ def route(sigma, tau, walk, n):
     return states
 
 
-def is_valid_move_path(states, g, target):
-    """Consecutive states differ at exactly one vertex by a move the
-    three-branch reference rule accepts."""
+def is_valid_move(a, b, g, target):
+    """a and b differ at exactly one vertex by a move the three-branch
+    reference rule accepts."""
     spec = ChainSpec(graph=g, target=target, base="glauber")
-    for a, b in zip(states, states[1:]):
-        diffs = [v for v in range(g.n) if a[v] != b[v]]
-        if len(diffs) != 1 or not reference_proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]]):
-            return False
-    return True
+    diffs = [v for v in range(g.n) if a[v] != b[v]]
+    return len(diffs) == 1 and reference_proposal_accepted(spec, a, diffs[0] + 1, b[diffs[0]])
+
+
+def is_valid_move_path(states, g, target):
+    """Every step of the state sequence is a valid move."""
+    return all(is_valid_move(a, b, g, target) for a, b in zip(states, states[1:]))
 
 
 @pytest.mark.parametrize(
@@ -127,8 +129,10 @@ def test_congestion_reports(n, target):
 
 
 def reference_congestion(n, target, component="auto"):
-    """The pair-by-pair router: one Python path per (sigma, tau), every step
-    checked with is_valid_move_path, loads kept in dicts."""
+    """The pair-by-pair router: one Python path per (sigma, tau), its steps
+    tallied in a Counter per path length, whose sums give the loads.  A
+    step's validity depends on the step alone, so the paths are all valid
+    when every distinct step is (is_valid_move)."""
     g = Graph.path(n)
     if component == "auto":
         component = "side0" if target.is_bipartite else "all"
@@ -138,22 +142,21 @@ def reference_congestion(n, target, component="auto"):
     n_states = len(states)
     walk = functools.cache(functools.partial(congestion.connector_walk, target, t=t))
 
-    edge_load, edge_paths = {}, {}
-    valid = True
-    max_len = 0
+    by_length = collections.defaultdict(collections.Counter)
     for sigma in states:
         for tau in states:
             if sigma == tau:
                 continue
             path = route(sigma, tau, walk(sigma[-1], tau[0]), n)
-            if not is_valid_move_path(path, g, target):
-                valid = False
-            length = len(path) - 1
-            max_len = max(max_len, length)
-            for a, b in zip(path, path[1:]):
-                edge_load[(a, b)] = edge_load.get((a, b), 0) + length
-                edge_paths[(a, b)] = edge_paths.get((a, b), 0) + 1
+            by_length[len(path) - 1].update(zip(path, path[1:]))
+    edge_load, edge_paths = collections.Counter(), collections.Counter()
+    for length, steps in by_length.items():
+        for step, paths in steps.items():
+            edge_load[step] += length * paths
+            edge_paths[step] += paths
+    max_len = max(by_length, default=0)
 
+    valid = all(is_valid_move(a, b, g, target) for a, b in edge_load)
     max_load = max(edge_load.values(), default=0)
     max_paths = max(edge_paths.values(), default=0)
     length_bound = Fraction(n + t, 2) * n

@@ -16,10 +16,11 @@ from scanmix.coupling import (
     TABLE_MAX_Q,
     CouplingStats,
     PathMetricTables,
-    _check_byte_codes,
     _ham_batch_drift,
+    _pair_codes,
     _restricted_growth_array,
     _step_table,
+    _table_index,
     coupled_sweep,
     coupled_update,
     coupling_time,
@@ -154,7 +155,7 @@ def _reference_ham_batch_drift(sig, tau, start, q, coupling="q4_scan"):
     C, n = sig.shape
     scale = q ** (n - start)
     q1, L = q + 1, (q + 1) ** 2
-    table = _step_table(q, coupling)
+    table = _step_table(q, coupling).reshape(-1, q)
     pad = np.full((C, 1), q)
     right = np.hstack([sig[:, 1:], pad]) * q1 + np.hstack([tau[:, 1:], pad])
     rows_at = (right * q * q + sig * q + tau) * L
@@ -380,19 +381,58 @@ def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
                 assert got == want, (kind, sigma, tau)
 
 
-def test_byte_codes_refuse_more_than_15_colors():
-    """Pair codes (q + 1)^2 fit in a byte up to q = 15; the uint8 step
-    table refuses q = 16 before it builds anything."""
-    _check_byte_codes(15)
-    with pytest.raises(ValueError, match="byte"):
-        _check_byte_codes(16)
-    with pytest.raises(ValueError, match="byte"):
+@pytest.mark.parametrize("s_type,t_type,dtype", [
+    (np.int64, np.int64, np.int64), (np.int64, np.int64, np.uint8), (np.int8, np.int8, np.uint8),
+])
+def test_pair_codes_round_trip_with_a_sentinel_row_at_each_end(s_type, t_type, dtype):
+    """``_pair_codes`` holds a * (q + 1) + b at vertices 1..n of axis 0 and
+    the sentinel pair (q, q) in the rows before and after them, for one
+    coloring or a batch along axis 1."""
+    rng = np.random.default_rng(29)
+    for q in (3, 6, 10):
+        for shape in ((7,), (5, 3)):
+            S = rng.integers(q, size=shape).astype(s_type)
+            T = rng.integers(q, size=shape).astype(t_type)
+            P = _pair_codes(S, T, q, dtype)
+            assert P.dtype == dtype and P.shape == (shape[0] + 2,) + shape[1:]
+            a, b = np.divmod(P, q + 1)
+            assert np.array_equal(a[1:-1], S) and np.array_equal(b[1:-1], T)
+            assert (a[[0, -1]] == q).all() and (b[[0, -1]] == q).all()
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_step_table_axes_are_right_own_left_proposal(q):
+    """``_step_table`` is (L, q^2, L, q): right pair code, own pair a * q + b,
+    left pair code and proposal, each at the flat position ``_table_index``
+    gives for the own pair code a * (q + 1) + b."""
+    L = (q + 1) ** 2
+    own = (np.arange(q)[:, None] * (q + 1) + np.arange(q)).ravel()  # pair codes, a-major
+    for kind in ("q4_scan", "identity_scan", "switch_scan"):
+        table = _step_table(q, kind)
+        assert table.shape == (L, q * q, L, q)
+        right, o, left, c = np.ix_(np.arange(L), np.arange(q * q), np.arange(L), np.arange(q))
+        flat = table.reshape(-1)[_table_index(q, left, own[o], right, c)]
+        assert np.array_equal(flat, table)
+
+
+def test_step_table_budget_keeps_pair_codes_in_a_byte():
+    """Every q whose step table ``STEP_TABLE_BUDGET`` admits has its (q + 1)^2
+    pair codes in a byte, so the uint8 table needs no guard of its own;
+    q = 16, whose codes would not fit, is refused before any allocation."""
+    admitted = [q for q in range(1, 20) if (q + 1) ** 4 * q ** 3 <= STEP_TABLE_BUDGET]
+    assert admitted == list(range(1, 11))
+    assert all((q + 1) ** 2 <= 256 for q in admitted)
+    tracemalloc.start()
+    with pytest.raises(ValueError, match="exceed budget"):
         _step_table(16, "q4_scan")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_step_table_refuses_tables_over_its_cell_budget():
-    """The budget admits q <= 10; q = 15, whose 221M cells pass the byte
-    check, is refused before any allocation."""
+    """The budget admits q <= 10; q = 15, whose 221M cells hold codes that
+    still fit a byte, is refused before any allocation."""
     assert 11 ** 4 * 10 ** 3 <= STEP_TABLE_BUDGET < 12 ** 4 * 11 ** 3
     tracemalloc.start()
     with pytest.raises(ValueError, match="exceed budget"):
@@ -1020,10 +1060,10 @@ def test_switch_coupling_with_clamped_copy():
 def test_frozen_step_table_keeps_copy_twos_own_color(kind, q):
     """The frozen table is the unfrozen one with copy two's color kept at
     its own: copy one's move never reads whether copy two is frozen."""
-    q1, L = q + 1, (q + 1) ** 2
-    free = _step_table(q, kind).reshape(L, q * q, L, q).astype(np.int64)
+    q1 = q + 1
+    free = _step_table(q, kind).astype(np.int64)
     own_b = (np.arange(q * q) % q)[:, None, None]  # axis 1 is the own pair a * q + b
-    frozen = _step_table(q, kind, frozen=True).reshape(L, q * q, L, q)
+    frozen = _step_table(q, kind, frozen=True)
     assert np.array_equal(frozen, free - free % q1 + own_b)
     assert not np.array_equal(frozen, free)
 

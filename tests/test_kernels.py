@@ -289,7 +289,7 @@ def test_sign_chain_is_exact_lumping(base, n):
 
 def test_communicating_classes_and_triplets():
     K = build_kernel(ChainSpec(graph=Graph.path(4), q=3))
-    assert len(communicating_classes(K)) == 1
+    assert len(communicating_classes(K.indptr, K.indices)) == 1
     text = to_triplets(K)
     first = text.splitlines()[0].split()
     assert len(first) == 4 and int(first[3]) == K.denom
@@ -339,7 +339,7 @@ def test_communicating_classes_match_reference_on_directed_triangles():
             continue
         for n, base in itertools.product((3, 4), ("glauber", "scan")):
             K = build_kernel(ChainSpec(graph=Graph.path(n), target=H, base=base))
-            classes = communicating_classes(K)
+            classes = communicating_classes(K.indptr, K.indices)
             assert classes == reference_communicating_classes(K), (bits, n, base)
             n_split += len(classes) > 1
     assert n_split > 0  # the family includes reducible chains
@@ -360,7 +360,7 @@ def test_communicating_classes_match_reference_on_random_digraphs():
             data=np.ones(len(cols), dtype=np.int64),
             denom=1,
         )
-        assert communicating_classes(K) == reference_communicating_classes(K)
+        assert communicating_classes(K.indptr, K.indices) == reference_communicating_classes(K)
 
 
 def digraph_kernel(n, arcs):
@@ -379,13 +379,13 @@ def test_communicating_classes_backward_sweep_decides():
     """State 0 reaches every state, but only 0 reaches 0: the forward sweep
     passes and the backward one sends the kernel to the class listing."""
     K = digraph_kernel(4, [(0, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
-    classes = communicating_classes(K)
+    classes = communicating_classes(K.indptr, K.indices)
     assert classes == reference_communicating_classes(K)
     assert sorted(classes) == [[0], [1, 2, 3]]
     # the mirror image: every state reaches 0, but 0 reaches only itself
     K = digraph_kernel(4, [(1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
-    assert communicating_classes(K) == reference_communicating_classes(K)
-    assert sorted(communicating_classes(K)) == [[0], [1, 2, 3]]
+    assert communicating_classes(K.indptr, K.indices) == reference_communicating_classes(K)
+    assert sorted(communicating_classes(K.indptr, K.indices)) == [[0], [1, 2, 3]]
 
 
 @pytest.mark.parametrize(
@@ -399,7 +399,7 @@ def test_communicating_classes_backward_sweep_decides():
 )
 def test_irreducible_kernel_is_one_ascending_class(spec):
     K = build_kernel(spec)
-    assert communicating_classes(K) == [list(range(len(K)))]
+    assert communicating_classes(K.indptr, K.indices) == [list(range(len(K)))]
 
 
 @pytest.mark.parametrize(
@@ -453,6 +453,28 @@ def test_tv_ladder_stops_at_max_mix_t(monkeypatch):
         tv_mixing_time(K, 1e-300, ladder=ladder)
     t, tv = ladder[-1]
     assert t == 8 and f"{tv:.6g} at t={t};" in str(exc.value)
+
+
+def test_tv_ladder_refuses_a_rung_past_the_state_budget(monkeypatch):
+    """With the state budget at twice the glauber 8-path's 384 states, the
+    live rungs may hold 4 * 384^2 floats: the ladder computes P, P^2, P^4
+    and P^8 and refuses the fifth rung, naming N, the rung and the budget,
+    before it allocates it."""
+    K = build_kernel(ChainSpec(graph=Graph.path(8), q=3))
+    N = len(K)
+    assert N == 384
+    monkeypatch.setattr(kernels, "DEFAULT_STATE_BUDGET", 2 * N)
+    K.dense()  # the first rung, formed before tracing
+    ladder = []
+    tracemalloc.start()
+    refusal = r"of 384 states: rung 5 and those before it exceed 768\^2 floats"
+    with pytest.raises(BudgetExceededError, match=refusal):
+        tv_mixing_time(K, 0.01, ladder=ladder)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert [t for t, _ in ladder] == [1, 2, 4, 8] and ladder[-1][1] > 0.01
+    # rungs 2-4 and small scratch; a fifth rung would add N^2 floats more
+    assert 3 * N * N * 8 < peak < 4 * N * N * 8
 
 
 # The color rotation c -> c + 1 mod h is an automorphism of each of these
@@ -838,7 +860,7 @@ def test_symmetrized_kernel_is_the_dense_average_bit_for_bit():
 def test_communicating_classes_match_kosaraju_on_the_reference_kernels():
     sizes = set()
     for K in exact_layer_kernels():
-        classes = communicating_classes(K)
+        classes = communicating_classes(K.indptr, K.indices)
         assert classes == reference_communicating_classes(K)
         sizes.add(len(classes) > 1)
     assert sizes == {False, True}  # ergodic and reducible kernels both

@@ -210,3 +210,18 @@ def test_only_the_coupling_module_reads_the_step_table():
         and n.func.id in ("_step_table", "_table_index")
     }
     assert callers == {"coupling"}, sorted(callers)
+
+
+SENTINEL_CODES = {"L - 1", "q1 * q1 - 1", "(q + 1) ** 2 - 1"}
+
+
+def test_only_pair_codes_forms_the_sentinel_pair():
+    """Inside ``coupling`` only ``_pair_codes`` spells the sentinel pair
+    code, whether to fill an array (``np.full``) or to write its rows, so
+    every engine that reads the step table gets its pair codes, sentinel
+    rows included, from that one encoder."""
+    writers = {
+        key for key, nodes in _scopes() if key[0] == "coupling" for n in nodes
+        if isinstance(n, ast.expr) and ast.unparse(n) in SENTINEL_CODES
+    }
+    assert writers == {("coupling", "_pair_codes")}, sorted(writers)
