@@ -6,14 +6,17 @@ driven by a neighbor's colors), the contraction-bound ledger of exact
 expected drifts (dynamic programming over the joint pair at the frontier
 vertex, or all-pairs metric tables; never sampling) quantified over
 canonical color classes, and empirical coalescence-time experiments on
-q-colorings of the path driven by one coupled step, ``coupled_sweep``.
-Every coupled vertex move is ``coupled_update``, run directly or through
-the step table it builds.
+q-colorings of the path.  ``coupling_time`` advances a chunk of replicates
+step by step, each by one coupled step, ``coupled_sweep``, on its padded
+copies in place, from batched starts and one tape block per step.  Every
+coupled vertex move is ``coupled_update``, run directly or through the step
+table it builds.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +26,6 @@ import numpy as np
 
 from .domain import (
     BudgetExceededError,
-    Coloring,
     Graph,
     VertexWeights,
     enumerate_colorings,
@@ -137,47 +139,45 @@ def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
 # Coupled simulation drivers
 # ---------------------------------------------------------------------------
 
-def coupled_sweep(
-    sigma: Coloring,
-    tau: Coloring,
-    kind: str,
-    spec: ChainSpec,
-    tape: RandomTape,
-    rep: int = 0,
-    t: int = 0,
-) -> tuple[Coloring, Coloring]:
+def coupled_sweep(x: list, y: list, kind: str, spec: ChainSpec, u) -> None:
     """One coupled sweep (scan kinds) or single-site step (glauber kinds) of
-    two copies of the spec's chain, which ``_check_kind_fits`` admits.
+    two copies of the spec's chain, which ``_check_kind_fits`` admits, in
+    place on the sentinel-padded lists x and y.
 
-    Copy one tries the tape's proposals, copy two their partner proposals.
-    A step reads the ``CH_GLAUBER`` block [lazy coin, vertex, color] and a
-    sweep one ``CH_SCAN`` draw per vertex, the draws of the plain chain.  A
-    sweep with at most ``TABLE_MAX_Q`` colors, every color in range(q), is
-    one lookup in ``_step_table`` per vertex; any other sweep or step runs
-    ``coupled_update`` vertex by vertex.
+    ``u`` holds the step's draws, those of the plain chain: a sweep's
+    ``CH_SCAN`` block, one draw per vertex, or a step's ``CH_GLAUBER``
+    block [lazy coin, vertex, color].  Copy one tries their proposals, copy
+    two the partner proposals.  A sweep with at most ``TABLE_MAX_Q`` colors,
+    every color in range(q), is one lookup in ``_step_table`` per vertex;
+    any other sweep or step runs ``coupled_update`` vertex by vertex.
+    Copies that are not padded n-vertex paths, or draws of another length,
+    raise ValueError.
     """
     _check_kind_fits(kind, spec)
-    q = spec.q
-    if kind.endswith("_scan"):
-        u = tape.uniforms(rep, t, CH_SCAN, spec.graph.n)
+    n, q = spec.graph.n, spec.q
+    scan = kind.endswith("_scan")
+    if not len(x) == len(y) == n + 2:
+        raise ValueError(f"copies of length {len(x)} and {len(y)} are not padded {n}-paths")
+    if len(u) != (n if scan else 3):
+        raise ValueError(f"{len(u)} draws do not make one {kind} move on {n} vertices")
+    if scan:
         if q <= TABLE_MAX_Q:
-            X = np.array((sigma, tau), dtype=np.int64)
+            X = np.array((x, y), dtype=np.int64)[:, 1:-1]
             if X.min() >= 0 and X.max() < q:
-                return _table_scan_sweep(X, kind, q, u, spec.base == "reverse_scan")
+                x[1:-1], y[1:-1] = _table_scan_sweep(X, kind, q, u, spec.base == "reverse_scan")
+                return
         moves = [(v, color_from_uniform(u[v - 1], q)) for v in scan_order(spec)]
     else:
-        u = tape.uniforms(rep, t, CH_GLAUBER, 3)
-        moves = [(vertex_from_uniform(u[1], spec.graph.n), color_from_uniform(u[2], q))]
-    x, y = pad(sigma), pad(tau)
+        moves = [(vertex_from_uniform(u[1], n), color_from_uniform(u[2], q))]
     for v, c in moves:
         coupled_update(x, y, v, c, kind)
-    return tuple(x[1:-1]), tuple(y[1:-1])
 
 
 def _table_scan_sweep(
     X: np.ndarray, kind: str, q: int, u: np.ndarray, reverse: bool
-) -> tuple[Coloring, Coloring]:
-    """The coupled sweep of the (2, n) copies X under draws u, by table."""
+) -> tuple[list[int], list[int]]:
+    """The two copies' colors after the coupled sweep of the (2, n) copies
+    X under draws u, by table."""
     P = _pair_codes(X[0], X[1], q, np.int64)
     base, stride = _sweep_positions(P, u, q, reverse)
     table = _step_table(q, kind).reshape(-1).data  # indexing gives Python ints
@@ -186,7 +186,7 @@ def _table_scan_sweep(
         x = table[pos + x * stride]
         out.append(x)
     a, b = np.divmod(out[::-1] if reverse else out, q + 1)
-    return tuple(a.tolist()), tuple(b.tolist())
+    return a.tolist(), b.tolist()
 
 
 def _pair_codes(S, T, q: int, dtype) -> np.ndarray:
@@ -214,7 +214,9 @@ def _sweep_positions(P: np.ndarray, u: np.ndarray, q: int, reverse: bool):
 
 # Table positions a switch sweep computes at once, as (vertices, replicates)
 # int64 cells, and as many float64 draws: the block stays near 128 kB, where
-# an (n, R) one would outweigh the codes.
+# an (n, R) one would outweigh the codes.  ``coupling_time`` advances
+# CHUNK_CELLS // n replicates at once (at least one), so its starts, its
+# padded copies and each step's draw block stay near that size too.
 CHUNK_CELLS = 2 ** 14
 
 
@@ -851,20 +853,23 @@ class CouplingStats:
         return float(np.quantile(self.times, p))
 
 
-def uniform_proper_coloring(
-    n: int, q: int, tape: RandomTape, rep: int, t: int = 0
-) -> Coloring:
-    """Exact uniform sample over proper q-colorings of the path.
+def uniform_proper_colorings(
+    n: int, q: int, tape: RandomTape, rep0: int, reps: int, t: int = 0
+) -> np.ndarray:
+    """Exact uniform samples over proper q-colorings of the path, row r for
+    replicate rep0 + r from its ``CH_INIT`` draws at time t, as a (reps, n)
+    int64 array.
 
     Left-to-right construction: first color uniform, each later color
-    uniform over the q-1 colors differing from its left neighbor.
+    uniform over the q-1 colors differing from its left neighbor.  The
+    replicates advance together, one column at a time.
     """
-    u = tape.uniforms(rep, t, CH_INIT, n)
-    out = [color_from_uniform(u[0], q)]
-    for i in range(1, n):
-        x = color_from_uniform(u[i], q - 1)
-        out.append(x + (x >= out[-1]))
-    return tuple(out)
+    U = tape.block(rep0, reps, t, CH_INIT, n)
+    out = np.minimum((U * (q - 1)).astype(np.int64), q - 2)
+    out[:, 0] = np.minimum((U[:, 0] * q).astype(np.int64), q - 1)
+    for left, col in itertools.pairwise(out.T):
+        col += col >= left
+    return out
 
 
 def coupling_time(
@@ -881,22 +886,51 @@ def coupling_time(
     other before a replicate runs.  Scan kinds count sweeps, glauber kinds
     single-site steps.  Runs that do not coalesce within the horizon are
     recorded at the horizon and counted as censored.
+
+    Replicates advance step by step, ``CHUNK_CELLS // n`` of them (at least
+    one) at a time: each step draws one tape block over the span of the
+    chunk's replicates still apart and runs one ``coupled_sweep`` per such
+    replicate, on its padded lists.  Every draw is a pure function of its
+    coordinates, so the times are those of one replicate after another.
     """
     if replicates < 1:
         raise ValueError("replicates >= 1 required")
     _check_kind_fits(kind, spec)
-    n, q = spec.graph.n, spec.q
+    n = spec.graph.n
     if horizon is None:
         scale = n if kind.endswith("glauber") else 1
         horizon = max(64, 64 * scale * (int(math.log2(n)) + 4))
+    if horizon < 0:
+        raise ValueError(f"horizon {horizon} is negative")
+    chunk = max(1, CHUNK_CELLS // n)
     times, apart = [], []
-    for r in range(replicates):
-        sigma = uniform_proper_coloring(n, q, tape, r, 0)
-        tau = uniform_proper_coloring(n, q, tape, r, 1)
-        t = 0
-        while sigma != tau and t < horizon:
-            sigma, tau = coupled_sweep(sigma, tau, kind, spec, tape, r, t)
-            t += 1
-        times.append(t)
-        apart.append(sigma != tau)
+    for r0 in range(0, replicates, chunk):
+        steps, still_apart = _chunk_times(spec, kind, tape, r0, min(chunk, replicates - r0), horizon)
+        times += steps
+        apart += still_apart
     return CouplingStats(times=times, apart=apart, horizon=horizon)
+
+
+def _chunk_times(
+    spec: ChainSpec, kind: str, tape: RandomTape, r0: int, reps: int, horizon: int
+) -> tuple[list[int], list[bool]]:
+    """Steps run by replicates r0 .. r0 + reps - 1 of ``coupling_time``,
+    and whether each is still apart after them."""
+    n, q = spec.graph.n, spec.q
+    scan = kind.endswith("_scan")
+    channel, size = (CH_SCAN, n) if scan else (CH_GLAUBER, 3)
+    starts = (uniform_proper_colorings(n, q, tape, r0, reps, t).tolist() for t in (0, 1))
+    pairs = [(pad(a), pad(b)) for a, b in zip(*starts)]
+    steps = [0] * reps
+    live = [i for i, (x, y) in enumerate(pairs) if x != y]
+    for t in range(horizon):
+        if not live:
+            break
+        lo = live[0]
+        u = tape.block(r0 + lo, live[-1] + 1 - lo, t, channel, size)
+        rows = u if scan else u.tolist()
+        for i in live:
+            coupled_sweep(*pairs[i], kind, spec, rows[i - lo])
+            steps[i] = t + 1
+        live = [i for i in live if pairs[i][0] != pairs[i][1]]
+    return steps, [x != y for x, y in pairs]

@@ -1,13 +1,14 @@
 """Reference definitions that the tests compare the program against.
 
 No command runs these.  They are the plain forms of what the package
-computes another way: the exact drift oracle, one chain step at a time, a
-chain's kernel over every coloring, the sign encoding and sign chain, the
-sign-chain expectation matrices, the anchored midpoint probability, the
-exact tails of the threshold statistic Z on small layouts, the weighted
-path metric with a move path realizing it, the one-expression forms of
-the max TV distance and the restricted-growth strings, and the
-variance-floor witnesses of the paper's case analysis.
+computes another way: the exact drift oracle, one chain step at a time,
+the one-color-at-a-time start and the replicate-by-replicate coalescence
+run, a chain's kernel over every coloring, the sign encoding and sign
+chain, the sign-chain expectation matrices, the anchored midpoint
+probability, the exact tails of the threshold statistic Z on small
+layouts, the weighted path metric with a move path realizing it, the
+one-expression forms of the max TV distance and the restricted-growth
+strings, and the variance-floor witnesses of the paper's case analysis.
 The test modules import them as ``from reference import ...``.
 """
 
@@ -15,13 +16,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from scanmix.coupling import LEMMA_IDS, Ledger, _ham_batch_drift, coupled_update
+from scanmix.coupling import (
+    LEMMA_IDS,
+    CouplingStats,
+    Ledger,
+    _ham_batch_drift,
+    coupled_sweep,
+    coupled_update,
+)
 from scanmix.domain import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
@@ -38,9 +47,11 @@ from scanmix.domain import (
 )
 from scanmix.dynamics import (
     CH_GLAUBER,
+    CH_INIT,
     CH_SCAN,
     CH_SIGN,
     ChainSpec,
+    RandomTape,
     color_from_uniform,
     metropolis_update,
     scan_order,
@@ -78,7 +89,8 @@ def single_edge() -> TargetGraph:
 def glauber_step(sigma, spec, tape, rep: int = 0, step: int = 0) -> Coloring:
     """One random single-site update: uniform vertex, uniform color,
     Metropolis, after a fair stay coin for the lazy base.  It reads the
-    draw block of a ``coupled_sweep`` glauber step."""
+    ``CH_GLAUBER`` block of (rep, step), the draws ``coupling_time`` passes
+    to the ``coupled_sweep`` glauber step of replicate rep at that step."""
     u = tape.uniforms(rep, step, CH_GLAUBER, 3)
     if spec.base == "lazy" and u[0] < 0.5:
         return sigma
@@ -93,6 +105,44 @@ def scan_sweep(sigma, spec, tape, rep: int = 0, sweep: int = 0) -> Coloring:
     for v in scan_order(spec):
         sigma = metropolis_update(sigma, v, color_from_uniform(u[v - 1], spec.n_colors), spec)
     return sigma
+
+
+def uniform_proper_coloring(
+    n: int, q: int, tape: RandomTape, rep: int, t: int = 0
+) -> Coloring:
+    """Exact uniform sample over proper q-colorings of the path, one color
+    at a time: first color uniform, each later color uniform over the q-1
+    colors differing from its left neighbor."""
+    u = tape.uniforms(rep, t, CH_INIT, n)
+    out = [color_from_uniform(u[0], q)]
+    for i in range(1, n):
+        x = color_from_uniform(u[i], q - 1)
+        out.append(x + (x >= out[-1]))
+    return tuple(out)
+
+
+def coupling_time_by_replicate(
+    spec, kind: str, replicates: int, tape: RandomTape, horizon: Optional[int] = None
+) -> CouplingStats:
+    """``coupling_time`` one replicate after another: its two scalar
+    starts, then one ``coupled_sweep`` per step on the step's own
+    ``tape.uniforms`` draws, until the copies meet or the horizon."""
+    n, q = spec.graph.n, spec.q
+    if horizon is None:
+        scale = n if kind.endswith("glauber") else 1
+        horizon = max(64, 64 * scale * (int(math.log2(n)) + 4))
+    channel, size = (CH_SCAN, n) if kind.endswith("_scan") else (CH_GLAUBER, 3)
+    times, apart = [], []
+    for r in range(replicates):
+        x = pad(uniform_proper_coloring(n, q, tape, r, 0))
+        y = pad(uniform_proper_coloring(n, q, tape, r, 1))
+        t = 0
+        while x != y and t < horizon:
+            coupled_sweep(x, y, kind, spec, tape.uniforms(r, t, channel, size))
+            t += 1
+        times.append(t)
+        apart.append(x != y)
+    return CouplingStats(times=times, apart=apart, horizon=horizon)
 
 
 def all_colorings_kernel(spec) -> ChainKernel:

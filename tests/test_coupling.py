@@ -10,7 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import scanmix.coupling
 from scanmix.coupling import (
+    CHUNK_CELLS,
     COUPLING_KINDS,
     STEP_TABLE_BUDGET,
     TABLE_MAX_Q,
@@ -28,7 +30,7 @@ from scanmix.coupling import (
     hamming_contraction_rows,
     switch_scan_sweeps,
     transpose_color,
-    uniform_proper_coloring,
+    uniform_proper_colorings,
     weighted_metric_contraction_rows,
 )
 from scanmix.domain import (
@@ -56,6 +58,7 @@ from scanmix.dynamics import (
 from reference import (
     WITNESS_DIGEST,
     all_colorings_kernel,
+    coupling_time_by_replicate,
     cycle,
     d2,
     drop_choice,
@@ -64,12 +67,23 @@ from reference import (
     site_variance_witness,
     star,
     sweep_variance_witness,
+    uniform_proper_coloring,
 )
 from test_kernels import entry
 
 
 def ham(a, b):
     return sum(x != y for x, y in zip(a, b))
+
+
+def _coupled_step(sigma, tau, kind, spec, tape, rep=0, t=0):
+    """``coupled_sweep`` on padded copies of sigma and tau under the draws
+    of replicate rep at step t, as the pair of colorings it leaves."""
+    x, y = pad(sigma), pad(tau)
+    scan = kind.endswith("_scan")
+    u = tape.uniforms(rep, t, CH_SCAN if scan else CH_GLAUBER, spec.graph.n if scan else 3)
+    coupled_sweep(x, y, kind, spec, u)
+    return tuple(x[1:-1]), tuple(y[1:-1])
 
 
 def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n, order=None):
@@ -348,7 +362,7 @@ def test_coupled_drivers_match_deterministic_form():
     tape = RandomTape(12)
     sigma = uniform_proper_coloring(n, q, tape, 0, 0)
     tau = uniform_proper_coloring(n, q, tape, 0, 1)
-    out = coupled_sweep(sigma, tau, "q4_scan", spec, tape, rep=0, t=0)
+    out = _coupled_step(sigma, tau, "q4_scan", spec, tape, rep=0, t=0)
     u = tape.uniforms(0, 0, 1, n)
     props = tuple(min(int(x * q), q - 1) for x in u)
     assert out == _deterministic_coupled_scan(sigma, tau, "q4_scan", props, 1, q, n)
@@ -376,7 +390,7 @@ def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
                     sigma = (q,) + sigma[1:]
             props = [color_from_uniform(u, q) for u in tape.uniforms(rep, 3, CH_SCAN, n)]
             for kind in kinds:
-                got = coupled_sweep(sigma, tau, kind, spec, tape, rep, 3)
+                got = _coupled_step(sigma, tau, kind, spec, tape, rep, 3)
                 want = _deterministic_coupled_scan(sigma, tau, kind, props, 1, q, n, scan_order(spec))
                 assert got == want, (kind, sigma, tau)
 
@@ -448,7 +462,7 @@ def test_identity_coupling_diagonal_absorbs():
     tape = RandomTape(5)
     s = (0, 1, 2, 0)
     for t in range(10):
-        a, b = coupled_sweep(s, s, "identity_scan", spec, tape, 0, t)
+        a, b = _coupled_step(s, s, "identity_scan", spec, tape, 0, t)
         assert a == b
         s = a
 
@@ -488,7 +502,7 @@ def test_vertex_by_vertex_coupled_sweep_matches_the_reference(model, kinds):
                 pair = tuple(tuple(rng.integers(spec.q, size=spec.graph.n).tolist()) for _ in "st")
                 for t in range(5):
                     want = _reference_coupled_sweep(*pair, kind, spec, tape, rep, t)
-                    pair = coupled_sweep(*pair, kind, spec, tape, rep, t)
+                    pair = _coupled_step(*pair, kind, spec, tape, rep, t)
                     assert pair == want, (kind, base, rep, t)
 
 
@@ -507,9 +521,35 @@ def test_coupled_runs_refuse_models_their_starts_miss(model):
         start = (0,) * spec.graph.n
         reason = "segment layout" if kind.endswith("neighbor") else "proper colorings of the path"
         with pytest.raises(ValueError, match=reason):
-            coupled_sweep(start, start, kind, spec, tape)
+            _coupled_step(start, start, kind, spec, tape)
         with pytest.raises(ValueError, match=reason):
             coupling_time(spec, kind, 4, tape)
+
+
+def test_coupled_sweep_refuses_unpadded_copies_and_wrong_draw_counts():
+    """The copies must be padded n-vertex paths and the draws one move's:
+    n for a sweep, 3 for a step.  A single draw would otherwise broadcast
+    over every vertex of a table sweep.  Nothing is written on refusal."""
+    n = 5
+    tape = RandomTape(9)
+    scan = ChainSpec(graph=Graph.path(n), q=4, base="scan")
+    glauber = ChainSpec(graph=Graph.path(n), q=4, base="glauber")
+    x = pad((0, 1, 2, 3, 0))
+    y = pad((1, 0, 2, 3, 0))
+    u = tape.uniforms(0, 0, CH_SCAN, n)
+    for a, b in ((x[1:], y), (x, y[:-1]), (x[1:-1], y[1:-1])):
+        with pytest.raises(ValueError, match="not padded 5-paths"):
+            coupled_sweep(list(a), list(b), "q4_scan", scan, u)
+    for spec, kind, draws in (
+        (scan, "q4_scan", u[:1]),
+        (scan, "identity_scan", u[:3]),
+        (glauber, "q4_glauber", u),
+        (glauber, "identity_glauber", u[:1]),
+    ):
+        a, b = list(x), list(y)
+        with pytest.raises(ValueError, match="draws do not make one"):
+            coupled_sweep(a, b, kind, spec, draws)
+        assert (a, b) == (x, y)
 
 
 def test_coupled_update_on_padded_lists_keeps_python_ints():
@@ -829,12 +869,12 @@ def test_metric_increment_caps_along_trajectories():
     tau = uniform_proper_coloring(n, 3, tape, 0, 1)
     s, t = sigma, tau
     for step in range(200):
-        a, b = coupled_sweep(s, t, "identity_glauber", spec_g, tape, 1, step)
+        a, b = _coupled_step(s, t, "identity_glauber", spec_g, tape, 1, step)
         assert abs(d2(a, b, wg) - d2(s, t, wg)) <= 2
         s, t = a, b
     s, t = sigma, tau
     for sweep in range(100):
-        a, b = coupled_sweep(s, t, "identity_scan", spec_s, tape, 2, sweep)
+        a, b = _coupled_step(s, t, "identity_scan", spec_s, tape, 2, sweep)
         assert abs(d2(a, b, ws) - d2(s, t, ws)) <= 2 * n
         s, t = a, b
 
@@ -858,7 +898,7 @@ def test_coalesced_pair_stays_coalesced(q, base, kind):
     s = uniform_proper_coloring(n, q, tape, 0, 0)
     visited = {s}
     for step in range(20):
-        a, b = coupled_sweep(s, s, kind, spec, tape, 1, step)
+        a, b = _coupled_step(s, s, kind, spec, tape, 1, step)
         assert a == b, f"copies split at step {step}"
         s = a
         visited.add(s)
@@ -939,6 +979,109 @@ def test_only_replicates_apart_at_the_horizon_are_censored():
     cut = coupling_time(spec, "q4_scan", 8, RandomTape(1729), horizon=4)
     assert cut.times == [min(t, 4) for t in full.times]
     assert cut.apart == [t > 4 for t in full.times] and cut.censored == 3
+
+
+def test_coupling_time_refuses_a_negative_horizon_and_censors_at_zero():
+    """A negative horizon is refused; horizon 0 runs no step, so every
+    replicate reads time 0 and exactly the unequal starts are censored."""
+    spec = ChainSpec(graph=Graph.path(1), q=4, base="scan")
+    with pytest.raises(ValueError, match="horizon -1 is negative"):
+        coupling_time(spec, "q4_scan", 8, RandomTape(1), horizon=-1)
+    tape = RandomTape(1)
+    stats = coupling_time(spec, "q4_scan", 12, tape, horizon=0)
+    apart = [uniform_proper_coloring(1, 4, tape, r, 0) != uniform_proper_coloring(1, 4, tape, r, 1)
+             for r in range(12)]
+    assert stats.times == [0] * 12 and stats.horizon == 0
+    assert stats.apart == apart and 0 < stats.censored < 12
+
+
+# (n, q, base, kind, replicates, horizon, seed)
+STEP_MAJOR_CASES = {
+    "four chunks": (256, 4, "scan", "q4_scan", 200, None, 1729),
+    "three chunks, all censored": (130, 4, "scan", "q4_scan", 300, 5, 3),
+    "reverse switch": (20, 5, "reverse_scan", "switch_scan", 40, 3, 7),
+    "beyond the table": (20, 7, "scan", "identity_scan", 40, None, 11),
+    "glauber": (16, 4, "glauber", "q4_glauber", 40, 50, 5),
+    "one vertex": (1, 4, "scan", "q4_scan", 30, None, 1),
+    "starts coalesced": (2, 4, "glauber", "identity_glauber", 60, None, 2),
+}
+
+
+@pytest.mark.parametrize("case", STEP_MAJOR_CASES)
+def test_step_major_coupling_time_equals_replicate_major(case, monkeypatch):
+    """Advancing a chunk of replicates step by step gives the times, the
+    censoring and the horizon of running one replicate after another, with
+    one ``coupled_sweep`` per replicate per step it runs."""
+    n, q, base, kind, replicates, horizon, seed = STEP_MAJOR_CASES[case]
+    spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
+    want = coupling_time_by_replicate(spec, kind, replicates, RandomTape(seed), horizon)
+    calls = []
+    sweep = scanmix.coupling.coupled_sweep
+    monkeypatch.setattr(scanmix.coupling, "coupled_sweep", lambda *a: calls.append(sweep(*a)))
+    got = coupling_time(spec, kind, replicates, RandomTape(seed), horizon)
+    assert (got.times, got.apart, got.horizon) == (want.times, want.apart, want.horizon)
+    assert len(calls) == sum(got.times)
+    if case == "starts coalesced":
+        assert 0 in got.times
+
+
+def _block_replicates(monkeypatch) -> list[int]:
+    """The replicate count of every ``RandomTape.block`` call from now on."""
+    asked, block = [], RandomTape.block
+
+    def spy(self, rep0, reps, *args):
+        asked.append(reps)
+        return block(self, rep0, reps, *args)
+
+    monkeypatch.setattr(RandomTape, "block", spy)
+    return asked
+
+
+def test_coupling_time_draws_a_chunk_of_replicates_at_a_time(monkeypatch):
+    """Every tape block of a coalescence run, starts and steps alike, spans
+    at most max(1, CHUNK_CELLS // n) replicates."""
+    asked = _block_replicates(monkeypatch)
+    for n, base, kind, replicates, horizon in (
+        (128, "scan", "q4_scan", 300, 3),
+        (1000, "glauber", "q4_glauber", 40, 20),
+    ):
+        spec = ChainSpec(graph=Graph.path(n), q=4, base=base)
+        asked.clear()
+        coupling_time(spec, kind, replicates, RandomTape(2), horizon)
+        assert max(asked) == CHUNK_CELLS // n
+
+
+def test_coupling_time_holds_one_replicate_at_a_time_beyond_chunk_cells(monkeypatch):
+    """At n = 20,000 > CHUNK_CELLS a chunk is one replicate: every tape
+    block asks for one, and two replicates peak within half an (n,) int64
+    row of one, so no (R, n) array of starts, draws or codes is held."""
+    n = 20_000
+    spec = ChainSpec(graph=Graph.path(n), q=4, base="scan")
+    coupling_time(spec, "q4_scan", 1, RandomTape(4), horizon=1)  # first-call costs, untraced
+    asked = _block_replicates(monkeypatch)
+    peaks = []
+    for replicates in (1, 2):
+        tracemalloc.start()
+        coupling_time(spec, "q4_scan", replicates, RandomTape(4), horizon=1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert set(asked) == {1}
+    assert peaks[1] - peaks[0] < n * 8 // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 128])
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_batched_starts_equal_the_scalar_starts(n, q):
+    """Row r of ``uniform_proper_colorings`` is replicate rep0 + r's scalar
+    start at the same time index, a proper q-coloring of the path."""
+    tape = RandomTape(n * q)
+    for rep0 in (0, 5):
+        for t in (0, 1):
+            S = uniform_proper_colorings(n, q, tape, rep0, 6, t)
+            assert S.shape == (6, n) and S.dtype == np.int64
+            want = [uniform_proper_coloring(n, q, tape, rep0 + r, t) for r in range(6)]
+            assert [tuple(row) for row in S.tolist()] == want
+            assert ((S >= 0) & (S < q)).all() and (S[:, 1:] != S[:, :-1]).all()
 
 
 def test_transpose_color():
@@ -1083,9 +1226,9 @@ def test_coupling_kind_model_mismatch_raises():
     tape = RandomTape(0)
     star_spec = ChainSpec(graph=star(4), q=4, base="scan")
     with pytest.raises(ValueError):
-        coupled_sweep((0, 1, 2, 3), (0, 1, 2, 2), "q4_scan", star_spec, tape)
+        _coupled_step((0, 1, 2, 3), (0, 1, 2, 2), "q4_scan", star_spec, tape)
     q3_spec = ChainSpec(graph=Graph.path(4), q=3, base="scan")
     with pytest.raises(ValueError):
-        coupled_sweep((0, 1, 0, 1), (0, 1, 2, 1), "q4_scan", q3_spec, tape)
+        _coupled_step((0, 1, 0, 1), (0, 1, 2, 1), "q4_scan", q3_spec, tape)
     with pytest.raises(ValueError):
         exact_drift((0, 1), (1, 0), "switch_glauber_important_neighbor", "hamming", q=4)
