@@ -31,6 +31,6 @@ from .kernels import (
     verify_comparison,
 )
 from .congestion import canonical_congestion, ergodicity_report
-from .coupling import coupled_sweep, coupling_time
+from .coupling import coupling_time
 from .percolation import lb_experiment, sample_pi0, segment_layout, transfer_count
 from .wilson import closed_form_eigen, estimate_rho, wilson_bounds

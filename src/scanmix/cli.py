@@ -432,15 +432,14 @@ def cmd_ergodic(args, report: Report) -> int:
         ("n_classes", rep.n_classes),
         ("class_sizes", " ".join(map(str, rep.class_sizes))),
     ]
-    if args.bottleneck_k:
-        b = bottleneck_report(args.bottleneck_k, args.n)
-        pairs += [
-            ("bottleneck_k", b.k),
-            ("bottleneck_states", b.n_states),
-            ("bottleneck_pi_a", b.pi_a),
-            ("bottleneck_pi_m", b.pi_m),
-            ("bottleneck_bound", b.bound),
-        ]
+    b = bottleneck_report(args.bottleneck_k, args.n)
+    pairs += [
+        ("bottleneck_k", b.k),
+        ("bottleneck_states", b.n_states),
+        ("bottleneck_pi_a", b.pi_a),
+        ("bottleneck_pi_m", b.pi_m),
+        ("bottleneck_bound", b.bound),
+    ]
     report.write("ergodic.txt", _kv_block(pairs))
     print(f"ergodic: {rep.n_classes} classes, sizes {rep.class_sizes}")
     return 0
@@ -578,6 +577,8 @@ def _refusal(given: dict) -> Optional[str]:
     if name == "wilson" and "replicates" in given:
         if given.get("chain", SUBCOMMANDS[name].defaults["chain"]) == "glauber":
             return "wilson --chain glauber reads no --replicates: its rho is exact, not sampled"
+    if given.get("bottleneck_k", 1) < 1:
+        return f"--bottleneck-k must be at least 1, not {given['bottleneck_k']}"
     if ("r" in given) != ("ell" in given):
         return "--r and --ell must be given together"
     if not given.get("eps", 1) > 0:

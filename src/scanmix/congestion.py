@@ -274,7 +274,10 @@ def bottleneck_target(k: int) -> TargetGraph:
     Vertex 0 is a hub with arcs to every vertex (itself included); vertices
     1..k and k+1..2k form two directed cliques with self-loops.  Valid path
     colorings are exactly the words hub* first-clique* or hub* second-clique*.
+    A clique needs k >= 1 vertices.
     """
+    if k < 1:
+        raise ValueError(f"the bottleneck family needs clique size k >= 1, not {k}")
     side = [0] + [1] * k + [2] * k
     return TargetGraph([[i == 0 or a == b for b in side] for i, a in enumerate(side)], directed=True)
 

@@ -8,9 +8,10 @@ vertex, or all-pairs metric tables; never sampling) quantified over
 canonical color classes, and empirical coalescence-time experiments on
 q-colorings of the path.  ``coupling_time`` advances a chunk of replicates
 step by step, each by one coupled step, ``coupled_sweep``, on its padded
-copies in place, from batched starts and one tape block per step.  Every
-coupled vertex move is ``coupled_update``, run directly or through the step
-table it builds.
+list of pair codes in place, from batched starts and one tape block per
+step.  Every coupled vertex move is ``coupled_update``: the step table it
+builds serves every coupled engine, and ``lb_experiment``'s glauber branch
+runs it directly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .domain import (
     VertexWeights,
     enumerate_colorings,
     heights,
-    pad,
     path_accepts,
     weighted_height_distance,
 )
@@ -55,11 +55,11 @@ COUPLING_KINDS = (
     "switch_glauber_important_neighbor",
 )
 
-# Largest q whose scan sweeps run by table lookup: the step table has
-# (q + 1)^4 q^3 entries (0.5M at q = 6), built through int64 temporaries.
-TABLE_MAX_Q = 6
-# Cells admitted in one step table, so q <= 10 (14.6M cells).  A fresh-process
-# build peaks near 36 MB + 24 B per cell: 117 MB at q = 8, 387 MB at q = 10.
+# Cells admitted in one step table, so q <= 10 (14.6M cells), the one cap
+# on the table and so on every coupled engine.  The table is built one
+# right-pair slab at a time, so a build holds its uint8 cells and a slab's
+# int64 temporaries: a fresh-process build of the q = 10 table peaks near
+# 54 MB, of which the import is 36 MB.
 STEP_TABLE_BUDGET = 2 ** 24
 
 
@@ -103,7 +103,10 @@ def coupled_update(s, t, v, c, kind: str, w=None, frozen=False) -> None:
     are indexed like ``path_accepts``: padded lists with int v and c, int v
     on position-major arrays, or flat indices into flattened (R, n + 2)
     arrays.  The assignments are arithmetic, so lists keep Python ints and
-    broadcast operands give broadcast results.
+    broadcast operands give broadcast results.  It is the one coupled move:
+    ``_step_table`` builds every table from it, one window of all left
+    pairs, own pairs and proposals per right pair, and ``lb_experiment``'s
+    glauber branch runs it on flat batches.
     """
     c2 = partner_proposal(kind, v, c, s, t, w)
     # on booleans a > b is "a and not b"
@@ -139,54 +142,42 @@ def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
 # Coupled simulation drivers
 # ---------------------------------------------------------------------------
 
-def coupled_sweep(x: list, y: list, kind: str, spec: ChainSpec, u) -> None:
+def coupled_sweep(p: list, kind: str, spec: ChainSpec, u) -> bool:
     """One coupled sweep (scan kinds) or single-site step (glauber kinds) of
     two copies of the spec's chain, which ``_check_kind_fits`` admits, in
-    place on the sentinel-padded lists x and y.
+    place on the padded list p of the copies' ``_pair_codes``; whether the
+    copies, which must differ on entry, still differ.
 
     ``u`` holds the step's draws, those of the plain chain: a sweep's
     ``CH_SCAN`` block, one draw per vertex, or a step's ``CH_GLAUBER``
     block [lazy coin, vertex, color].  Copy one tries their proposals, copy
-    two the partner proposals.  A sweep with at most ``TABLE_MAX_Q`` colors,
-    every color in range(q), is one lookup in ``_step_table`` per vertex;
-    any other sweep or step runs ``coupled_update`` vertex by vertex.
-    Copies that are not padded n-vertex paths, or draws of another length,
-    raise ValueError.
+    two the partner proposals; every vertex move is one lookup in
+    ``_step_table``.  A list that is not a padded n-vertex path, or draws of
+    another length, raise ValueError.
     """
     _check_kind_fits(kind, spec)
     n, q = spec.graph.n, spec.q
     scan = kind.endswith("_scan")
-    if not len(x) == len(y) == n + 2:
-        raise ValueError(f"copies of length {len(x)} and {len(y)} are not padded {n}-paths")
+    if len(p) != n + 2:
+        raise ValueError(f"a pair-code list of length {len(p)} is not a padded {n}-path")
     if len(u) != (n if scan else 3):
         raise ValueError(f"{len(u)} draws do not make one {kind} move on {n} vertices")
-    if scan:
-        if q <= TABLE_MAX_Q:
-            X = np.array((x, y), dtype=np.int64)[:, 1:-1]
-            if X.min() >= 0 and X.max() < q:
-                x[1:-1], y[1:-1] = _table_scan_sweep(X, kind, q, u, spec.base == "reverse_scan")
-                return
-        moves = [(v, color_from_uniform(u[v - 1], q)) for v in scan_order(spec)]
-    else:
-        moves = [(vertex_from_uniform(u[1], n), color_from_uniform(u[2], q))]
-    for v, c in moves:
-        coupled_update(x, y, v, c, kind)
-
-
-def _table_scan_sweep(
-    X: np.ndarray, kind: str, q: int, u: np.ndarray, reverse: bool
-) -> tuple[list[int], list[int]]:
-    """The two copies' colors after the coupled sweep of the (2, n) copies
-    X under draws u, by table."""
-    P = _pair_codes(X[0], X[1], q, np.int64)
-    base, stride = _sweep_positions(P, u, q, reverse)
     table = _step_table(q, kind).reshape(-1).data  # indexing gives Python ints
-    x, out = int(P[0]), []  # the sentinel pair
-    for pos in base.tolist():
-        x = table[pos + x * stride]
-        out.append(x)
-    a, b = np.divmod(out[::-1] if reverse else out, q + 1)
-    return a.tolist(), b.tolist()
+    if scan:
+        base, stride = _sweep_positions(np.array(p), u, q, spec.base == "reverse_scan")
+        x = p[0]  # the sentinel pair, at either end
+        for v, pos in zip(scan_order(spec), base.tolist()):
+            x = p[v] = table[pos + x * stride]
+    else:
+        v = vertex_from_uniform(u[1], n)
+        old = p[v]
+        x = p[v] = table[_table_index(q, p[v - 1], old, p[v + 1], color_from_uniform(u[2], q))]
+        # the copies differed and only vertex v moved, so they can have met
+        # only if its pair has just turned diagonal
+        if x % (q + 2) or not old % (q + 2):
+            return True
+    # the diagonal pairs (a, a) are the codes a * (q + 2)
+    return not set(p).issubset(range(0, (q + 1) ** 2, q + 2))
 
 
 def _pair_codes(S, T, q: int, dtype) -> np.ndarray:
@@ -257,9 +248,9 @@ def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
     Built by ``coupled_update``, the one definition of the coupled vertex
-    move: the Hamming DP, the ``switch_scan_contained`` certificate and
-    the table sweeps of ``coupled_sweep`` and ``switch_scan_sweeps`` all
-    read it; a ``frozen`` table is that of a frozen copy two.  Pairs (a, b)
+    move: the Hamming DP, the ``switch_scan_contained`` certificate, every
+    ``coupled_sweep`` step and the ``switch_scan_sweeps`` sweeps all read
+    it; a ``frozen`` table is that of a frozen copy two.  Pairs (a, b)
     of the two copies' colors are ``_pair_codes``, color q standing for a
     missing neighbor.  Entry [right, old, left, c] is the vertex's pair
     code after copy one proposes c, where ``right`` and ``left`` are the
@@ -276,12 +267,15 @@ def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     q1, L = q + 1, (q + 1) ** 2
     pa, pb = np.divmod(np.arange(L), q1)
     oa, ob = np.divmod(np.arange(q * q), q)
-    ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
-    rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
-    # the engine's move on the padded window (left, vertex, right)
-    s, t = [la, oa, ra], [lb, ob, rb]
-    coupled_update(s, t, 1, c, coupling, frozen=frozen)
-    table = (s[1] * q1 + t[1]).astype(np.uint8)
+    oa, la, c = np.ix_(oa, pa, np.arange(q))
+    ob, lb, _ = np.ix_(ob, pb, np.arange(q))
+    table = np.empty((L, q * q, L, q), np.uint8)
+    for r in range(L):
+        # the engine's move on the padded window (left, vertex, right), one
+        # right pair at a time, so only a (q^2, L, q) slab is int64
+        s, t = [la, oa, pa[r]], [lb, ob, pb[r]]
+        coupled_update(s, t, 1, c, coupling, frozen=frozen)
+        table[r] = s[1] * q1 + t[1]
     table.flags.writeable = False
     return table
 
@@ -890,12 +884,15 @@ def coupling_time(
     Replicates advance step by step, ``CHUNK_CELLS // n`` of them (at least
     one) at a time: each step draws one tape block over the span of the
     chunk's replicates still apart and runs one ``coupled_sweep`` per such
-    replicate, on its padded lists.  Every draw is a pure function of its
-    coordinates, so the times are those of one replicate after another.
+    replicate, on its padded list of pair codes.  Every draw is a pure
+    function of its coordinates, so the times are those of one replicate
+    after another.  Every step reads the step table, so a q whose table
+    ``STEP_TABLE_BUDGET`` refuses is refused before any draw.
     """
     if replicates < 1:
         raise ValueError("replicates >= 1 required")
     _check_kind_fits(kind, spec)
+    _step_table(spec.q, kind)
     n = spec.graph.n
     if horizon is None:
         scale = n if kind.endswith("glauber") else 1
@@ -919,10 +916,10 @@ def _chunk_times(
     n, q = spec.graph.n, spec.q
     scan = kind.endswith("_scan")
     channel, size = (CH_SCAN, n) if scan else (CH_GLAUBER, 3)
-    starts = (uniform_proper_colorings(n, q, tape, r0, reps, t).tolist() for t in (0, 1))
-    pairs = [(pad(a), pad(b)) for a, b in zip(*starts)]
+    S, T = (uniform_proper_colorings(n, q, tape, r0, reps, t) for t in (0, 1))
+    codes = _pair_codes(S.T, T.T, q, np.int64).T.tolist()
     steps = [0] * reps
-    live = [i for i, (x, y) in enumerate(pairs) if x != y]
+    live = np.flatnonzero((S != T).any(axis=1)).tolist()
     for t in range(horizon):
         if not live:
             break
@@ -930,7 +927,7 @@ def _chunk_times(
         u = tape.block(r0 + lo, live[-1] + 1 - lo, t, channel, size)
         rows = u if scan else u.tolist()
         for i in live:
-            coupled_sweep(*pairs[i], kind, spec, rows[i - lo])
             steps[i] = t + 1
-        live = [i for i in live if pairs[i][0] != pairs[i][1]]
-    return steps, [x != y for x, y in pairs]
+        live = [i for i in live if coupled_sweep(codes[i], kind, spec, rows[i - lo])]
+    apart = set(live)
+    return steps, [i in apart for i in range(reps)]

@@ -224,11 +224,6 @@ class TargetGraph:
 PAD = -1  # sentinel at positions 0 and n + 1 of a padded path configuration
 
 
-def pad(coloring: Coloring) -> list[int]:
-    """The coloring as a padded list: vertex v at position v, PAD at 0 and n + 1."""
-    return [PAD, *coloring, PAD]
-
-
 def path_accepts(x, v, c):
     """Metropolis(v) acceptance on a path: no neighbor of v carries c.
 
@@ -375,12 +370,6 @@ class VertexWeights:
         if not ws or any(w <= 0 for w in ws):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", ws)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.weights[i]
 
     @cached_property
     def denominator(self) -> int:

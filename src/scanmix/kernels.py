@@ -198,7 +198,9 @@ def _state_space(
     g, h = spec.graph, spec.n_colors
     component = "all" if spec.target is None else component
     if component == "auto":
-        component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
+        # side 0 is closed under moves on a path of at least two vertices;
+        # a lone vertex moves between the sides
+        component = "side0" if g.kind == "path" and g.n > 1 and spec.target.is_bipartite else "all"
     palette = _component_palette(g, spec.model, component)
     if fiber_of is not None:
         for v in spec.clamp:

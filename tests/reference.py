@@ -2,6 +2,7 @@
 
 No command runs these.  They are the plain forms of what the package
 computes another way: the exact drift oracle, one chain step at a time,
+the coupled step on padded color lists, the step table in one broadcast,
 the one-color-at-a-time start and the replicate-by-replicate coalescence
 run, a chain's kernel over every coloring, the sign encoding and sign
 chain, the sign-chain expectation matrices, the anchored midpoint
@@ -28,11 +29,11 @@ from scanmix.coupling import (
     CouplingStats,
     Ledger,
     _ham_batch_drift,
-    coupled_sweep,
     coupled_update,
 )
 from scanmix.domain import (
     DEFAULT_ENUMERATION_BUDGET,
+    PAD,
     BudgetExceededError,
     Coloring,
     Graph,
@@ -41,7 +42,6 @@ from scanmix.domain import (
     _build_states,
     enumerate_colorings,
     heights,
-    pad,
     path_accepts,
     weighted_height_distance,
 )
@@ -86,11 +86,16 @@ def single_edge() -> TargetGraph:
 # One chain step at a time
 # ---------------------------------------------------------------------------
 
+def pad(coloring: Coloring) -> list[int]:
+    """The coloring as a padded list: vertex v at position v, PAD at 0 and n + 1."""
+    return [PAD, *coloring, PAD]
+
+
 def glauber_step(sigma, spec, tape, rep: int = 0, step: int = 0) -> Coloring:
     """One random single-site update: uniform vertex, uniform color,
     Metropolis, after a fair stay coin for the lazy base.  It reads the
     ``CH_GLAUBER`` block of (rep, step), the draws ``coupling_time`` passes
-    to the ``coupled_sweep`` glauber step of replicate rep at that step."""
+    to the coupled glauber step of replicate rep at that step."""
     u = tape.uniforms(rep, step, CH_GLAUBER, 3)
     if spec.base == "lazy" and u[0] < 0.5:
         return sigma
@@ -121,11 +126,38 @@ def uniform_proper_coloring(
     return tuple(out)
 
 
+def coupled_step_on_lists(x: list, y: list, kind: str, spec, u) -> None:
+    """``coupled_sweep`` on the copies' sentinel-padded color lists x and y,
+    in place: ``coupled_update`` at each vertex in scan order under its
+    ``CH_SCAN`` draw, or at the one vertex of a ``CH_GLAUBER`` step."""
+    n, q = spec.graph.n, spec.q
+    if kind.endswith("_scan"):
+        moves = [(v, color_from_uniform(u[v - 1], q)) for v in scan_order(spec)]
+    else:
+        moves = [(vertex_from_uniform(u[1], n), color_from_uniform(u[2], q))]
+    for v, c in moves:
+        coupled_update(x, y, v, c, kind)
+
+
+def step_table_in_one_broadcast(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
+    """``_step_table`` from one ``coupled_update`` over the whole (L, q^2,
+    L, q) grid at once, every axis broadcast, through int64 temporaries of
+    the table's full size."""
+    q1, L = q + 1, (q + 1) ** 2
+    pa, pb = np.divmod(np.arange(L), q1)
+    oa, ob = np.divmod(np.arange(q * q), q)
+    ra, oa, la, c = np.ix_(pa, oa, pa, np.arange(q))
+    rb, ob, lb, _ = np.ix_(pb, ob, pb, np.arange(q))
+    s, t = [la, oa, ra], [lb, ob, rb]
+    coupled_update(s, t, 1, c, coupling, frozen=frozen)
+    return (s[1] * q1 + t[1]).astype(np.uint8)
+
+
 def coupling_time_by_replicate(
     spec, kind: str, replicates: int, tape: RandomTape, horizon: Optional[int] = None
 ) -> CouplingStats:
     """``coupling_time`` one replicate after another: its two scalar
-    starts, then one ``coupled_sweep`` per step on the step's own
+    starts, then one ``coupled_step_on_lists`` per step on the step's own
     ``tape.uniforms`` draws, until the copies meet or the horizon."""
     n, q = spec.graph.n, spec.q
     if horizon is None:
@@ -138,7 +170,7 @@ def coupling_time_by_replicate(
         y = pad(uniform_proper_coloring(n, q, tape, r, 1))
         t = 0
         while x != y and t < horizon:
-            coupled_sweep(x, y, kind, spec, tape.uniforms(r, t, channel, size))
+            coupled_step_on_lists(x, y, kind, spec, tape.uniforms(r, t, channel, size))
             t += 1
         times.append(t)
         apart.append(x != y)

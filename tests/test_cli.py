@@ -19,7 +19,7 @@ from scanmix.coupling import (
     weighted_metric_contraction_rows,
 )
 from scanmix.domain import Graph, TargetGraph
-from scanmix.dynamics import ChainSpec
+from scanmix.dynamics import ChainSpec, RandomTape
 from scanmix.kernels import build_kernel, communicating_classes, max_tv_to_uniform
 
 from reference import drift_csv_body
@@ -416,6 +416,45 @@ def test_step_table_over_budget_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceed budget" in err, err
     assert not out.exists()
+
+
+def test_couple_beyond_the_step_table_budget_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    """Every coupled step reads the step table, so ``couple --q 11`` (25M
+    cells) is refused, naming the table's budget, before a start is drawn
+    and with no file written."""
+    drawn = []
+    monkeypatch.setattr(RandomTape, "block", lambda self, *args: drawn.append(args))
+    monkeypatch.setattr(RandomTape, "uniforms", lambda self, *args: drawn.append(args))
+    out = tmp_path / "o"
+    assert main(["couple", "--q", "11", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step-table cells (q = 11) exceed budget" in err, err
+    assert drawn == [] and not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_ergodic_refuses_a_bottleneck_k_below_1(tmp_path, capsys, k):
+    """A hub-and-two-cliques target needs cliques of at least one vertex;
+    a smaller k is refused before any file is written, not reported for a
+    one-state target (k = -1) or dropped from the report (k = 0)."""
+    out = tmp_path / "o"
+    assert main(["ergodic", "--bottleneck-k", k, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --bottleneck-k must be at least 1, not {k}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["mix"], ["compare"]])
+def test_exact_commands_run_a_bipartite_h_on_one_vertex(tmp_path, argv):
+    """On the 1-vertex path a bipartite H's colors all lie in one class of
+    moves, so the exact commands run on both of K2's colorings."""
+    hfile = tmp_path / "k2.h"
+    hfile.write_text("01\n10\n")
+    out = tmp_path / "o"
+    assert main([*argv, "--n", "1", "--h-file", str(hfile), "--out", str(out)]) == 0
+    kv = dict(l.split(" = ") for l in body_lines(out / f"{argv[0]}.txt"))
+    assert kv["n_states"] == "2"
+    if argv == ["mix"]:
+        assert kv["mixing_time"] == "1"
 
 
 def test_h_file_with_another_character_exits_2(tmp_path, capsys):

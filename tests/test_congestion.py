@@ -310,6 +310,12 @@ def test_bottleneck_structure():
                 pytest.fail(f"hub color after leaving the hub: {s}")
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_bottleneck_target_refuses_a_clique_size_below_1(k):
+    with pytest.raises(ValueError, match=f"clique size k >= 1, not {k}"):
+        bottleneck_target(k)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_bottleneck_bound_grows(n):
     prev = None

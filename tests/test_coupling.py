@@ -15,7 +15,6 @@ from scanmix.coupling import (
     CHUNK_CELLS,
     COUPLING_KINDS,
     STEP_TABLE_BUDGET,
-    TABLE_MAX_Q,
     CouplingStats,
     PathMetricTables,
     _ham_batch_drift,
@@ -42,7 +41,6 @@ from scanmix.domain import (
     VertexWeights,
     enumerate_colorings,
     heights,
-    pad,
     path_accepts,
 )
 from scanmix.dynamics import (
@@ -58,14 +56,17 @@ from scanmix.dynamics import (
 from reference import (
     WITNESS_DIGEST,
     all_colorings_kernel,
+    coupled_step_on_lists,
     coupling_time_by_replicate,
     cycle,
     d2,
     drop_choice,
     exact_drift,
+    pad,
     restricted_growth_by_stacking,
     site_variance_witness,
     star,
+    step_table_in_one_broadcast,
     sweep_variance_witness,
     uniform_proper_coloring,
 )
@@ -76,14 +77,24 @@ def ham(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
+def _codes(sigma, tau, q) -> list:
+    """The padded pair-code list ``coupled_sweep`` updates for copies sigma
+    and tau."""
+    return _pair_codes(np.array(sigma), np.array(tau), q, np.int64).tolist()
+
+
 def _coupled_step(sigma, tau, kind, spec, tape, rep=0, t=0):
-    """``coupled_sweep`` on padded copies of sigma and tau under the draws
-    of replicate rep at step t, as the pair of colorings it leaves."""
-    x, y = pad(sigma), pad(tau)
+    """``coupled_sweep`` on the pair codes of sigma and tau under the draws
+    of replicate rep at step t, as the pair of colorings it leaves; from
+    copies that differ, its return value must say whether they still do."""
+    q = spec.n_colors
+    p = _codes(sigma, tau, q)
     scan = kind.endswith("_scan")
     u = tape.uniforms(rep, t, CH_SCAN if scan else CH_GLAUBER, spec.graph.n if scan else 3)
-    coupled_sweep(x, y, kind, spec, u)
-    return tuple(x[1:-1]), tuple(y[1:-1])
+    apart = coupled_sweep(p, kind, spec, u)
+    a, b = (tuple(x.tolist()) for x in np.divmod(p[1:-1], q + 1))
+    assert sigma == tau or apart is (a != b)
+    return a, b
 
 
 def _deterministic_coupled_scan(sigma, tau, kind, props, start, q, n, order=None):
@@ -368,13 +379,11 @@ def test_coupled_drivers_match_deterministic_form():
     assert out == _deterministic_coupled_scan(sigma, tau, "q4_scan", props, 1, q, n)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 6, TABLE_MAX_Q + 1])
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("base", ["scan", "reverse_scan"])
 def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
     """``coupled_sweep`` gives the scalar reference's pair for every
-    scan coupling that fits q, on random proper and improper pairs and on
-    pairs with a color outside range(q), which run vertex by vertex, as
-    does every pair beyond TABLE_MAX_Q colors."""
+    scan coupling that fits q, on random proper and improper pairs."""
     kinds = ["identity_scan", "switch_scan"] + (["q4_scan"] if q >= 4 else [])
     rng = np.random.default_rng(q)
     tape = RandomTape(q)
@@ -386,8 +395,6 @@ def test_table_sweep_matches_the_vertex_by_vertex_reference(q, base):
                 tau = uniform_proper_coloring(n, q, tape, rep, 1)
             else:
                 sigma, tau = (tuple(rng.integers(0, q, n).tolist()) for _ in "st")
-                if rep == 1:
-                    sigma = (q,) + sigma[1:]
             props = [color_from_uniform(u, q) for u in tape.uniforms(rep, 3, CH_SCAN, n)]
             for kind in kinds:
                 got = _coupled_step(sigma, tau, kind, spec, tape, rep, 3)
@@ -456,6 +463,30 @@ def test_step_table_refuses_tables_over_its_cell_budget():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_step_table_built_by_slabs_equals_one_broadcast(q):
+    """Building the table one right-pair slab at a time gives the bytes of
+    one broadcast over the whole grid, for every kind a table serves,
+    frozen copy two included."""
+    for kind in (k for k in COUPLING_KINDS if not k.endswith("neighbor")):
+        for frozen in (False, True):
+            got = _step_table(q, kind, frozen)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, step_table_in_one_broadcast(q, kind, frozen)), (kind, frozen)
+
+
+def test_step_table_build_holds_one_slab_of_temporaries():
+    """A fresh q = 8 build peaks within 2 MB of its 3.4 MB of uint8 cells;
+    one broadcast over the whole grid held int64 temporaries of 24 B per
+    cell, about 80 MB."""
+    tracemalloc.start()
+    table = _step_table.__wrapped__(8, "q4_scan")  # uncached
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert table.nbytes == 9 ** 4 * 8 ** 3
+    assert peak < table.nbytes + (2 << 20)
+
+
 def test_identity_coupling_diagonal_absorbs():
     g = Graph.path(4)
     spec = ChainSpec(graph=g, q=3, base="scan")
@@ -489,10 +520,11 @@ def _reference_coupled_sweep(sigma, tau, kind, spec, tape, rep, t):
     (dict(graph=Graph.path(6), q=7), ("identity_glauber", "q4_glauber")),
 ])
 def test_vertex_by_vertex_coupled_sweep_matches_the_reference(model, kinds):
-    """Off the table (sweeps beyond TABLE_MAX_Q colors, and every glauber
-    step) ``coupled_sweep`` runs ``coupled_update`` vertex by vertex; five
-    steps from each of 12 random pairs, improper ones included, follow the
-    reference, in every scan order."""
+    """``coupled_sweep``'s table lookups, for sweeps of 7 colors and for
+    glauber steps, make the moves of ``partner_proposal`` and
+    ``metropolis_update`` vertex by vertex: five steps from each of 12
+    random pairs, improper ones included, follow the reference, in every
+    scan order."""
     rng = np.random.default_rng(5)
     tape = RandomTape(5)
     for kind in kinds:
@@ -527,29 +559,61 @@ def test_coupled_runs_refuse_models_their_starts_miss(model):
 
 
 def test_coupled_sweep_refuses_unpadded_copies_and_wrong_draw_counts():
-    """The copies must be padded n-vertex paths and the draws one move's:
-    n for a sweep, 3 for a step.  A single draw would otherwise broadcast
-    over every vertex of a table sweep.  Nothing is written on refusal."""
+    """The pair codes must be a padded n-vertex path and the draws one
+    move's: n for a sweep, 3 for a step.  A single draw would otherwise
+    broadcast over every vertex of a sweep.  Nothing is written on
+    refusal."""
     n = 5
     tape = RandomTape(9)
     scan = ChainSpec(graph=Graph.path(n), q=4, base="scan")
     glauber = ChainSpec(graph=Graph.path(n), q=4, base="glauber")
-    x = pad((0, 1, 2, 3, 0))
-    y = pad((1, 0, 2, 3, 0))
+    p = _codes((0, 1, 2, 3, 0), (1, 0, 2, 3, 0), 4)
     u = tape.uniforms(0, 0, CH_SCAN, n)
-    for a, b in ((x[1:], y), (x, y[:-1]), (x[1:-1], y[1:-1])):
-        with pytest.raises(ValueError, match="not padded 5-paths"):
-            coupled_sweep(list(a), list(b), "q4_scan", scan, u)
+    for short in (p[1:], p[:-1], p[1:-1]):
+        with pytest.raises(ValueError, match="not a padded 5-path"):
+            coupled_sweep(list(short), "q4_scan", scan, u)
     for spec, kind, draws in (
         (scan, "q4_scan", u[:1]),
         (scan, "identity_scan", u[:3]),
         (glauber, "q4_glauber", u),
         (glauber, "identity_glauber", u[:1]),
     ):
-        a, b = list(x), list(y)
+        a = list(p)
         with pytest.raises(ValueError, match="draws do not make one"):
-            coupled_sweep(a, b, kind, spec, draws)
-        assert (a, b) == (x, y)
+            coupled_sweep(a, kind, spec, draws)
+        assert a == p
+
+
+@pytest.mark.parametrize("base,kinds", [
+    ("glauber", ("identity_glauber", "q4_glauber")),
+    ("scan", ("identity_scan", "q4_scan", "switch_scan")),
+])
+def test_coupled_sweep_returns_whether_the_copies_differ(base, kinds):
+    """From copies that differ, ``coupled_sweep`` returns x != y after its
+    step, whether they meet or stay apart.  A glauber step scans the whole
+    list only when its vertex's pair turns diagonal; pairs that differ at
+    one, two or three vertices reach each branch."""
+    q, n = 4, 6
+    spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
+    channel, size = (CH_SCAN, n) if base == "scan" else (CH_GLAUBER, 3)
+    rng = np.random.default_rng(31)
+    tape = RandomTape(31)
+    met = stayed = 0
+    for kind in kinds:
+        for rep in range(300):
+            x = pad(tuple(rng.integers(q, size=n).tolist()))
+            y = list(x)
+            for v in rng.choice(np.arange(1, n + 1), size=rep % 3 + 1, replace=False).tolist():
+                y[v] = (y[v] + 1 + int(rng.integers(q - 1))) % q
+            p = _codes(x[1:-1], y[1:-1], q)
+            u = tape.uniforms(rep, 0, channel, size)
+            apart = coupled_sweep(p, kind, spec, u)
+            coupled_step_on_lists(x, y, kind, spec, u)
+            assert p == _codes(x[1:-1], y[1:-1], q)
+            assert apart is (x != y), (kind, rep)
+            met += not apart
+            stayed += apart
+    assert met > 0 and stayed > 0
 
 
 def test_coupled_update_on_padded_lists_keeps_python_ints():
@@ -788,7 +852,7 @@ def test_site_witness_whole_line_case():
     wit = site_variance_witness(sigma, tau)
     assert wit.achieved_drop >= min(w.weights)
     # the move drops the metric by exactly the chosen vertex weight
-    assert wit.achieved_drop == w[wit.vertex - 1]
+    assert wit.achieved_drop == w.weights[wit.vertex - 1]
 
 
 @functools.cache
@@ -889,9 +953,8 @@ COALESCED_CASES = [
 
 @pytest.mark.parametrize("q,base,kind", COALESCED_CASES)
 def test_coalesced_pair_stays_coalesced(q, base, kind):
-    """Every coupling kind that drives the chain keeps equal copies equal:
-    the q = 4 sweeps run by table, the q = 7 sweeps and the glauber steps
-    vertex by vertex."""
+    """Every coupling kind that drives the chain keeps equal copies equal,
+    for q = 4 and q = 7, sweeps and glauber steps alike."""
     n = 8
     spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
     tape = RandomTape(3)
@@ -1000,8 +1063,12 @@ STEP_MAJOR_CASES = {
     "four chunks": (256, 4, "scan", "q4_scan", 200, None, 1729),
     "three chunks, all censored": (130, 4, "scan", "q4_scan", 300, 5, 3),
     "reverse switch": (20, 5, "reverse_scan", "switch_scan", 40, 3, 7),
-    "beyond the table": (20, 7, "scan", "identity_scan", 40, None, 11),
+    "q = 7 scan": (20, 7, "scan", "identity_scan", 40, None, 11),
+    "q = 8 scan": (12, 8, "scan", "q4_scan", 30, None, 13),
+    "q = 10 reverse scan": (12, 10, "reverse_scan", "switch_scan", 30, 40, 17),
     "glauber": (16, 4, "glauber", "q4_glauber", 40, 50, 5),
+    "q = 8 glauber": (10, 8, "glauber", "identity_glauber", 30, None, 19),
+    "q = 10 glauber": (10, 10, "glauber", "q4_glauber", 30, None, 23),
     "one vertex": (1, 4, "scan", "q4_scan", 30, None, 1),
     "starts coalesced": (2, 4, "glauber", "identity_glauber", 60, None, 2),
 }
@@ -1009,15 +1076,22 @@ STEP_MAJOR_CASES = {
 
 @pytest.mark.parametrize("case", STEP_MAJOR_CASES)
 def test_step_major_coupling_time_equals_replicate_major(case, monkeypatch):
-    """Advancing a chunk of replicates step by step gives the times, the
-    censoring and the horizon of running one replicate after another, with
-    one ``coupled_sweep`` per replicate per step it runs."""
+    """Advancing a chunk of replicates step by step on pair codes, every
+    step a read of the step table, gives the times, the censoring and the
+    horizon of running ``coupled_update`` on color lists one replicate
+    after another, with one ``coupled_sweep`` per replicate per step it
+    runs."""
     n, q, base, kind, replicates, horizon, seed = STEP_MAJOR_CASES[case]
     spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
     want = coupling_time_by_replicate(spec, kind, replicates, RandomTape(seed), horizon)
     calls = []
     sweep = scanmix.coupling.coupled_sweep
-    monkeypatch.setattr(scanmix.coupling, "coupled_sweep", lambda *a: calls.append(sweep(*a)))
+
+    def counted(*args):
+        calls.append(sweep(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(scanmix.coupling, "coupled_sweep", counted)
     got = coupling_time(spec, kind, replicates, RandomTape(seed), horizon)
     assert (got.times, got.apart, got.horizon) == (want.times, want.apart, want.horizon)
     assert len(calls) == sum(got.times)

@@ -323,7 +323,7 @@ def _dijkstra_all(src, states, weights):
                 if v < n - 1 and u[v + 1] == c:
                     continue
                 t = u[:v] + (c,) + u[v + 1:]
-                nd = d + weights[v]
+                nd = d + weights.weights[v]
                 if t not in dist or nd < dist[t]:
                     dist[t] = nd
                     heapq.heappush(pq, (nd, counter, t))
@@ -377,7 +377,7 @@ def test_geodesic_witnesses():
     shift = cyclic_shift((0, 1, 2, 0), 1)
     path = geodesic((0, 1, 2, 0), shift, w)
     cost = sum(
-        w[next(v for v in range(4) if a[v] != b[v])]
+        w.weights[next(v for v in range(4) if a[v] != b[v])]
         for a, b in zip(path, path[1:])
     )
     assert cost == 3

@@ -15,7 +15,6 @@ from scanmix.domain import (
     TargetGraph,
     accepted_colors,
     enumerate_colorings,
-    pad,
     path_accepts,
 )
 from scanmix.dynamics import (
@@ -30,6 +29,7 @@ from scanmix.kernels import build_kernel
 from reference import (
     cycle,
     glauber_step,
+    pad,
     scan_sweep,
     sign_step,
     sign_sweep_from_decisions,

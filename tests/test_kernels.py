@@ -167,7 +167,8 @@ def filtered_fiber(spec, fiber_of, component="auto"):
         states = enumerate_colorings(g, spec.q)
     else:
         if component == "auto":
-            component = "side0" if g.kind == "path" and spec.target.is_bipartite else "all"
+            side0 = g.kind == "path" and g.n > 1 and spec.target.is_bipartite
+            component = "side0" if side0 else "all"
         states = enumerate_h_colorings(g, spec.target, component=component)
     return [s for s in states if all(s[v - 1] == fiber_of[v - 1] for v in spec.clamp)]
 
@@ -193,6 +194,19 @@ def test_fibers_equal_the_filtered_state_space(kw, build):
         got = _state_space(spec, DEFAULT_STATE_BUDGET, build.get("component", "auto"),
                            tuple(fiber_of))
         assert got == filtered_fiber(spec, fiber_of, **build), colors
+
+
+@pytest.mark.parametrize("target", [single_edge(), cycle(4), cycle(6)], ids=["K2", "C4", "C6"])
+@pytest.mark.parametrize("base", ["glauber", "scan"])
+def test_bipartite_h_on_one_vertex_keeps_every_color(target, base):
+    """A lone vertex moves between the sides of a bipartite H, so the auto
+    component is every coloring, not side 0, and the kernel builds."""
+    spec = ChainSpec(graph=Graph.path(1), target=target, base=base)
+    got, want = build_kernel(spec), build_kernel(spec, component="all")
+    assert got.states == want.states and len(got.states) == target.h
+    assert got.denom == want.denom
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert np.array_equal(a, b)
 
 
 def test_clamped_fibers_are_budgeted_by_their_own_states():
@@ -874,10 +888,11 @@ def test_lump_kernel_refuses_an_ill_defined_projection():
 
 
 def test_accepted_move_leaving_the_state_space_is_refused():
-    # one vertex, bipartite H: the side-0 space excludes colors the move reaches
+    # one vertex, bipartite H: the side-0 space excludes colors the move
+    # reaches, so asking for it is refused (the auto component takes all)
     spec = ChainSpec(graph=Graph.path(1), target=cycle(4))
     with pytest.raises(ValueError, match="leaves the enumerated states"):
-        build_kernel(spec)
+        build_kernel(spec, component="side0")
 
 
 def test_int64_overflow_is_refused():
