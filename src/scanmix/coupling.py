@@ -9,9 +9,9 @@ canonical color classes, and empirical coalescence-time experiments on
 q-colorings of the path.  ``coupling_time`` advances a chunk of replicates
 step by step, each by one coupled step, ``coupled_sweep``, on its padded
 list of pair codes in place, from batched starts and one tape block per
-step.  Every coupled vertex move is ``coupled_update``: the step table it
-builds serves every coupled engine, and ``lb_experiment``'s glauber branch
-runs it directly.
+step.  Every coupled vertex move is ``coupled_update``, and every coupled
+engine, ``lb_experiment``'s ``switch_scan_sweeps`` and ``switch_site_steps``
+included, reads the step table it builds.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ COUPLING_KINDS = (
     "q4_glauber",
     "q4_scan",
     "switch_scan",
-    "switch_glauber_important_neighbor",
 )
 
 # Cells admitted in one step table, so q <= 10 (14.6M cells), the one cap
@@ -69,16 +68,15 @@ def transpose_color(c, a, b):
     return c + (c == a) * (b - a) + (c == b) * (a - b)
 
 
-def partner_proposal(kind: str, v, c, s, t, w=None):
+def partner_proposal(kind: str, v, c, s, t):
     """Proposal for the second copy at vertex v given c in the first copy.
 
     ``s`` and ``t`` are the two copies, sentinel-padded and indexed like
     ``path_accepts``: lists with int v, or batches.  identity: same color.
     q4: transpose by the left pair if it disagrees, else by the right pair
     (left is already updated in a sweep, right not yet).  switch_scan:
-    transpose by the left pair.  important-neighbor switch: transpose by the
-    pair at position ``w`` of s and t, a sentinel position for none.  A
-    missing neighbor is an agreeing sentinel pair, which transposes nothing.
+    transpose by the left pair.  A missing neighbor is an agreeing sentinel
+    pair, which transposes nothing.
     """
     if kind.startswith("identity"):
         return c
@@ -88,27 +86,22 @@ def partner_proposal(kind: str, v, c, s, t, w=None):
         b = t[v + 1] + left * (t[v - 1] - t[v + 1])
     elif kind == "switch_scan":
         a, b = s[v - 1], t[v - 1]
-    elif kind == "switch_glauber_important_neighbor":
-        a, b = s[w], t[w]
     else:
         raise ValueError(f"unknown coupling kind {kind!r}")
     return transpose_color(c, a, b)
 
 
-def coupled_update(s, t, v, c, kind: str, w=None, frozen=False) -> None:
+def coupled_update(s, t, v, c, kind: str, frozen=False) -> None:
     """One coupled Metropolis(v) move on padded copies, in place.
 
-    Copy one tries c, copy two the partner proposal of ``kind`` (``w`` as in
-    ``partner_proposal``); a ``frozen`` copy two rejects.  ``s`` and ``t``
-    are indexed like ``path_accepts``: padded lists with int v and c, int v
-    on position-major arrays, or flat indices into flattened (R, n + 2)
-    arrays.  The assignments are arithmetic, so lists keep Python ints and
-    broadcast operands give broadcast results.  It is the one coupled move:
-    ``_step_table`` builds every table from it, one window of all left
-    pairs, own pairs and proposals per right pair, and ``lb_experiment``'s
-    glauber branch runs it on flat batches.
+    Copy one tries c, copy two the partner proposal of ``kind``; a ``frozen``
+    copy two rejects.  ``s`` and ``t`` are padded lists with int v and c, or
+    position-major arrays with int v.  The assignments are arithmetic, so
+    lists keep Python ints and broadcast operands give broadcast results.
+    It is the one coupled move: ``_step_table`` builds every table from it,
+    one window of all left pairs, own pairs and proposals per right pair.
     """
-    c2 = partner_proposal(kind, v, c, s, t, w)
+    c2 = partner_proposal(kind, v, c, s, t)
     # on booleans a > b is "a and not b"
     ok1, ok2 = path_accepts(s, v, c), path_accepts(t, v, c2) > frozen
     s[v] = s[v] + ok1 * (c - s[v])
@@ -121,8 +114,6 @@ def _check_kind_fits(kind: str, spec: ChainSpec) -> None:
     need q >= 4."""
     if kind not in COUPLING_KINDS:
         raise ValueError(f"unknown coupling kind {kind!r}")
-    if kind == "switch_glauber_important_neighbor":
-        raise ValueError(f"coupling {kind!r} needs a segment layout; lb_experiment runs it")
     if kind.endswith("_scan"):
         fits = spec.base in ("scan", "reverse_scan")
     else:
@@ -239,18 +230,53 @@ def switch_scan_sweeps(
     return np.divmod(P[read], q + 1)
 
 
+def switch_site_steps(
+    S: np.ndarray, T: np.ndarray, q: int, frozen: np.ndarray, side: np.ndarray, steps: int,
+    tape: RandomTape, read,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``switch_scan_sweeps`` for single-site steps, step s drawing [vertex,
+    color] at (r, s, CH_SCAN): copy two transposes by the pair on the padded
+    ``side`` of the vertex (-1 left, +1 right, 0 none).  Acceptance is
+    symmetric, so a right side reads the ``switch_scan`` table mirrored."""
+    R, n = S.shape
+    tables = [_step_table(q, "switch_scan").reshape(-1),
+              _step_table(q, "identity_scan").reshape(-1),
+              _step_table(q, "switch_scan", frozen=True).reshape(-1)]
+    P = _pair_codes(S.T, T.T, q, np.uint8)
+    vs = np.arange(n + 2)
+    near = vs + np.where(side == 0, -1, side)  # the neighbour read as the left one
+    window = np.stack([near, vs, 2 * vs - near]) * R  # replicate 0's (left, own, right) in P
+    pick = np.where(frozen, 2, side == 0)  # identity where no side, frozen where frozen
+    P_flat, cols = P.reshape(-1), np.arange(R)
+    for s in range(steps):
+        u = tape.block(0, R, s, CH_SCAN, 2)
+        v = np.minimum((u[:, 0] * n).astype(np.int64) + 1, n)
+        c = np.minimum((u[:, 1] * q).astype(np.int64), q - 1)
+        at = window.take(v, axis=1) + cols
+        pos = _table_index(q, *P_flat.take(at).astype(np.int64), c)
+        P_flat[at[1]] = np.choose(pick.take(v), [table.take(pos) for table in tables])
+    return np.divmod(P[read], q + 1)
+
+
 # ---------------------------------------------------------------------------
 # Exact drift: vectorized Hamming DP over class batches
 # ---------------------------------------------------------------------------
+
+def check_table_budget(q: int) -> None:
+    """Refuses a q whose step table would exceed ``STEP_TABLE_BUDGET`` cells."""
+    cells = (q + 1) ** 4 * q ** 3
+    if cells > STEP_TABLE_BUDGET:
+        raise ValueError(f"{cells} step-table cells (q = {q}) exceed budget {STEP_TABLE_BUDGET}")
+
 
 @functools.cache
 def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     """Joint pair after one coupled vertex update, for every local situation.
 
     Built by ``coupled_update``, the one definition of the coupled vertex
-    move: the Hamming DP, the ``switch_scan_contained`` certificate, every
-    ``coupled_sweep`` step and the ``switch_scan_sweeps`` sweeps all read
-    it; a ``frozen`` table is that of a frozen copy two.  Pairs (a, b)
+    move: the Hamming DP, the ``switch_scan_contained`` certificate,
+    ``coupled_sweep``, ``switch_scan_sweeps`` and ``switch_site_steps`` all
+    read it; a ``frozen`` table is that of a frozen copy two.  Pairs (a, b)
     of the two copies' colors are ``_pair_codes``, color q standing for a
     missing neighbor.  Entry [right, old, left, c] is the vertex's pair
     code after copy one proposes c, where ``right`` and ``left`` are the
@@ -261,9 +287,7 @@ def _step_table(q: int, coupling: str, frozen: bool = False) -> np.ndarray:
     q <= 10, whose codes fit a byte; a larger table is refused before
     anything is allocated.
     """
-    cells = (q + 1) ** 4 * q ** 3
-    if cells > STEP_TABLE_BUDGET:
-        raise ValueError(f"{cells} step-table cells (q = {q}) exceed budget {STEP_TABLE_BUDGET}")
+    check_table_budget(q)
     q1, L = q + 1, (q + 1) ** 2
     pa, pb = np.divmod(np.arange(L), q1)
     oa, ob = np.divmod(np.arange(q * q), q)

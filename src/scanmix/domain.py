@@ -221,9 +221,6 @@ class TargetGraph:
 # Colorings and enumeration
 # ---------------------------------------------------------------------------
 
-PAD = -1  # sentinel at positions 0 and n + 1 of a padded path configuration
-
-
 def path_accepts(x, v, c):
     """Metropolis(v) acceptance on a path: no neighbor of v carries c.
 

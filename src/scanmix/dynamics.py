@@ -30,7 +30,7 @@ DEFAULT_SEED = 1729
 # tape channels
 CH_GLAUBER = 0   # per chain step: [lazy coin, vertex draw, color draw]
 CH_SCAN = 1      # per sweep: one color draw per vertex, indexed by vertex - 1;
-                 # lb_experiment's single-site steps read [vertex, color] here
+                 # coupling.switch_site_steps reads [vertex, color] here
 CH_SIGN = 2      # per sweep/step: move decisions for the sign chains
 CH_INIT = 3      # initial-state sampling
 

@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import coupled_update, switch_scan_contained, switch_scan_sweeps
-from .domain import PAD
-from .dynamics import CH_INIT, CH_SCAN, RandomTape
+from .coupling import (
+    check_table_budget, switch_scan_contained, switch_scan_sweeps, switch_site_steps,
+)
+from .dynamics import CH_INIT, RandomTape
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +82,16 @@ class SegmentLayout:
         return tuple(1 + i * self.k + self.ell for i in range(self.m))
 
     @property
-    def important_neighbors(self) -> np.ndarray:
-        """imp[v] for padded positions v = 0..n+1: the neighbor whose pair the
-        important-neighbor switch transposes by at v.  Left of a segment's
-        midpoint it is v - 1, from the midpoint to the next anchor v + 1; at
-        anchors and beyond the last anchor it is the sentinel position 0."""
+    def important_sides(self) -> np.ndarray:
+        """side[v] for padded positions v = 0..n+1: the side of the neighbor
+        whose pair the important-neighbor switch transposes by at v, -1 left
+        of a segment's midpoint and +1 from the midpoint to the next anchor;
+        0, none, at anchors, the sentinels and beyond the last anchor."""
         v = np.arange(self.n + 2)
         pos = (v - 1) % self.k  # distance to the anchor on the left
-        imp = np.where(pos < self.ell, v - 1, v + 1)
-        imp[(pos == 0) | (v == 0) | (v > 1 + self.m * self.k)] = 0
-        return imp
+        side = np.where(pos < self.ell, -1, 1)
+        side[(pos == 0) | (v == 0) | (v > 1 + self.m * self.k)] = 0
+        return side
 
     @property
     def threshold(self) -> float:
@@ -241,18 +242,6 @@ class LBReport:
         return 1.0 - ((1.0 - self.free_tail) + self.disagreement_rate)
 
 
-def _padded(X: np.ndarray) -> np.ndarray:
-    """(R, n) colorings as a C-ordered (R, n + 2) array with PAD columns."""
-    return np.pad(X, ((0, 0), (1, 1)), constant_values=PAD)
-
-
-def _site_draws(tape: RandomTape, R: int, step: int, n: int, q: int):
-    """Per-replicate vertex (1-based) and color of one single-site step."""
-    U = tape.block(0, R, step, CH_SCAN, 2)
-    v = np.minimum((U[:, 0] * n).astype(np.int64) + 1, n)
-    return v, np.minimum((U[:, 1] * q).astype(np.int8), q - 1)
-
-
 def lb_experiment(
     layout: SegmentLayout,
     t: int,
@@ -270,30 +259,19 @@ def lb_experiment(
         raise ValueError("t >= 0 required")
     if replicates < 1:
         raise ValueError("replicates >= 1 required")
-    n, q = layout.n, layout.q
-    # reads the switch table: refuses q whose codes or table do not fit, before sampling
-    percolation_contained = switch_scan_contained(q) if base == "scan" else True
-    anchor_mask = np.zeros(n + 2, dtype=bool)
-    anchor_mask[list(layout.anchors)] = True
-    mids = np.array(layout.mids)
-    if base == "scan":
-        X = sample_pi0(layout, tape, replicates)
-        mid_free, mid_clamped = switch_scan_sweeps(X, X, q, anchor_mask, t, tape, mids)
-    elif base == "glauber":
-        S = _padded(sample_pi0(layout, tape, replicates))
-        T = S.copy()
-        imp = layout.important_neighbors
-        flat = np.arange(replicates) * (n + 2)
-        free, clamped = S.reshape(-1), T.reshape(-1)  # views: replicate r's v at flat[r] + v
-        for step in range(t):
-            v, c = _site_draws(tape, replicates, step, n, q)
-            coupled_update(
-                free, clamped, flat + v, c, "switch_glauber_important_neighbor",
-                w=flat + imp[v], frozen=anchor_mask[v],
-            )
-        mid_free, mid_clamped = S.T[mids], T.T[mids]
-    else:
+    if base not in ("scan", "glauber"):
         raise ValueError(f"unknown base {base!r}")
+    n, q = layout.n, layout.q
+    check_table_budget(q)  # both engines read the step table; refused before any draw
+    percolation_contained = switch_scan_contained(q) if base == "scan" else True
+    anchor_mask = np.isin(np.arange(n + 2), layout.anchors)
+    mids = np.array(layout.mids)
+    X = sample_pi0(layout, tape, replicates)
+    if base == "scan":
+        mid_free, mid_clamped = switch_scan_sweeps(X, X, q, anchor_mask, t, tape, mids)
+    else:
+        sides = layout.important_sides
+        mid_free, mid_clamped = switch_site_steps(X, X, q, anchor_mask, sides, t, tape, mids)
 
     # rows are midpoints, columns replicates
     thr = layout.threshold

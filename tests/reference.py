@@ -4,13 +4,15 @@ No command runs these.  They are the plain forms of what the package
 computes another way: the exact drift oracle, one chain step at a time,
 the coupled step on padded color lists, the step table in one broadcast,
 the one-color-at-a-time start and the replicate-by-replicate coalescence
-run, a chain's kernel over every coloring, the sign encoding and sign
-chain, the sign-chain expectation matrices, the anchored midpoint
-probability, the exact tails of the threshold statistic Z on small
-layouts, the weighted path metric with a move path realizing it, the
-one-expression forms of the max TV distance and the restricted-growth
-strings, and the variance-floor witnesses of the paper's case analysis.
-The test modules import them as ``from reference import ...``.
+run, the important-neighbor steps on flat batches of padded colors, the
+exact law after t steps with a chi-squared test against it, a chain's
+kernel over every coloring, the sign encoding and sign chain, the
+sign-chain expectation matrices, the anchored midpoint probability, the
+exact tails of the threshold statistic Z on small layouts, the weighted
+path metric with a move path realizing it, the one-expression forms of the
+max TV distance and the restricted-growth strings, and the variance-floor
+witnesses of the paper's case analysis.  The test modules import them as
+``from reference import ...``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.stats
 
 from scanmix.coupling import (
     LEMMA_IDS,
@@ -30,10 +33,10 @@ from scanmix.coupling import (
     Ledger,
     _ham_batch_drift,
     coupled_update,
+    transpose_color,
 )
 from scanmix.domain import (
     DEFAULT_ENUMERATION_BUDGET,
-    PAD,
     BudgetExceededError,
     Coloring,
     Graph,
@@ -85,6 +88,9 @@ def single_edge() -> TargetGraph:
 # ---------------------------------------------------------------------------
 # One chain step at a time
 # ---------------------------------------------------------------------------
+
+PAD = -1  # sentinel at positions 0 and n + 1 of a padded color list
+
 
 def pad(coloring: Coloring) -> list[int]:
     """The coloring as a padded list: vertex v at position v, PAD at 0 and n + 1."""
@@ -187,6 +193,64 @@ def all_colorings_kernel(spec) -> ChainKernel:
     if spec.base == "glauber":
         return _from_tables(states, tables, False, spec)
     return _from_tables(states, [tables[v - 1] for v in scan_order(spec)], True, spec)
+
+
+# ---------------------------------------------------------------------------
+# The clamped/free runs on padded color arrays, and their exact laws
+# ---------------------------------------------------------------------------
+
+def padded(X: np.ndarray) -> np.ndarray:
+    """(R, n) colorings as a C-ordered (R, n + 2) array with PAD columns."""
+    return np.pad(X, ((0, 0), (1, 1)), constant_values=PAD)
+
+
+def important_neighbor_steps(S, T, q: int, imp, frozen, steps: int, tape: RandomTape) -> None:
+    """``switch_site_steps`` on the padded (R, n + 2) color arrays S and T,
+    in place, one flat batch per step: step s draws [vertex, color] at
+    (r, s, CH_SCAN); copy one tries the color, and copy two its image under
+    the transposition by the two copies' colors at padded position imp[v]
+    (0, an agreeing sentinel pair, for none), unless frozen[v]."""
+    R, width = S.shape
+    n, flat = width - 2, np.arange(R) * width
+    s, t = S.reshape(-1), T.reshape(-1)  # views: replicate r's v at flat[r] + v
+    for step in range(steps):
+        U = tape.block(0, R, step, CH_SCAN, 2)
+        v = np.minimum((U[:, 0] * n).astype(np.int64) + 1, n)
+        c = np.minimum((U[:, 1] * q).astype(np.int8), q - 1)
+        f, w = flat + v, flat + np.asarray(imp)[v]
+        c2 = transpose_color(c, s[w], t[w])
+        ok1, ok2 = path_accepts(s, f, c), path_accepts(t, f, c2) & ~frozen[v]
+        s[f], t[f] = np.where(ok1, c, s[f]), np.where(ok2, c2, t[f])
+
+
+def law_after(kernel: ChainKernel, start: Coloring, steps: int) -> np.ndarray:
+    """Row ``start`` of P^steps for the kernel's P, over ``kernel.states``."""
+    row = np.zeros(len(kernel.states))
+    row[kernel.states.index(tuple(start))] = 1.0
+    P = kernel.dense()
+    for _ in range(steps):
+        row = row @ P
+    return row
+
+
+def chi2_p_value(samples: np.ndarray, states: list, law: np.ndarray) -> float:
+    """Pearson's chi-squared p-value of the (R, n) colorings ``samples``
+    against ``law`` over ``states``.  States expected fewer than five times
+    share one bin; a sample outside the law's support gives 0."""
+    index = {state: i for i, state in enumerate(states)}
+    at = [index.get(row, -1) for row in map(tuple, samples.tolist())]
+    if -1 in at:
+        return 0.0
+    counts = np.bincount(at, minlength=len(states))
+    if counts[law == 0].any():
+        return 0.0
+    expected = law * len(samples)
+    small = expected < 5
+    obs = np.append(counts[~small], counts[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    keep = exp > 0
+    stat = float(((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum())
+    return float(scipy.stats.chi2.sf(stat, keep.sum() - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +522,6 @@ def exact_drift(
     Scan drift with the Hamming metric runs the ledger's DP,
     ``_ham_batch_drift``; other combinations enumerate the proposal draws.
     """
-    if coupling == "switch_glauber_important_neighbor":
-        raise ValueError("the important-neighbor coupling needs a segment layout")
     n = len(sigma)
     if coupling.endswith("glauber"):
         v, c = np.divmod(np.arange(n * q), q)  # one single-site move per (v, c)

@@ -356,7 +356,7 @@ def test_couple_refuses_chain_coupling_mismatch(tmp_path, capsys):
         ("scan", "identity_glauber", "scan chain"),
         ("lazy", "q4_glauber", "lazy chain"),
         ("glauber", "q4_scan", "glauber chain"),
-        ("glauber", "switch_glauber_important_neighbor", "segment layout"),
+        ("glauber", "switch_glauber_important_neighbor", "unknown coupling"),
         ("scan", "bogus", "unknown coupling"),
     ):
         out = tmp_path / f"{chain}-{coupling}"
@@ -427,6 +427,25 @@ def test_couple_beyond_the_step_table_budget_exits_2_before_any_draw(tmp_path, c
     monkeypatch.setattr(RandomTape, "uniforms", lambda self, *args: drawn.append(args))
     out = tmp_path / "o"
     assert main(["couple", "--q", "11", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step-table cells (q = 11) exceed budget" in err, err
+    assert drawn == [] and not out.exists()
+
+
+@pytest.mark.parametrize("chain", ["glauber", "scan"])
+def test_percolate_beyond_the_step_table_budget_exits_2_before_any_draw(
+    tmp_path, capsys, monkeypatch, chain
+):
+    """Both percolation engines read the step table, so ``percolate --q 11``
+    is refused on either chain, naming the table's budget, before the pi0
+    sample is drawn and with no file written."""
+    drawn = []
+    monkeypatch.setattr(RandomTape, "block", lambda self, *args: drawn.append(args))
+    monkeypatch.setattr(RandomTape, "uniforms", lambda self, *args: drawn.append(args))
+    out = tmp_path / "o"
+    argv = ["percolate", "--chain", chain, "--q", "11", "--n", "100", "--t", "1",
+            "--replicates", "2", "--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "step-table cells (q = 11) exceed budget" in err, err
     assert drawn == [] and not out.exists()

@@ -33,7 +33,6 @@ from scanmix.coupling import (
     weighted_metric_contraction_rows,
 )
 from scanmix.domain import (
-    PAD,
     BudgetExceededError,
     Graph,
     ImproperColoringError,
@@ -54,14 +53,17 @@ from scanmix.dynamics import (
     vertex_from_uniform,
 )
 from reference import (
+    PAD,
     WITNESS_DIGEST,
     all_colorings_kernel,
+    chi2_p_value,
     coupled_step_on_lists,
     coupling_time_by_replicate,
     cycle,
     d2,
     drop_choice,
     exact_drift,
+    law_after,
     pad,
     restricted_growth_by_stacking,
     site_variance_witness,
@@ -70,6 +72,7 @@ from reference import (
     sweep_variance_witness,
     uniform_proper_coloring,
 )
+from scanmix.kernels import build_kernel
 from test_kernels import entry
 
 
@@ -468,7 +471,7 @@ def test_step_table_built_by_slabs_equals_one_broadcast(q):
     """Building the table one right-pair slab at a time gives the bytes of
     one broadcast over the whole grid, for every kind a table serves,
     frozen copy two included."""
-    for kind in (k for k in COUPLING_KINDS if not k.endswith("neighbor")):
+    for kind in COUPLING_KINDS:
         for frozen in (False, True):
             got = _step_table(q, kind, frozen)
             assert got.dtype == np.uint8
@@ -551,10 +554,9 @@ def test_coupled_runs_refuse_models_their_starts_miss(model):
     for kind in COUPLING_KINDS:
         spec = ChainSpec(base="glauber" if kind.endswith("glauber") else "scan", **model)
         start = (0,) * spec.graph.n
-        reason = "segment layout" if kind.endswith("neighbor") else "proper colorings of the path"
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(ValueError, match="proper colorings of the path"):
             _coupled_step(start, start, kind, spec, tape)
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(ValueError, match="proper colorings of the path"):
             coupling_time(spec, kind, 4, tape)
 
 
@@ -616,6 +618,31 @@ def test_coupled_sweep_returns_whether_the_copies_differ(base, kinds):
     assert met > 0 and stayed > 0
 
 
+@pytest.mark.parametrize("kind,base", [
+    (kind, base) for kind in COUPLING_KINDS
+    for base in (("scan", "reverse_scan") if kind.endswith("_scan") else ("glauber",))
+])
+def test_each_copy_of_coupled_sweep_follows_the_chain(kind, base):
+    """A coupling is valid only if each copy alone is the chain: from fixed
+    starts on 10,000 replicates, each copy of ``coupled_sweep`` after one
+    and two steps against its start's row of P and P^2.  The seed is fixed,
+    and the test fails at p < 1e-6."""
+    n, q, replicates = 5, 4, 10_000
+    spec = ChainSpec(graph=Graph.path(n), q=q, base=base)
+    kernel = build_kernel(spec)
+    starts = (0, 1, 2, 3, 0), (1, 2, 0, 1, 3)
+    channel, size = (CH_SCAN, n) if kind.endswith("_scan") else (CH_GLAUBER, 3)
+    tape = RandomTape(24)
+    lists = [_codes(*starts, q) for _ in range(replicates)]
+    for t in (1, 2):
+        for p, u in zip(lists, tape.block(0, replicates, t - 1, channel, size)):
+            coupled_sweep(p, kind, spec, u)
+        copies = np.divmod(np.array(lists)[:, 1:-1], q + 1)
+        for colors, start in zip(copies, starts):
+            p_value = chi2_p_value(colors, kernel.states, law_after(kernel, start, t))
+            assert p_value >= 1e-6, (t, start, p_value)
+
+
 def test_coupled_update_on_padded_lists_keeps_python_ints():
     """On padded lists with int v and c, ``coupled_update`` writes Python
     ints (no numpy scalar reaches the list) and makes the reference's
@@ -626,11 +653,10 @@ def test_coupled_update_on_padded_lists_keeps_python_ints():
         for _ in range(40):
             s, t = (pad(tuple(rng.integers(q, size=n).tolist())) for _ in "st")
             v, c = int(rng.integers(1, n + 1)), int(rng.integers(q))
-            w = v - 1 if kind.endswith("neighbor") else None
-            c2 = partner_proposal(kind, v, c, s, t, w)
+            c2 = partner_proposal(kind, v, c, s, t)
             want_s = s[v] if (s[v - 1] == c or s[v + 1] == c) else c
             want_t = t[v] if (t[v - 1] == c2 or t[v + 1] == c2) else c2
-            coupled_update(s, t, v, c, kind, w)
+            coupled_update(s, t, v, c, kind)
             assert all(type(x) is int for x in s + t), kind
             assert (s[v], t[v]) == (want_s, want_t), kind
 
@@ -947,7 +973,7 @@ COALESCED_CASES = [
     (q, base, kind)
     for q, base in ((4, "scan"), (4, "reverse_scan"), (7, "scan"), (4, "glauber"), (7, "glauber"))
     for kind in COUPLING_KINDS
-    if kind != "switch_glauber_important_neighbor" and kind.endswith(base.split("_")[-1])
+    if kind.endswith(base.split("_")[-1])
 ]
 
 
@@ -1158,6 +1184,15 @@ def test_batched_starts_equal_the_scalar_starts(n, q):
             assert ((S >= 0) & (S < q)).all() and (S[:, 1:] != S[:, :-1]).all()
 
 
+def test_uniform_proper_colorings_follow_the_uniform_law():
+    """20,000 batched starts at n = 5, q = 3 against the uniform law on the
+    48 proper colorings.  The seed is fixed, and the test fails at
+    p < 1e-6."""
+    states = enumerate_colorings(Graph.path(5), 3)
+    S = uniform_proper_colorings(5, 3, RandomTape(24), 0, 20_000, 0)
+    assert chi2_p_value(S, states, np.full(len(states), 1 / len(states))) >= 1e-6
+
+
 def test_transpose_color():
     assert transpose_color(0, 0, 1) == 1
     assert transpose_color(1, 0, 1) == 0
@@ -1167,9 +1202,9 @@ def test_transpose_color():
     assert transpose_color(c, np.int8(1), np.int8(3)).tolist() == [0, 3, 2, 1]
 
 
-def _reference_partner(kind, v, c, sigma, tau, important):
+def _reference_partner(kind, v, c, sigma, tau):
     """The partner rule as the drivers spelled it out, branch by branch, on
-    unpadded colorings (1-based v; ``important`` maps v to its neighbor)."""
+    unpadded colorings (1-based v)."""
     n = len(sigma)
 
     def swap(c, a, b):
@@ -1183,19 +1218,16 @@ def _reference_partner(kind, v, c, sigma, tau, important):
         if v < n and sigma[v] != tau[v]:
             return swap(c, sigma[v], tau[v])
         return c
-    if kind == "switch_scan":
-        return swap(c, sigma[v - 2], tau[v - 2]) if v > 1 else c
-    w = important.get(v)
-    return swap(c, sigma[w - 1], tau[w - 1]) if w else c
+    return swap(c, sigma[v - 2], tau[v - 2]) if v > 1 else c
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_partner_rule_matches_reference_on_every_window(q):
     """Every window (left pair, right pair, each possibly missing) and color:
     the padded partner rule equals the branch-by-branch reference, and the
-    batched form (first-axis and flat layouts) equals the one-replicate form."""
+    batched form equals the one-replicate form."""
     pairs = [None] + list(itertools.product(range(q), repeat=2))
-    frames, imps = [], []  # frame rows: PAD, left, vertex (color 0), right, PAD
+    frames = []  # frame rows: PAD, left, vertex (color 0), right, PAD
     for left, right in itertools.product(pairs, repeat=2):
         frame = np.full((2, 5), PAD)
         frame[:, 2] = 0
@@ -1203,28 +1235,19 @@ def test_partner_rule_matches_reference_on_every_window(q):
             frame[:, 1] = left
         if right:
             frame[:, 3] = right
-        for imp in [0] + [w for w, p in ((1, left), (3, right)) if p]:
-            frames.append(frame)
-            imps.append(imp)  # padded position of the important neighbor
+        frames.append(frame)
     S, T = (np.array(frames, dtype=np.int8)[:, k].copy() for k in (0, 1))
-    W, base = np.array(imps), np.arange(len(imps)) * 5
-    kinds = ("identity_scan", "q4_scan", "switch_scan", "identity_glauber",
-             "q4_glauber", "switch_glauber_important_neighbor")
-    for kind in kinds:
+    for kind in COUPLING_KINDS:
         for c in range(q):
             scalar = []
-            for s, t, w in zip(S.tolist(), T.tolist(), imps):
+            for s, t in zip(S.tolist(), T.tolist()):
                 sigma, tau = (tuple(x for x in y if x != PAD) for y in (s, t))
                 v = 1 + (s[1] != PAD)  # the vertex's place in the unpadded window
-                important = {v: v - 2 + w} if w else {}
-                got = partner_proposal(kind, 2, c, s, t, w)
-                assert got == _reference_partner(kind, v, c, sigma, tau, important), (kind, c)
+                got = partner_proposal(kind, 2, c, s, t)
+                assert got == _reference_partner(kind, v, c, sigma, tau), (kind, c)
                 scalar.append(got)
-            C = np.full(len(imps), c, dtype=np.int8)
-            if kind.startswith("switch_glauber"):
-                batch = partner_proposal(kind, base + 2, C, S.reshape(-1), T.reshape(-1), base + W)
-            else:
-                batch = partner_proposal(kind, 2, C, S.T, T.T)
+            C = np.full(len(frames), c, dtype=np.int8)
+            batch = partner_proposal(kind, 2, C, S.T, T.T)
             assert np.broadcast_to(batch, C.shape).tolist() == scalar, kind
 
 

@@ -10,7 +10,6 @@ from numpy.random import Generator, Philox
 
 from scanmix.congestion import bottleneck_target, directed_cycle
 from scanmix.domain import (
-    PAD,
     Graph,
     TargetGraph,
     accepted_colors,
@@ -27,6 +26,7 @@ from scanmix.dynamics import (
 )
 from scanmix.kernels import build_kernel
 from reference import (
+    PAD,
     cycle,
     glauber_step,
     pad,

@@ -16,13 +16,13 @@ from scanmix.coupling import (
     partner_proposal,
     switch_scan_contained,
     switch_scan_sweeps,
+    switch_site_steps,
 )
 from scanmix.domain import BudgetExceededError, Graph, enumerate_colorings, path_accepts
 from scanmix.dynamics import CH_INIT, CH_SCAN, ChainSpec, RandomTape
 from scanmix.kernels import build_kernel
 from scanmix.percolation import (
     _conditional_matrices,
-    _padded,
     lb_experiment,
     sample_pi0,
     segment_layout,
@@ -30,9 +30,13 @@ from scanmix.percolation import (
 )
 from reference import (
     anchored_z_tail_exact,
+    chi2_p_value,
     enumerate_anchor_fiber,
     exact_free_tail,
+    important_neighbor_steps,
+    law_after,
     mid_color_prob,
+    padded,
     stationary_z_tail_exact,
     z_statistic,
 )
@@ -99,16 +103,24 @@ def test_layout_arithmetic():
         segment_layout(5, 4, override=(2, 10))  # no full segment
 
 
-@pytest.mark.parametrize("n", [25, 29, 2000])
-def test_important_neighbors_match_the_segment_walk(n):
-    lay = segment_layout(n, 4, override=(2, 4))
-    imp = [0] * (n + 2)  # v - 1 left of each midpoint, v + 1 from it on
+def important_neighbors(lay):
+    """imp[v]: the padded position whose pair the important-neighbor switch
+    transposes by at v, by a walk over the segments: v - 1 left of each
+    midpoint, v + 1 from it on, 0 (none) at anchors and past the last."""
+    imp = [0] * (lay.n + 2)
     for left, mid, right in zip(lay.anchors, lay.mids, lay.anchors[1:]):
         for v in range(left + 1, mid):
             imp[v] = v - 1
         for v in range(mid, right):
             imp[v] = v + 1
-    assert lay.important_neighbors.tolist() == imp
+    return imp
+
+
+@pytest.mark.parametrize("n", [25, 29, 2000])
+def test_important_neighbors_match_the_segment_walk(n):
+    lay = segment_layout(n, 4, override=(2, 4))
+    sides = [w - v if w else 0 for v, w in enumerate(important_neighbors(lay))]
+    assert lay.important_sides.tolist() == sides
 
 
 def test_pi0_samples_live_on_the_fiber():
@@ -333,8 +345,8 @@ def switch_scan_table_sweeps(lay, S, T, sweeps):
 
 def _check_against_the_reference(sweeps, q, start):
     lay = segment_layout(400, q, override=(2, 4))
-    S = _padded(sample_pi0(lay, RandomTape(3), 25))
-    T = S.copy() if start == "equal" else _padded(sample_pi0(lay, RandomTape(4), 25))
+    S = padded(sample_pi0(lay, RandomTape(3), 25))
+    T = S.copy() if start == "equal" else padded(sample_pi0(lay, RandomTape(4), 25))
     assert (start == "equal") == np.array_equal(S, T)
     S_ref, T_ref = S.copy(), T.copy()
     sweeps(lay, S, T, 5)
@@ -371,7 +383,7 @@ def test_lb_experiment_scan_matches_the_coupled_update_loop(q, n, override):
     mids = np.array(lay.mids)
     for t, replicates in itertools.product(range(4), (1, 300)):
         tape = RandomTape(11 + t)
-        S = _padded(sample_pi0(lay, tape, replicates))
+        S = padded(sample_pi0(lay, tape, replicates))
         T = S.copy()
         for k in range(t):
             U = tape.block(0, replicates, 1 + k, CH_SCAN, n)
@@ -384,6 +396,78 @@ def test_lb_experiment_scan_matches_the_coupled_update_loop(q, n, override):
         assert rep.clamped_tail == float(np.mean(z_clamped >= lay.threshold))
         assert rep.disagreement_rate == float(np.mean(mid_dis > 0))
         assert rep.mean_mid_disagreements == float(np.mean(mid_dis))
+
+
+# three layouts: vertices past the last anchor (n = 23 and 64) and none (n = 61)
+SITE_LAYOUTS = [(23, (2, 2)), (61, (2, 4)), (64, (4, 6))]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 10])
+@pytest.mark.parametrize("start", ["equal", "independent"])
+def test_site_steps_match_the_flat_reference(q, start):
+    """``switch_site_steps`` gives the flat loop's colors at every vertex,
+    from equal starts (every disagreement then comes from a frozen anchor)
+    and from independent ones, and the runs create disagreements."""
+    for n, override in SITE_LAYOUTS:
+        lay = segment_layout(n, q, override=override)
+        S = padded(sample_pi0(lay, RandomTape(3), 40))
+        T = S.copy() if start == "equal" else padded(sample_pi0(lay, RandomTape(4), 40))
+        frozen, apart = _anchor_mask(lay), S != T
+        free, clamped = switch_site_steps(
+            S[:, 1:-1], T[:, 1:-1], q, frozen, lay.important_sides, 300, RandomTape(5),
+            np.arange(1, n + 1),
+        )
+        important_neighbor_steps(S, T, q, important_neighbors(lay), frozen, 300, RandomTape(5))
+        assert np.array_equal(free.T, S[:, 1:-1]), (n, override)
+        assert np.array_equal(clamped.T, T[:, 1:-1]), (n, override)
+        assert ((S != T) & ~apart).any(), (n, override)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n,override", SITE_LAYOUTS)
+def test_lb_experiment_glauber_matches_the_flat_loop(q, n, override):
+    """The single-site experiment's statistics equal those of the flat loop
+    from one pi0 sample, for t = 0, 1 and 300 steps."""
+    lay = segment_layout(n, q, override=override)
+    mids = np.array(lay.mids)
+    for t, replicates in itertools.product((0, 1, 300), (1, 200)):
+        tape = RandomTape(11 + t)
+        S = padded(sample_pi0(lay, tape, replicates))
+        T = S.copy()
+        important_neighbor_steps(S, T, q, important_neighbors(lay), _anchor_mask(lay), t, tape)
+        mid_dis = (S[:, mids] != T[:, mids]).sum(axis=1)
+        rep = lb_experiment(lay, t, replicates, RandomTape(11 + t), base="glauber")
+        assert rep.free_tail == float(np.mean((S[:, mids] == 0).sum(axis=1) >= lay.threshold))
+        assert rep.clamped_tail == float(np.mean((T[:, mids] == 0).sum(axis=1) >= lay.threshold))
+        assert rep.disagreement_rate == float(np.mean(mid_dis > 0))
+        assert rep.mean_mid_disagreements == float(np.mean(mid_dis))
+
+
+@pytest.mark.parametrize("base", ["glauber", "scan"])
+def test_each_copy_of_the_clamped_free_engines_follows_its_exact_law(base):
+    """Each copy of ``lb_experiment``'s engines, from a fixed anchored start
+    on 20,000 replicates, against its exact law after t = 1, 2 and 6 sweeps'
+    worth of moves (t * n glauber steps): the free copy against row x0 of
+    P^t, the clamped copy against the clamped fiber's kernel.  The seed is
+    fixed, and the test fails at p < 1e-6."""
+    lay, x0, replicates = segment_layout(7, 3, override=(2, 2)), (0, 1, 2, 1, 0, 1, 2), 20_000
+    spec = dict(graph=Graph.path(7), q=3, base=base)
+    free_kernel = build_kernel(ChainSpec(**spec))
+    clamped_kernel = build_kernel(ChainSpec(**spec, clamp=frozenset(lay.anchors)), fiber_of=x0)
+    X = np.tile(np.array(x0, dtype=np.int8), (replicates, 1))
+    read = np.arange(1, 8)
+    for t in (1, 2, 6):
+        if base == "glauber":
+            steps = 7 * t
+            copies = switch_site_steps(
+                X, X, 3, _anchor_mask(lay), lay.important_sides, steps, RandomTape(24), read
+            )
+        else:
+            steps = t
+            copies = switch_scan_sweeps(X, X, 3, _anchor_mask(lay), steps, RandomTape(24), read)
+        for colors, kernel in zip(copies, (free_kernel, clamped_kernel)):
+            p = chi2_p_value(colors.T, kernel.states, law_after(kernel, x0, steps))
+            assert p >= 1e-6, (t, p)
 
 
 @pytest.mark.parametrize("q", range(3, 8))
@@ -405,7 +489,7 @@ def fresh_step_tables():
 def test_switch_scan_certificate_refuses_the_identity_partner(monkeypatch, fresh_step_tables):
     """With the identity proposal in place of the switch rule a disagreeing
     left pair spreads without the option-B event, and the certificate says so."""
-    monkeypatch.setattr(coupling, "partner_proposal", lambda kind, v, c, s, t, w=None: c)
+    monkeypatch.setattr(coupling, "partner_proposal", lambda kind, v, c, s, t: c)
     assert switch_scan_contained(4) is False
 
 

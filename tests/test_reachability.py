@@ -162,16 +162,23 @@ def _scopes():
                      for m, body in statements.items()]
 
 
+def _callers(*names: str) -> set:
+    """(module, definition) of every package scope that calls one of the
+    named functions."""
+    return {
+        key for key, nodes in _scopes() for n in nodes
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in names
+    }
+
+
 def test_only_coupled_update_makes_the_coupled_move():
     """Inside the package only ``coupled_update`` calls the path acceptance
-    rule or the partner proposal, so every coupled vertex move, looped or
-    tabled, is that one function's."""
-    callers = {
-        key for key, nodes in _scopes() for n in nodes
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-        and n.func.id in ("path_accepts", "partner_proposal")
-    }
+    rule or the partner proposal, and only ``_step_table`` calls
+    ``coupled_update``, so every coupled vertex move is that one function's,
+    read from the table it builds."""
+    callers = _callers("path_accepts", "partner_proposal")
     assert callers == {("coupling", "coupled_update")}, sorted(callers)
+    assert _callers("coupled_update") == {("coupling", "_step_table")}
 
 
 def _is_constraint_matrix(node) -> bool:
@@ -204,11 +211,7 @@ def test_only_the_coupling_module_reads_the_step_table():
     """Inside the package only ``coupling`` calls ``_step_table`` or
     ``_table_index``, so the pair-code format a * (q + 1) + b and the table's
     layout are that one module's."""
-    callers = {
-        key[0] for key, nodes in _scopes() for n in nodes
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-        and n.func.id in ("_step_table", "_table_index")
-    }
+    callers = {module for module, _ in _callers("_step_table", "_table_index")}
     assert callers == {"coupling"}, sorted(callers)
 
 
